@@ -14,7 +14,7 @@ from .qsys import (QTable, check_qsol_properties, check_restricted_qsystem,
                    closed_form_qtable, kr_qchar, kr_qtable, qdim, qtable_csv)
 from .rootsys import DynkinType, RootSystem, build_root_system, group_constants, pairing
 from .spectral import (CBlockPair, ExponentSequence, SpectralReport, Tolerances,
-                       c_blocks, case_passed, charpoly_coefficients,
+                       c_blocks, c_checks, case_passed, check_conjecture_38,
                        conjectured_charpoly, exponents_csv, lemma_eigenvector,
                        lemma_summary, relation_residuals, run_case, special_eigenvector,
                        spectrum, verify_c_reduction, verify_conjecture,

@@ -1,6 +1,8 @@
 import json
 
+from yexp import ysys
 from yexp.cli import main
+from yexp.errors import ConvergenceError
 
 
 def run(capsys, *argv):
@@ -37,8 +39,24 @@ def test_conjecture_c(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["all_passed"] is True
-    assert data["cases"][0]["csol_k"] <= 1e-7
-    assert data["cases"][0]["csol_l"] <= 1e-7
+    csol = data["cases"][0]["checks"]["csol"]
+    assert csol["csol_k"] <= 1e-7
+    assert csol["csol_l"] <= 1e-7
+
+
+def test_conjecture_c_ignores_charpoly_tolerance(capsys):
+    code, out, _ = run(capsys, "conjecture-c", "--rank", "5", "--tol-charpoly", "1e-30")
+    assert code == 0
+    assert json.loads(out)["all_passed"] is True
+
+
+def test_conjecture_c_scaled_tolerances_fail(capsys, monkeypatch):
+    monkeypatch.setenv("YEXP_TOL_SCALE", "1e-20")
+    code, out, _ = run(capsys, "conjecture-c", "--rank", "5")
+    assert code == 1
+    data = json.loads(out)
+    assert data["all_passed"] is False
+    assert not any(c["pass"] for c in data["cases"][0]["checks"].values())
 
 
 GOLDEN_B2 = """# B2
@@ -138,3 +156,18 @@ def test_sweep_small(tmp_path, capsys):
     assert ("A", 1) in keys and ("D", 4) in keys and ("C", 4) in keys
     rows = csv_path.read_text().strip().splitlines()
     assert any(r.startswith("D,4,8,") for r in rows)
+
+
+def test_raising_check_is_recorded_not_fatal(capsys, monkeypatch):
+    def no_convergence(loop, *args, **kwargs):
+        raise ConvergenceError(1.0, "Newton did not converge")
+
+    monkeypatch.setattr(ysys, "newton_fixed_point", no_convergence)
+    code, out, _ = run(capsys, "verify", "--family", "B", "--rank", "4")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert checks["fixed_point"]["pass"] is False
+    assert checks["fixed_point"]["error"] == "ConvergenceError: Newton did not converge"
+    rest = {name: c["pass"] for name, c in checks.items() if name != "fixed_point"}
+    assert rest == {"periodicity": True, "jacobian_fd": True, "conjecture_38": True,
+                    "lemma_vectors": True, "relations": True}
