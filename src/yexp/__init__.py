@@ -13,17 +13,16 @@ from .quiver import (LabeledQuiver, MutationLoop, Quiver, build_dynkin_quiver,
 from .qsys import (QTable, check_qsol_properties, check_restricted_qsystem,
                    closed_form_qtable, kr_qchar, kr_qtable, qdim, qtable_csv)
 from .rootsys import DynkinType, RootSystem, build_root_system, group_constants, pairing
-from .spectral import (CBlockPair, ExponentSequence, SpectralReport, Tolerances,
-                       c_blocks, c_checks, case_passed, check_conjecture_38,
-                       conjectured_charpoly, exponents_csv, lemma_eigenvector,
-                       lemma_summary, relation_residuals, run_case, special_eigenvector,
-                       spectrum, verify_c_reduction, verify_conjecture,
-                       verify_conjecture_csol)
+from .spectral import (Case, CBlockPair, ExponentSequence, SpectralReport, Tolerances,
+                       build_case, c_blocks, c_checks, case_passed, check_conjecture_38,
+                       check_jacobian_fd, conjectured_charpoly, exponents_csv,
+                       lemma_eigenvector, lemma_summary, relation_residuals, run_case,
+                       special_eigenvector, spectrum, verify_c_reduction,
+                       verify_conjecture, verify_conjecture_csol)
 from .yseed import (LoopJacobian, YSeed, check_periodicity, cluster_transform,
                     finite_difference_jacobian, loop_jacobian, mutate_yseed)
 from .ysys import (EtaPoint, GReading, YSolution, assemble_eta, calibrate_reading,
-                   check_ysystem, closed_form_y_exact, default_reading, eta_csv,
-                   g_coefficient, index_set_H, newton_fixed_point, y_from_q,
-                   y_solution, ytable_csv)
+                   check_ysystem, closed_form_y_exact, eta_csv, g_coefficient,
+                   index_set_H, newton_fixed_point, y_from_q, y_solution, ytable_csv)
 
 __version__ = "0.1.0"

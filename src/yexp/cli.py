@@ -29,7 +29,6 @@ class RunConfig:
     family: Optional[str]
     rank: Optional[int]
     rank_max: Optional[int]
-    level: int
     tolerances: spectral.Tolerances
     samples: int
     seed: int
@@ -60,7 +59,6 @@ def _config_from(args) -> RunConfig:
         family=getattr(args, "family", None),
         rank=getattr(args, "rank", None),
         rank_max=args.rank_max,
-        level=2,
         tolerances=tol.scaled(scale),
         samples=args.samples,
         seed=args.seed,
@@ -76,11 +74,12 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, need_family=True):
-        if need_family:
+    def common(sp, family=True, rank=True, rank_max=None):
+        if family:
             sp.add_argument("--family", required=True, choices=["A", "B", "C", "D"])
-        sp.add_argument("--rank", type=int, required=True)
-        sp.add_argument("--rank-max", type=int, default=None)
+        if rank:
+            sp.add_argument("--rank", type=int, required=True)
+        sp.add_argument("--rank-max", type=int, default=rank_max)
         sp.add_argument("--samples", type=int, default=32)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--json", dest="json_path", default=None)
@@ -92,18 +91,8 @@ def _parser() -> argparse.ArgumentParser:
 
     for name in ("quiver", "qtable", "ytable", "eta", "periodicity", "exponents", "verify"):
         common(sub.add_parser(name))
-    sp = sub.add_parser("conjecture-c")
-    common(sp, need_family=False)
-    sp = sub.add_parser("sweep")
-    sp.add_argument("--rank-max", type=int, default=8)
-    sp.add_argument("--samples", type=int, default=32)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--json", dest="json_path", default=None)
-    sp.add_argument("--csv", dest="csv_path", default=None)
-    sp.add_argument("--tol-fixed-point", type=float, default=1e-9)
-    sp.add_argument("--tol-periodicity", type=float, default=1e-8)
-    sp.add_argument("--tol-charpoly", type=float, default=1e-7)
-    sp.add_argument("--tol-fd-jacobian", type=float, default=1e-5)
+    common(sub.add_parser("conjecture-c"), family=False)
+    common(sub.add_parser("sweep"), family=False, rank=False, rank_max=8)
     return p
 
 
@@ -165,8 +154,11 @@ def _dispatch(args) -> int:
         if cfg.rank < 2:
             raise ValueError("type C needs rank >= 2")
         hi = cfg.rank_max or cfg.rank
-        results = [{"rank": r, "checks": spectral.c_checks(r, tol, cfg.samples)}
-                   for r in range(cfg.rank, hi + 1)]
+        results = [
+            {"rank": r,
+             "checks": spectral.c_checks(spectral.build_case(DynkinType("C", r)), tol, cfg.samples)}
+            for r in range(cfg.rank, hi + 1)
+        ]
         ok = all(spectral.case_passed(c) for c in results)
         _emit(json.dumps({"cases": results, "all_passed": ok}, indent=2) + "\n", cfg.json_path)
         return 0 if ok else 1

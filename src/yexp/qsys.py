@@ -194,18 +194,17 @@ def closed_form_qtable(dt: DynkinType, level: int = 2) -> QTable:
     return QTable(dt, level, rs.t_i, vals)
 
 
-def check_restricted_qsystem(qt: QTable, reading=None) -> float:
+def check_restricted_qsystem(qt: QTable) -> float:
     """Max relative residual of the level-restricted Q-system over the index set."""
-    from .ysys import default_reading, g_coefficient
+    from .ysys import g_coefficient
 
     rs = build_root_system(qt.type)
-    reading = reading or default_reading()
     worst = 0.0
     pairs = list(qt.interior_items())
     for (i, m), q in pairs:
         prod = 1.0
         for (j, k), qjk in pairs:
-            e = g_coefficient(rs, i, m, j, k, reading)
+            e = g_coefficient(rs, i, m, j, k)
             if e:
                 prod *= qjk ** e
         lhs = q * q

@@ -6,21 +6,26 @@ unity, P = t(2 + h_dual), so both are kept as exact multisets of integer
 exponents: m stands for the root e^{2 pi i m / P}. The conjecture
 det(zI - J) = N/D is then decided on integers: D is contained in N, and N - D
 equals the exponent multiset of the snapped spectrum of J.
+
+Each (family, rank) case is built once, as a frozen `Case`: the fixed point
+eta with its Y-solution, and the spectrum of the loop Jacobian J there. Every
+per-case check reads J, its phase factors and the Y-values from that `Case`.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from .quiver import MutationLoop
 from .rootsys import DynkinType, RootSystem, build_root_system, group_constants
-from .yseed import cluster_transform, finite_difference_jacobian, loop_jacobian
-from .ysys import EtaPoint, GReading, assemble_eta, default_reading, y_solution
+from .yseed import (LoopJacobian, check_periodicity, cluster_transform,
+                    finite_difference_jacobian, loop_jacobian)
+from .ysys import EtaPoint, assemble_eta, calibrate_reading
 
 
 @dataclass(frozen=True)
@@ -32,9 +37,7 @@ class ExponentSequence:
 @dataclass
 class SpectralReport:
     type: DynkinType
-    rank: int
-    level: int
-    jacobian: np.ndarray
+    jacobian: LoopJacobian
     eigenvalues: np.ndarray
     exponents: ExponentSequence
     residuals: Dict[str, float] = field(default_factory=dict)
@@ -43,18 +46,18 @@ class SpectralReport:
 
 # ------------------------------------------------------ conjectured N/D
 
-def conjectured_charpoly(rs: RootSystem, level: int = 2) -> Tuple[Counter, Counter]:
+def conjectured_charpoly(rs: RootSystem) -> Tuple[Counter, Counter]:
     """Numerator and denominator of the conjectured det(zI - J) as exponent multisets.
 
-    Exponents are integers mod P = t(level + h_dual). The numerator
+    Exponents are integers mod P = t(2 + h_dual). The numerator
     prod_i (z^P - 1)/(z^{t/t_i} - 1) holds every k in [0, P) with
     k t/t_i != 0 mod P, once per simple root i. A short root alpha contributes
-    the denominator factor z - e^{2 pi i <rho,alpha>/(level + h_dual)}, exponent
-    t<rho,alpha>; a long root contributes z^t - e^{2 pi i <rho,alpha>/(level + h_dual)},
-    whose t roots have the exponents <rho,alpha> + j(level + h_dual), j < t.
+    the denominator factor z - e^{2 pi i <rho,alpha>/(2 + h_dual)}, exponent
+    t<rho,alpha>; a long root contributes z^t - e^{2 pi i <rho,alpha>/(2 + h_dual)},
+    whose t roots have the exponents <rho,alpha> + j(2 + h_dual), j < t.
     """
-    t, h_dual, period = group_constants(rs.type, level)
-    shift = level + h_dual
+    t, h_dual, period = group_constants(rs.type)
+    shift = 2 + h_dual
     num: Counter = Counter()
     for ti in rs.t_i:
         num.update(k for k in range(period) if k * (t // ti) % period)
@@ -83,11 +86,12 @@ def snap_exponents(eigenvalues: np.ndarray, period: int) -> Tuple[Tuple[int, ...
     return tuple(sorted(exps)), worst
 
 
-def spectrum(loop: MutationLoop, eta, level: int = 2) -> SpectralReport:
+def spectrum(loop: MutationLoop, eta) -> SpectralReport:
     """Eigen-decomposition of the loop Jacobian at a verified fixed point."""
     dt = loop.start.type
-    _, _, period = group_constants(dt, level)
-    jac = loop_jacobian(loop, eta).matrix
+    _, _, period = group_constants(dt)
+    lj = loop_jacobian(loop, eta)
+    jac = lj.matrix
     eigs = np.linalg.eigvals(jac)
     exps, snap = snap_exponents(eigs, period)
     residuals = {
@@ -99,9 +103,7 @@ def spectrum(loop: MutationLoop, eta, level: int = 2) -> SpectralReport:
     }
     return SpectralReport(
         type=dt,
-        rank=dt.rank,
-        level=level,
-        jacobian=jac,
+        jacobian=lj,
         eigenvalues=eigs,
         exponents=ExponentSequence(period, exps),
         residuals=residuals,
@@ -116,8 +118,8 @@ def check_conjecture_38(rep: SpectralReport, tol: float) -> Dict:
     J^P = I the minimal polynomial of J divides the separable z^P - 1, so J is
     diagonalizable and its eigenvalue multiset fixes det(zI - J).
     """
-    num, den = conjectured_charpoly(build_root_system(rep.type), rep.level)
-    scale = max(1.0, float(np.max(np.abs(rep.jacobian))))
+    num, den = conjectured_charpoly(build_root_system(rep.type))
+    scale = max(1.0, float(np.max(np.abs(rep.jacobian.matrix))))
     residual = max(rep.residuals["exponent_snap"], rep.residuals["power_identity"] / scale)
     division_exact = not (den - num)
     quotient_matches = num - den == Counter(rep.exponents.exponents)
@@ -125,10 +127,32 @@ def check_conjecture_38(rep: SpectralReport, tol: float) -> Dict:
                     division_exact=division_exact, quotient_matches_spectrum=quotient_matches)
 
 
-def verify_conjecture(dt: DynkinType, level: int = 2, reading: Optional[GReading] = None) -> SpectralReport:
+@dataclass(frozen=True)
+class Case:
+    """One (family, rank) case: eta with its Y-solution, and the spectrum of
+    the loop Jacobian at eta, which holds the case's only Jacobian."""
+
+    point: EtaPoint
+    report: SpectralReport
+
+    @property
+    def type(self) -> DynkinType:
+        return self.report.type
+
+    @property
+    def jacobian(self) -> np.ndarray:
+        return self.report.jacobian.matrix
+
+
+def build_case(dt: DynkinType, tol: float = 1e-9) -> Case:
+    """Assemble eta (fixed-point residual within `tol`) and take its spectrum."""
+    point = assemble_eta(dt, tol=tol)
+    return Case(point, spectrum(point.loop, point.eta))
+
+
+def verify_conjecture(dt: DynkinType) -> SpectralReport:
     """Spectrum report with the `check_conjecture_38` verdict at the default tolerance."""
-    ep = assemble_eta(dt, reading)
-    rep = spectrum(ep.loop, ep.eta, level)
+    rep = build_case(dt).report
     rep.conjecture = check_conjecture_38(rep, Tolerances().charpoly)
     return rep
 
@@ -222,17 +246,17 @@ def _relation_matrix_D(n: int) -> Dict[int, Dict[int, float]]:
     return rows
 
 
-def relation_residuals(dt: DynkinType, reading: Optional[GReading] = None, seed: int = 0) -> Dict[str, float]:
+def relation_residuals(case: Case, seed: int = 0) -> Dict[str, float]:
     """Residuals of the closed-form eigen-equation rows against the engine Jacobian.
 
     Types B and D compare predicted Jacobian rows on coordinate vectors; type C
     checks the phase-factor identities on random vectors. Even rank only.
     """
+    dt = case.type
     if dt.rank % 2:
         raise ValueError("relation rows are available for even ranks only")
-    ep = assemble_eta(dt, reading)
     if dt.family in ("B", "D"):
-        jac = loop_jacobian(ep.loop, ep.eta).matrix
+        jac = case.jacobian
         n = dt.rank
         rows = _relation_matrix_B(n, 2 * n + 1) if dt.family == "B" else _relation_matrix_D(n)
         worst = 0.0
@@ -245,16 +269,14 @@ def relation_residuals(dt: DynkinType, reading: Optional[GReading] = None, seed:
         return {"rows": worst}
     if dt.family != "C":
         raise ValueError(f"no closed-form relation rows for family {dt.family}")
-    return _c_relation_residuals(dt, ep, seed)
+    return _c_relation_residuals(case, seed)
 
 
-def _c_relation_residuals(dt: DynkinType, ep: EtaPoint, seed: int) -> Dict[str, float]:
-    n = dt.rank
+def _c_relation_residuals(case: Case, seed: int) -> Dict[str, float]:
+    n = case.type.rank
     l = n // 2
-    ys = y_solution(dt)
-    Y = ys.value
-    lj = loop_jacobian(ep.loop, ep.eta)
-    jp, jm, _ = lj.phase_factors
+    Y = case.point.ysol.value
+    jp, jm, _ = case.report.jacobian.phase_factors
     rng = np.random.default_rng(seed)
 
     def top(i):
@@ -411,21 +433,21 @@ def lemma_parameters(dt: DynkinType) -> Tuple[complex, int]:
     return np.exp(2j * np.pi / order), order - 1
 
 
-def lemma_eigenvector(dt: DynkinType, a: int, reading: Optional[GReading] = None):
+def lemma_eigenvector(case: Case, a: int):
     """Closed-form eigenvector at lambda = zeta^a; returns (lambda, psi, residual)."""
+    dt = case.type
     zeta, amax = lemma_parameters(dt)
     if not 1 <= a <= amax:
         raise ValueError(f"a = {a} out of range 1..{amax}")
     lam = zeta ** a
     phi = _lemma_phi_B(dt.rank, lam) if dt.family == "B" else _lemma_phi_D(dt.rank, lam)
-    ep = assemble_eta(dt, reading)
-    jac = loop_jacobian(ep.loop, ep.eta).matrix
-    residual = float(np.max(np.abs(jac @ phi - lam * phi)) / np.max(np.abs(phi)))
+    residual = float(np.max(np.abs(case.jacobian @ phi - lam * phi)) / np.max(np.abs(phi)))
     return lam, phi, residual
 
 
-def special_eigenvector(dt: DynkinType, reading: Optional[GReading] = None):
+def special_eigenvector(case: Case):
     """The lambda = -1 vector supported on the two symmetric vertices."""
+    dt = case.type
     n = dt.rank
     if dt.family == "B":
         psi = np.zeros(2 * n + 1)
@@ -437,9 +459,7 @@ def special_eigenvector(dt: DynkinType, reading: Optional[GReading] = None):
         psi[n - 1] = -1.0
     else:
         raise ValueError(f"no special vector for family {dt.family}")
-    ep = assemble_eta(dt, reading)
-    jac = loop_jacobian(ep.loop, ep.eta).matrix
-    residual = float(np.max(np.abs(jac @ psi + psi)) / np.max(np.abs(psi)))
+    residual = float(np.max(np.abs(case.jacobian @ psi + psi)) / np.max(np.abs(psi)))
     return -1.0, psi, residual
 
 
@@ -455,30 +475,18 @@ def lemma_boundary_value(dt: DynkinType, a: int) -> float:
     return abs(val)
 
 
-def lemma_summary(dt: DynkinType, reading: Optional[GReading] = None) -> Dict[str, float]:
+def lemma_summary(case: Case) -> Dict[str, float]:
     """Worst residuals over all admissible a, the special vector, and phi_0, plus
     the exponent multiset comparison against the direct spectrum."""
-    zeta, amax = lemma_parameters(dt)
-    _, _, period = group_constants(dt)
-    ep = assemble_eta(dt, reading)
-    jac = loop_jacobian(ep.loop, ep.eta).matrix
-    worst = 0.0
-    lams = []
-    for a in range(1, amax + 1):
-        lam = zeta ** a
-        phi = _lemma_phi_B(dt.rank, lam) if dt.family == "B" else _lemma_phi_D(dt.rank, lam)
-        worst = max(worst, float(np.max(np.abs(jac @ phi - lam * phi)) / np.max(np.abs(phi))))
-        lams.append(lam)
-    _, _, rs = special_eigenvector(dt, reading)
-    worst = max(worst, rs)
-    lams.append(-1.0 + 0j)
-    boundary = max(lemma_boundary_value(dt, a) for a in range(1, amax + 1))
-    lemma_exps, _ = snap_exponents(np.array(lams), period)
-    spec_exps = spectrum(ep.loop, ep.eta).exponents.exponents
+    _, amax = lemma_parameters(case.type)
+    vectors = [lemma_eigenvector(case, a) for a in range(1, amax + 1)]
+    vectors.append(special_eigenvector(case))
+    exps = case.report.exponents
+    lemma_exps, _ = snap_exponents(np.array([lam for lam, _, _ in vectors]), exps.period)
     return {
-        "vectors": worst,
-        "boundary": boundary,
-        "exponent_multiset_match": 0.0 if lemma_exps == spec_exps else 1.0,
+        "vectors": max(res for _, _, res in vectors),
+        "boundary": max(lemma_boundary_value(case.type, a) for a in range(1, amax + 1)),
+        "exponent_multiset_match": 0.0 if lemma_exps == exps.exponents else 1.0,
     }
 
 
@@ -487,6 +495,7 @@ def lemma_summary(dt: DynkinType, reading: Optional[GReading] = None) -> Dict[st
 @dataclass
 class CBlockPair:
     rank: int
+    jacobian: np.ndarray
     Khat: np.ndarray
     Lhat: np.ndarray
     K: Callable[[complex], np.ndarray]
@@ -654,32 +663,34 @@ def _l_reduced(n: int, Y, lam: complex) -> np.ndarray:
     return L
 
 
-def c_blocks(n: int, reading: Optional[GReading] = None, block_tol: float = 1e-9) -> CBlockPair:
+def c_blocks(case: Case, block_tol: float = 1e-9) -> CBlockPair:
     """Block-diagonalize the C_n Jacobian in the symmetric/antisymmetric basis.
 
     Raises if the off-diagonal blocks exceed `block_tol`. For even rank the
     extracted blocks are also compared against their closed-form entry tables.
     """
-    dt = DynkinType("C", n)
-    ep = assemble_eta(dt, reading)
-    jac = loop_jacobian(ep.loop, ep.eta).matrix
+    if case.type.family != "C":
+        raise ValueError(f"the block reduction is for type C, not {case.type.family}")
+    n = case.type.rank
+    jac = case.jacobian
     u = _c_basis(n)
     m = np.linalg.solve(u, jac @ u)
     nk = n - 1
     offdiag = max(float(np.max(np.abs(m[:nk, nk:]))), float(np.max(np.abs(m[nk:, :nk]))))
-    if offdiag > block_tol:
+    if not offdiag <= block_tol:
         raise RuntimeError(
             f"C_{n}: subspace invariance fails (off-diagonal block {offdiag:.3e})"
         )
     khat = m[:nk, :nk].copy()
     lhat = m[nk:, nk:].copy()
-    Y = y_solution(dt, reading).value
+    Y = case.point.ysol.value
     residuals = {"offdiag": offdiag}
     if n % 2 == 0:
         residuals["khat_reference"] = float(np.max(np.abs(khat - _khat_reference(n, Y))))
         residuals["lhat_reference"] = float(np.max(np.abs(lhat - _lhat_reference(n, Y))))
     return CBlockPair(
         rank=n,
+        jacobian=jac,
         Khat=khat,
         Lhat=lhat,
         K=lambda lam: _k_reduced(n, Y, lam),
@@ -693,13 +704,10 @@ def _unit_circle_samples(count: int):
     return [np.exp(1j * t) for t in np.linspace(0.11, np.pi - 0.11, count)]
 
 
-def verify_c_reduction(n: int, samples: int = 16, reading: Optional[GReading] = None,
-                       block_tol: float = 1e-9) -> Dict[str, float]:
+def verify_c_reduction(blocks: CBlockPair, samples: int = 16) -> Dict[str, float]:
     """Residuals of the determinant identities linking the hat blocks to K, L,
     and of the full factorization det(zI - J) = z^{(3n-1)/2} det K det L."""
-    blocks = c_blocks(n, reading, block_tol)
-    ep = assemble_eta(DynkinType("C", n), reading)
-    jac = loop_jacobian(ep.loop, ep.eta).matrix
+    n = blocks.rank
     eye_k = np.eye(n - 1)
     eye_l = np.eye(2 * n)
     out = {"k_reduction": 0.0, "l_reduction": 0.0, "full_det": 0.0}
@@ -712,7 +720,7 @@ def verify_c_reduction(n: int, samples: int = 16, reading: Optional[GReading] = 
         lhs_l = lam ** (-2 * n) * np.linalg.det(blocks.Lhat - lam ** 2 * eye_l)
         out["l_reduction"] = max(out["l_reduction"], abs(lhs_l - det_l) / max(1.0, abs(det_l)))
         z = lam ** 2
-        lhs_f = np.linalg.det(z * np.eye(3 * n - 1) - jac)
+        lhs_f = np.linalg.det(z * np.eye(3 * n - 1) - blocks.jacobian)
         rhs_f = lam ** (3 * n - 1) * det_k * det_l
         out["full_det"] = max(out["full_det"], abs(lhs_f - rhs_f) / max(1.0, abs(rhs_f)))
     return out
@@ -728,10 +736,9 @@ def csol_products(n: int, lam: complex) -> Tuple[complex, complex]:
     return prod_k, prod_l
 
 
-def verify_conjecture_csol(n: int, samples: int = 32, reading: Optional[GReading] = None,
-                           block_tol: float = 1e-9) -> Dict[str, float]:
+def verify_conjecture_csol(blocks: CBlockPair, samples: int = 32) -> Dict[str, float]:
     """Numerical evidence for the open determinant conjecture (clearly labeled as such)."""
-    blocks = c_blocks(n, reading, block_tol)
+    n = blocks.rank
     out = {"csol_k": 0.0, "csol_l": 0.0, "conjecture_status": "open; numerical evidence only"}
     for lam in _unit_circle_samples(samples):
         prod_k, prod_l = csol_products(n, lam)
@@ -767,31 +774,47 @@ def _verdict(residual: float, tol: float, holds: bool = True, **details) -> Dict
     return {"residual": float(residual), "pass": bool(holds and residual <= tol), **details}
 
 
+def _failed(exc: Exception) -> Dict:
+    return {"residual": None, "pass": False, "error": f"{type(exc).__name__}: {exc}"}
+
+
 def _guarded(compute: Callable[[], Dict]) -> Dict:
     """Run one check; a check whose call raises is recorded as failing with its error."""
     try:
         return compute()
     except Exception as exc:  # one failing check must not abort the rest of the suite
-        return {"residual": None, "pass": False, "error": f"{type(exc).__name__}: {exc}"}
+        return _failed(exc)
 
 
-def c_checks(n: int, tolerances: Tolerances = Tolerances(), samples: int = 32,
-             reading: Optional[GReading] = None) -> Dict[str, Dict]:
+def check_jacobian_fd(case: Case, tol: float) -> Dict:
+    """Verdict on the analytic loop Jacobian against central differences.
+
+    The residual is max|J - J_fd| / max(1, max|J|): the entries of J grow with
+    rank, and the float error of the differences grows with them.
+    """
+    fd = finite_difference_jacobian(case.point.loop, case.point.eta)
+    scale = max(1.0, float(np.max(np.abs(case.jacobian))))
+    return _verdict(np.max(np.abs(case.jacobian - fd)) / scale, tol)
+
+
+def c_checks(case: Case, tolerances: Tolerances = Tolerances(), samples: int = 32) -> Dict[str, Dict]:
     """The type-C checks of C_n: the block reduction and the (open) Csol conjecture.
 
-    Both gate on `c_identities`; the off-diagonal block bound `block_diag` is
-    part of c_reduction's pass. A check whose call raises is recorded as failing.
+    Both read one block split, made under the off-diagonal bound `block_diag`,
+    and gate on `c_identities`. If the split raises, both fail with its error.
     """
+    try:
+        blocks = c_blocks(case, tolerances.block_diag)
+    except Exception as exc:  # recorded like any raising check
+        return {"c_reduction": _failed(exc), "csol": _failed(exc)}
+
     def reduction():
-        red = verify_c_reduction(n, samples=max(16, samples // 2), reading=reading,
-                                 block_tol=tolerances.block_diag)
-        worst = max(v for k, v in red.items() if k != "offdiag")
-        return _verdict(worst, tolerances.c_identities, red["offdiag"] <= tolerances.block_diag,
-                        **red)
+        red = verify_c_reduction(blocks, samples=max(16, samples // 2))
+        return _verdict(max(v for k, v in red.items() if k != "offdiag"),
+                        tolerances.c_identities, **red)
 
     def csol():
-        cs = verify_conjecture_csol(n, samples=samples, reading=reading,
-                                    block_tol=tolerances.block_diag)
+        cs = verify_conjecture_csol(blocks, samples=samples)
         return _verdict(max(cs["csol_k"], cs["csol_l"]), tolerances.c_identities,
                         csol_k=cs["csol_k"], csol_l=cs["csol_l"], status=cs["conjecture_status"])
 
@@ -804,28 +827,25 @@ def run_case(
     samples: int = 32,
     seed: int = 0,
     periodicity_points: int = 20,
-    reading: Optional[GReading] = None,
 ) -> Dict:
-    """Full verification suite for one (family, rank) case.
+    """Full verification suite for one (family, rank) case, built once.
 
     Never aborts mid-suite: every check runs and reports a residual with its
     pass flag, and a check whose call raises reports its error instead of a
     residual; the caller decides what a failure means.
     """
-    from .yseed import check_periodicity
-    from .ysys import newton_fixed_point
+    from .ysys import newton_fixed_point  # looked up per call, so it can be replaced
 
-    reading = reading or default_reading()
-    t, h_dual, period = group_constants(dt)
     # assemble under a coarse guard so an over-tight configured tolerance is
     # reported as a failing check instead of aborting the suite
-    ep = assemble_eta(dt, reading, tol=max(tolerances.fixed_point, 1e-6))
-    loop = ep.loop
+    case = build_case(dt, tol=max(tolerances.fixed_point, 1e-6))
+    loop, eta = case.point.loop, case.point.eta
+    rep = case.report
+    period = rep.exponents.period
 
     def fixed_point():
-        fixed_res = np.max(np.abs(cluster_transform(loop, ep.eta) - ep.eta) / np.abs(ep.eta))
-        newton = newton_fixed_point(loop)
-        newton_res = float(np.max(np.abs(newton.eta - ep.eta) / np.abs(ep.eta)))
+        fixed_res = np.max(np.abs(cluster_transform(loop, eta) - eta) / np.abs(eta))
+        newton_res = float(np.max(np.abs(newton_fixed_point(loop) - eta) / np.abs(eta)))
         return _verdict(fixed_res, tolerances.fixed_point,
                         newton_res <= tolerances.newton_agreement, newton_agreement=newton_res)
 
@@ -837,31 +857,24 @@ def run_case(
             worst = max(worst, check_periodicity(loop, y, period))
         return _verdict(worst, tolerances.periodicity)
 
-    def jacobian_fd():
-        lj = loop_jacobian(loop, ep.eta)
-        fd = finite_difference_jacobian(loop, ep.eta)
-        return _verdict(np.max(np.abs(lj.matrix - fd)), tolerances.fd_jacobian)
-
     def lemma_vectors():
-        summary = lemma_summary(dt, reading)
+        summary = lemma_summary(case)
         return _verdict(max(summary["vectors"], summary["boundary"],
                             summary["exponent_multiset_match"]), tolerances.lemma)
 
     def relations():
-        return _verdict(max(relation_residuals(dt, reading, seed=seed).values()),
-                        tolerances.relations)
+        return _verdict(max(relation_residuals(case, seed=seed).values()), tolerances.relations)
 
-    rep = spectrum(loop, ep.eta)
     checks: Dict[str, Dict] = {
         "fixed_point": _guarded(fixed_point),
         "periodicity": _guarded(periodicity),
-        "jacobian_fd": _guarded(jacobian_fd),
+        "jacobian_fd": _guarded(lambda: check_jacobian_fd(case, tolerances.fd_jacobian)),
         "conjecture_38": _guarded(lambda: check_conjecture_38(rep, tolerances.charpoly)),
     }
     if dt.family in ("B", "D") and dt.rank % 2 == 0:
         checks["lemma_vectors"] = _guarded(lemma_vectors)
     if dt.family == "C":
-        checks.update(c_checks(dt.rank, tolerances, samples, reading))
+        checks.update(c_checks(case, tolerances, samples))
     if dt.family != "A" and dt.rank % 2 == 0:
         checks["relations"] = _guarded(relations)
 
@@ -873,12 +886,7 @@ def run_case(
         "n_vertices": loop.n_vertices,
         "exponents": list(rep.exponents.exponents),
         "seed": seed,
-        "calibration": {
-            "cartan_convention": reading.cartan_convention,
-            "case_direction": reading.case_direction,
-            "ysys_order": reading.ysys_order,
-            "qy_order": reading.qy_order,
-        },
+        "calibration": asdict(calibrate_reading()),
         "checks": checks,
     }
 

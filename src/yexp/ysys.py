@@ -2,8 +2,9 @@
 
 The coupling coefficients G admit several inequivalent readings (Cartan
 transpose, index order, ratio direction), so this module calibrates the
-reading once against the closed-form type-B/D solutions (exact rationals)
-and passes the result around explicitly.
+reading once against the closed-form type-B/D solutions (exact rationals).
+Only the search itself passes candidate readings around; everything else uses
+the calibrated one.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -74,9 +75,11 @@ def _g_formula(rs: RootSystem, a: int, bm: int, c: int, dk: int, convention: str
     return -_cartan_entry(rs, a, c, convention) * (tc * bm == ta * dk)
 
 
-def g_coefficient(rs: RootSystem, i: int, m: int, j: int, k: int, reading: Optional[GReading] = None) -> int:
-    """Coupling exponent attached to (j, k) in the Q-system relation at (i, m)."""
-    reading = reading or default_reading()
+def g_coefficient(rs: RootSystem, i: int, m: int, j: int, k: int,
+                  reading: GReading | None = None) -> int:
+    """Coupling exponent attached to (j, k) in the Q-system relation at (i, m)
+    under `reading` (default: the calibrated one)."""
+    reading = reading or calibrate_reading()
     if reading.qy_order == "direct":
         return _g_formula(rs, i, m, j, k, reading.cartan_convention, reading.case_direction)
     return _g_formula(rs, j, k, i, m, reading.cartan_convention, reading.case_direction)
@@ -113,9 +116,9 @@ def closed_form_y_exact(dt: DynkinType) -> Dict[Tuple[int, int], Fraction]:
     raise ValueError(f"closed-form Y values cover types B and D, not {dt.family}")
 
 
-def y_from_q(qt: QTable, reading: Optional[GReading] = None) -> YSolution:
-    """Positive Y-system solution built from a Q-table."""
-    reading = reading or default_reading()
+def y_from_q(qt: QTable, reading: GReading | None = None) -> YSolution:
+    """Positive Y-system solution built from a Q-table (default: calibrated reading)."""
+    reading = reading or calibrate_reading()
     rs = build_root_system(qt.type)
     pairs = list(qt.interior_items())
     out = {}
@@ -129,9 +132,9 @@ def y_from_q(qt: QTable, reading: Optional[GReading] = None) -> YSolution:
     return YSolution(qt.type, qt.level, out)
 
 
-def check_ysystem(ys: YSolution, reading: Optional[GReading] = None) -> float:
-    """Max relative residual of the restricted constant Y-system."""
-    reading = reading or default_reading()
+def check_ysystem(ys: YSolution, reading: GReading | None = None) -> float:
+    """Max relative residual of the restricted constant Y-system (default: calibrated reading)."""
+    reading = reading or calibrate_reading()
     rs = build_root_system(ys.type)
     level = ys.level
     items = sorted(ys.values.items())
@@ -197,26 +200,20 @@ def calibrate_reading() -> GReading:
     return survivors[0]
 
 
-def default_reading() -> GReading:
-    return calibrate_reading()
-
-
-def y_solution(dt: DynkinType, reading: Optional[GReading] = None) -> YSolution:
+def y_solution(dt: DynkinType) -> YSolution:
     """Positive solution of the level-2 Y-system for any classical type."""
-    reading = reading or default_reading()
     if dt.family in ("B", "D"):
         return YSolution(dt, 2, {k: float(v) for k, v in closed_form_y_exact(dt).items()})
-    return y_from_q(closed_form_qtable(dt), reading)
+    return y_from_q(closed_form_qtable(dt))
 
 
 @dataclass(frozen=True)
 class EtaPoint:
+    """The fixed point eta of a loop, with the Y-solution it was assembled from."""
+
     loop: MutationLoop
     eta: np.ndarray
-
-    @property
-    def type(self):
-        return self.loop.start.type
+    ysol: YSolution
 
 
 def _eta_components(dt: DynkinType, ys: YSolution) -> np.ndarray:
@@ -257,14 +254,14 @@ def _eta_components(dt: DynkinType, ys: YSolution) -> np.ndarray:
     return np.array(vals)
 
 
-def assemble_eta(dt: DynkinType, reading: Optional[GReading] = None, tol: float = 1e-9) -> EtaPoint:
+def assemble_eta(dt: DynkinType, tol: float = 1e-9) -> EtaPoint:
     """Fixed point of the cluster transformation, assembled from the Y-solution.
 
     The defining property mu_gamma(eta) = eta is enforced; a residual above
     `tol` raises FixedPointError with the per-component residuals.
     """
     loop = build_mutation_loop(dt)
-    ys = y_solution(dt, reading)
+    ys = y_solution(dt)
     eta = _eta_components(dt, ys)
     image = cluster_transform(loop, eta)
     residuals = np.abs(image - eta) / np.abs(eta)
@@ -272,7 +269,7 @@ def assemble_eta(dt: DynkinType, reading: Optional[GReading] = None, tol: float 
         raise FixedPointError(
             residuals, f"{dt}: assembled eta is not fixed (max residual {residuals.max():.3e})"
         )
-    return EtaPoint(loop, eta)
+    return EtaPoint(loop, eta, ys)
 
 
 def newton_fixed_point(
@@ -280,7 +277,7 @@ def newton_fixed_point(
     start=None,
     tol: float = 1e-12,
     max_iter: int = 60,
-) -> EtaPoint:
+) -> np.ndarray:
     """Damped Newton solve of mu_gamma(y) = y from a positive start (default all ones)."""
     n = loop.n_vertices
     y = np.ones(n) if start is None else np.asarray(start, dtype=float).copy()
@@ -291,7 +288,7 @@ def newton_fixed_point(
         f = cluster_transform(loop, y) - y
         last = float(np.max(np.abs(f) / np.abs(y)))
         if last <= tol:
-            return EtaPoint(loop, y)
+            return y
         jac = loop_jacobian(loop, y).matrix - np.eye(n)
         step = np.linalg.solve(jac, -f)
         scale = 1.0

@@ -13,8 +13,8 @@ import yexp
 from yexp import DynkinType
 from yexp.quiver import Quiver, build_mutation_loop, mutate_quiver, permute_quiver
 from yexp.rootsys import build_root_system, group_constants
-from yexp.spectral import (conjectured_charpoly, lemma_summary, relation_residuals,
-                           spectrum, verify_c_reduction, verify_conjecture,
+from yexp.spectral import (build_case, c_blocks, conjectured_charpoly, lemma_summary,
+                           relation_residuals, verify_c_reduction, verify_conjecture,
                            verify_conjecture_csol)
 from yexp.yseed import (YSeed, check_periodicity, cluster_transform,
                         finite_difference_jacobian, loop_jacobian, mutate_yseed)
@@ -131,7 +131,7 @@ def test_criterion_05_fixed_point():
         out = cluster_transform(ep.loop, ep.eta)
         worst_fp = max(worst_fp, float(np.max(np.abs(out - ep.eta) / np.abs(ep.eta))))
         newton = newton_fixed_point(ep.loop)
-        worst_newton = max(worst_newton, float(np.max(np.abs(newton.eta - ep.eta) / np.abs(ep.eta))))
+        worst_newton = max(worst_newton, float(np.max(np.abs(newton - ep.eta) / np.abs(ep.eta))))
     for dt in [DynkinType("B", n) for n in range(2, 9)] + [DynkinType("D", n) for n in range(4, 9)]:
         ys = y_from_q(closed_form_qtable(dt))
         for key, frac in closed_form_y_exact(dt).items():
@@ -188,8 +188,7 @@ def test_criterion_09_conjecture_rhs():
     failed = []
     for dt in FAMILY_RANKS(10):
         num, den = conjectured_charpoly(build_root_system(dt))
-        ep = assemble_eta(dt)
-        rep = spectrum(ep.loop, ep.eta)
+        rep = build_case(dt).report
         if den - num or num - den != Counter(rep.exponents.exponents):
             failed.append(str(dt))
     report(9, "conjectured N/D: D contained in N and N - D = exponents of J (ranks <= 10)",
@@ -200,16 +199,16 @@ def test_criterion_10_type_c():
     start = time.perf_counter()
     worst_blk = worst_red = worst_csol = worst_full = 0.0
     for n in range(3, 11):
-        red = verify_c_reduction(n, samples=16)
+        blocks = c_blocks(build_case(DynkinType("C", n)))
+        red = verify_c_reduction(blocks, samples=16)
         worst_blk = max(worst_blk, red["offdiag"])
         worst_red = max(worst_red, red["k_reduction"], red["l_reduction"])
         worst_full = max(worst_full, red["full_det"])
-        cs = verify_conjecture_csol(n, samples=32)
+        cs = verify_conjecture_csol(blocks, samples=32)
         worst_csol = max(worst_csol, cs["csol_k"], cs["csol_l"])
     ok_exps = True
     for n in (3, 4):
-        ep = assemble_eta(DynkinType("C", n))
-        rep = spectrum(ep.loop, ep.eta)
+        rep = build_case(DynkinType("C", n)).report
         expected = tuple(sorted([2 * j for j in range(1, n + 3)] + list(range(5, 2 * n + 2))))
         ok_exps = ok_exps and rep.exponents.exponents == expected
     elapsed = time.perf_counter() - start
@@ -225,13 +224,14 @@ def test_criterion_11_eigenvector_lemmas():
     worst_vec = worst_rel = 0.0
     for fam in ("B", "D"):
         for n in (4, 6, 8):
-            summary = lemma_summary(DynkinType(fam, n))
+            case = build_case(DynkinType(fam, n))
+            summary = lemma_summary(case)
             worst_vec = max(worst_vec, summary["vectors"], summary["boundary"],
                             summary["exponent_multiset_match"])
-            rel = relation_residuals(DynkinType(fam, n))
+            rel = relation_residuals(case)
             worst_rel = max(worst_rel, max(rel.values()))
     for n in (4, 6, 8):
-        rel = relation_residuals(DynkinType("C", n))
+        rel = relation_residuals(build_case(DynkinType("C", n)))
         worst_rel = max(worst_rel, max(rel.values()))
     report(11, "eigenvector lemmas (B/D n = 4,6,8) <= 1e-8 and relation rows <= 1e-9",
            worst_vec <= 1e-8 and worst_rel <= 1e-9,
@@ -251,8 +251,8 @@ def test_criterion_12_q_and_y_systems():
         closed = closed_form_qtable(dt)
         for (i, m), v in closed.values.items():
             worst_closed = max(worst_closed, abs(computed.value(i, m) - v) / max(1.0, abs(v)))
-        worst_qsys = max(worst_qsys, check_restricted_qsystem(computed, reading))
-        worst_ysys = max(worst_ysys, check_ysystem(y_solution(dt, reading), reading))
+        worst_qsys = max(worst_qsys, check_restricted_qsystem(computed))
+        worst_ysys = max(worst_ysys, check_ysystem(y_solution(dt)))
     for dt in [DynkinType("B", 3), DynkinType("C", 3), DynkinType("D", 5), DynkinType("A", 4)]:
         props = check_qsol_properties(dt, vanish_terms=5)
         props_ok = props_ok and props["symmetry"] <= 1e-9 and props["growth"] == 0.0 \

@@ -3,13 +3,19 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from yexp import spectral, ysys
 from yexp.rootsys import DynkinType, build_root_system, group_constants
-from yexp.spectral import (ExponentSequence, c_blocks, check_conjecture_38,
-                           conjectured_charpoly, csol_products,
-                           lemma_boundary_value, lemma_eigenvector, lemma_summary,
-                           relation_residuals, special_eigenvector, spectrum,
-                           verify_c_reduction, verify_conjecture, verify_conjecture_csol)
-from yexp.ysys import assemble_eta, y_solution
+from yexp.spectral import (ExponentSequence, Tolerances, build_case, c_blocks,
+                           case_passed, check_conjecture_38, check_jacobian_fd,
+                           conjectured_charpoly, csol_products, lemma_boundary_value,
+                           lemma_eigenvector, lemma_summary, relation_residuals, run_case,
+                           special_eigenvector, verify_c_reduction, verify_conjecture,
+                           verify_conjecture_csol)
+from yexp.ysys import y_solution
+
+
+def c_case_blocks(n):
+    return c_blocks(build_case(DynkinType("C", n)))
 
 
 def poly_b(n):
@@ -53,14 +59,12 @@ def exponents_from_poly(coeffs, period):
 def test_exponent_oracle_agreement(n, poly, period):
     fam = "B" if period == 4 * n + 2 else "D"
     dt = DynkinType(fam, n)
-    ep = assemble_eta(dt)
-    rep = spectrum(ep.loop, ep.eta)
+    rep = build_case(dt).report
     assert rep.exponents.exponents == exponents_from_poly(poly(n), period)
 
 
 def test_spectrum_b2():
-    ep = assemble_eta(DynkinType("B", 2))
-    rep = spectrum(ep.loop, ep.eta)
+    rep = build_case(DynkinType("B", 2)).report
     assert rep.exponents.period == 10
     assert rep.exponents.exponents == (2, 4, 5, 6, 8)
     assert rep.residuals["unit_circle"] <= 1e-8
@@ -69,15 +73,13 @@ def test_spectrum_b2():
 
 
 def test_spectrum_d4():
-    ep = assemble_eta(DynkinType("D", 4))
-    rep = spectrum(ep.loop, ep.eta)
+    rep = build_case(DynkinType("D", 4)).report
     assert rep.exponents.exponents == (2, 4, 4, 6)
     assert rep.exponents.period == 8
 
 
 def test_spectrum_c3_matches_template():
-    ep = assemble_eta(DynkinType("C", 3))
-    rep = spectrum(ep.loop, ep.eta)
+    rep = build_case(DynkinType("C", 3)).report
     assert rep.exponents.period == 12
     assert rep.exponents.exponents == (2, 4, 5, 6, 6, 7, 8, 10)
 
@@ -88,8 +90,7 @@ ALL_TYPES = [DynkinType(f, r) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 
 
 @pytest.mark.parametrize("dt", ALL_TYPES, ids=str)
 def test_exponent_symmetry_and_charpoly(dt):
-    ep = assemble_eta(dt)
-    rep = spectrum(ep.loop, ep.eta)
+    rep = build_case(dt).report
     period = rep.exponents.period
     exps = list(rep.exponents.exponents)
     mirrored = sorted((period - m) % period for m in exps)
@@ -161,43 +162,44 @@ def test_conjecture_38_high_rank(dt):
 
 @pytest.mark.parametrize("dt", [DynkinType("B", 4), DynkinType("D", 6), DynkinType("C", 4)], ids=str)
 def test_relation_residuals(dt):
-    rel = relation_residuals(dt)
+    rel = relation_residuals(build_case(dt))
     assert max(rel.values()) <= 1e-9
 
 
 def test_relation_residuals_odd_rank_rejected():
     with pytest.raises(ValueError):
-        relation_residuals(DynkinType("B", 3))
+        relation_residuals(build_case(DynkinType("B", 3)))
 
 
 def test_even_mid_inversion_identity_c4():
-    rel = relation_residuals(DynkinType("C", 4))
+    rel = relation_residuals(build_case(DynkinType("C", 4)))
     assert rel["plus_mid_even"] <= 1e-9
 
 
 @pytest.mark.parametrize("fam,n", [("B", 4), ("B", 6), ("B", 8), ("D", 4), ("D", 6), ("D", 8)])
 def test_lemma_eigenvectors(fam, n):
     dt = DynkinType(fam, n)
-    summary = lemma_summary(dt)
+    summary = lemma_summary(build_case(dt))
     assert summary["vectors"] <= 1e-8
     assert summary["boundary"] <= 1e-10
     assert summary["exponent_multiset_match"] == 0.0
 
 
 def test_lemma_single_vector_b4():
-    lam, psi, res = lemma_eigenvector(DynkinType("B", 4), 3)
+    case = build_case(DynkinType("B", 4))
+    lam, psi, res = lemma_eigenvector(case, 3)
     assert abs(lam - np.exp(2j * np.pi * 3 / 9)) <= 1e-12
     assert res <= 1e-8
-    lam, psi, res = special_eigenvector(DynkinType("B", 4))
+    lam, psi, res = special_eigenvector(case)
     assert lam == -1.0 and res <= 1e-8
     assert psi[3] == 1.0 and psi[5] == -1.0
 
 
 def test_lemma_a_out_of_range():
     with pytest.raises(ValueError):
-        lemma_eigenvector(DynkinType("B", 4), 9)
+        lemma_eigenvector(build_case(DynkinType("B", 4)), 9)
     with pytest.raises(ValueError):
-        lemma_eigenvector(DynkinType("D", 4), 4)
+        lemma_eigenvector(build_case(DynkinType("D", 4)), 4)
 
 
 def test_lemma_boundary_values():
@@ -208,7 +210,7 @@ def test_lemma_boundary_values():
 
 
 def test_c_blocks_structure():
-    blocks = c_blocks(3)
+    blocks = c_case_blocks(3)
     assert blocks.Khat.shape == (2, 2)
     assert blocks.Lhat.shape == (6, 6)
     Y = y_solution(DynkinType("C", 3)).value
@@ -219,7 +221,7 @@ def test_c_blocks_structure():
     assert k[0, 0] == pytest.approx(lam + 1 / lam)
     ell = blocks.L(lam)
     assert ell[5, 4] == pytest.approx(Y(2, 2) + 1)  # L_{2n,2n-1}
-    blocks4 = c_blocks(4)
+    blocks4 = c_case_blocks(4)
     assert blocks4.Khat.shape == (3, 3)
     assert blocks4.Lhat.shape == (8, 8)
     assert blocks4.residuals["khat_reference"] <= 1e-9
@@ -228,7 +230,7 @@ def test_c_blocks_structure():
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_c_reduction_identities(n):
-    res = verify_c_reduction(n, samples=16)
+    res = verify_c_reduction(c_case_blocks(n), samples=16)
     assert res["offdiag"] <= 1e-9
     assert res["k_reduction"] <= 1e-7
     assert res["l_reduction"] <= 1e-7
@@ -236,7 +238,7 @@ def test_c_reduction_identities(n):
 
 
 def test_c_reduction_at_lambda_i():
-    blocks = c_blocks(3)
+    blocks = c_case_blocks(3)
     lam = 1j
     lhs = (-lam) ** (-2) * np.linalg.det(blocks.Khat - lam ** 2 * np.eye(2))
     rhs = np.linalg.det(blocks.K(lam))
@@ -245,7 +247,7 @@ def test_c_reduction_at_lambda_i():
 
 @pytest.mark.parametrize("n", range(3, 11))
 def test_conjecture_csol(n):
-    res = verify_conjecture_csol(n, samples=32)
+    res = verify_conjecture_csol(c_case_blocks(n), samples=32)
     assert res["csol_k"] <= 1e-7
     assert res["csol_l"] <= 1e-7
     assert "open" in res["conjecture_status"]
@@ -268,8 +270,37 @@ def test_csol_degree_count():
 
 @pytest.mark.parametrize("fam,n", [("C", 3), ("C", 4)])
 def test_c_exponents_match_template(fam, n):
-    ep = assemble_eta(DynkinType(fam, n))
-    rep = spectrum(ep.loop, ep.eta)
+    rep = build_case(DynkinType(fam, n)).report
     evens = [2 * j for j in range(1, n + 3)]
     run = list(range(5, 2 * n + 2))
     assert rep.exponents.exponents == tuple(sorted(evens + run))
+
+
+def test_jacobian_fd_is_relative_at_c34():
+    # max|J| is about 1.9e7 here; the absolute max|J - J_fd| (about 1.4e-5)
+    # is over the 1e-5 tolerance, the relative one is about 7e-13
+    verdict = check_jacobian_fd(build_case(DynkinType("C", 34)), Tolerances().fd_jacobian)
+    assert verdict["pass"] is True
+
+
+BUILDERS = ("assemble_eta", "y_solution", "build_mutation_loop", "spectrum", "c_blocks")
+
+
+@pytest.mark.parametrize("dt", [DynkinType("B", 6), DynkinType("C", 6), DynkinType("D", 6)], ids=str)
+def test_run_case_builds_the_case_once(dt, monkeypatch):
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module in (spectral, ysys):
+        for name in BUILDERS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    report = run_case(dt, samples=8, periodicity_points=2)
+    assert case_passed(report)
+    expected = {name: 1 for name in BUILDERS if name != "c_blocks" or dt.family == "C"}
+    assert calls == Counter(expected)

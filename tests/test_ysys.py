@@ -97,22 +97,22 @@ def test_eta_is_fixed_point(dt):
 def test_newton_agrees_with_assembled_eta(dt):
     ep = assemble_eta(dt)
     newton = newton_fixed_point(ep.loop)
-    assert np.max(np.abs(newton.eta - ep.eta) / np.abs(ep.eta)) <= 1e-8
+    assert np.max(np.abs(newton - ep.eta) / np.abs(ep.eta)) <= 1e-8
 
 
 def test_newton_d4_from_ones():
     loop = build_mutation_loop(DynkinType("D", 4))
-    ep = newton_fixed_point(loop)
-    res = np.max(np.abs(cluster_transform(loop, ep.eta) - ep.eta) / np.abs(ep.eta))
+    eta = newton_fixed_point(loop)
+    res = np.max(np.abs(cluster_transform(loop, eta) - eta) / np.abs(eta))
     assert res <= 1e-12
 
 
 def test_newton_b2_matches_closed_form():
     loop = build_mutation_loop(DynkinType("B", 2))
-    ep = newton_fixed_point(loop)
+    eta = newton_fixed_point(loop)
     # vertex carrying Y_1^{(1)} = 3 sits at the right wing end: eta = Y = 3
     lq = loop.start
-    assert ep.eta[lq.vertex_of(3, 1)] == pytest.approx(3.0, rel=1e-10)
+    assert eta[lq.vertex_of(3, 1)] == pytest.approx(3.0, rel=1e-10)
 
 
 def test_newton_failure_reports_residual():
