@@ -10,7 +10,7 @@ vertex in the underlying index set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -105,12 +105,55 @@ class LabeledQuiver:
         return self.hindex.index((i, m))
 
 
+@dataclass(frozen=True, eq=False)
+class Phase:
+    """One phase of a mutation loop, compiled for a single batched update.
+
+    The phase mutates at the pairwise unconnected vertices `vertices` of the
+    quiver it acts on, so its mutations commute and none changes the arrows
+    at another. Arrow e joins rows[e] to vertices[cols[e]], with signed
+    multiplicity exponents[e]: positive for rows[e] -> vertex, negative for
+    vertex -> rows[e]. The arrows are sorted by row, then by vertex.
+    """
+
+    vertices: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    exponents: np.ndarray
+
+
+def _compile_phase(q: Quiver, vertices: Tuple[int, ...], name: str) -> Phase:
+    s = np.array(vertices, dtype=np.intp)
+    a = q.arrows
+    inside = a[np.ix_(s, s)]
+    if inside.any():
+        i, j = np.argwhere(inside)[0]
+        raise LoopPropertyError(
+            f"phase {name} has an arrow {s[i]} -> {s[j]} inside it; "
+            "its mutations do not commute"
+        )
+    signed = a[:, s] - a[s, :].T
+    rows, cols = np.nonzero(signed)
+    parts = (s, rows, cols, signed[rows, cols])
+    for part in parts:
+        part.setflags(write=False)
+    return Phase(*parts)
+
+
 @dataclass(frozen=True)
 class MutationLoop:
+    """The loop nu . mu_- . mu_+ on a labeled quiver.
+
+    `phases` holds mu_+ and mu_- compiled against the quivers they act on;
+    build_mutation_loop fills it. It takes no part in equality or hashing,
+    since the start quiver and the vertex sets determine it.
+    """
+
     start: LabeledQuiver
     plus_set: Tuple[int, ...]
     minus_set: Tuple[int, ...]
     nu: Tuple[int, ...]
+    phases: Tuple[Phase, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def sequence(self):
@@ -267,20 +310,26 @@ def build_dynkin_quiver(dt: DynkinType, level: int = 2) -> LabeledQuiver:
 
 
 def build_mutation_loop(dt: DynkinType, level: int = 2) -> MutationLoop:
-    """Mutation loop (mu_+, mu_-, nu) on the Dynkin quiver; verifies the loop property."""
+    """Mutation loop (mu_+, mu_-, nu) on the Dynkin quiver, with both phases compiled.
+
+    Raises LoopPropertyError if a phase has an arrow inside it or the quiver
+    does not return to its start.
+    """
     lq = build_dynkin_quiver(dt, level)
     plus = tuple(v for v in range(lq.n_vertices) if lq.sign[v] == "+")
     minus = tuple(v for v in range(lq.n_vertices) if lq.sign[v] == "-")
-    loop = MutationLoop(lq, plus, minus, lq.nu)
     q = lq.quiver
-    for k in loop.sequence:
-        q = mutate_quiver(q, k)
+    phases = []
+    for name, vertices in (("+", plus), ("-", minus)):
+        phases.append(_compile_phase(q, vertices, f"mu_{name} of {dt}"))
+        for k in vertices:
+            q = mutate_quiver(q, k)
     if permute_quiver(q, lq.nu) != lq.quiver:
         raise LoopPropertyError(
             f"{dt}: quiver does not return to its start after mu_+, mu_-, nu; "
             "the quiver encoding is wrong"
         )
-    return loop
+    return MutationLoop(lq, plus, minus, lq.nu, tuple(phases))
 
 
 def dump_quiver(lq: LabeledQuiver) -> str:

@@ -1,7 +1,10 @@
 """Y-seed mutation, cluster transformations of mutation loops, and their Jacobians.
 
-Derivatives are propagated forward through each elementary mutation with
-closed-form partials, so the loop Jacobian is analytic up to roundoff.
+A loop's two phases are each a set of commuting mutations at pairwise
+unconnected vertices, compiled once by build_mutation_loop, so each phase is
+applied as one vectorized update, with its closed-form Jacobian. The
+single-mutation rule (`mutate_yseed`) is kept as the public engine and the
+reference the phase updates are tested against.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import MutationDomainError
-from .quiver import MutationLoop, Quiver, mutate_quiver
+from .quiver import MutationLoop, Phase, Quiver, mutate_quiver
 
 
 @dataclass(frozen=True)
@@ -29,7 +32,6 @@ class LoopJacobian:
     their product equals `matrix`.
     """
 
-    point: Tuple
     matrix: np.ndarray
     phase_factors: Tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -77,18 +79,42 @@ def mutate_yseed(seed: YSeed, k: int) -> YSeed:
     return YSeed(mutate_quiver(seed.quiver, k), tuple(out))
 
 
-def _run_phases(loop: MutationLoop, y: np.ndarray, want_jac: bool):
-    n = loop.n_vertices
-    arrows = loop.start.quiver.arrows
-    jp = np.eye(n, dtype=y.dtype) if want_jac else None
-    for k in loop.plus_set:
-        y = _mutate_values(arrows, y, k, jp)
-        arrows = mutate_quiver(Quiver(arrows), k).arrows
-    jm = np.eye(n, dtype=y.dtype) if want_jac else None
-    for k in loop.minus_set:
-        y = _mutate_values(arrows, y, k, jm)
-        arrows = mutate_quiver(Quiver(arrows), k).arrows
-    return y, jp, jm
+def _apply_phase(phase: Phase, y: np.ndarray, want_jac: bool):
+    """Mutate y at every vertex of a phase at once; return the image and its Jacobian.
+
+    For k in the phase, y_k -> 1/y_k. Every other y_i is multiplied by
+    (1 + y_k)^a for each arrow i -> k of multiplicity a, and by
+    (1 + 1/y_k)^-a for each arrow k -> i. The Jacobian is diagonal except in
+    the phase's columns; it is None unless asked for.
+    """
+    s, rows, cols, e = phase.vertices, phase.rows, phase.cols, phase.exponents
+    yk = y[s]
+    # y_k = 0, or 1 + 1/y_k = 0 where k has an outgoing arrow, is a pole; the
+    # first one in phase order is raised, as one mutation at a time would
+    zero = yk == 0
+    inv = 1.0 / np.where(zero, 1.0, yk)
+    into = e > 0
+    base = np.where(into, yk[cols] + 1.0, inv[cols] + 1.0)
+    pole = zero.copy()
+    pole[cols[~into & (base == 0)]] = True
+    if pole.any():
+        raise MutationDomainError(int(s[np.argmax(pole)]))
+    gain = np.ones_like(y)
+    np.multiply.at(gain, rows, base ** e)
+    out = y * gain
+    out[s] = inv
+    finite = np.isfinite(out)
+    if not finite.all():
+        v = int(np.argmin(finite))
+        raise MutationDomainError(v, f"phase mutation produced a non-finite value at vertex {v}")
+    if not want_jac:
+        return out, None
+    jac = np.diag(gain)
+    jac[s, s] = -inv * inv
+    plus_one = yk[cols] + 1.0
+    coeff = np.where(into, e / plus_one, -e / (yk[cols] * plus_one))
+    jac[rows, s[cols]] = out[rows] * coeff
+    return out, jac
 
 
 def permutation_matrix(nu, dtype=float) -> np.ndarray:
@@ -104,11 +130,11 @@ def cluster_transform(loop: MutationLoop, y) -> np.ndarray:
     y = np.asarray(y, dtype=complex if np.iscomplexobj(y) else float)
     if y.shape != (loop.n_vertices,):
         raise ValueError(f"expected {loop.n_vertices} values, got shape {y.shape}")
-    out, _, _ = _run_phases(loop, y, want_jac=False)
-    permuted = np.empty_like(out)
-    for j, v in enumerate(out):
-        permuted[loop.nu[j]] = v
-    return permuted
+    plus, minus = loop.phases
+    end, _ = _apply_phase(minus, _apply_phase(plus, y, False)[0], False)
+    out = np.empty_like(end)
+    out[list(loop.nu)] = end
+    return out
 
 
 def check_periodicity(loop: MutationLoop, y, period: int) -> float:
@@ -123,9 +149,11 @@ def check_periodicity(loop: MutationLoop, y, period: int) -> float:
 def loop_jacobian(loop: MutationLoop, y) -> LoopJacobian:
     """Analytic Jacobian of the cluster transformation at y, with phase factors."""
     y = np.asarray(y, dtype=complex if np.iscomplexobj(y) else float)
-    _, jp, jm = _run_phases(loop, y, want_jac=True)
+    plus, minus = loop.phases
+    mid, jp = _apply_phase(plus, y, True)
+    _, jm = _apply_phase(minus, mid, True)
     pmat = permutation_matrix(loop.nu, dtype=y.dtype)
-    return LoopJacobian(tuple(y), pmat @ jm @ jp, (jp, jm, pmat))
+    return LoopJacobian(pmat @ jm @ jp, (jp, jm, pmat))
 
 
 def finite_difference_jacobian(loop: MutationLoop, y, h: float = 1e-6) -> np.ndarray:

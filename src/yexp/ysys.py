@@ -18,7 +18,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .errors import CalibrationError, ConvergenceError, FixedPointError
+from .errors import CalibrationError, ConvergenceError, FixedPointError, MutationDomainError
 from .qsys import QTable, closed_form_qtable
 from .quiver import MutationLoop, build_mutation_loop
 from .rootsys import DynkinType, RootSystem, build_root_system
@@ -272,31 +272,57 @@ def assemble_eta(dt: DynkinType, tol: float = 1e-9) -> EtaPoint:
     return EtaPoint(loop, eta, ys)
 
 
+def _log_residual(loop: MutationLoop, x: np.ndarray):
+    """y = e^x, its image mu_gamma(y) and F(x) = log mu_gamma(y) - x; F is None where not finite."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        y = np.exp(x)
+        try:
+            image = cluster_transform(loop, y)
+        except MutationDomainError:
+            return y, None, None
+        f = np.log(image) - x
+    return y, image, f if np.isfinite(f).all() else None
+
+
 def newton_fixed_point(
     loop: MutationLoop,
     start=None,
     tol: float = 1e-12,
     max_iter: int = 60,
 ) -> np.ndarray:
-    """Damped Newton solve of mu_gamma(y) = y from a positive start (default all ones)."""
+    """Newton solve of mu_gamma(y) = y in log coordinates, from a positive start (default all ones).
+
+    Solves F(x) = log mu_gamma(e^x) - x = 0, so every iterate y = e^x is
+    positive. The step length t starts at 1 and is halved until
+    |F(x + t step)| <= (1 - 1e-4 t) |F(x)| with F finite there (Armijo
+    backtracking; Dennis and Schnabel 1983, sec. 6.3). Converged when
+    max|mu_gamma(y) - y| / |y| <= tol; raises ConvergenceError when t falls
+    below machine epsilon or max_iter steps do not converge.
+    """
     n = loop.n_vertices
-    y = np.ones(n) if start is None else np.asarray(start, dtype=float).copy()
-    if (y <= 0).any():
+    y0 = np.ones(n) if start is None else np.asarray(start, dtype=float)
+    if (y0 <= 0).any():
         raise ValueError("start must be strictly positive")
+    x = np.log(y0)
+    y, image, f = _log_residual(loop, x)
+    if f is None:
+        raise ConvergenceError(math.inf, "the loop has no finite image at the start point")
+    norm = np.linalg.norm(f)
     last = math.inf
     for _ in range(max_iter):
-        f = cluster_transform(loop, y) - y
-        last = float(np.max(np.abs(f) / np.abs(y)))
+        last = float(np.max(np.abs(image - y) / y))
         if last <= tol:
             return y
-        jac = loop_jacobian(loop, y).matrix - np.eye(n)
+        jac = loop_jacobian(loop, y).matrix * y / image[:, None] - np.eye(n)
         step = np.linalg.solve(jac, -f)
-        scale = 1.0
-        while scale > 1e-6 and ((y + scale * step) <= 0).any():
-            scale /= 2
-        if scale <= 1e-6:
-            raise ConvergenceError(last, "Newton step could not stay in the positive orthant")
-        y = y + scale * step
+        t = 1.0
+        y, image, trial = _log_residual(loop, x + step)
+        while trial is None or np.linalg.norm(trial) > (1 - 1e-4 * t) * norm:
+            t /= 2
+            if t < np.finfo(float).eps:
+                raise ConvergenceError(last, f"Newton line search stalled (residual {last:.3e})")
+            y, image, trial = _log_residual(loop, x + t * step)
+        x, f, norm = x + t * step, trial, np.linalg.norm(trial)
     raise ConvergenceError(last, f"Newton did not converge in {max_iter} iterations (residual {last:.3e})")
 
 

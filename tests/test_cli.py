@@ -34,6 +34,12 @@ def test_verify_json(tmp_path, capsys):
     assert data["calibration"]["qy_order"] in ("direct", "swapped")
 
 
+def test_verify_d19_passes(capsys):
+    code, out, _ = run(capsys, "verify", "--family", "D", "--rank", "19")
+    assert code == 0
+    assert all(check["pass"] for check in json.loads(out)["checks"].values())
+
+
 def test_conjecture_c(capsys):
     code, out, _ = run(capsys, "conjecture-c", "--rank", "5", "--samples", "32")
     assert code == 0

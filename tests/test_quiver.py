@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yexp.quiver import (MutationLoop, Quiver, build_dynkin_quiver,
+from yexp import quiver
+from yexp.errors import LoopPropertyError
+from yexp.quiver import (LabeledQuiver, MutationLoop, Quiver, build_dynkin_quiver,
                          build_mutation_loop, dump_quiver, mutate_quiver,
                          permute_quiver)
 from yexp.rootsys import DynkinType
@@ -121,15 +125,41 @@ def test_unsupported_level():
         build_dynkin_quiver(DynkinType("B", 3), level=3)
 
 
-@pytest.mark.parametrize("dt", ALL_TYPES, ids=str)
+LOOP_TYPES = [DynkinType(f, r) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
+              for r in range(lo, 41)]
+
+
+@pytest.mark.parametrize("dt", LOOP_TYPES, ids=str)
 def test_mutation_loop_property(dt):
     loop = build_mutation_loop(dt)
     assert set(loop.plus_set).isdisjoint(loop.minus_set)
-    # mu_+ / mu_- sets are non-adjacent in the quivers they act on
-    a = loop.start.quiver.arrows
-    for u in loop.plus_set:
-        for v in loop.plus_set:
-            assert a[u, v] == 0
+    # mu_+ / mu_- sets are non-adjacent in the quivers they act on, and each
+    # compiled phase lists exactly the arrows between its set and the rest
+    q = loop.start.quiver
+    for vertices, phase in zip((loop.plus_set, loop.minus_set), loop.phases):
+        a = q.arrows
+        s = list(vertices)
+        assert not a[np.ix_(s, s)].any()
+        assert phase.vertices.tolist() == s
+        signed = np.zeros((loop.n_vertices, len(s)), dtype=int)
+        signed[phase.rows, phase.cols] = phase.exponents
+        assert np.array_equal(signed, a[:, s] - a[s, :].T)
+        for k in vertices:
+            q = mutate_quiver(q, k)
+
+
+@pytest.mark.parametrize("sign, message", [
+    (("+", "+", "-", "-"), "mu_+ of A4 has an arrow 0 -> 1"),
+    (("+", "-", "-", "0"), "mu_- of A4 has an arrow 2 -> 1"),
+], ids=["plus", "minus"])
+def test_phase_with_an_inner_arrow_is_rejected(sign, message, monkeypatch):
+    # A4 is 0 -> 1 <- 2 -> 3; {0, 1} is joined in the start quiver, and {1, 2}
+    # is still joined after mutating at 0
+    real = build_dynkin_quiver(DynkinType("A", 4))
+    bad = LabeledQuiver(real.type, real.quiver, real.color, sign, real.nu, real.hindex)
+    monkeypatch.setattr(quiver, "build_dynkin_quiver", lambda dt, level=2: bad)
+    with pytest.raises(LoopPropertyError, match=re.escape(message)):
+        build_mutation_loop(DynkinType("A", 4))
 
 
 @pytest.mark.parametrize("dt", [DynkinType("B", 4), DynkinType("C", 5), DynkinType("D", 6), DynkinType("A", 5)], ids=str)

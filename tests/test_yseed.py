@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from yexp.errors import MutationDomainError
-from yexp.quiver import Quiver, build_mutation_loop
+from yexp.quiver import Quiver, build_mutation_loop, mutate_quiver
 from yexp.rootsys import DynkinType, group_constants
-from yexp.yseed import (YSeed, check_periodicity, cluster_transform,
+from yexp.yseed import (YSeed, _apply_phase, _mutate_values, check_periodicity, cluster_transform,
                         finite_difference_jacobian, loop_jacobian, mutate_yseed,
                         permutation_matrix)
 from yexp.ysys import assemble_eta
@@ -70,21 +70,36 @@ def test_pole_raises():
         mutate_yseed(YSeed(Quiver(a), (0.0, 1.0)), 0)
 
 
+def _sequential_phases(loop, y, want_jac=False):
+    """Reference engine: one `_mutate_values` and one `mutate_quiver` per vertex.
+
+    Returns the values after mu_+ and after mu_- (before nu), and the two
+    phase Jacobians (None unless asked for).
+    """
+    arrows = loop.start.quiver.arrows
+    images, jacs = [], []
+    for phase in (loop.plus_set, loop.minus_set):
+        jac = np.eye(len(y), dtype=y.dtype) if want_jac else None
+        for k in phase:
+            y = _mutate_values(arrows, y, k, jac)
+            arrows = mutate_quiver(Quiver(arrows), k).arrows
+        images.append(y)
+        jacs.append(jac)
+    return images, jacs
+
+
+def _sequential_transform(loop, y):
+    (_, end), _ = _sequential_phases(loop, y)
+    out = np.empty_like(end)
+    out[list(loop.nu)] = end
+    return out
+
+
 def _phase_images(dt, y):
     """Engine values after mu_+ and after mu_- (before nu), for display checks."""
-    loop = build_mutation_loop(dt)
-    from yexp.quiver import mutate_quiver
-    from yexp.yseed import _mutate_values
-
-    arrows = loop.start.quiver.arrows
-    mid = np.asarray(y, dtype=float)
-    for k in loop.plus_set:
-        mid = _mutate_values(arrows, mid, k, None)
-        arrows = mutate_quiver(Quiver(arrows), k).arrows
-    end = mid.copy()
-    for k in loop.minus_set:
-        end = _mutate_values(arrows, end, k, None)
-        arrows = mutate_quiver(Quiver(arrows), k).arrows
+    plus, minus = build_mutation_loop(dt).phases
+    mid, _ = _apply_phase(plus, np.asarray(y, dtype=float), False)
+    end, _ = _apply_phase(minus, mid, False)
     return mid, end
 
 
@@ -185,6 +200,75 @@ def test_printed_transformation_type_c():
 
 ALL_TYPES = [DynkinType(f, r) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
              for r in range(lo, 11)]
+
+
+ORACLE_TYPES = ALL_TYPES + [DynkinType(f, 24) for f in "BCD"]
+
+
+@pytest.mark.parametrize("dt", ORACLE_TYPES, ids=str)
+def test_phase_updates_match_sequential_mutations(dt):
+    loop = build_mutation_loop(dt)
+    rng = np.random.default_rng(37)
+    for _ in range(3):
+        y = rng.uniform(0.5, 2.0, loop.n_vertices)
+        want = _sequential_transform(loop, y)
+        assert np.max(np.abs(cluster_transform(loop, y) - want) / np.abs(want)) <= 1e-13
+        _, (jp, jm) = _sequential_phases(loop, y, want_jac=True)
+        got = loop_jacobian(loop, y).phase_factors
+        for factor, ref in zip(got, (jp, jm, permutation_matrix(loop.nu))):
+            assert np.max(np.abs(factor - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("dt", [DynkinType("A", 5), DynkinType("B", 4), DynkinType("C", 4),
+                                DynkinType("D", 6)], ids=str)
+def test_complex_values_match_sequential_mutations(dt):
+    loop = build_mutation_loop(dt)
+    rng = np.random.default_rng(41)
+    y = rng.uniform(0.5, 2.0, loop.n_vertices) * np.exp(1j * rng.uniform(-1, 1, loop.n_vertices))
+    want = _sequential_transform(loop, y)
+    assert np.max(np.abs(cluster_transform(loop, y) - want) / np.abs(want)) <= 1e-13
+    _, (jp, jm) = _sequential_phases(loop, y, want_jac=True)
+    got_p, got_m, _ = loop_jacobian(loop, y).phase_factors
+    for factor, ref in ((got_p, jp), (got_m, jm)):
+        assert np.max(np.abs(factor - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+def _raised_vertex(transform, loop, y):
+    with pytest.raises(MutationDomainError) as err:
+        transform(loop, y)
+    return err.value.vertex
+
+
+@pytest.mark.parametrize("dt", [DynkinType("A", 6), DynkinType("B", 5), DynkinType("C", 5),
+                                DynkinType("D", 7)], ids=str)
+def test_domain_errors_name_the_sequential_vertex(dt):
+    loop = build_mutation_loop(dt)
+    arrows = loop.start.quiver.arrows
+    y = np.linspace(0.5, 2.0, loop.n_vertices)
+    plus, minus = loop.plus_set[-1], loop.minus_set[0]
+    points = {"plus zero": (plus, 0.0), "minus zero": (minus, 0.0)}
+    # 1 + 1/y_k = 0 is a pole only where k has an outgoing arrow; in types A
+    # and D every plus vertex is a sink
+    sources = [k for k in loop.plus_set if arrows[k].any()]
+    assert bool(sources) == (dt.family in "BC")
+    if sources:
+        points["plus pole"] = (sources[0], -1.0)
+    for name, (vertex, value) in points.items():
+        z = y.copy()
+        z[vertex] = value
+        assert _raised_vertex(cluster_transform, loop, z) == vertex, name
+        assert _raised_vertex(_sequential_transform, loop, z) == vertex, name
+        with pytest.raises(MutationDomainError):
+            loop_jacobian(loop, z)
+
+
+def test_pole_at_a_sink_is_not_an_error():
+    # mu_+ of A3 mutates the sink 1: y_1 = -1 zeroes its neighbours instead of raising
+    loop = build_mutation_loop(DynkinType("A", 3))
+    y = np.array([2.0, -1.0, 3.0])
+    mid, _ = _apply_phase(loop.phases[0], y, False)
+    np.testing.assert_array_equal(mid, [0.0, -1.0, 0.0])
+    np.testing.assert_array_equal(mid, _mutate_values(loop.start.quiver.arrows, y, 1, None))
 
 
 @pytest.mark.parametrize("dt", ALL_TYPES, ids=str)

@@ -1,9 +1,12 @@
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from yexp.errors import ConvergenceError
+from yexp import ysys
+from yexp.errors import ConvergenceError, MutationDomainError
 from yexp.qsys import closed_form_qtable
 from yexp.quiver import build_mutation_loop
 from yexp.rootsys import DynkinType, build_root_system
@@ -100,6 +103,14 @@ def test_newton_agrees_with_assembled_eta(dt):
     assert np.max(np.abs(newton - ep.eta) / np.abs(ep.eta)) <= 1e-8
 
 
+@pytest.mark.parametrize("dt", [DynkinType("C", 18), DynkinType("C", 21), DynkinType("D", 19),
+                                DynkinType("D", 27)], ids=str)
+def test_newton_converges_at_high_rank(dt):
+    ep = assemble_eta(dt)
+    newton = newton_fixed_point(build_mutation_loop(dt))
+    assert np.max(np.abs(newton - ep.eta) / np.abs(ep.eta)) <= 1e-8
+
+
 def test_newton_d4_from_ones():
     loop = build_mutation_loop(DynkinType("D", 4))
     eta = newton_fixed_point(loop)
@@ -113,6 +124,42 @@ def test_newton_b2_matches_closed_form():
     # vertex carrying Y_1^{(1)} = 3 sits at the right wing end: eta = Y = 3
     lq = loop.start
     assert eta[lq.vertex_of(3, 1)] == pytest.approx(3.0, rel=1e-10)
+
+
+def _arctan_map(monkeypatch):
+    """Replace the loop with y -> y exp(-arctan(log y)), so F(x) = -arctan(x):
+    full Newton steps diverge from |x| > 1.4, and only backtracking converges."""
+    def transform(loop, y):
+        return y * np.exp(-np.arctan(np.log(y)))
+
+    def jacobian(loop, y):
+        u = np.log(y)
+        return SimpleNamespace(matrix=np.diag(np.exp(-np.arctan(u)) * u * u / (1 + u * u)))
+
+    monkeypatch.setattr(ysys, "cluster_transform", transform)
+    monkeypatch.setattr(ysys, "loop_jacobian", jacobian)
+    return build_mutation_loop(DynkinType("A", 1))
+
+
+def test_newton_backtracks_where_full_steps_diverge(monkeypatch):
+    loop = _arctan_map(monkeypatch)
+    eta = newton_fixed_point(loop, start=[math.exp(3.0)])
+    assert abs(eta[0] - 1.0) <= 1e-12
+
+
+def test_newton_line_search_stall_raises(monkeypatch):
+    loop = _arctan_map(monkeypatch)
+    start = np.exp(3.0)
+
+    def defined_only_at_start(loop, y):
+        if y[0] != start:
+            raise MutationDomainError(0)
+        return y * np.exp(-np.arctan(np.log(y)))
+
+    monkeypatch.setattr(ysys, "cluster_transform", defined_only_at_start)
+    with pytest.raises(ConvergenceError, match="line search") as err:
+        newton_fixed_point(loop, start=[start])
+    assert err.value.last_residual > 0
 
 
 def test_newton_failure_reports_residual():
