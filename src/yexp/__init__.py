@@ -12,7 +12,7 @@ from .quiver import (LabeledQuiver, MutationLoop, Quiver, build_dynkin_quiver,
                      build_mutation_loop, dump_quiver, mutate_quiver, permute_quiver)
 from .qsys import (QTable, check_qsol_properties, check_restricted_qsystem,
                    closed_form_qtable, kr_qchar, kr_qtable, qdim, qtable_csv)
-from .rootsys import DynkinType, RootSystem, build_root_system, group_constants, pairing
+from .rootsys import DynkinType, RootSystem, build_root_system, group_constants
 from .spectral import (Case, CBlockPair, ExponentSequence, SpectralReport, Tolerances,
                        build_case, c_blocks, c_checks, case_passed, check_conjecture_38,
                        check_jacobian_fd, conjectured_charpoly, exponents_csv,

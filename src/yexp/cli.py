@@ -17,10 +17,8 @@ import numpy as np
 
 from . import qsys, spectral, ysys
 from .quiver import build_dynkin_quiver, build_mutation_loop, dump_quiver
-from .rootsys import DynkinType, group_constants
+from .rootsys import _MIN_RANK, DynkinType, group_constants
 from .yseed import check_periodicity
-
-_RANK_FLOOR = {"A": 1, "B": 2, "C": 2, "D": 4}
 
 
 @dataclass
@@ -111,8 +109,8 @@ def _case_types(cfg: RunConfig) -> List[DynkinType]:
 
 def _sweep_types(rank_max: int) -> List[DynkinType]:
     out = []
-    for fam in ("A", "B", "C", "D"):
-        for r in range(_RANK_FLOOR[fam], rank_max + 1):
+    for fam, lo in _MIN_RANK.items():
+        for r in range(lo, rank_max + 1):
             out.append(DynkinType(fam, r))
     return out
 

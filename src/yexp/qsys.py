@@ -10,47 +10,47 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iproduct
 from typing import Dict, Tuple
+
+import numpy as np
 
 from .rootsys import DynkinType, RootSystem, build_root_system
 
 
-def _sin_pi(x: Fraction) -> float:
-    """sin(pi * x) for exact rational x, with the argument reduced first."""
-    r = x - 2 * (x / 2).__floor__()  # x mod 2 in [0, 2)
-    sign = 1.0
-    if r >= 1:
-        r -= 1
-        sign = -1.0
-    if r > Fraction(1, 2):
-        r = 1 - r
-    return sign * math.sin(math.pi * float(r))
+def _sin_pi(a, p: int):
+    """sin(pi * a / p) for integer a (scalar or array) and integer p != 0.
+
+    a is reduced mod 2|p| exactly and folded into [0, |p|/2] before the
+    float sine, so every multiple of p gives exactly 0.0.
+    """
+    if p < 0:
+        a, p = -a, -p
+    r = np.mod(a, 2 * p)
+    sign = np.where(r >= p, -1.0, 1.0)
+    r = np.where(r >= p, r - p, r)
+    r = np.where(2 * r > p, p - r, r)
+    return sign * np.sin(np.pi * (r / p))
 
 
 def qdim(rs: RootSystem, level: int, weight: Tuple[int, ...]) -> float:
     """Specialized dimension of the irreducible with the given dominant weight.
 
     `weight` lists nonnegative coefficients in the fundamental-weight basis.
+    The q-dimension is prod over positive roots of
+    sin(pi t<alpha, rho + lambda>/P) / sin(pi t<alpha, rho>/P) with
+    P = t(level + h_dual) (Kac, Infinite-dimensional Lie algebras, ch. 13).
     """
     n = rs.type.rank
     if len(weight) != n:
         raise ValueError(f"weight needs {n} fundamental coordinates")
-    denom_shift = level + rs.h_dual
-    vec = list(rs.rho)
-    for c, w in zip(weight, rs.fundamental_weights):
-        if c:
-            vec = [a + c * b for a, b in zip(vec, w)]
-    out = 1.0
-    for root in rs.positive_roots:
-        num = rs.pairing(root.vec, tuple(vec)) / denom_shift
-        den = rs.pairing(root.vec, rs.rho) / denom_shift
-        s_den = _sin_pi(den)
-        if abs(s_den) < 1e-12:
-            raise ZeroDivisionError(f"q-dimension denominator vanishes at root {root.vec}")
-        out *= _sin_pi(num) / s_den
-    return out
+    t = rs.t_group
+    period = t * (level + rs.h_dual)
+    if period == 0 or not np.all(rs.heights % period):
+        raise ZeroDivisionError(f"q-dimension denominator vanishes: P = {period} divides a root height")
+    den = _sin_pi(rs.heights, period)
+    shifted = rs.positive_roots @ ((t // np.array(rs.t_i)) * (1 + np.array(weight)))
+    return float(np.prod(_sin_pi(shifted, period) / den))
 
 
 def _kr_terms(dt: DynkinType, t_i, i: int, m: int):
@@ -159,7 +159,7 @@ def closed_form_qtable(dt: DynkinType, level: int = 2) -> QTable:
     vals: Dict[Tuple[int, int], float] = {}
 
     def s(x):
-        return _sin_pi(Fraction(x) / (n + 3))
+        return float(_sin_pi(x, n + 3))
 
     if dt.family == "A":
         for i in range(1, n + 1):
@@ -179,7 +179,7 @@ def closed_form_qtable(dt: DynkinType, level: int = 2) -> QTable:
         vals[(n - 1, 1)] = vals[(n, 1)] = math.sqrt(n)
     else:  # C
         def sh(x):
-            return _sin_pi(Fraction(x) / (2 * (n + 3)))  # s at half-integer arguments
+            return float(_sin_pi(x, 2 * (n + 3)))  # s at half-integer arguments
 
         for i in range(1, n + 1):
             vals[(i, 1)] = sh(i + 1) * sh(i + 3) * s(i + 2) / (sh(1) * sh(3) * s(2))

@@ -1,20 +1,20 @@
 """Root-system data for the classical families A/B/C/D.
 
-Inner products are normalized so that long roots have squared length 2.
-Coordinates are exact: every vector is a tuple of Fractions in the
-epsilon basis, and for type C the whole system carries a global scale
-factor 1/sqrt(2) that enters pairings only through its square, so all
-pairings stay rational.
+Everything lives on the integer simple-root lattice. A root is its row of
+coefficients k in alpha = sum_j k_j alpha_j, and inner products are
+normalized so that long roots have squared length 2. Scaled by t = t_group
+every pairing the package needs is an integer: t<alpha_i, alpha_j> =
+C_ij t/t_i, and t<alpha, rho + lambda> = sum_j k_j (t/t_j)(1 + c_j) for a
+weight lambda with fundamental-weight coordinates c.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Tuple
 
-Vector = Tuple[Fraction, ...]
+import numpy as np
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4}
 
@@ -35,185 +35,99 @@ class DynkinType:
         return f"{self.family}{self.rank}"
 
 
-def pairing(v: Vector, w: Vector):
-    """Euclidean pairing in epsilon coordinates, <e_i, e_j> = delta_ij."""
-    if len(v) != len(w):
-        raise ValueError(f"dimension mismatch: {len(v)} vs {len(w)}")
-    return sum(a * b for a, b in zip(v, w))
-
-
-@dataclass(frozen=True)
-class Root:
-    vec: Vector
-    long: bool
-    positive: bool
-
-
 @dataclass(frozen=True)
 class RootSystem:
+    """Cartan data plus the positive roots as read-only integer arrays.
+
+    `positive_roots[r]` is the simple-root coefficient row of root r,
+    `long[r]` says whether it is long and `heights[r]` = t<rho, alpha_r>.
+    The arrays follow from `type` and take no part in equality.
+    """
+
     type: DynkinType
-    dim: int
-    roots: Tuple[Root, ...]
-    simple_roots: Tuple[Vector, ...]
-    rho: Vector
-    fundamental_weights: Tuple[Vector, ...]
     cartan: Tuple[Tuple[int, ...], ...]
     t_i: Tuple[int, ...]
     t_group: int
     h_dual: int
-    scale2: Fraction  # actual pairing = coordinate dot product * scale2
-
-    def pairing(self, v: Vector, w: Vector) -> Fraction:
-        return pairing(v, w) * self.scale2
-
-    @property
-    def positive_roots(self):
-        return tuple(r for r in self.roots if r.positive)
-
-    @property
-    def long_roots(self):
-        return tuple(r for r in self.roots if r.long)
-
-    @property
-    def short_roots(self):
-        return tuple(r for r in self.roots if not r.long)
+    positive_roots: np.ndarray = field(compare=False)
+    long: np.ndarray = field(compare=False)
+    heights: np.ndarray = field(compare=False)
 
 
-def _unit(dim, i, c=Fraction(1)):
-    v = [Fraction(0)] * dim
-    v[i] = c
-    return tuple(v)
-
-
-def _add(v, w):
-    return tuple(a + b for a, b in zip(v, w))
-
-
-def _neg(v):
-    return tuple(-a for a in v)
-
-
-def _scale(c, v):
-    return tuple(c * a for a in v)
+def _cartan(dt: DynkinType):
+    """Row convention C_ij = 2<alpha_i, alpha_j>/<alpha_i, alpha_i>."""
+    n = dt.rank
+    c = 2 * np.eye(n, dtype=np.int64)
+    for i in range(n - 1):
+        c[i, i + 1] = c[i + 1, i] = -1
+    if dt.family == "B":
+        c[n - 1, n - 2] = -2
+    elif dt.family == "C":
+        c[n - 2, n - 1] = -2
+    elif dt.family == "D":
+        c[n - 2, n - 1] = c[n - 1, n - 2] = 0
+        c[n - 3, n - 1] = c[n - 1, n - 3] = -1
+    return c
 
 
 def _positive_roots(dt: DynkinType):
-    """(vector, long) pairs for the positive roots, in coordinate units."""
-    n = dt.rank
-    out = []
-    if dt.family == "A":
-        dim = n + 1
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                out.append((_add(_unit(dim, i), _neg(_unit(dim, j))), True))
-    elif dt.family == "B":
-        for i in range(n):
-            for j in range(i + 1, n):
-                out.append((_add(_unit(n, i), _neg(_unit(n, j))), True))
-                out.append((_add(_unit(n, i), _unit(n, j)), True))
-        for i in range(n):
-            out.append((_unit(n, i), False))
-    elif dt.family == "C":
-        # coordinate units carry a global 1/sqrt(2); long roots are +-sqrt(2) e_i = 2 e_i in units
-        for i in range(n):
-            for j in range(i + 1, n):
-                out.append((_add(_unit(n, i), _neg(_unit(n, j))), False))
-                out.append((_add(_unit(n, i), _unit(n, j)), False))
-        for i in range(n):
-            out.append((_unit(n, i, Fraction(2)), True))
-    else:  # D
-        for i in range(n):
-            for j in range(i + 1, n):
-                out.append((_add(_unit(n, i), _neg(_unit(n, j))), True))
-                out.append((_add(_unit(n, i), _unit(n, j)), True))
-    return out
+    """Simple-root coefficient rows of the positive roots (Bourbaki, ch. VI, plates I-IV).
 
+    e_i - e_j is the interval alpha_i + ... + alpha_{j-1}; for B/C/D,
+    e_i + e_j adds the family's row for 2 e_j, and B/C add e_i and 2 e_i.
+    """
+    n, fam = dt.rank, dt.family
 
-def _simple_roots(dt: DynkinType):
-    n = dt.rank
-    if dt.family == "A":
-        dim = n + 1
-        return tuple(_add(_unit(dim, i), _neg(_unit(dim, i + 1))) for i in range(n))
-    if dt.family == "B":
-        alphas = [_add(_unit(n, i), _neg(_unit(n, i + 1))) for i in range(n - 1)]
-        alphas.append(_unit(n, n - 1))
-        return tuple(alphas)
-    if dt.family == "C":
-        alphas = [_add(_unit(n, i), _neg(_unit(n, i + 1))) for i in range(n - 1)]
-        alphas.append(_unit(n, n - 1, Fraction(2)))
-        return tuple(alphas)
-    alphas = [_add(_unit(n, i), _neg(_unit(n, i + 1))) for i in range(n - 1)]
-    alphas.append(_add(_unit(n, n - 2), _unit(n, n - 1)))
-    return tuple(alphas)
+    def seg(lo, hi, c=1):
+        row = np.zeros(n, dtype=np.int64)
+        row[lo:hi] = c
+        return row
 
-
-def _solve_exact(mat, rhs_cols):
-    """Gaussian elimination over Fractions; returns matrix X with mat @ X = rhs_cols."""
-    n = len(mat)
-    aug = [list(row) + list(rhs) for row, rhs in zip(mat, rhs_cols)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    if fam == "A":
+        return [seg(i, j) for i in range(n) for j in range(i + 1, n + 1)]
+    if fam == "B":
+        two_e = [seg(j, n, 2) for j in range(n)]
+    elif fam == "C":
+        two_e = [seg(j, n - 1, 2) + seg(n - 1, n) for j in range(n)]
+    else:  # D: alpha_{n-1} = e_{n-1} - e_n and alpha_n = e_{n-1} + e_n
+        two_e = [seg(j, n - 2, 2) + seg(n - 2, n) for j in range(n - 1)]
+        two_e.append(seg(n - 1, n) - seg(n - 2, n - 1))
+    rows = [seg(i, j) for i in range(n) for j in range(i + 1, n)]
+    rows += [seg(i, j) + two_e[j] for i in range(n) for j in range(i + 1, n)]
+    if fam == "B":
+        rows += [e // 2 for e in two_e]
+    elif fam == "C":
+        rows += two_e
+    return rows
 
 
 @lru_cache(maxsize=None)
 def build_root_system(dt: DynkinType) -> RootSystem:
-    """Construct the full root system with exact Cartan data."""
-    scale2 = Fraction(1, 2) if dt.family == "C" else Fraction(1)
-    pos = _positive_roots(dt)
-    roots = tuple(
-        [Root(v, lng, True) for v, lng in pos] + [Root(_neg(v), lng, False) for v, lng in pos]
-    )
-    simple = _simple_roots(dt)
-    n = dt.rank
-    dim = len(simple[0])
-
-    def pair(v, w):
-        return pairing(v, w) * scale2
-
-    for v, lng in pos:
-        sq = pair(v, v)
-        assert sq == (2 if lng else 1), (dt, v, sq)
-
-    cartan = tuple(
-        tuple(int(2 * pair(a, b) / pair(a, a)) for b in simple) for a in simple
-    )
-    t_i = tuple(int(2 / pair(a, a)) for a in simple)
+    """Construct the positive roots and Cartan data on the integer lattice."""
+    cartan = _cartan(dt)
     t_group = 2 if dt.family in ("B", "C") else 1
-
-    rho = tuple(sum(v[k] for v, _ in pos) / 2 for k in range(dim))
-
-    # fundamental weights: varpi_i = sum_k (C^-1)_{k,i} alpha_k
-    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    cfrac = [[Fraction(c) for c in row] for row in cartan]
-    cinv = _solve_exact(cfrac, ident)
-    weights = []
-    for i in range(n):
-        w = tuple(sum(cinv[k][i] * simple[k][d] for k in range(n)) for d in range(dim))
-        weights.append(w)
-
-    theta = max((v for v, lng in pos if lng), key=lambda v: pair(rho, v))
-    h_dual = int(pair(rho, theta)) + 1
-
+    t_i = np.ones(dt.rank, dtype=np.int64)  # t_i = t for short simple roots
+    if dt.family == "B":
+        t_i[-1] = 2
+    elif dt.family == "C":
+        t_i[:-1] = 2
+    gram = cartan * (t_group // t_i)[:, None]  # t<alpha_i, alpha_j>
+    roots = np.array(_positive_roots(dt))
+    long = np.einsum("ri,ij,rj->r", roots, gram, roots) == 2 * t_group
+    heights = roots @ (t_group // t_i)
+    assert not np.any(heights[long] % t_group), dt
+    h_dual = 1 + int(heights[long].max()) // t_group
+    for a in (roots, long, heights):
+        a.setflags(write=False)
     return RootSystem(
         type=dt,
-        dim=dim,
-        roots=roots,
-        simple_roots=simple,
-        rho=rho,
-        fundamental_weights=tuple(weights),
-        cartan=cartan,
-        t_i=t_i,
+        cartan=tuple(map(tuple, cartan.tolist())),
+        t_i=tuple(t_i.tolist()),
         t_group=t_group,
         h_dual=h_dual,
-        scale2=scale2,
+        positive_roots=roots,
+        long=long,
+        heights=heights,
     )
 
 

@@ -62,14 +62,12 @@ def conjectured_charpoly(rs: RootSystem) -> Tuple[Counter, Counter]:
     for ti in rs.t_i:
         num.update(k for k in range(period) if k * (t // ti) % period)
     den: Counter = Counter()
-    for root in rs.roots:
-        height = rs.pairing(rs.rho, root.vec)
-        if root.long:
-            assert height.denominator == 1, (rs.type, root)
-            den.update((int(height) + j * shift) % period for j in range(t))
-        else:
-            assert (t * height).denominator == 1, (rs.type, root)
-            den[int(t * height) % period] += 1
+    for height, long in zip(rs.heights.tolist(), rs.long.tolist()):
+        for h in (height, -height):  # the positive root and its negative
+            if long:
+                den.update((h // t + j * shift) % period for j in range(t))
+            else:
+                den[h % period] += 1
     return num, den
 
 

@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from yexp.qsys import (check_qsol_properties, check_restricted_qsystem,
+from yexp.qsys import (_sin_pi, check_qsol_properties, check_restricted_qsystem,
                        closed_form_qtable, kr_qchar, kr_qtable, qdim, qtable_csv)
 from yexp.rootsys import DynkinType, build_root_system
 
@@ -21,13 +22,42 @@ def test_qdim_examples():
 
 def test_qdim_positive_in_level_window():
     rs = build_root_system(DynkinType("B", 3))
-    shift = 2 + rs.h_dual
-    for w in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 2), (2, 0, 0)]:
-        vec = list(rs.rho)
-        for c, fw in zip(w, rs.fundamental_weights):
-            vec = [a + c * b for a, b in zip(vec, fw)]
-        if all(rs.pairing(r.vec, tuple(vec)) < shift for r in rs.positive_roots):
+    t = rs.t_group
+    period = t * (2 + rs.h_dual)
+    inside = 0
+    for w in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 2), (2, 0, 0), (0, 2, 0)]:
+        # t<alpha, rho + lambda> = sum_j k_j (t/t_j)(1 + c_j)
+        shifted = [sum(k * (t // ti) * (1 + c) for k, ti, c in zip(row, rs.t_i, w))
+                   for row in rs.positive_roots.tolist()]
+        if all(a < period for a in shifted):
+            inside += 1
             assert qdim(rs, 2, w) > 0
+    assert inside == 5  # (0, 2, 0) lies outside the level-2 alcove
+
+
+def test_sin_pi_vanishes_exactly_at_multiples():
+    for p in (1, 2, 5, 12):
+        for a in range(-13, 14):
+            assert _sin_pi(a * p, p) == 0.0
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 7, 12, 26])
+def test_sin_pi_matches_float_sine(p):
+    # a runs over two full periods, [-2p, 2p], so each quarter-period is hit
+    # with either sign
+    for a in range(-2 * p, 2 * p + 1):
+        assert _sin_pi(a, p) == pytest.approx(math.sin(math.pi * a / p), abs=1e-15)
+        assert _sin_pi(a, -p) == -_sin_pi(a, p)
+    a = np.arange(-2 * p, 2 * p + 1)
+    assert np.allclose(_sin_pi(a, p), np.sin(np.pi * a / p), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("level", [-1, -3, -4, -5])
+def test_qdim_vanishing_denominator_raises(level):
+    # A2, heights 1, 1, 2: P = level + 3 is 2, 0, -1 and -2, and each divides a height
+    rs = build_root_system(DynkinType("A", 2))
+    with pytest.raises(ZeroDivisionError):
+        qdim(rs, level, (0, 0))
 
 
 def test_kr_examples():
@@ -53,9 +83,10 @@ def test_kr_out_of_range():
 
 ALL_TYPES = [DynkinType(f, r) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
              for r in range(lo, 11)]
+HIGH_RANK = [DynkinType("A", 16), DynkinType("B", 16), DynkinType("C", 12), DynkinType("D", 16)]
 
 
-@pytest.mark.parametrize("dt", ALL_TYPES, ids=str)
+@pytest.mark.parametrize("dt", ALL_TYPES + HIGH_RANK, ids=str)
 def test_kr_reproduces_closed_forms(dt):
     computed = kr_qtable(dt)
     closed = closed_form_qtable(dt)

@@ -1,8 +1,10 @@
-from fractions import Fraction
+from math import comb
 
+import numpy as np
 import pytest
 
-from yexp.rootsys import DynkinType, build_root_system, group_constants, pairing
+from yexp.qsys import qdim
+from yexp.rootsys import DynkinType, build_root_system, group_constants
 
 
 POSITIVE_COUNTS = {
@@ -14,74 +16,139 @@ POSITIVE_COUNTS = {
 
 H_DUAL = {"A": lambda n: n + 1, "B": lambda n: 2 * n - 1, "C": lambda n: n + 1, "D": lambda n: 2 * n - 2}
 
-ALL_TYPES = [DynkinType(f, r) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
-             for r in range(lo, 13)]
+FLOOR = (("A", 1), ("B", 2), ("C", 2), ("D", 4))
+ALL_TYPES = [DynkinType(f, r) for f, lo in FLOOR for r in range(lo, 13)]
+
+
+def _gram(rs):
+    """Integer Gram matrix t<alpha_i, alpha_j> = C_ij t/t_i."""
+    t_i = np.array(rs.t_i)
+    return np.array(rs.cartan) * (rs.t_group // t_i)[:, None]
+
+
+def _root_strings(cartan):
+    """Positive roots from the Cartan matrix alone, by alpha-strings.
+
+    Humphreys, Introduction to Lie Algebras, section 9.4: for a positive root
+    alpha != alpha_i, with p the largest integer such that alpha - p alpha_i is
+    a root, alpha + alpha_i is a root iff p - <alpha, alpha_i^vee> > 0.
+    Roots are generated layer by layer in the sum of their coefficients.
+    """
+    cmat = np.array(cartan)
+    n = len(cmat)
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    roots = set(unit)
+    layer = set(unit)
+    while layer:
+        nxt = set()
+        for a in layer:
+            coroot_pairings = cmat @ np.array(a)  # <alpha, alpha_i^vee> (row convention)
+            for i in range(n):
+                p = 0
+                down = list(a)
+                while True:
+                    down[i] -= 1
+                    if tuple(down) not in roots:
+                        break
+                    p += 1
+                if p - coroot_pairings[i] > 0:
+                    up = list(a)
+                    up[i] += 1
+                    nxt.add(tuple(up))
+        roots |= nxt
+        layer = nxt
+    return roots
 
 
 @pytest.mark.parametrize("dt", ALL_TYPES, ids=str)
 def test_root_counts_and_lengths(dt):
     rs = build_root_system(dt)
-    pos = rs.positive_roots
-    assert len(pos) == POSITIVE_COUNTS[dt.family](dt.rank)
-    assert len(rs.roots) == 2 * len(pos)
-    for r in rs.roots:
-        sq = rs.pairing(r.vec, r.vec)
-        assert sq == (2 if r.long else 1)
-    if dt.family in ("A", "D"):
-        assert all(r.long for r in rs.roots)
+    assert rs.positive_roots.shape == (POSITIVE_COUNTS[dt.family](dt.rank), dt.rank)
+    assert len(rs.long) == len(rs.heights) == len(rs.positive_roots)
+    gram = _gram(rs)
+    assert (gram == gram.T).all()
+    t = rs.t_group
+    for k, lng in zip(rs.positive_roots, rs.long):
+        assert k @ gram @ k == (2 * t if lng else 2)  # t<alpha, alpha>: long 2t, short 2
+    n_long = int(rs.long.sum())
+    if dt.family == "B":
+        assert len(rs.long) - n_long == dt.rank
+    elif dt.family == "C":
+        assert n_long == dt.rank
+    else:
+        assert rs.long.all()
+
+
+@pytest.mark.parametrize("dt", [DynkinType(f, r) for f, lo in FLOOR for r in range(lo, 41)], ids=str)
+def test_closed_form_roots_match_root_strings(dt):
+    rs = build_root_system(dt)
+    rows = [tuple(k) for k in rs.positive_roots.tolist()]
+    assert len(set(rows)) == len(rows)
+    assert set(rows) == _root_strings(rs.cartan)
 
 
 def test_family_split_examples():
     b2 = build_root_system(DynkinType("B", 2))
-    assert len(b2.roots) == 8
-    assert len(b2.long_roots) == 4 and len(b2.short_roots) == 4
+    assert len(b2.positive_roots) == 4
+    assert int(b2.long.sum()) == 2
     d4 = build_root_system(DynkinType("D", 4))
-    assert len(d4.roots) == 24 and all(r.long for r in d4.roots)
+    assert len(d4.positive_roots) == 12 and d4.long.all()
     c3 = build_root_system(DynkinType("C", 3))
-    assert len(c3.roots) == 18
-    assert len(c3.short_roots) == 12 and len(c3.long_roots) == 6
-    # long C roots are sqrt(2) e_i: coordinate 2 e_i at scale 1/sqrt(2)
-    for r in c3.long_roots:
-        assert sorted(abs(x) for x in r.vec) == [0, 0, 2]
+    assert len(c3.positive_roots) == 9 and int(c3.long.sum()) == 3
+    # long C roots are 2 e_i = 2(alpha_i + ... + alpha_{n-1}) + alpha_n
+    assert {tuple(k) for k in c3.positive_roots[c3.long].tolist()} == {(2, 2, 1), (0, 2, 1), (0, 0, 1)}
 
 
 def test_pairing_examples():
-    e1 = (Fraction(1), Fraction(0))
-    e2 = (Fraction(0), Fraction(1))
-    assert pairing(e1, e1) == 1
-    assert pairing(e1, e2) == 0
+    # B2 by hand: alpha_1 = e1 - e2 (long), alpha_2 = e2 (short), t = 2
+    b2 = build_root_system(DynkinType("B", 2))
+    assert _gram(b2).tolist() == [[4, -2], [-2, 2]]
     with pytest.raises(ValueError):
-        pairing(e1, (Fraction(1),))
+        qdim(b2, 2, (1,))
 
 
 def test_rho_half_sum_oracle_b2():
-    # independent oracle: sum the four positive roots of B_2 by hand
+    # independent oracle: the four positive roots of B_2 listed by hand,
+    # with heights t<rho, alpha> from rho = (3/2, 1/2) in epsilon coordinates
     rs = build_root_system(DynkinType("B", 2))
-    acc = [Fraction(0), Fraction(0)]
-    for r in rs.positive_roots:
-        acc = [a + x for a, x in zip(acc, r.vec)]
-    half = tuple(a / 2 for a in acc)
-    assert half == rs.rho == (Fraction(3, 2), Fraction(1, 2))
-    alpha = (Fraction(1), Fraction(-1))
-    assert rs.pairing(rs.rho, alpha) == 1
+    by_hand = {(1, 0): 2, (0, 1): 1, (1, 1): 3, (1, 2): 4}
+    assert dict(zip(map(tuple, rs.positive_roots.tolist()), rs.heights.tolist())) == by_hand
+    assert rs.long.tolist() == [k in ((1, 0), (1, 2)) for k in map(tuple, rs.positive_roots.tolist())]
 
 
 @pytest.mark.parametrize("dt", ALL_TYPES, ids=str)
 def test_rho_equals_weight_sum(dt):
+    # rho = half the sum of the positive roots equals the sum of the fundamental
+    # weights: it pairs with every simple coroot to 1, i.e. t<rho, alpha_i> = t/t_i,
+    # and with every positive root to its height
     rs = build_root_system(dt)
-    total = [Fraction(0)] * rs.dim
-    for w in rs.fundamental_weights:
-        total = [a + b for a, b in zip(total, w)]
-    assert tuple(total) == rs.rho
+    gram = _gram(rs)
+    two_rho = rs.positive_roots.sum(axis=0)
+    assert (two_rho @ gram).tolist() == [2 * (rs.t_group // ti) for ti in rs.t_i]
+    assert (rs.positive_roots @ gram @ two_rho).tolist() == (2 * rs.heights).tolist()
+
+
+def _fundamental_dims(dt):
+    """Dimensions of the fundamental representations (Bourbaki, ch. VIII, tables)."""
+    n = dt.rank
+    if dt.family == "A":
+        return [comb(n + 1, i) for i in range(1, n + 1)]
+    if dt.family == "B":
+        return [comb(2 * n + 1, i) for i in range(1, n)] + [2 ** n]
+    if dt.family == "C":
+        return [comb(2 * n, i) - comb(2 * n, i - 2) if i > 1 else 2 * n for i in range(1, n + 1)]
+    return [comb(2 * n, i) for i in range(1, n - 1)] + [2 ** (n - 1)] * 2
 
 
 @pytest.mark.parametrize("dt", ALL_TYPES, ids=str)
 def test_fundamental_weight_duality(dt):
+    # the fundamental-weight coordinates that qdim pairs with the roots are dual
+    # to the simple coroots: at a large level the q-dimension of each
+    # fundamental weight tends to the Weyl dimension of that representation
     rs = build_root_system(dt)
-    for i, w in enumerate(rs.fundamental_weights):
-        for j, a in enumerate(rs.simple_roots):
-            coroot_pairing = 2 * rs.pairing(w, a) / rs.pairing(a, a)
-            assert coroot_pairing == (1 if i == j else 0)
+    for i, dim in enumerate(_fundamental_dims(dt)):
+        weight = tuple(int(i == j) for j in range(dt.rank))
+        assert qdim(rs, 10 ** 8, weight) == pytest.approx(dim, rel=1e-9)
 
 
 @pytest.mark.parametrize("dt", ALL_TYPES, ids=str)
@@ -89,8 +156,13 @@ def test_group_constants(dt):
     rs = build_root_system(dt)
     assert rs.h_dual == H_DUAL[dt.family](dt.rank)
     assert rs.t_group == (2 if dt.family in ("B", "C") else 1)
-    for a, ti in zip(rs.simple_roots, rs.t_i):
-        assert ti == 2 / rs.pairing(a, a)
+    n = dt.rank
+    expected_t_i = {"B": (1,) * (n - 1) + (2,), "C": (2,) * (n - 1) + (1,)}.get(dt.family, (1,) * n)
+    assert rs.t_i == expected_t_i
+    heights = dict(zip(map(tuple, rs.positive_roots.tolist()), rs.heights.tolist()))
+    for i, ti in enumerate(rs.t_i):
+        simple = tuple(int(i == j) for j in range(n))
+        assert heights[simple] == rs.t_group // ti
 
 
 def test_periods():
