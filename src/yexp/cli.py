@@ -187,10 +187,7 @@ def _dispatch(args) -> int:
         for dt in types:
             loop = build_mutation_loop(dt)
             _, _, period = group_constants(dt)
-            worst = 0.0
-            for _ in range(20):
-                y = rng.uniform(0.5, 2.0, loop.n_vertices)
-                worst = max(worst, check_periodicity(loop, y, period))
+            worst = check_periodicity(loop, rng.uniform(0.5, 2.0, (20, loop.n_vertices)), period)
             ok = ok and worst <= tol.periodicity
             lines.append(f"{dt.family},{dt.rank},{period},{worst!r}")
         _emit("\n".join(lines) + "\n", cfg.csv_path or cfg.json_path)

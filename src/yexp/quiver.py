@@ -69,14 +69,11 @@ def mutate_quiver(q: Quiver, k: int) -> Quiver:
 
 def permute_quiver(q: Quiver, nu: Sequence[int]) -> Quiver:
     """Relabel vertices: nu(Q)_{i,j} = Q_{nu^-1(i), nu^-1(j)}."""
-    n = q.n_vertices
     nu = list(nu)
-    if sorted(nu) != list(range(n)):
+    if sorted(nu) != list(range(q.n_vertices)):
         raise ValueError("nu is not a bijection on the vertex set")
     b = np.zeros_like(q.arrows)
-    for i in range(n):
-        for j in range(n):
-            b[nu[i], nu[j]] = q.arrows[i, j]
+    b[np.ix_(nu, nu)] = q.arrows
     return Quiver(b)
 
 
@@ -113,13 +110,16 @@ class Phase:
     quiver it acts on, so its mutations commute and none changes the arrows
     at another. Arrow e joins rows[e] to vertices[cols[e]], with signed
     multiplicity exponents[e]: positive for rows[e] -> vertex, negative for
-    vertex -> rows[e]. The arrows are sorted by row, then by vertex.
+    vertex -> rows[e]. The arrows are sorted by row, then by vertex; the
+    segment of row targets[j] starts at arrow starts[j].
     """
 
     vertices: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     exponents: np.ndarray
+    targets: np.ndarray
+    starts: np.ndarray
 
 
 def _compile_phase(q: Quiver, vertices: Tuple[int, ...], name: str) -> Phase:
@@ -134,7 +134,7 @@ def _compile_phase(q: Quiver, vertices: Tuple[int, ...], name: str) -> Phase:
         )
     signed = a[:, s] - a[s, :].T
     rows, cols = np.nonzero(signed)
-    parts = (s, rows, cols, signed[rows, cols])
+    parts = (s, rows, cols, signed[rows, cols], *np.unique(rows, return_index=True))
     for part in parts:
         part.setflags(write=False)
     return Phase(*parts)

@@ -848,12 +848,8 @@ def run_case(
                         newton_res <= tolerances.newton_agreement, newton_agreement=newton_res)
 
     def periodicity():
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(periodicity_points):
-            y = rng.uniform(0.5, 2.0, loop.n_vertices)
-            worst = max(worst, check_periodicity(loop, y, period))
-        return _verdict(worst, tolerances.periodicity)
+        points = np.random.default_rng(seed).uniform(0.5, 2.0, (periodicity_points, loop.n_vertices))
+        return _verdict(check_periodicity(loop, points, period), tolerances.periodicity)
 
     def lemma_vectors():
         summary = lemma_summary(case)

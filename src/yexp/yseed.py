@@ -2,9 +2,9 @@
 
 A loop's two phases are each a set of commuting mutations at pairwise
 unconnected vertices, compiled once by build_mutation_loop, so each phase is
-applied as one vectorized update, with its closed-form Jacobian. The
-single-mutation rule (`mutate_yseed`) is kept as the public engine and the
-reference the phase updates are tested against.
+applied as one vectorized update, to one point or a batch of points, with its
+closed-form Jacobian. The single-mutation rule (`mutate_yseed`) is kept as the
+public engine and the reference the phase updates are tested against.
 """
 
 from __future__ import annotations
@@ -82,34 +82,33 @@ def mutate_yseed(seed: YSeed, k: int) -> YSeed:
 def _apply_phase(phase: Phase, y: np.ndarray, want_jac: bool):
     """Mutate y at every vertex of a phase at once; return the image and its Jacobian.
 
-    For k in the phase, y_k -> 1/y_k. Every other y_i is multiplied by
-    (1 + y_k)^a for each arrow i -> k of multiplicity a, and by
-    (1 + 1/y_k)^-a for each arrow k -> i. The Jacobian is diagonal except in
-    the phase's columns; it is None unless asked for.
+    y is one point (N,) or a batch of points (k, N). For k in the phase,
+    y_k -> 1/y_k. Every other y_i is multiplied by (1 + y_k)^a for each arrow
+    i -> k of multiplicity a, and by (1 + 1/y_k)^-a for each arrow k -> i.
+    The Jacobian, of a single point only, is diagonal except in the phase's
+    columns; it is None unless asked for.
     """
     s, rows, cols, e = phase.vertices, phase.rows, phase.cols, phase.exponents
-    yk = y[s]
-    # y_k = 0, or 1 + 1/y_k = 0 where k has an outgoing arrow, is a pole; the
-    # first one in phase order is raised, as one mutation at a time would
-    zero = yk == 0
-    inv = 1.0 / np.where(zero, 1.0, yk)
     into = e > 0
-    base = np.where(into, yk[cols] + 1.0, inv[cols] + 1.0)
-    pole = zero.copy()
-    pole[cols[~into & (base == 0)]] = True
-    if pole.any():
-        raise MutationDomainError(int(s[np.argmax(pole)]))
-    gain = np.ones_like(y)
-    np.multiply.at(gain, rows, base ** e)
-    out = y * gain
+    # vertices on axis 0, so one point and a batch index alike
+    yt = y.T
+    yk = yt[s]
+    if y.ndim == 2:
+        into, e = into[:, None], e[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv = 1.0 / yk
+        base = np.where(into, yk[cols] + 1.0, inv[cols] + 1.0)
+        gain = np.multiply.reduceat(base ** e, phase.starts)
+        out = yt.copy()
+        out[phase.targets] = yt[phase.targets] * gain
     out[s] = inv
-    finite = np.isfinite(out)
-    if not finite.all():
-        v = int(np.argmin(finite))
-        raise MutationDomainError(v, f"phase mutation produced a non-finite value at vertex {v}")
+    # every pole makes the image non-finite, so one test covers them all
+    if not np.isfinite(out).all():
+        _raise_domain_error(phase, yt, out)
     if not want_jac:
-        return out, None
-    jac = np.diag(gain)
+        return out.T, None
+    jac = np.eye(len(y), dtype=y.dtype)
+    jac[phase.targets, phase.targets] = gain
     jac[s, s] = -inv * inv
     plus_one = yk[cols] + 1.0
     coeff = np.where(into, e / plus_one, -e / (yk[cols] * plus_one))
@@ -117,33 +116,53 @@ def _apply_phase(phase: Phase, y: np.ndarray, want_jac: bool):
     return out, jac
 
 
+def _raise_domain_error(phase: Phase, yt: np.ndarray, out: np.ndarray):
+    """Raise for the first point whose image is non-finite, as one mutation at a time would.
+
+    y_k = 0, or 1 + 1/y_k = 0 where k has an outgoing arrow, is a pole; the
+    first pole in phase order is named, and otherwise the first non-finite
+    value.
+    """
+    if yt.ndim == 2:
+        point = int(np.argmin(np.isfinite(out).all(axis=0)))
+        yt, out = yt[:, point], out[:, point]
+    s, cols, e = phase.vertices, phase.cols, phase.exponents
+    yk = yt[s]
+    pole = yk == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pole[cols[(e < 0) & (1.0 / yk[cols] + 1.0 == 0)]] = True
+    if pole.any():
+        raise MutationDomainError(int(s[np.argmax(pole)]))
+    v = int(np.argmin(np.isfinite(out)))
+    raise MutationDomainError(v, f"phase mutation produced a non-finite value at vertex {v}")
+
+
 def permutation_matrix(nu, dtype=float) -> np.ndarray:
     n = len(nu)
     p = np.zeros((n, n), dtype=dtype)
-    for j in range(n):
-        p[nu[j], j] = 1.0
+    p[nu, np.arange(n)] = 1
     return p
 
 
 def cluster_transform(loop: MutationLoop, y) -> np.ndarray:
-    """Composite transformation nu . mu_- . mu_+ applied to the value tuple."""
+    """Composite transformation nu . mu_- . mu_+ of one point (N,) or a batch (k, N)."""
     y = np.asarray(y, dtype=complex if np.iscomplexobj(y) else float)
-    if y.shape != (loop.n_vertices,):
-        raise ValueError(f"expected {loop.n_vertices} values, got shape {y.shape}")
+    if y.ndim not in (1, 2) or y.shape[-1] != loop.n_vertices:
+        raise ValueError(f"expected {loop.n_vertices} values per point, got shape {y.shape}")
     plus, minus = loop.phases
     end, _ = _apply_phase(minus, _apply_phase(plus, y, False)[0], False)
-    out = np.empty_like(end)
-    out[list(loop.nu)] = end
-    return out
+    out = np.empty_like(end.T)
+    out[list(loop.nu)] = end.T
+    return out.T
 
 
 def check_periodicity(loop: MutationLoop, y, period: int) -> float:
-    """Max relative residual of mu_gamma^period against the identity."""
+    """Max relative residual of mu_gamma^period against the identity, over one point or a batch."""
     y0 = np.asarray(y, dtype=float)
-    z = y0.copy()
+    z = y0
     for _ in range(period):
         z = cluster_transform(loop, z)
-    return float(np.max(np.abs(z - y0) / np.abs(y0)))
+    return float(np.max(np.abs(z - y0) / np.abs(y0), initial=0.0))
 
 
 def loop_jacobian(loop: MutationLoop, y) -> LoopJacobian:
@@ -157,13 +176,12 @@ def loop_jacobian(loop: MutationLoop, y) -> LoopJacobian:
 
 
 def finite_difference_jacobian(loop: MutationLoop, y, h: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of the cluster transformation (test oracle)."""
+    """Central-difference Jacobian of the cluster transformation (test oracle).
+
+    The 2N shifted points run through the transformation as one batch.
+    """
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
-    jac = np.zeros((n, n))
-    for j in range(n):
-        up, dn = y.copy(), y.copy()
-        up[j] += h
-        dn[j] -= h
-        jac[:, j] = (cluster_transform(loop, up) - cluster_transform(loop, dn)) / (2 * h)
-    return jac
+    step = h * np.eye(n)
+    images = cluster_transform(loop, y + np.vstack((step, -step)))
+    return ((images[:n] - images[n:]) / (2 * h)).T

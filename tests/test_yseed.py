@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -256,10 +258,13 @@ def test_domain_errors_name_the_sequential_vertex(dt):
     for name, (vertex, value) in points.items():
         z = y.copy()
         z[vertex] = value
-        assert _raised_vertex(cluster_transform, loop, z) == vertex, name
-        assert _raised_vertex(_sequential_transform, loop, z) == vertex, name
-        with pytest.raises(MutationDomainError):
-            loop_jacobian(loop, z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _raised_vertex(cluster_transform, loop, z) == vertex, name
+            assert _raised_vertex(cluster_transform, loop, np.stack([y, z])) == vertex, name
+            assert _raised_vertex(_sequential_transform, loop, z) == vertex, name
+            with pytest.raises(MutationDomainError):
+                loop_jacobian(loop, z)
 
 
 def test_pole_at_a_sink_is_not_an_error():
@@ -269,6 +274,36 @@ def test_pole_at_a_sink_is_not_an_error():
     mid, _ = _apply_phase(loop.phases[0], y, False)
     np.testing.assert_array_equal(mid, [0.0, -1.0, 0.0])
     np.testing.assert_array_equal(mid, _mutate_values(loop.start.quiver.arrows, y, 1, None))
+
+
+BATCH_TYPES = [DynkinType(f, r) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
+               for r in range(lo, 13)]
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("dt", BATCH_TYPES, ids=str)
+def test_batched_points_match_single_points_bitwise(dt):
+    loop = build_mutation_loop(dt)
+    rng = np.random.default_rng(43)
+    real = rng.uniform(0.5, 2.0, (4, loop.n_vertices))
+    for batch in (real, real * np.exp(1j * rng.uniform(-1, 1, real.shape))):
+        for phase in loop.phases:
+            got, jac = _apply_phase(phase, batch, False)
+            assert jac is None
+            _same_bits(got, [_apply_phase(phase, y, False)[0] for y in batch])
+        _same_bits(cluster_transform(loop, batch), [cluster_transform(loop, y) for y in batch])
+
+
+def test_cluster_transform_rejects_bad_shapes():
+    loop = build_mutation_loop(DynkinType("A", 3))
+    for shape in ((), (4,), (2, 4), (2, 2, 3)):
+        with pytest.raises(ValueError):
+            cluster_transform(loop, np.ones(shape))
 
 
 @pytest.mark.parametrize("dt", ALL_TYPES, ids=str)
@@ -289,10 +324,11 @@ PERIODICITY_CASES = [DynkinType(f, r) for f, lo in (("A", 1), ("B", 2), ("C", 2)
 def test_periodicity(dt):
     loop = build_mutation_loop(dt)
     _, _, period = group_constants(dt)
-    rng = np.random.default_rng(23)
-    for _ in range(20):
-        y = rng.uniform(0.5, 2.0, loop.n_vertices)
-        assert check_periodicity(loop, y, period) <= 1e-8
+    points = np.random.default_rng(23).uniform(0.5, 2.0, (20, loop.n_vertices))
+    for p in (period, period - 1):
+        worst = max(check_periodicity(loop, y, p) for y in points)
+        assert check_periodicity(loop, points, p) == worst
+    assert max(check_periodicity(loop, y, period) for y in points) <= 1e-8
 
 
 @pytest.mark.parametrize("dt", [DynkinType("B", 4), DynkinType("C", 3), DynkinType("D", 5), DynkinType("A", 2)], ids=str)
@@ -331,6 +367,25 @@ def test_jacobian_matches_finite_differences(dt):
     analytic = loop_jacobian(ep.loop, ep.eta).matrix
     numeric = finite_difference_jacobian(ep.loop, ep.eta, h=1e-6)
     assert np.max(np.abs(analytic - numeric)) <= 1e-5
+
+
+def _column_differences(loop, y, h=1e-6):
+    """Reference central differences, one column and two transforms at a time."""
+    n = y.shape[0]
+    jac = np.zeros((n, n))
+    for j in range(n):
+        up, dn = y.copy(), y.copy()
+        up[j] += h
+        dn[j] -= h
+        jac[:, j] = (cluster_transform(loop, up) - cluster_transform(loop, dn)) / (2 * h)
+    return jac
+
+
+@pytest.mark.parametrize("dt", BATCH_TYPES, ids=str)
+def test_finite_differences_match_the_column_loop_bitwise(dt):
+    loop = build_mutation_loop(dt)
+    y = np.random.default_rng(47).uniform(0.5, 2.0, loop.n_vertices)
+    _same_bits(finite_difference_jacobian(loop, y), _column_differences(loop, y))
 
 
 @pytest.mark.parametrize("dt", [DynkinType("C", 4), DynkinType("C", 6), DynkinType("B", 4)], ids=str)
