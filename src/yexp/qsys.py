@@ -158,15 +158,14 @@ def closed_form_qtable(dt: DynkinType, level: int = 2) -> QTable:
     n = dt.rank
     vals: Dict[Tuple[int, int], float] = {}
 
-    def s(x):
-        return float(_sin_pi(x, n + 3))
+    s = _sin_pi(np.arange(n + 4), n + 3).tolist()
 
     if dt.family == "A":
+        # the product over k of s(j + k) / s(j + k - 1) telescopes
         for i in range(1, n + 1):
             q = 1.0
             for j in range(1, i + 1):
-                for k in range(1, n + 2 - i):
-                    q *= s(j + k) / s(j + k - 1)
+                q *= s[j + n + 1 - i] / s[j]
             vals[(i, 1)] = q
     elif dt.family == "B":
         for i in range(1, n):
@@ -178,16 +177,14 @@ def closed_form_qtable(dt: DynkinType, level: int = 2) -> QTable:
             vals[(i, 1)] = float(i + 1)
         vals[(n - 1, 1)] = vals[(n, 1)] = math.sqrt(n)
     else:  # C
-        def sh(x):
-            return float(_sin_pi(x, 2 * (n + 3)))  # s at half-integer arguments
-
+        sh = _sin_pi(np.arange(n + 4), 2 * (n + 3)).tolist()  # s at half-integer arguments
         for i in range(1, n + 1):
-            vals[(i, 1)] = sh(i + 1) * sh(i + 3) * s(i + 2) / (sh(1) * sh(3) * s(2))
+            vals[(i, 1)] = sh[i + 1] * sh[i + 3] * s[i + 2] / (sh[1] * sh[3] * s[2])
         for i in range(1, n):
             vals[(i, 2)] = (
-                2 * sum(s(j) * s(j + 1) * s(j + 2) for j in range(0, i + 1))
-                + s(i + 1) * s(i + 2) * s(i + 3)
-            ) / (s(1) * s(2) * s(3))
+                2 * sum(s[j] * s[j + 1] * s[j + 2] for j in range(0, i + 1))
+                + s[i + 1] * s[i + 2] * s[i + 3]
+            ) / (s[1] * s[2] * s[3])
             vals[(i, 3)] = vals[(i, 1)]
     for i in range(1, n + 1):
         vals[(i, 0)] = vals[(i, rs.t_i[i - 1] * level)] = 1.0

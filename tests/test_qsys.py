@@ -94,6 +94,18 @@ def test_kr_reproduces_closed_forms(dt):
         assert computed.value(i, m) == pytest.approx(v, abs=1e-9), (i, m)
 
 
+@pytest.mark.parametrize("n", list(range(1, 33)) + [48, 64])
+def test_type_a_closed_form_matches_the_untelescoped_product(n):
+    # Q^(i)_1 = prod_{j <= i} prod_{k <= n + 1 - i} s(j + k) / s(j + k - 1), s(x) = sin(pi x / (n + 3))
+    def s(x):
+        return math.sin(math.pi * x / (n + 3))
+
+    qt = closed_form_qtable(DynkinType("A", n))
+    for i in range(1, n + 1):
+        want = math.prod(s(j + k) / s(j + k - 1) for j in range(1, i + 1) for k in range(1, n + 2 - i))
+        assert qt.value(i, 1) == pytest.approx(want, rel=1e-12), i
+
+
 def test_closed_form_values_b4():
     qt = closed_form_qtable(DynkinType("B", 4))
     assert qt.value(4, 1) == pytest.approx(math.sqrt(9))
