@@ -665,7 +665,8 @@ def c_blocks(case: Case, block_tol: float = 1e-9) -> CBlockPair:
     """Block-diagonalize the C_n Jacobian in the symmetric/antisymmetric basis.
 
     Raises if the off-diagonal blocks exceed `block_tol`. For even rank the
-    extracted blocks are also compared against their closed-form entry tables.
+    extracted blocks are also compared against their closed-form entry tables,
+    each residual relative to max(1, max|table|).
     """
     if case.type.family != "C":
         raise ValueError(f"the block reduction is for type C, not {case.type.family}")
@@ -684,8 +685,10 @@ def c_blocks(case: Case, block_tol: float = 1e-9) -> CBlockPair:
     Y = case.point.ysol.value
     residuals = {"offdiag": offdiag}
     if n % 2 == 0:
-        residuals["khat_reference"] = float(np.max(np.abs(khat - _khat_reference(n, Y))))
-        residuals["lhat_reference"] = float(np.max(np.abs(lhat - _lhat_reference(n, Y))))
+        # relative to max(1, max|ref|), since the entries of L-hat grow with rank
+        for name, block, ref in (("khat_reference", khat, _khat_reference(n, Y)),
+                                 ("lhat_reference", lhat, _lhat_reference(n, Y))):
+            residuals[name] = float(np.max(np.abs(block - ref))) / max(1.0, float(np.max(np.abs(ref))))
     return CBlockPair(
         rank=n,
         jacobian=jac,

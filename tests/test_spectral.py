@@ -228,6 +228,15 @@ def test_c_blocks_structure():
     assert blocks4.residuals["lhat_reference"] <= 1e-9
 
 
+def test_c50_block_reference_residuals_are_relative():
+    # max|L-hat| is 3.3e8 at C50, so rounding alone puts the absolute residual
+    # above c_identities = 1e-7
+    case = build_case(DynkinType("C", 50))
+    residuals = c_blocks(case).residuals
+    assert max(residuals["khat_reference"], residuals["lhat_reference"]) <= 1e-12
+    assert spectral.c_checks(case)["c_reduction"]["pass"]
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_c_reduction_identities(n):
     res = verify_c_reduction(c_case_blocks(n), samples=16)
