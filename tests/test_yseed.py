@@ -325,10 +325,12 @@ def test_periodicity(dt):
     loop = build_mutation_loop(dt)
     _, _, period = group_constants(dt)
     points = np.random.default_rng(23).uniform(0.5, 2.0, (20, loop.n_vertices))
-    for p in (period, period - 1):
-        worst = max(check_periodicity(loop, y, p) for y in points)
-        assert check_periodicity(loop, points, p) == worst
-    assert max(check_periodicity(loop, y, period) for y in points) <= 1e-8
+    worst = max(check_periodicity(loop, y, period) for y in points)
+    assert worst <= 1e-8
+    assert check_periodicity(loop, points, period) == worst
+    # off the period the residuals are O(1) and differ from point to point
+    off = max(check_periodicity(loop, y, period - 1) for y in points)
+    assert check_periodicity(loop, points, period - 1) == off
 
 
 @pytest.mark.parametrize("dt", [DynkinType("B", 4), DynkinType("C", 3), DynkinType("D", 5), DynkinType("A", 2)], ids=str)
