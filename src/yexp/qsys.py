@@ -192,22 +192,15 @@ def closed_form_qtable(dt: DynkinType, level: int = 2) -> QTable:
 
 
 def check_restricted_qsystem(qt: QTable) -> float:
-    """Max relative residual of the level-restricted Q-system over the index set."""
-    from .ysys import g_coefficient
+    """Max relative residual of the level-restricted Q-system Q_m^2 = Q_{m-1} Q_{m+1} + Q_m^2 prod Q^G,
+    read as Q_m^2 = Q_{m-1} Q_{m+1} (1 + Y_m) with Y = y_from_q(qt), which takes the product."""
+    from .ysys import y_from_q
 
-    rs = build_root_system(qt.type)
-    worst = 0.0
-    pairs = list(qt.interior_items())
-    for (i, m), q in pairs:
-        prod = 1.0
-        for (j, k), qjk in pairs:
-            e = g_coefficient(rs, i, m, j, k)
-            if e:
-                prod *= qjk ** e
-        lhs = q * q
-        rhs = qt.value(i, m - 1) * qt.value(i, m + 1) + q * q * prod
-        worst = max(worst, abs(lhs - rhs) / abs(lhs))
-    return worst
+    ys = y_from_q(qt)
+    return max(
+        abs(q * q - qt.value(i, m - 1) * qt.value(i, m + 1) * (1.0 + ys.value(i, m))) / (q * q)
+        for (i, m), q in qt.interior_items()
+    )
 
 
 def check_qsol_properties(dt: DynkinType, level: int = 2, vanish_terms: int = None) -> Dict[str, float]:

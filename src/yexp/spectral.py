@@ -21,6 +21,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from .qsys import _sin_pi
 from .quiver import MutationLoop
 from .rootsys import DynkinType, RootSystem, build_root_system, group_constants
 from .yseed import (LoopJacobian, check_periodicity, cluster_transform,
@@ -365,33 +366,35 @@ def _c_relation_residuals(case: Case, seed: int) -> Dict[str, float]:
 
 # ------------------------------------------------------- eigenvector lemmas
 
-def _lemma_phi_B(n: int, lam: complex) -> np.ndarray:
+def _lemma_phi_B(n: int, power: Callable[[int], complex]) -> np.ndarray:
+    """phi at lambda = power(1), with lambda^j = power(j)."""
     l = n // 2
+    lam = power(1)
     phi = np.zeros(2 * n + 1, dtype=complex)
     phi[2 * l - 1] = 1.0  # phi_{2l}
     phi[2 * l + 1] = 1.0  # phi_{2l+2}
 
-    def geom(lo, hi):
-        return sum(lam ** j for j in range(lo, hi + 1))
+    def geom(lo, hi):  # lambda^lo + ... + lambda^hi, with lambda != 1
+        return (power(hi + 1) - power(lo)) / (lam - 1)
 
     for k in range(1, l):
         coef_odd = -2 * (l - k) * (2 * l + 1) ** 2 / (
             (2 * l - 2 * k - 1) ** 2 * (2 * l - 2 * k + 1) ** 2 * (4 * l + 1)
         )
         phi[2 * l - 2 * k - 2] = (coef_odd / lam) * (
-            (2 * l - 2 * k + 1) * (lam ** (2 * k + 1) + lam ** (2 * k) + lam ** (-2 * k) + lam ** (-(2 * k + 1)))
+            (2 * l - 2 * k + 1) * (power(2 * k + 1) + power(2 * k) + power(-2 * k) + power(-(2 * k + 1)))
             + 2 * geom(-(2 * k - 1), 2 * k - 1)
         )
         coef_even = (2 * l - 2 * k + 1) * (2 * l + 1) ** 2 / (4 * l + 1)
         phi[2 * l - 2 * k - 1] = 2 * coef_even * (
-            (l - k + 1) * (lam ** (2 * k) + lam ** (2 * k - 1) + lam ** (-(2 * k - 1)) + lam ** (-2 * k))
+            (l - k + 1) * (power(2 * k) + power(2 * k - 1) + power(-(2 * k - 1)) + power(-2 * k))
             + geom(-(2 * k - 2), 2 * k - 2)
         )
     phi[2 * l - 2] = -(2 * l * (2 * l + 1) ** 2 / ((2 * l - 1) ** 2 * (4 * l + 1) ** 2)) * (
-        2 + (2 * l + 1) / lam + (2 * l + 1) / lam ** 2
+        2 + (2 * l + 1) * power(-1) + (2 * l + 1) * power(-2)
     )
-    phi[2 * l] = -((2 * l + 1) ** 3 / (8 * l ** 3)) * (1 + 1 / lam)
-    phi[2 * l + 2] = (2 * l * (2 * l + 1) ** 2 / (4 * l + 1)) * ((2 * l + 1) * (lam + 1 / lam) + 4 * l)
+    phi[2 * l] = -((2 * l + 1) ** 3 / (8 * l ** 3)) * (1 + power(-1))
+    phi[2 * l + 2] = (2 * l * (2 * l + 1) ** 2 / (4 * l + 1)) * ((2 * l + 1) * (lam + power(-1)) + 4 * l)
     for k in range(1, l):
         phi[2 * l + 2 * k + 1] = -phi[2 * l - 2 * k - 1] / (16 * lam * (l - k) ** 2 * (l - k + 1) ** 2)
         phi[2 * l + 2 * k + 2] = (
@@ -400,8 +403,10 @@ def _lemma_phi_B(n: int, lam: complex) -> np.ndarray:
     return phi
 
 
-def _lemma_phi_D(n: int, lam: complex) -> np.ndarray:
+def _lemma_phi_D(n: int, power: Callable[[int], complex]) -> np.ndarray:
+    """phi at lambda = power(1), with lambda^j = power(j)."""
     l = n // 2
+    lam = power(1)
     phi = np.zeros(n, dtype=complex)
     phi[n - 2] = 1.0
     phi[n - 1] = 1.0
@@ -409,11 +414,11 @@ def _lemma_phi_D(n: int, lam: complex) -> np.ndarray:
         coef_odd = (l - k) * (2 * l - 1) ** 2 / (
             l * (2 * l - 2 * k - 1) ** 2 * (2 * l - 2 * k + 1) ** 2
         )
-        full = sum(lam ** j for j in range(-(k - 1), k))
-        phi[2 * l - 2 * k - 2] = coef_odd * ((2 * l - 2 * k + 1) * (lam ** k + lam ** (-k)) + 2 * full)
+        full = (power(k) - power(-(k - 1))) / (lam - 1)  # lambda^{-(k-1)} + ... + lambda^{k-1}
+        phi[2 * l - 2 * k - 2] = coef_odd * ((2 * l - 2 * k + 1) * (power(k) + power(-k)) + 2 * full)
         coef_even = -(2 * l - 2 * k + 1) * (2 * l - 1) ** 2 / l
-        mid = sum(lam ** j for j in range(-(k - 2), k))
-        phi[2 * l - 2 * k - 1] = coef_even * ((l - k + 1) * (lam ** k + lam ** (-(k - 1))) + mid)
+        mid = (power(k) - power(-(k - 2))) / (lam - 1)  # lambda^{-(k-2)} + ... + lambda^{k-1}
+        phi[2 * l - 2 * k - 1] = coef_even * ((l - k + 1) * (power(k) + power(-(k - 1))) + mid)
     return phi
 
 
@@ -431,14 +436,24 @@ def lemma_parameters(dt: DynkinType) -> Tuple[complex, int]:
     return np.exp(2j * np.pi / order), order - 1
 
 
+def _lemma_powers(dt: DynkinType, a: int) -> Callable[[int], complex]:
+    """j -> lambda^j for lambda = zeta^a, read from one table of the order's
+    roots of unity at the exactly reduced index a j mod order."""
+    order = lemma_parameters(dt)[1] + 1
+    k = np.arange(order)
+    roots = _sin_pi(order + 4 * k, 2 * order) + 1j * _sin_pi(2 * k, order)  # cos + i sin of 2 pi k/order
+    return lambda j: roots[(a * j) % order]
+
+
 def lemma_eigenvector(case: Case, a: int):
     """Closed-form eigenvector at lambda = zeta^a; returns (lambda, psi, residual)."""
     dt = case.type
-    zeta, amax = lemma_parameters(dt)
+    _, amax = lemma_parameters(dt)
     if not 1 <= a <= amax:
         raise ValueError(f"a = {a} out of range 1..{amax}")
-    lam = zeta ** a
-    phi = _lemma_phi_B(dt.rank, lam) if dt.family == "B" else _lemma_phi_D(dt.rank, lam)
+    power = _lemma_powers(dt, a)
+    lam = power(1)
+    phi = _lemma_phi_B(dt.rank, power) if dt.family == "B" else _lemma_phi_D(dt.rank, power)
     residual = float(np.max(np.abs(case.jacobian @ phi - lam * phi)) / np.max(np.abs(phi)))
     return lam, phi, residual
 
@@ -463,13 +478,12 @@ def special_eigenvector(case: Case):
 
 def lemma_boundary_value(dt: DynkinType, a: int) -> float:
     """|phi_0| from the continued closed form; vanishes exactly at lambda = zeta^a."""
-    zeta, amax = lemma_parameters(dt)
-    lam = zeta ** a
+    power = _lemma_powers(dt, a)
     l = dt.rank // 2
     if dt.family == "B":
-        val = (2 * (2 * l + 1) ** 2 / (4 * l + 1)) * lam ** (-2 * l) * sum(lam ** j for j in range(4 * l + 1))
+        val = (2 * (2 * l + 1) ** 2 / (4 * l + 1)) * power(-2 * l) * power(np.arange(4 * l + 1)).sum()
     else:
-        val = (2 * (2 * l - 1) ** 2 / (2 * l)) * lam ** (-(l - 1)) * sum(lam ** j for j in range(2 * l))
+        val = (2 * (2 * l - 1) ** 2 / (2 * l)) * power(-(l - 1)) * power(np.arange(2 * l)).sum()
     return abs(val)
 
 
@@ -614,51 +628,46 @@ def _lhat_reference(n: int, Y) -> np.ndarray:
     L[4 * l - 4, 4 * l - 2] = Y(m - 1, 1) / ((Y(m - 1, 2) + 1) * (Y(m, 1) + 1))
     L[4 * l - 3, 4 * l - 2] = -1.0 / (Y(m - 1, 2) * (Y(m, 1) + 1))
     L[4 * l - 2, 4 * l - 2] = Y(m - 1, 2) * Y(m, 1) / ((Y(m - 1, 2) + 1) * (Y(m, 1) + 1))
-    L[4 * l - 1, 4 * l - 2] = Y(m - 1, 2) / (Y(m, 1) * (Y(m, 1) + 1)) - (Y(m - 1, 2) + 1) / Y(m, 1) ** 2
+    # Y(m-1,2)/(Y(m,1)(Y(m,1)+1)) - (Y(m-1,2)+1)/Y(m,1)^2, without its cancellation at high rank
+    L[4 * l - 1, 4 * l - 2] = -(Y(m - 1, 2) + Y(m, 1) + 1) / (Y(m, 1) ** 2 * (Y(m, 1) + 1))
     L[4 * l - 2, 4 * l - 1] = Y(m, 1) ** 2 / (Y(m - 1, 2) + 1)
     return L
 
 
-def _k_reduced(n: int, Y, lam: complex) -> np.ndarray:
-    big = lam + 1 / lam
-    d = n - 1
-    k = np.zeros((d, d), dtype=complex)
-    for i in range(1, d + 1):
-        k[i - 1, i - 1] = big
-        for j in (i - 1, i + 1):
-            if 1 <= j <= d:
-                k[i - 1, j - 1] = Y(i, 1) / (Y(j, 1) + 1)
-    return k
+def _chain(y: np.ndarray) -> np.ndarray:
+    """Zero-diagonal tridiagonal M with M[i, i +- 1] = y_i / (y_{i +- 1} + 1)."""
+    return np.diag(y[:-1] / (y[1:] + 1), 1) + np.diag(y[1:] / (y[:-1] + 1), -1)
 
 
-def _l_reduced(n: int, Y, lam: complex) -> np.ndarray:
-    big = lam + 1 / lam
-    d = 2 * n
-    L = np.zeros((d, d), dtype=complex)
-    for i in range(1, 2 * n - 1):
-        L[i - 1, i - 1] = big
-        if i % 2 == 1:
-            j = i + 1
-            if j <= 2 * n - 2:
-                L[i - 1, j - 1] = Y(j // 2, 1) / (Y(j // 2, 2) * (Y(j // 2, 2) + 1))
-            for j in (i - 2, i + 2):
-                if 1 <= j <= 2 * n - 2:
-                    L[i - 1, j - 1] = Y((i + 1) // 2, 1) / (Y((j + 1) // 2, 1) + 1)
-        else:
-            L[i - 1, i - 2] = 2 * Y(i // 2, 2) / (Y(i // 2, 1) * (Y(i // 2, 1) + 1))
-            for j in (i - 2, i + 2):
-                if 1 <= j <= 2 * n - 2:
-                    L[i - 1, j - 1] = Y(i // 2, 2) / (Y(j // 2, 2) + 1)
-    L[2 * n - 2, 2 * n - 2] = big
-    L[2 * n - 1, 2 * n - 1] = big
-    L[2 * n - 2, 2 * n - 4] = -2 / lam * Y(n, 1) / (Y(n - 1, 1) + 1)
-    L[2 * n - 2, 2 * n - 3] = 2 * Y(n, 1) / (Y(n - 1, 2) + 1)
-    L[2 * n - 1, 2 * n - 3] = lam * Y(n, 1)
-    L[2 * n - 3, 2 * n - 2] = Y(n - 1, 2) / (Y(n, 1) + 1)
-    L[2 * n - 1, 2 * n - 2] = Y(n - 1, 2) + 1
-    L[2 * n - 3, 2 * n - 1] = Y(n - 1, 2) / (lam * (Y(n - 1, 2) + 1) * (Y(n, 1) + 1))
-    L[2 * n - 2, 2 * n - 1] = 2.0 / (Y(n - 1, 2) + 1)
-    return L
+def _reduced_blocks(n: int, Y) -> Tuple[Callable[[complex], np.ndarray], Callable[[complex], np.ndarray]]:
+    """K(lambda) and L(lambda) of the C_n reduction: the lambda-free entries are built
+    once, and each call adds (lambda + 1/lambda) I and the three entries in lambda^{+-1}."""
+    y1 = np.array([Y(i, 1) for i in range(1, n)])
+    y2 = np.array([Y(i, 2) for i in range(1, n)])
+    yn = Y(n, 1)
+    k0 = _chain(y1)
+    l0 = np.zeros((2 * n, 2 * n))
+    l0[0:2 * n - 2:2, 0:2 * n - 2:2] = k0
+    l0[1:2 * n - 2:2, 1:2 * n - 2:2] = _chain(y2)
+    r = np.arange(n - 1)
+    l0[2 * r, 2 * r + 1] = y1 / (y2 * (y2 + 1))
+    l0[2 * r + 1, 2 * r] = 2 * y2 / (y1 * (y1 + 1))
+    l0[2 * n - 2, 2 * n - 3] = 2 * yn / (y2[-1] + 1)
+    l0[2 * n - 3, 2 * n - 2] = y2[-1] / (yn + 1)
+    l0[2 * n - 1, 2 * n - 2] = y2[-1] + 1
+    l0[2 * n - 2, 2 * n - 1] = 2.0 / (y2[-1] + 1)
+
+    def K(lam):
+        return k0 + (lam + 1 / lam) * np.eye(n - 1)
+
+    def L(lam):
+        m = l0 + (lam + 1 / lam) * np.eye(2 * n)
+        m[2 * n - 2, 2 * n - 4] = -2 / lam * yn / (y1[-1] + 1)
+        m[2 * n - 1, 2 * n - 3] = lam * yn
+        m[2 * n - 3, 2 * n - 1] = y2[-1] / (lam * (y2[-1] + 1) * (yn + 1))
+        return m
+
+    return K, L
 
 
 def c_blocks(case: Case, block_tol: float = 1e-9) -> CBlockPair:
@@ -666,7 +675,8 @@ def c_blocks(case: Case, block_tol: float = 1e-9) -> CBlockPair:
 
     Raises if the off-diagonal blocks exceed `block_tol`. For even rank the
     extracted blocks are also compared against their closed-form entry tables,
-    each residual relative to max(1, max|table|).
+    entry by entry: relative to |table entry| where it is nonzero, and to
+    max(1, max|table|) where it is zero.
     """
     if case.type.family != "C":
         raise ValueError(f"the block reduction is for type C, not {case.type.family}")
@@ -685,17 +695,19 @@ def c_blocks(case: Case, block_tol: float = 1e-9) -> CBlockPair:
     Y = case.point.ysol.value
     residuals = {"offdiag": offdiag}
     if n % 2 == 0:
-        # relative to max(1, max|ref|), since the entries of L-hat grow with rank
+        # per entry, since the entries of L-hat span many magnitudes at high rank
         for name, block, ref in (("khat_reference", khat, _khat_reference(n, Y)),
                                  ("lhat_reference", lhat, _lhat_reference(n, Y))):
-            residuals[name] = float(np.max(np.abs(block - ref))) / max(1.0, float(np.max(np.abs(ref))))
+            scale = np.where(ref != 0, np.abs(ref), max(1.0, float(np.max(np.abs(ref)))))
+            residuals[name] = float(np.max(np.abs(block - ref) / scale))
+    K, L = _reduced_blocks(n, Y)
     return CBlockPair(
         rank=n,
         jacobian=jac,
         Khat=khat,
         Lhat=lhat,
-        K=lambda lam: _k_reduced(n, Y, lam),
-        L=lambda lam: _l_reduced(n, Y, lam),
+        K=K,
+        L=L,
         basis=u,
         residuals=residuals,
     )

@@ -1,10 +1,10 @@
 """Level-restricted constant Y-systems and the positive fixed point eta.
 
-The coupling coefficients G admit several inequivalent readings (Cartan
-transpose, index order, ratio direction), so this module calibrates the
-reading once against the closed-form type-B/D solutions (exact rationals).
-Only the search itself passes candidate readings around; everything else uses
-the calibrated one.
+The coupling exponents form one cached integer matrix G over the index set H,
+whose formula admits several readings (Cartan transpose, ratio direction, G or
+its transpose in each system). This module calibrates the reading once against
+the closed-form type-B/D solutions (exact rationals); only the search itself
+passes candidate readings around, everything else uses the calibrated one.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ class GReading:
     case_direction:    which ratio (t_first/t_second or the reverse) selects the
                        convolution case.
     ysys_order/qy_order: whether the exponent attached to position (j,k) in the
-                       equation at (i,m) is G[(i,m),(j,k)] ("direct") or
-                       G[(j,k),(i,m)] ("swapped").
+                       equation at (i,m) is G[(i,m),(j,k)] ("direct", G) or
+                       G[(j,k),(i,m)] ("swapped", G transposed).
     """
 
     cartan_convention: str
@@ -53,26 +53,42 @@ class GReading:
     qy_order: str
 
 
-def _cartan_entry(rs: RootSystem, a: int, b: int, convention: str) -> int:
-    if convention == "row":
-        return rs.cartan[a - 1][b - 1]
-    return rs.cartan[b - 1][a - 1]
-
-
-def _g_formula(rs: RootSystem, a: int, bm: int, c: int, dk: int, convention: str, direction: str) -> int:
-    """Three-case coupling formula on first pair (a, bm), second pair (c, dk)."""
-    ta, tc = rs.t_i[a - 1], rs.t_i[c - 1]
+def _g_formula(t_i, cartan: np.ndarray, a: int, bm: int, c: int, dk: int, direction: str) -> int:
+    """Three-case coupling formula on first pair (a, bm), second pair (c, dk); `cartan` follows the reading."""
+    ta, tc = t_i[a - 1], t_i[c - 1]
     num, den = (ta, tc) if direction == "first/second" else (tc, ta)
     if num == 2 * den:
-        coef = -_cartan_entry(rs, c, a, convention)
+        coef = -cartan[c - 1, a - 1]
         return coef * ((bm == 2 * dk - 1) + 2 * (bm == 2 * dk) + (bm == 2 * dk + 1))
     if num == 3 * den:
-        coef = -_cartan_entry(rs, c, a, convention)
+        coef = -cartan[c - 1, a - 1]
         return coef * (
             (bm == 3 * dk - 2) + 2 * (bm == 3 * dk - 1) + 3 * (bm == 3 * dk)
             + 2 * (bm == 3 * dk + 1) + (bm == 3 * dk + 2)
         )
-    return -_cartan_entry(rs, a, c, convention) * (tc * bm == ta * dk)
+    return -cartan[a - 1, c - 1] * (tc * bm == ta * dk)
+
+
+@lru_cache(maxsize=None)
+def _g_matrix(dt: DynkinType, level: int, convention: str, direction: str) -> np.ndarray:
+    """Read-only integer G[p, q] = `_g_formula` on pairs H[p], H[q] of H = index_set_H(dt, level);
+    it vanishes unless the Cartan matrix couples the two nodes, so only those node pairs are visited."""
+    rs = build_root_system(dt)
+    cartan = np.array(rs.cartan) if convention == "row" else np.array(rs.cartan).T
+    H = index_set_H(dt, level)
+    pos = {h: p for p, h in enumerate(H)}
+    g = np.zeros((len(H), len(H)), dtype=np.int64)
+    for a, c in np.argwhere((cartan != 0) | (cartan.T != 0)) + 1:
+        for bm, dk in iproduct(range(1, rs.t_i[a - 1] * level), range(1, rs.t_i[c - 1] * level)):
+            g[pos[(a, bm)], pos[(c, dk)]] = _g_formula(rs.t_i, cartan, a, bm, c, dk, direction)
+    g.setflags(write=False)
+    return g
+
+
+def _coupling(dt: DynkinType, level: int, reading: GReading, order: str) -> np.ndarray:
+    """G, or its transpose when `order` (the reading's ysys_order or qy_order) is "swapped"."""
+    g = _g_matrix(dt, level, reading.cartan_convention, reading.case_direction)
+    return g if order == "direct" else g.T
 
 
 def g_coefficient(rs: RootSystem, i: int, m: int, j: int, k: int,
@@ -80,15 +96,9 @@ def g_coefficient(rs: RootSystem, i: int, m: int, j: int, k: int,
     """Coupling exponent attached to (j, k) in the Q-system relation at (i, m)
     under `reading` (default: the calibrated one)."""
     reading = reading or calibrate_reading()
-    if reading.qy_order == "direct":
-        return _g_formula(rs, i, m, j, k, reading.cartan_convention, reading.case_direction)
-    return _g_formula(rs, j, k, i, m, reading.cartan_convention, reading.case_direction)
-
-
-def _g_ysys(rs: RootSystem, i: int, m: int, j: int, k: int, reading: GReading) -> int:
-    if reading.ysys_order == "direct":
-        return _g_formula(rs, i, m, j, k, reading.cartan_convention, reading.case_direction)
-    return _g_formula(rs, j, k, i, m, reading.cartan_convention, reading.case_direction)
+    level = max(2, m // rs.t_i[i - 1] + 1, k // rs.t_i[j - 1] + 1)  # least level whose H holds both
+    H = index_set_H(rs.type, level)
+    return int(_coupling(rs.type, level, reading, reading.qy_order)[H.index((i, m)), H.index((j, k))])
 
 
 @dataclass(frozen=True)
@@ -117,44 +127,28 @@ def closed_form_y_exact(dt: DynkinType) -> Dict[Tuple[int, int], Fraction]:
 
 
 def y_from_q(qt: QTable, reading: GReading | None = None) -> YSolution:
-    """Positive Y-system solution built from a Q-table (default: calibrated reading)."""
+    """Positive Y-system solution Y = Q_m^2 prod Q^G / (Q_{m-1} Q_{m+1}) built
+    from a Q-table (default: calibrated reading)."""
     reading = reading or calibrate_reading()
-    rs = build_root_system(qt.type)
-    pairs = list(qt.interior_items())
-    out = {}
-    for (i, m), q in pairs:
-        prod = 1.0
-        for (j, k), qjk in pairs:
-            e = g_coefficient(rs, i, m, j, k, reading)
-            if e:
-                prod *= qjk ** e
-        out[(i, m)] = q * q * prod / (qt.value(i, m - 1) * qt.value(i, m + 1))
-    return YSolution(qt.type, qt.level, out)
+    H = index_set_H(qt.type, qt.level)
+    q = np.array([qt.value(i, m) for i, m in H])
+    ends = np.array([qt.value(i, m - 1) * qt.value(i, m + 1) for i, m in H])
+    g = _coupling(qt.type, qt.level, reading, reading.qy_order)
+    y = q * q * np.exp(g @ np.log(q)) / ends
+    return YSolution(qt.type, qt.level, dict(zip(H, y.tolist())))
 
 
 def check_ysystem(ys: YSolution, reading: GReading | None = None) -> float:
-    """Max relative residual of the restricted constant Y-system (default: calibrated reading)."""
+    """Max relative residual of Y_m^2 (1 + 1/Y_{m-1})(1 + 1/Y_{m+1}) = (1 + Y_m)^2 prod (1 + Y)^G,
+    with 1 + 1/Y = 1 at the ends m = 0, t_i * level (default: calibrated reading)."""
     reading = reading or calibrate_reading()
-    rs = build_root_system(ys.type)
-    level = ys.level
-    items = sorted(ys.values.items())
-    worst = 0.0
-    for (i, m), y in items:
-        top = rs.t_i[i - 1] * level
-        den = 1.0
-        if m - 1 > 0:
-            den *= 1.0 + 1.0 / ys.value(i, m - 1)
-        if m + 1 < top:
-            den *= 1.0 + 1.0 / ys.value(i, m + 1)
-        num = 1.0
-        for (j, k), yjk in items:
-            e = _g_ysys(rs, i, m, j, k, reading) + 2 * (i == j and m == k)
-            if e:
-                num *= (1.0 + yjk) ** e
-        lhs = y * y
-        rhs = num / den
-        worst = max(worst, abs(lhs - rhs) / abs(lhs))
-    return worst
+    H = index_set_H(ys.type, ys.level)
+    y = np.array([ys.values[h] for h in H])
+    inv = {h: 1.0 + 1.0 / v for h, v in ys.values.items()}
+    den = np.array([inv.get((i, m - 1), 1.0) * inv.get((i, m + 1), 1.0) for i, m in H])
+    g = _coupling(ys.type, ys.level, reading, reading.ysys_order)
+    rhs = (1.0 + y) ** 2 * np.exp(g @ np.log1p(y)) / den
+    return float(np.max(np.abs(y * y - rhs) / (y * y)))
 
 
 def _calibration_cases():

@@ -207,6 +207,11 @@ def test_lemma_boundary_values():
         assert lemma_boundary_value(DynkinType("B", 4), a) <= 1e-10
     for a in range(1, 4):
         assert lemma_boundary_value(DynkinType("D", 4), a) <= 1e-10
+    # lambda^j is read from a table of roots of unity, so the boundary sum
+    # stays at rounding size where float powers of lambda drift (1.2e-8 at B130)
+    for dt in (DynkinType("B", 130), DynkinType("D", 168), DynkinType("B", 512), DynkinType("D", 512)):
+        order = 4 * (dt.rank // 2) + 1 if dt.family == "B" else dt.rank
+        assert max(lemma_boundary_value(dt, a) for a in range(1, order)) <= 1e-9
 
 
 def test_c_blocks_structure():
@@ -235,6 +240,71 @@ def test_c50_block_reference_residuals_are_relative():
     residuals = c_blocks(case).residuals
     assert max(residuals["khat_reference"], residuals["lhat_reference"]) <= 1e-12
     assert spectral.c_checks(case)["c_reduction"]["pass"]
+
+
+def test_c50_block_reference_residuals_are_per_entry(monkeypatch):
+    # a 1e-4 relative error in one small entry of the L-hat table is 1e-13 of max|L-hat|
+    original = spectral._lhat_reference
+
+    def perturbed(n, Y):
+        table = original(n, Y)
+        table[2, 3] *= 1 + 1e-4  # i = j - 1 = 3, j = 4
+        return table
+
+    monkeypatch.setattr(spectral, "_lhat_reference", perturbed)
+    assert not spectral.c_checks(build_case(DynkinType("C", 50)))["c_reduction"]["pass"]
+
+
+def k_reduced_oracle(n, Y, lam):
+    big = lam + 1 / lam
+    d = n - 1
+    k = np.zeros((d, d), dtype=complex)
+    for i in range(1, d + 1):
+        k[i - 1, i - 1] = big
+        for j in (i - 1, i + 1):
+            if 1 <= j <= d:
+                k[i - 1, j - 1] = Y(i, 1) / (Y(j, 1) + 1)
+    return k
+
+
+def l_reduced_oracle(n, Y, lam):
+    big = lam + 1 / lam
+    d = 2 * n
+    L = np.zeros((d, d), dtype=complex)
+    for i in range(1, 2 * n - 1):
+        L[i - 1, i - 1] = big
+        if i % 2 == 1:
+            j = i + 1
+            if j <= 2 * n - 2:
+                L[i - 1, j - 1] = Y(j // 2, 1) / (Y(j // 2, 2) * (Y(j // 2, 2) + 1))
+            for j in (i - 2, i + 2):
+                if 1 <= j <= 2 * n - 2:
+                    L[i - 1, j - 1] = Y((i + 1) // 2, 1) / (Y((j + 1) // 2, 1) + 1)
+        else:
+            L[i - 1, i - 2] = 2 * Y(i // 2, 2) / (Y(i // 2, 1) * (Y(i // 2, 1) + 1))
+            for j in (i - 2, i + 2):
+                if 1 <= j <= 2 * n - 2:
+                    L[i - 1, j - 1] = Y(i // 2, 2) / (Y(j // 2, 2) + 1)
+    L[2 * n - 2, 2 * n - 2] = big
+    L[2 * n - 1, 2 * n - 1] = big
+    L[2 * n - 2, 2 * n - 4] = -2 / lam * Y(n, 1) / (Y(n - 1, 1) + 1)
+    L[2 * n - 2, 2 * n - 3] = 2 * Y(n, 1) / (Y(n - 1, 2) + 1)
+    L[2 * n - 1, 2 * n - 3] = lam * Y(n, 1)
+    L[2 * n - 3, 2 * n - 2] = Y(n - 1, 2) / (Y(n, 1) + 1)
+    L[2 * n - 1, 2 * n - 2] = Y(n - 1, 2) + 1
+    L[2 * n - 3, 2 * n - 1] = Y(n - 1, 2) / (lam * (Y(n - 1, 2) + 1) * (Y(n, 1) + 1))
+    L[2 * n - 2, 2 * n - 1] = 2.0 / (Y(n - 1, 2) + 1)
+    return L
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_reduced_blocks_match_the_entrywise_oracle(n):
+    blocks = c_case_blocks(n)
+    Y = y_solution(DynkinType("C", n)).value
+    for lam in spectral._unit_circle_samples(16):
+        for got, want in ((blocks.K(lam), k_reduced_oracle(n, Y, lam)),
+                          (blocks.L(lam), l_reduced_oracle(n, Y, lam))):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

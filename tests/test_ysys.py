@@ -1,5 +1,7 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from yexp import ysys
 from yexp.errors import ConvergenceError, MutationDomainError
-from yexp.qsys import closed_form_qtable
+from yexp.qsys import QTable, check_restricted_qsystem, closed_form_qtable
 from yexp.quiver import build_mutation_loop
 from yexp.rootsys import DynkinType, build_root_system
 from yexp.yseed import cluster_transform
@@ -39,6 +41,102 @@ def test_g_coefficient_examples():
     assert g_coefficient(rs, 4, 2, 3, 1) == 2  # short node couples through the convolution
     a4 = build_root_system(DynkinType("A", 4))
     assert g_coefficient(a4, 2, 1, 3, 1) == 1
+    # pairs beyond the level-2 index set are looked up in a larger one
+    reading = calibrate_reading()
+    assert g_coefficient(rs, 4, 6, 3, 3) == oracle_g(rs, 4, 6, 3, 3, reading, reading.qy_order) == 2
+
+
+# Scalar oracles: the coupling rule applied one (i, m), (j, k) pair at a time.
+
+ALL_READINGS = [GReading(*r) for r in product(("row", "col"), ("first/second", "second/first"),
+                                              ("direct", "swapped"), ("direct", "swapped"))]
+
+
+@lru_cache(maxsize=None)
+def oracle_cartan(rs, convention):
+    cartan = np.array(rs.cartan)
+    return cartan if convention == "row" else cartan.T
+
+
+def oracle_g(rs, i, m, j, k, reading, order):
+    """Exponent of (j, k) in the relation at (i, m) when the equation family's index order is `order`."""
+    first, second = ((i, m), (j, k)) if order == "direct" else ((j, k), (i, m))
+    return ysys._g_formula(rs.t_i, oracle_cartan(rs, reading.cartan_convention),
+                           *first, *second, reading.case_direction)
+
+
+def oracle_y_from_q(qt, reading):
+    rs = build_root_system(qt.type)
+    pairs = list(qt.interior_items())
+    out = {}
+    for (i, m), q in pairs:
+        prod = 1.0
+        for (j, k), qjk in pairs:
+            e = oracle_g(rs, i, m, j, k, reading, reading.qy_order)
+            if e:
+                prod *= qjk ** e
+        out[(i, m)] = q * q * prod / (qt.value(i, m - 1) * qt.value(i, m + 1))
+    return out
+
+
+def oracle_check_ysystem(ys, reading):
+    rs = build_root_system(ys.type)
+    items = sorted(ys.values.items())
+    worst = 0.0
+    for (i, m), y in items:
+        top = rs.t_i[i - 1] * ys.level
+        den = 1.0
+        if m - 1 > 0:
+            den *= 1.0 + 1.0 / ys.value(i, m - 1)
+        if m + 1 < top:
+            den *= 1.0 + 1.0 / ys.value(i, m + 1)
+        num = 1.0
+        for (j, k), yjk in items:
+            e = oracle_g(rs, i, m, j, k, reading, reading.ysys_order) + 2 * (i == j and m == k)
+            if e:
+                num *= (1.0 + yjk) ** e
+        worst = max(worst, abs(y * y - num / den) / abs(y * y))
+    return worst
+
+
+def oracle_check_qsystem(qt, reading):
+    rs = build_root_system(qt.type)
+    worst = 0.0
+    pairs = list(qt.interior_items())
+    for (i, m), q in pairs:
+        prod = 1.0
+        for (j, k), qjk in pairs:
+            e = oracle_g(rs, i, m, j, k, reading, reading.qy_order)
+            if e:
+                prod *= qjk ** e
+        rhs = qt.value(i, m - 1) * qt.value(i, m + 1) + q * q * prod
+        worst = max(worst, abs(q * q - rhs) / abs(q * q))
+    return worst
+
+
+ORACLE_TYPES = [DynkinType(f, r) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
+                for r in range(lo, 13)]
+
+
+@pytest.mark.parametrize("dt", ORACLE_TYPES, ids=str)
+def test_coupling_arrays_match_the_scalar_oracle(dt, monkeypatch):
+    rs = build_root_system(dt)
+    H = index_set_H(dt)
+    qt = closed_form_qtable(dt)
+    ys = y_solution(dt)
+    for reading in ALL_READINGS:
+        for order in ("direct", "swapped"):
+            expected = [[oracle_g(rs, i, m, j, k, reading, order) for j, k in H] for i, m in H]
+            assert ysys._coupling(dt, 2, reading, order).tolist() == expected
+        rebuilt = y_from_q(qt, reading).values
+        for h, v in oracle_y_from_q(qt, reading).items():
+            assert abs(rebuilt[h] - v) <= 1e-12 * abs(v)
+        # each residual is relative already, so one of rounding size agrees to 1e-12 absolutely
+        res, ref = check_ysystem(ys, reading), oracle_check_ysystem(ys, reading)
+        assert abs(res - ref) <= 1e-12 * max(1.0, ref)
+        monkeypatch.setattr(ysys, "calibrate_reading", lambda: reading)
+        res, ref = check_restricted_qsystem(qt), oracle_check_qsystem(qt, reading)
+        assert abs(res - ref) <= 1e-12 * max(1.0, ref)
 
 
 def test_closed_form_y_values_exact():
@@ -77,6 +175,19 @@ def test_ysystem_sensitivity():
     perturbed = dict(ys.values)
     perturbed[(2, 1)] *= 1.01
     assert check_ysystem(YSolution(ys.type, ys.level, perturbed)) > 1e-3
+
+
+@pytest.mark.parametrize("dt", [DynkinType("C", 40), DynkinType("B", 40)], ids=str)
+@pytest.mark.parametrize("node", [(2, 1), (39, 1), (40, 1)], ids=str)
+def test_residual_sensitivity_at_rank_40(dt, node):
+    ys = y_solution(dt)
+    perturbed = dict(ys.values)
+    perturbed[node] *= 1 + 1e-6
+    assert check_ysystem(YSolution(ys.type, ys.level, perturbed)) > 1e-9
+    qt = closed_form_qtable(dt)
+    perturbed = dict(qt.values)
+    perturbed[node] *= 1 + 1e-6
+    assert check_restricted_qsystem(QTable(qt.type, qt.level, qt.t_i, perturbed)) > 1e-9
 
 
 def test_eta_examples():
