@@ -33,24 +33,27 @@ def _sin_pi(a, p: int):
     return sign * np.sin(np.pi * (r / p))
 
 
-def qdim(rs: RootSystem, level: int, weight: Tuple[int, ...]) -> float:
+def qdim(rs: RootSystem, level: int, weight):
     """Specialized dimension of the irreducible with the given dominant weight.
 
-    `weight` lists nonnegative coefficients in the fundamental-weight basis.
+    `weight` lists nonnegative coefficients in the fundamental-weight basis:
+    one weight gives a float, a (W, n) stack of weights an array of W values.
     The q-dimension is prod over positive roots of
     sin(pi t<alpha, rho + lambda>/P) / sin(pi t<alpha, rho>/P) with
     P = t(level + h_dual) (Kac, Infinite-dimensional Lie algebras, ch. 13).
     """
     n = rs.type.rank
-    if len(weight) != n:
+    weight = np.asarray(weight)
+    if weight.shape[-1:] != (n,):
         raise ValueError(f"weight needs {n} fundamental coordinates")
     t = rs.t_group
     period = t * (level + rs.h_dual)
     if period == 0 or not np.all(rs.heights % period):
         raise ZeroDivisionError(f"q-dimension denominator vanishes: P = {period} divides a root height")
     den = _sin_pi(rs.heights, period)
-    shifted = rs.positive_roots @ ((t // np.array(rs.t_i)) * (1 + np.array(weight)))
-    return float(np.prod(_sin_pi(shifted, period) / den))
+    shifted = rs.pairings((t // np.array(rs.t_i)) * (1 + weight))
+    q = np.prod(_sin_pi(shifted, period) / den, axis=-1)
+    return float(q) if weight.ndim == 1 else q
 
 
 def _kr_terms(dt: DynkinType, t_i, i: int, m: int):
@@ -112,7 +115,7 @@ def kr_qchar(rs: RootSystem, level: int, i: int, m: int) -> float:
         raise ValueError(f"node index {i} out of range 1..{n}")
     if m < 0:
         raise ValueError(f"negative m = {m}")
-    return sum(qdim(rs, level, w) for w in _kr_terms(rs.type, rs.t_i, i, m))
+    return sum(qdim(rs, level, np.array(_kr_terms(rs.type, rs.t_i, i, m))).tolist())
 
 
 @dataclass(frozen=True)

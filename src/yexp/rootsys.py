@@ -1,11 +1,12 @@
 """Root-system data for the classical families A/B/C/D.
 
-Everything lives on the integer simple-root lattice. A root is its row of
-coefficients k in alpha = sum_j k_j alpha_j, and inner products are
-normalized so that long roots have squared length 2. Scaled by t = t_group
-every pairing the package needs is an integer: t<alpha_i, alpha_j> =
-C_ij t/t_i, and t<alpha, rho + lambda> = sum_j k_j (t/t_j)(1 + c_j) for a
-weight lambda with fundamental-weight coordinates c.
+Everything lives on the integer simple-root lattice. Every positive root
+alpha = sum_j k_j alpha_j is the sum of two intervals of simple roots, so its
+pairing sum_j k_j w_j with an integer vector w is a difference of prefix sums
+of w. Inner products are normalized so that long roots have squared length 2.
+Scaled by t = t_group every pairing the package needs is an integer:
+t<alpha, rho + lambda> = sum_j k_j (t/t_j)(1 + c_j) for a weight lambda with
+fundamental-weight coordinates c.
 """
 
 from __future__ import annotations
@@ -37,11 +38,12 @@ class DynkinType:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Cartan data plus the positive roots as read-only integer arrays.
+    """Cartan data plus the positive roots as read-only arrays.
 
-    `positive_roots[r]` is the simple-root coefficient row of root r,
-    `long[r]` says whether it is long and `heights[r]` = t<rho, alpha_r>.
-    The arrays follow from `type` and take no part in equality.
+    Root r is the sum of alpha_k over lo1 <= k < hi1 and over lo2 <= k < hi2
+    (k 0-based), with (lo1, hi1, lo2, hi2) = `ends[r]`; `long[r]` says whether
+    it is long and `heights[r]` = t<rho, alpha_r>. The arrays follow from
+    `type` and take no part in equality.
     """
 
     type: DynkinType
@@ -49,9 +51,22 @@ class RootSystem:
     t_i: Tuple[int, ...]
     t_group: int
     h_dual: int
-    positive_roots: np.ndarray = field(compare=False)
+    ends: np.ndarray = field(compare=False)
     long: np.ndarray = field(compare=False)
     heights: np.ndarray = field(compare=False)
+
+    def pairings(self, w):
+        """sum_k c_k w_k for every root sum_k c_k alpha_k; see `_pairings`."""
+        return _pairings(self.ends, w)
+
+
+def _pairings(ends, w):
+    """Prefix-sum differences of `w`, one (n,) vector or a (W, n) stack, at the
+    interval ends; the result is (R,) or (W, R)."""
+    w = np.asarray(w)
+    prefix = np.concatenate((np.zeros_like(w[..., :1]), np.cumsum(w, axis=-1)), axis=-1)
+    lo1, hi1, lo2, hi2 = ends.T
+    return prefix[..., hi1] - prefix[..., lo1] + prefix[..., hi2] - prefix[..., lo2]
 
 
 def _cartan(dt: DynkinType):
@@ -70,70 +85,58 @@ def _cartan(dt: DynkinType):
     return c
 
 
-def _positive_roots(dt: DynkinType):
-    """Simple-root coefficient rows of the positive roots (Bourbaki, ch. VI, plates I-IV).
+def _interval_ends(dt: DynkinType):
+    """(lo1, hi1, lo2, hi2) rows of the positive roots (Bourbaki, ch. VI, plates I-IV).
 
-    e_i - e_j is the interval alpha_i + ... + alpha_{j-1}; for B/C/D,
-    e_i + e_j adds the family's row for 2 e_j, and B/C add e_i and 2 e_i.
+    e_i - e_j is the interval alpha_i + ... + alpha_{j-1}. For B/C/D, e_i + e_j
+    is alpha_i + ... + alpha_n plus alpha_j + ... + alpha_tail, with tail n, n-1
+    or n-2 for B, C or D (D's e_i + e_n drops alpha_{n-1} instead), and B/C add
+    e_i and 2 e_i. The array holds the 0-based half-open ends.
     """
     n, fam = dt.rank, dt.family
-
-    def seg(lo, hi, c=1):
-        row = np.zeros(n, dtype=np.int64)
-        row[lo:hi] = c
-        return row
-
-    if fam == "A":
-        return [seg(i, j) for i in range(n) for j in range(i + 1, n + 1)]
-    if fam == "B":
-        two_e = [seg(j, n, 2) for j in range(n)]
-    elif fam == "C":
-        two_e = [seg(j, n - 1, 2) + seg(n - 1, n) for j in range(n)]
-    else:  # D: alpha_{n-1} = e_{n-1} - e_n and alpha_n = e_{n-1} + e_n
-        two_e = [seg(j, n - 2, 2) + seg(n - 2, n) for j in range(n - 1)]
-        two_e.append(seg(n - 1, n) - seg(n - 2, n - 1))
-    rows = [seg(i, j) for i in range(n) for j in range(i + 1, n)]
-    rows += [seg(i, j) + two_e[j] for i in range(n) for j in range(i + 1, n)]
-    if fam == "B":
-        rows += [e // 2 for e in two_e]
-    elif fam == "C":
-        rows += two_e
-    return rows
+    i, j = np.triu_indices(n + (fam == "A"), 1)
+    blocks = [(i, j, 0, 0)]
+    if fam == "D":  # e_i + e_n = (alpha_i + ... + alpha_{n-2}) + alpha_n
+        last = j == n - 1
+        blocks.append((i, np.where(last, n - 2, n), j, np.where(last, n, n - 2)))
+    elif fam != "A":
+        blocks.append((i, n, j, n if fam == "B" else n - 1))
+        k = np.arange(n)
+        blocks.append((k, n, 0, 0) if fam == "B" else (k, n, k, n - 1))
+    return np.concatenate([np.stack(np.broadcast_arrays(*b), axis=1) for b in blocks])
 
 
 @lru_cache(maxsize=None)
 def build_root_system(dt: DynkinType) -> RootSystem:
     """Construct the positive roots and Cartan data on the integer lattice."""
-    cartan = _cartan(dt)
-    t_group = 2 if dt.family in ("B", "C") else 1
+    fam = dt.family
+    t_group = 2 if fam in ("B", "C") else 1
     t_i = np.ones(dt.rank, dtype=np.int64)  # t_i = t for short simple roots
-    if dt.family == "B":
+    if fam == "B":
         t_i[-1] = 2
-    elif dt.family == "C":
+    elif fam == "C":
         t_i[:-1] = 2
-    gram = cartan * (t_group // t_i)[:, None]  # t<alpha_i, alpha_j>
-    roots = np.array(_positive_roots(dt))
-    long = np.einsum("ri,ij,rj->r", roots, gram, roots) == 2 * t_group
-    heights = roots @ (t_group // t_i)
+    ends = _interval_ends(dt)
+    long = np.full(len(ends), fam != "C")
+    if fam in ("B", "C"):
+        long[-dt.rank:] = fam == "C"  # B's e_i are short, C's 2 e_i long
+    heights = _pairings(ends, t_group // t_i)
     assert not np.any(heights[long] % t_group), dt
-    h_dual = 1 + int(heights[long].max()) // t_group
-    for a in (roots, long, heights):
+    for a in (ends, long, heights):
         a.setflags(write=False)
     return RootSystem(
         type=dt,
-        cartan=tuple(map(tuple, cartan.tolist())),
+        cartan=tuple(map(tuple, _cartan(dt).tolist())),
         t_i=tuple(t_i.tolist()),
         t_group=t_group,
-        h_dual=h_dual,
-        positive_roots=roots,
+        h_dual=1 + int(heights[long].max()) // t_group,
+        ends=ends,
         long=long,
         heights=heights,
     )
 
 
-def group_constants(dt: DynkinType, level: int = 2):
-    """Return (t, h_dual, period) with period = t * (level + h_dual)."""
-    if level < 2:
-        raise ValueError(f"level {level} not supported: need level >= 2")
+def group_constants(dt: DynkinType):
+    """Return (t, h_dual, period) with period = t * (2 + h_dual) at level 2."""
     rs = build_root_system(dt)
-    return rs.t_group, rs.h_dual, rs.t_group * (level + rs.h_dual)
+    return rs.t_group, rs.h_dual, rs.t_group * (2 + rs.h_dual)

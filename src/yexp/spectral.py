@@ -58,18 +58,11 @@ def conjectured_charpoly(rs: RootSystem) -> Tuple[Counter, Counter]:
     whose t roots have the exponents <rho,alpha> + j(2 + h_dual), j < t.
     """
     t, h_dual, period = group_constants(rs.type)
-    shift = 2 + h_dual
-    num: Counter = Counter()
-    for ti in rs.t_i:
-        num.update(k for k in range(period) if k * (t // ti) % period)
-    den: Counter = Counter()
-    for height, long in zip(rs.heights.tolist(), rs.long.tolist()):
-        for h in (height, -height):  # the positive root and its negative
-            if long:
-                den.update((h // t + j * shift) % period for j in range(t))
-            else:
-                den[h % period] += 1
-    return num, den
+    num = np.nonzero(np.outer(t // np.array(rs.t_i), np.arange(period)) % period)[1]
+    h = np.concatenate((rs.heights, -rs.heights))  # the positive roots and their negatives
+    long = np.concatenate((rs.long, rs.long))
+    den = np.concatenate((h[~long], np.add.outer(h[long] // t, (2 + h_dual) * np.arange(t)).ravel()))
+    return Counter(num.tolist()), Counter((den % period).tolist())
 
 
 # ------------------------------------------------------------------- spectrum
@@ -422,8 +415,9 @@ def _lemma_phi_D(n: int, power: Callable[[int], complex]) -> np.ndarray:
     return phi
 
 
-def lemma_parameters(dt: DynkinType) -> Tuple[complex, int]:
-    """(primitive root zeta, admissible exponent count) for the eigenvector family."""
+def lemma_parameters(dt: DynkinType) -> int:
+    """Admissible exponent count a_max = order - 1 of the eigenvector family
+    lambda = zeta^a, with zeta a primitive root of unity of that order."""
     if dt.rank % 2:
         raise ValueError("the closed-form eigenvector family needs even rank")
     l = dt.rank // 2
@@ -433,13 +427,13 @@ def lemma_parameters(dt: DynkinType) -> Tuple[complex, int]:
         order = 2 * l
     else:
         raise ValueError(f"no closed-form eigenvector family for type {dt.family}")
-    return np.exp(2j * np.pi / order), order - 1
+    return order - 1
 
 
 def _lemma_powers(dt: DynkinType, a: int) -> Callable[[int], complex]:
     """j -> lambda^j for lambda = zeta^a, read from one table of the order's
     roots of unity at the exactly reduced index a j mod order."""
-    order = lemma_parameters(dt)[1] + 1
+    order = lemma_parameters(dt) + 1
     k = np.arange(order)
     roots = _sin_pi(order + 4 * k, 2 * order) + 1j * _sin_pi(2 * k, order)  # cos + i sin of 2 pi k/order
     return lambda j: roots[(a * j) % order]
@@ -448,7 +442,7 @@ def _lemma_powers(dt: DynkinType, a: int) -> Callable[[int], complex]:
 def lemma_eigenvector(case: Case, a: int):
     """Closed-form eigenvector at lambda = zeta^a; returns (lambda, psi, residual)."""
     dt = case.type
-    _, amax = lemma_parameters(dt)
+    amax = lemma_parameters(dt)
     if not 1 <= a <= amax:
         raise ValueError(f"a = {a} out of range 1..{amax}")
     power = _lemma_powers(dt, a)
@@ -490,7 +484,7 @@ def lemma_boundary_value(dt: DynkinType, a: int) -> float:
 def lemma_summary(case: Case) -> Dict[str, float]:
     """Worst residuals over all admissible a, the special vector, and phi_0, plus
     the exponent multiset comparison against the direct spectrum."""
-    _, amax = lemma_parameters(case.type)
+    amax = lemma_parameters(case.type)
     vectors = [lemma_eigenvector(case, a) for a in range(1, amax + 1)]
     vectors.append(special_eigenvector(case))
     exps = case.report.exponents

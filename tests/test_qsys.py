@@ -7,6 +7,8 @@ from yexp.qsys import (_sin_pi, check_qsol_properties, check_restricted_qsystem,
                        closed_form_qtable, kr_qchar, kr_qtable, qdim, qtable_csv)
 from yexp.rootsys import DynkinType, build_root_system
 
+from test_rootsys import _rows
+
 
 def test_qdim_trivial_weight():
     rs = build_root_system(DynkinType("C", 3))
@@ -28,11 +30,20 @@ def test_qdim_positive_in_level_window():
     for w in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 2), (2, 0, 0), (0, 2, 0)]:
         # t<alpha, rho + lambda> = sum_j k_j (t/t_j)(1 + c_j)
         shifted = [sum(k * (t // ti) * (1 + c) for k, ti, c in zip(row, rs.t_i, w))
-                   for row in rs.positive_roots.tolist()]
+                   for row in _rows(rs).tolist()]
         if all(a < period for a in shifted):
             inside += 1
             assert qdim(rs, 2, w) > 0
     assert inside == 5  # (0, 2, 0) lies outside the level-2 alcove
+
+
+@pytest.mark.parametrize("family,rank", [("A", 5), ("B", 4), ("C", 6), ("D", 7)])
+def test_qdim_on_a_stack_matches_single_weights(family, rank):
+    rs = build_root_system(DynkinType(family, rank))
+    weights = np.random.default_rng(rank).integers(0, 4, (9, rank))
+    stacked = qdim(rs, 2, weights)
+    assert stacked.shape == (9,)
+    assert [q.hex() for q in stacked.tolist()] == [qdim(rs, 2, tuple(w)).hex() for w in weights.tolist()]
 
 
 def test_sin_pi_vanishes_exactly_at_multiples():

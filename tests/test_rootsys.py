@@ -18,6 +18,14 @@ H_DUAL = {"A": lambda n: n + 1, "B": lambda n: 2 * n - 1, "C": lambda n: n + 1, 
 
 FLOOR = (("A", 1), ("B", 2), ("C", 2), ("D", 4))
 ALL_TYPES = [DynkinType(f, r) for f, lo in FLOOR for r in range(lo, 13)]
+TYPES_TO_40 = [DynkinType(f, r) for f, lo in FLOOR for r in range(lo, 41)]
+
+
+def _rows(rs):
+    """Simple-root coefficient rows of the positive roots, expanded from `ends`."""
+    k = np.arange(rs.type.rank)
+    lo1, hi1, lo2, hi2 = (e[:, None] for e in rs.ends.T)
+    return ((lo1 <= k) & (k < hi1)).astype(np.int64) + ((lo2 <= k) & (k < hi2))
 
 
 def _gram(rs):
@@ -60,16 +68,19 @@ def _root_strings(cartan):
     return roots
 
 
-@pytest.mark.parametrize("dt", ALL_TYPES, ids=str)
+@pytest.mark.parametrize("dt", TYPES_TO_40, ids=str)
 def test_root_counts_and_lengths(dt):
+    # `long` is set per block of roots, so the Gram matrix here is its only check
     rs = build_root_system(dt)
-    assert rs.positive_roots.shape == (POSITIVE_COUNTS[dt.family](dt.rank), dt.rank)
-    assert len(rs.long) == len(rs.heights) == len(rs.positive_roots)
+    rows = _rows(rs)
+    assert rows.shape == (POSITIVE_COUNTS[dt.family](dt.rank), dt.rank)
+    assert rs.ends.shape == (len(rows), 4)
+    assert len(rs.long) == len(rs.heights) == len(rows)
     gram = _gram(rs)
     assert (gram == gram.T).all()
     t = rs.t_group
-    for k, lng in zip(rs.positive_roots, rs.long):
-        assert k @ gram @ k == (2 * t if lng else 2)  # t<alpha, alpha>: long 2t, short 2
+    lengths = np.einsum("ri,ij,rj->r", rows, gram, rows)  # t<alpha, alpha>: long 2t, short 2
+    assert (lengths == np.where(rs.long, 2 * t, 2)).all()
     n_long = int(rs.long.sum())
     if dt.family == "B":
         assert len(rs.long) - n_long == dt.rank
@@ -79,24 +90,24 @@ def test_root_counts_and_lengths(dt):
         assert rs.long.all()
 
 
-@pytest.mark.parametrize("dt", [DynkinType(f, r) for f, lo in FLOOR for r in range(lo, 41)], ids=str)
+@pytest.mark.parametrize("dt", TYPES_TO_40, ids=str)
 def test_closed_form_roots_match_root_strings(dt):
     rs = build_root_system(dt)
-    rows = [tuple(k) for k in rs.positive_roots.tolist()]
+    rows = [tuple(k) for k in _rows(rs).tolist()]
     assert len(set(rows)) == len(rows)
     assert set(rows) == _root_strings(rs.cartan)
 
 
 def test_family_split_examples():
     b2 = build_root_system(DynkinType("B", 2))
-    assert len(b2.positive_roots) == 4
+    assert len(_rows(b2)) == 4
     assert int(b2.long.sum()) == 2
     d4 = build_root_system(DynkinType("D", 4))
-    assert len(d4.positive_roots) == 12 and d4.long.all()
+    assert len(_rows(d4)) == 12 and d4.long.all()
     c3 = build_root_system(DynkinType("C", 3))
-    assert len(c3.positive_roots) == 9 and int(c3.long.sum()) == 3
+    assert len(_rows(c3)) == 9 and int(c3.long.sum()) == 3
     # long C roots are 2 e_i = 2(alpha_i + ... + alpha_{n-1}) + alpha_n
-    assert {tuple(k) for k in c3.positive_roots[c3.long].tolist()} == {(2, 2, 1), (0, 2, 1), (0, 0, 1)}
+    assert {tuple(k) for k in _rows(c3)[c3.long].tolist()} == {(2, 2, 1), (0, 2, 1), (0, 0, 1)}
 
 
 def test_pairing_examples():
@@ -112,8 +123,9 @@ def test_rho_half_sum_oracle_b2():
     # with heights t<rho, alpha> from rho = (3/2, 1/2) in epsilon coordinates
     rs = build_root_system(DynkinType("B", 2))
     by_hand = {(1, 0): 2, (0, 1): 1, (1, 1): 3, (1, 2): 4}
-    assert dict(zip(map(tuple, rs.positive_roots.tolist()), rs.heights.tolist())) == by_hand
-    assert rs.long.tolist() == [k in ((1, 0), (1, 2)) for k in map(tuple, rs.positive_roots.tolist())]
+    rows = list(map(tuple, _rows(rs).tolist()))
+    assert dict(zip(rows, rs.heights.tolist())) == by_hand
+    assert rs.long.tolist() == [k in ((1, 0), (1, 2)) for k in rows]
 
 
 @pytest.mark.parametrize("dt", ALL_TYPES, ids=str)
@@ -123,9 +135,28 @@ def test_rho_equals_weight_sum(dt):
     # and with every positive root to its height
     rs = build_root_system(dt)
     gram = _gram(rs)
-    two_rho = rs.positive_roots.sum(axis=0)
+    rows = _rows(rs)
+    two_rho = rows.sum(axis=0)
     assert (two_rho @ gram).tolist() == [2 * (rs.t_group // ti) for ti in rs.t_i]
-    assert (rs.positive_roots @ gram @ two_rho).tolist() == (2 * rs.heights).tolist()
+    assert (rows @ gram @ two_rho).tolist() == (2 * rs.heights).tolist()
+
+
+@pytest.mark.parametrize("dt", TYPES_TO_40, ids=str)
+def test_pairings_match_rows(dt):
+    rs = build_root_system(dt)
+    rows = _rows(rs)
+    w = np.random.default_rng(dt.rank).integers(-1000, 1000, (5, dt.rank))
+    assert rs.pairings(w).tolist() == (w @ rows.T).tolist()
+    assert rs.pairings(w[0]).tolist() == (rows @ w[0]).tolist()
+
+
+@pytest.mark.parametrize("dt", [DynkinType("B", 256), DynkinType("D", 256)], ids=str)
+def test_root_arrays_are_linear_in_the_root_count(dt):
+    # the dense R x n rows would be 2 KB per root at rank 256
+    rs = build_root_system(dt)
+    n_roots = POSITIVE_COUNTS[dt.family](dt.rank)
+    assert len(rs.heights) == n_roots
+    assert rs.ends.nbytes + rs.long.nbytes + rs.heights.nbytes <= 64 * n_roots
 
 
 def _fundamental_dims(dt):
@@ -159,7 +190,7 @@ def test_group_constants(dt):
     n = dt.rank
     expected_t_i = {"B": (1,) * (n - 1) + (2,), "C": (2,) * (n - 1) + (1,)}.get(dt.family, (1,) * n)
     assert rs.t_i == expected_t_i
-    heights = dict(zip(map(tuple, rs.positive_roots.tolist()), rs.heights.tolist()))
+    heights = dict(zip(map(tuple, _rows(rs).tolist()), rs.heights.tolist()))
     for i, ti in enumerate(rs.t_i):
         simple = tuple(int(i == j) for j in range(n))
         assert heights[simple] == rs.t_group // ti

@@ -108,6 +108,28 @@ def test_division_exact(dt):
     assert sum((num - den).values()) == n_vertices
 
 
+def _charpoly_loop(rs):
+    """The N/D exponent multisets root by root, the reference for the array form."""
+    t, h_dual, period = group_constants(rs.type)
+    num: Counter = Counter()
+    for ti in rs.t_i:
+        num.update(k for k in range(period) if k * (t // ti) % period)
+    den: Counter = Counter()
+    for height, long in zip(rs.heights.tolist(), rs.long.tolist()):
+        for h in (height, -height):  # the positive root and its negative
+            if long:
+                den.update((h // t + j * (2 + h_dual)) % period for j in range(t))
+            else:
+                den[h % period] += 1
+    return num, den
+
+
+@pytest.mark.parametrize("dt", [DynkinType(f, r) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
+                                for r in [*range(lo, 41), 128]], ids=str)
+def test_charpoly_matches_the_root_loop(dt):
+    assert conjectured_charpoly(build_root_system(dt)) == _charpoly_loop(build_root_system(dt))
+
+
 def quotient_exponents(dt):
     num, den = conjectured_charpoly(build_root_system(dt))
     return num - den
