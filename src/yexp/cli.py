@@ -13,8 +13,6 @@ import sys
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from . import qsys, spectral, ysys
 from .quiver import build_dynkin_quiver, build_mutation_loop, dump_quiver
 from .rootsys import _MIN_RANK, DynkinType, group_constants
@@ -181,13 +179,13 @@ def _dispatch(args) -> int:
         _emit(text, cfg.csv_path or cfg.json_path)
         return 0
     if cmd == "periodicity":
-        rng = np.random.default_rng(cfg.seed)
         ok = True
         lines = ["family,rank,period,max_residual"]
         for dt in types:
             loop = build_mutation_loop(dt)
             _, _, period = group_constants(dt)
-            worst = check_periodicity(loop, rng.uniform(0.5, 2.0, (20, loop.n_vertices)), period)
+            points = spectral._seeded_uniform(cfg.seed, (20, loop.n_vertices), 0.5, 2.0)
+            worst = check_periodicity(loop, points, period)
             ok = ok and worst <= tol.periodicity
             lines.append(f"{dt.family},{dt.rank},{period},{worst!r}")
         _emit("\n".join(lines) + "\n", cfg.csv_path or cfg.json_path)

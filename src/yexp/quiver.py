@@ -140,6 +140,20 @@ def _compile_phase(q: Quiver, vertices: Tuple[int, ...], name: str) -> Phase:
     return Phase(*parts)
 
 
+def _mutate_phase(q: Quiver, phase: Phase) -> Quiver:
+    """Mutate q at every vertex k of the phase at once. On b = a - a^T, off the phase,
+    b_ij gains sum_k [b_ik]+ [b_kj]+ - [-b_ik]+ [-b_kj]+ = (U - U^T)_ij with U = [c]+ [-c]+^T
+    for c = b[targets, vertices]; the phase's rows and columns change sign."""
+    s, t = phase.vertices, phase.targets
+    b = q.arrows - q.arrows.T
+    c = b[np.ix_(t, s)]
+    u = np.maximum(c, 0) @ np.maximum(-c, 0).T
+    b[np.ix_(t, t)] += u - u.T
+    b[s] *= -1
+    b[:, s] *= -1
+    return Quiver(np.maximum(b, 0))
+
+
 @dataclass(frozen=True)
 class MutationLoop:
     """The loop nu . mu_- . mu_+ on a labeled quiver.
@@ -322,8 +336,7 @@ def build_mutation_loop(dt: DynkinType, level: int = 2) -> MutationLoop:
     phases = []
     for name, vertices in (("+", plus), ("-", minus)):
         phases.append(_compile_phase(q, vertices, f"mu_{name} of {dt}"))
-        for k in vertices:
-            q = mutate_quiver(q, k)
+        q = _mutate_phase(q, phases[-1])
     if permute_quiver(q, lq.nu) != lq.quiver:
         raise LoopPropertyError(
             f"{dt}: quiver does not return to its start after mu_+, mu_-, nu; "

@@ -15,6 +15,7 @@ per-case check reads J, its phase factors and the Y-values from that `Case`.
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, Optional, Tuple
@@ -69,13 +70,9 @@ def conjectured_charpoly(rs: RootSystem) -> Tuple[Counter, Counter]:
 
 def snap_exponents(eigenvalues: np.ndarray, period: int) -> Tuple[Tuple[int, ...], float]:
     """Round eigenvalue phases to integers modulo the period; return worst snap error."""
-    exps = []
-    worst = 0.0
-    for lam in eigenvalues:
-        m = int(round(np.angle(lam) / (2 * np.pi) * period)) % period
-        worst = max(worst, abs(lam - np.exp(2j * np.pi * m / period)))
-        exps.append(m)
-    return tuple(sorted(exps)), worst
+    m = np.rint(np.angle(eigenvalues) / (2 * np.pi) * period).astype(int) % period
+    worst = np.max(np.abs(eigenvalues - np.exp(2j * np.pi * m / period)), initial=0.0)
+    return tuple(sorted(m.tolist())), float(worst)
 
 
 def spectrum(loop: MutationLoop, eta) -> SpectralReport:
@@ -147,6 +144,16 @@ def verify_conjecture(dt: DynkinType) -> SpectralReport:
     rep = build_case(dt).report
     rep.conjecture = check_conjecture_38(rep, Tolerances().charpoly)
     return rep
+
+
+def _seeded_uniform(seed: int, shape: Tuple[int, int], low: float, high: float) -> np.ndarray:
+    """Uniform draws on [low, high) from random.Random(seed), row by row, so a shorter
+    draw is the first rows of a longer one. `import numpy` has loaded `random` already."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    rng = random.Random(seed)
+    draws = np.array([rng.random() for _ in range(shape[0] * shape[1])]).reshape(shape)
+    return low + (high - low) * draws
 
 
 # ------------------------------------------------------- B/D relation matrices
@@ -269,7 +276,6 @@ def _c_relation_residuals(case: Case, seed: int) -> Dict[str, float]:
     l = n // 2
     Y = case.point.ysol.value
     jp, jm, _ = case.report.jacobian.phase_factors
-    rng = np.random.default_rng(seed)
 
     def top(i):
         return 3 * (i - 1)
@@ -287,8 +293,7 @@ def _c_relation_residuals(case: Case, seed: int) -> Dict[str, float]:
         r = abs(lhs - rhs) / max(1.0, abs(lhs))
         worst[name] = max(worst.get(name, 0.0), r)
 
-    for _ in range(4):
-        psi = rng.uniform(-1.0, 1.0, 3 * n - 1)
+    for psi in _seeded_uniform(seed, (4, 3 * n - 1), -1.0, 1.0):
         psi_p = jp @ psi
         psi_pp = jm @ psi_p
         for k in range(1, l + 1):
@@ -359,97 +364,91 @@ def _c_relation_residuals(case: Case, seed: int) -> Dict[str, float]:
 
 # ------------------------------------------------------- eigenvector lemmas
 
-def _lemma_phi_B(n: int, power: Callable[[int], complex]) -> np.ndarray:
-    """phi at lambda = power(1), with lambda^j = power(j)."""
+def _lemma_phi_B(n: int, power: Callable[[int], np.ndarray]) -> np.ndarray:
+    """phi at each lambda in power(1), with lambda^j = power(j); one column per lambda."""
     l = n // 2
-    lam = power(1)
-    phi = np.zeros(2 * n + 1, dtype=complex)
-    phi[2 * l - 1] = 1.0  # phi_{2l}
-    phi[2 * l + 1] = 1.0  # phi_{2l+2}
+    k = np.arange(1, l)  # power(j(k)) is indexed [lambda, k]
+    lam = power(1)[:, None]
+    phi = np.zeros((lam.size, 2 * n + 1), dtype=complex)
+    phi[:, 2 * l - 1] = phi[:, 2 * l + 1] = 1.0  # phi_{2l}, phi_{2l+2}
 
     def geom(lo, hi):  # lambda^lo + ... + lambda^hi, with lambda != 1
         return (power(hi + 1) - power(lo)) / (lam - 1)
 
-    for k in range(1, l):
-        coef_odd = -2 * (l - k) * (2 * l + 1) ** 2 / (
-            (2 * l - 2 * k - 1) ** 2 * (2 * l - 2 * k + 1) ** 2 * (4 * l + 1)
-        )
-        phi[2 * l - 2 * k - 2] = (coef_odd / lam) * (
-            (2 * l - 2 * k + 1) * (power(2 * k + 1) + power(2 * k) + power(-2 * k) + power(-(2 * k + 1)))
-            + 2 * geom(-(2 * k - 1), 2 * k - 1)
-        )
-        coef_even = (2 * l - 2 * k + 1) * (2 * l + 1) ** 2 / (4 * l + 1)
-        phi[2 * l - 2 * k - 1] = 2 * coef_even * (
-            (l - k + 1) * (power(2 * k) + power(2 * k - 1) + power(-(2 * k - 1)) + power(-2 * k))
-            + geom(-(2 * k - 2), 2 * k - 2)
-        )
-    phi[2 * l - 2] = -(2 * l * (2 * l + 1) ** 2 / ((2 * l - 1) ** 2 * (4 * l + 1) ** 2)) * (
+    coef_odd = -2 * (l - k) * (2 * l + 1) ** 2 / ((2 * l - 2 * k - 1) ** 2 * (2 * l - 2 * k + 1) ** 2 * (4 * l + 1))
+    phi[:, 2 * l - 2 * k - 2] = (coef_odd / lam) * (
+        (2 * l - 2 * k + 1) * (power(2 * k + 1) + power(2 * k) + power(-2 * k) + power(-(2 * k + 1)))
+        + 2 * geom(-(2 * k - 1), 2 * k - 1)
+    )
+    coef_even = (2 * l - 2 * k + 1) * (2 * l + 1) ** 2 / (4 * l + 1)
+    phi[:, 2 * l - 2 * k - 1] = 2 * coef_even * (
+        (l - k + 1) * (power(2 * k) + power(2 * k - 1) + power(-(2 * k - 1)) + power(-2 * k))
+        + geom(-(2 * k - 2), 2 * k - 2)
+    )
+    phi[:, 2 * l - 2] = -(2 * l * (2 * l + 1) ** 2 / ((2 * l - 1) ** 2 * (4 * l + 1) ** 2)) * (
         2 + (2 * l + 1) * power(-1) + (2 * l + 1) * power(-2)
     )
-    phi[2 * l] = -((2 * l + 1) ** 3 / (8 * l ** 3)) * (1 + power(-1))
-    phi[2 * l + 2] = (2 * l * (2 * l + 1) ** 2 / (4 * l + 1)) * ((2 * l + 1) * (lam + power(-1)) + 4 * l)
-    for k in range(1, l):
-        phi[2 * l + 2 * k + 1] = -phi[2 * l - 2 * k - 1] / (16 * lam * (l - k) ** 2 * (l - k + 1) ** 2)
-        phi[2 * l + 2 * k + 2] = (
-            -lam * (2 * l - 2 * k - 1) ** 2 * (2 * l - 2 * k + 1) ** 2 * phi[2 * l - 2 * k - 2]
-        )
-    return phi
+    phi[:, 2 * l] = -((2 * l + 1) ** 3 / (8 * l ** 3)) * (1 + power(-1))
+    phi[:, 2 * l + 2] = (2 * l * (2 * l + 1) ** 2 / (4 * l + 1)) * ((2 * l + 1) * (power(1) + power(-1)) + 4 * l)
+    phi[:, 2 * l + 2 * k + 1] = -phi[:, 2 * l - 2 * k - 1] / (16 * lam * (l - k) ** 2 * (l - k + 1) ** 2)
+    phi[:, 2 * l + 2 * k + 2] = -lam * (2 * l - 2 * k - 1) ** 2 * (2 * l - 2 * k + 1) ** 2 * phi[:, 2 * l - 2 * k - 2]
+    return phi.T
 
 
-def _lemma_phi_D(n: int, power: Callable[[int], complex]) -> np.ndarray:
-    """phi at lambda = power(1), with lambda^j = power(j)."""
+def _lemma_phi_D(n: int, power: Callable[[int], np.ndarray]) -> np.ndarray:
+    """phi at each lambda in power(1), with lambda^j = power(j); one column per lambda."""
     l = n // 2
-    lam = power(1)
-    phi = np.zeros(n, dtype=complex)
-    phi[n - 2] = 1.0
-    phi[n - 1] = 1.0
-    for k in range(1, l):
-        coef_odd = (l - k) * (2 * l - 1) ** 2 / (
-            l * (2 * l - 2 * k - 1) ** 2 * (2 * l - 2 * k + 1) ** 2
-        )
-        full = (power(k) - power(-(k - 1))) / (lam - 1)  # lambda^{-(k-1)} + ... + lambda^{k-1}
-        phi[2 * l - 2 * k - 2] = coef_odd * ((2 * l - 2 * k + 1) * (power(k) + power(-k)) + 2 * full)
-        coef_even = -(2 * l - 2 * k + 1) * (2 * l - 1) ** 2 / l
-        mid = (power(k) - power(-(k - 2))) / (lam - 1)  # lambda^{-(k-2)} + ... + lambda^{k-1}
-        phi[2 * l - 2 * k - 1] = coef_even * ((l - k + 1) * (power(k) + power(-(k - 1))) + mid)
-    return phi
+    k = np.arange(1, l)  # power(j(k)) is indexed [lambda, k]
+    lam = power(1)[:, None]
+    phi = np.zeros((lam.size, n), dtype=complex)
+    phi[:, n - 2:] = 1.0
+    coef_odd = (l - k) * (2 * l - 1) ** 2 / (l * (2 * l - 2 * k - 1) ** 2 * (2 * l - 2 * k + 1) ** 2)
+    full = (power(k) - power(-(k - 1))) / (lam - 1)  # lambda^{-(k-1)} + ... + lambda^{k-1}
+    phi[:, 2 * l - 2 * k - 2] = coef_odd * ((2 * l - 2 * k + 1) * (power(k) + power(-k)) + 2 * full)
+    coef_even = -(2 * l - 2 * k + 1) * (2 * l - 1) ** 2 / l
+    mid = (power(k) - power(-(k - 2))) / (lam - 1)  # lambda^{-(k-2)} + ... + lambda^{k-1}
+    phi[:, 2 * l - 2 * k - 1] = coef_even * ((l - k + 1) * (power(k) + power(-(k - 1))) + mid)
+    return phi.T
 
 
 def lemma_parameters(dt: DynkinType) -> int:
     """Admissible exponent count a_max = order - 1 of the eigenvector family
-    lambda = zeta^a, with zeta a primitive root of unity of that order."""
+    lambda = zeta^a, with zeta a primitive root of unity of that order:
+    4l + 1 for B_{2l} and 2l for D_{2l}."""
     if dt.rank % 2:
         raise ValueError("the closed-form eigenvector family needs even rank")
-    l = dt.rank // 2
-    if dt.family == "B":
-        order = 4 * l + 1
-    elif dt.family == "D":
-        order = 2 * l
-    else:
+    if dt.family not in ("B", "D"):
         raise ValueError(f"no closed-form eigenvector family for type {dt.family}")
-    return order - 1
+    return 2 * dt.rank if dt.family == "B" else dt.rank - 1
 
 
-def _lemma_powers(dt: DynkinType, a: int) -> Callable[[int], complex]:
-    """j -> lambda^j for lambda = zeta^a, read from one table of the order's
-    roots of unity at the exactly reduced index a j mod order."""
+def _lemma_powers(dt: DynkinType, a) -> Callable[[int], np.ndarray]:
+    """j -> lambda^j for lambda = zeta^a, indexed [a, j] for arrays of a and j, read
+    from one table of the order's roots of unity at the exact index a j mod order."""
     order = lemma_parameters(dt) + 1
     k = np.arange(order)
     roots = _sin_pi(order + 4 * k, 2 * order) + 1j * _sin_pi(2 * k, order)  # cos + i sin of 2 pi k/order
-    return lambda j: roots[(a * j) % order]
+    return lambda j: roots[np.multiply.outer(a, j) % order]
+
+
+def _lemma_vectors(case: Case, a: np.ndarray):
+    """Closed-form eigenvectors at lambda = zeta^a for an array of a: returns
+    lambda (A,), Phi (N, A) and the residual of each column, all from one J @ Phi."""
+    dt = case.type
+    power = _lemma_powers(dt, a)
+    phi = _lemma_phi_B(dt.rank, power) if dt.family == "B" else _lemma_phi_D(dt.rank, power)
+    lam = power(1)
+    residuals = np.max(np.abs(case.jacobian @ phi - lam * phi), axis=0) / np.max(np.abs(phi), axis=0)
+    return lam, phi, residuals
 
 
 def lemma_eigenvector(case: Case, a: int):
     """Closed-form eigenvector at lambda = zeta^a; returns (lambda, psi, residual)."""
-    dt = case.type
-    amax = lemma_parameters(dt)
+    amax = lemma_parameters(case.type)
     if not 1 <= a <= amax:
         raise ValueError(f"a = {a} out of range 1..{amax}")
-    power = _lemma_powers(dt, a)
-    lam = power(1)
-    phi = _lemma_phi_B(dt.rank, power) if dt.family == "B" else _lemma_phi_D(dt.rank, power)
-    residual = float(np.max(np.abs(case.jacobian @ phi - lam * phi)) / np.max(np.abs(phi)))
-    return lam, phi, residual
+    lam, phi, residuals = _lemma_vectors(case, np.array([a]))
+    return lam[0], phi[:, 0], float(residuals[0])
 
 
 def special_eigenvector(case: Case):
@@ -470,28 +469,28 @@ def special_eigenvector(case: Case):
     return -1.0, psi, residual
 
 
-def lemma_boundary_value(dt: DynkinType, a: int) -> float:
-    """|phi_0| from the continued closed form; vanishes exactly at lambda = zeta^a."""
+def lemma_boundary_value(dt: DynkinType, a):
+    """|phi_0| from the continued closed form (one a or an array); vanishes at lambda = zeta^a."""
     power = _lemma_powers(dt, a)
     l = dt.rank // 2
     if dt.family == "B":
-        val = (2 * (2 * l + 1) ** 2 / (4 * l + 1)) * power(-2 * l) * power(np.arange(4 * l + 1)).sum()
+        val = (2 * (2 * l + 1) ** 2 / (4 * l + 1)) * power(-2 * l) * power(np.arange(4 * l + 1)).sum(axis=-1)
     else:
-        val = (2 * (2 * l - 1) ** 2 / (2 * l)) * power(-(l - 1)) * power(np.arange(2 * l)).sum()
+        val = (2 * (2 * l - 1) ** 2 / (2 * l)) * power(-(l - 1)) * power(np.arange(2 * l)).sum(axis=-1)
     return abs(val)
 
 
 def lemma_summary(case: Case) -> Dict[str, float]:
     """Worst residuals over all admissible a, the special vector, and phi_0, plus
     the exponent multiset comparison against the direct spectrum."""
-    amax = lemma_parameters(case.type)
-    vectors = [lemma_eigenvector(case, a) for a in range(1, amax + 1)]
-    vectors.append(special_eigenvector(case))
+    a = np.arange(1, lemma_parameters(case.type) + 1)
+    lams, _, residuals = _lemma_vectors(case, a)
+    special_lam, _, special_res = special_eigenvector(case)
     exps = case.report.exponents
-    lemma_exps, _ = snap_exponents(np.array([lam for lam, _, _ in vectors]), exps.period)
+    lemma_exps, _ = snap_exponents(np.append(lams, special_lam), exps.period)
     return {
-        "vectors": max(res for _, _, res in vectors),
-        "boundary": max(lemma_boundary_value(case.type, a) for a in range(1, amax + 1)),
+        "vectors": max(float(np.max(residuals)), special_res),
+        "boundary": float(np.max(lemma_boundary_value(case.type, a))),
         "exponent_multiset_match": 0.0 if lemma_exps == exps.exponents else 1.0,
     }
 
@@ -857,7 +856,7 @@ def run_case(
                         newton_res <= tolerances.newton_agreement, newton_agreement=newton_res)
 
     def periodicity():
-        points = np.random.default_rng(seed).uniform(0.5, 2.0, (periodicity_points, loop.n_vertices))
+        points = _seeded_uniform(seed, (periodicity_points, loop.n_vertices), 0.5, 2.0)
         return _verdict(check_periodicity(loop, points, period), tolerances.periodicity)
 
     def lemma_vectors():

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from yexp import ysys
 from yexp.cli import main
 from yexp.errors import ConvergenceError
+from yexp.rootsys import DynkinType
+from yexp.spectral import run_case
 
 
 def run(capsys, *argv):
@@ -106,6 +112,42 @@ def test_periodicity_command(capsys):
     cells = row.split(",")
     assert cells[:3] == ["A", "2", "5"]
     assert float(cells[3]) <= 1e-8
+
+
+def periodicity_rows(capsys, *argv):
+    code, out, _ = run(capsys, "periodicity", *argv)
+    assert code == 0
+    return {int(row.split(",")[1]): float(row.split(",")[3]) for row in out.strip().splitlines()[1:]}
+
+
+def test_periodicity_points_depend_only_on_seed_and_rank(capsys):
+    alone = periodicity_rows(capsys, "--family", "B", "--rank", "6", "--seed", "3")
+    in_range = periodicity_rows(capsys, "--family", "B", "--rank", "4", "--rank-max", "6", "--seed", "3")
+    assert in_range[6] == alone[6]
+    report = run_case(DynkinType("B", 6), seed=3, periodicity_points=20)
+    assert alone[6] == report["checks"]["periodicity"]["residual"]
+
+
+def test_negative_seed_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "periodicity", "--family", "A", "--rank", "2", "--seed", "-1")
+    assert code == 2 and "seed" in err
+
+
+def test_cli_runs_never_import_numpy_random():
+    # a fresh interpreter, since this one has imported numpy.random already
+    script = (
+        "import contextlib, io, sys\n"
+        "from yexp.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['verify', '--family', 'C', '--rank', '4']),\n"
+        "             main(['periodicity', '--family', 'B', '--rank', '4', '--rank-max', '6'])]\n"
+        "print(codes, 'numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         timeout=120, check=True).stdout
+    assert out.strip() == "[0, 0] False"
 
 
 def test_usage_errors(capsys):

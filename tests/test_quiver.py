@@ -129,12 +129,10 @@ LOOP_TYPES = [DynkinType(f, r) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D",
               for r in range(lo, 41)]
 
 
-@pytest.mark.parametrize("dt", LOOP_TYPES, ids=str)
-def test_mutation_loop_property(dt):
-    loop = build_mutation_loop(dt)
-    assert set(loop.plus_set).isdisjoint(loop.minus_set)
-    # mu_+ / mu_- sets are non-adjacent in the quivers they act on, and each
-    # compiled phase lists exactly the arrows between its set and the rest
+def assert_phases_match_vertex_chain(loop):
+    """Each compiled phase lists exactly the arrows between its set and the rest
+    of the quiver it acts on, and its one-step update equals mutate_quiver at
+    each of its vertices in turn, entry for entry."""
     q = loop.start.quiver
     for vertices, phase in zip((loop.plus_set, loop.minus_set), loop.phases):
         a = q.arrows
@@ -144,22 +142,41 @@ def test_mutation_loop_property(dt):
         signed = np.zeros((loop.n_vertices, len(s)), dtype=int)
         signed[phase.rows, phase.cols] = phase.exponents
         assert np.array_equal(signed, a[:, s] - a[s, :].T)
+        updated = quiver._mutate_phase(q, phase)
         for k in vertices:
             q = mutate_quiver(q, k)
+        assert np.array_equal(updated.arrows, q.arrows)
+    assert permute_quiver(q, loop.nu) == loop.start.quiver
 
 
-@pytest.mark.parametrize("sign, message", [
-    (("+", "+", "-", "-"), "mu_+ of A4 has an arrow 0 -> 1"),
-    (("+", "-", "-", "0"), "mu_- of A4 has an arrow 2 -> 1"),
+@pytest.mark.parametrize("dt", LOOP_TYPES, ids=str)
+def test_mutation_loop_property(dt):
+    loop = build_mutation_loop(dt)
+    assert set(loop.plus_set).isdisjoint(loop.minus_set)
+    assert_phases_match_vertex_chain(loop)
+
+
+@pytest.mark.parametrize("dt", [DynkinType("B", 256), DynkinType("C", 127), DynkinType("D", 256)], ids=str)
+def test_phase_updates_match_vertex_chain_at_high_rank(dt):
+    assert_phases_match_vertex_chain(build_mutation_loop(dt))
+
+
+@pytest.mark.parametrize("sign, message, updates", [
+    (("+", "+", "-", "-"), "mu_+ of A4 has an arrow 0 -> 1", 0),
+    (("+", "-", "-", "0"), "mu_- of A4 has an arrow 2 -> 1", 1),
 ], ids=["plus", "minus"])
-def test_phase_with_an_inner_arrow_is_rejected(sign, message, monkeypatch):
+def test_phase_with_an_inner_arrow_is_rejected(sign, message, updates, monkeypatch):
     # A4 is 0 -> 1 <- 2 -> 3; {0, 1} is joined in the start quiver, and {1, 2}
-    # is still joined after mutating at 0
+    # is still joined after mutating at 0. The phase is rejected before its update.
     real = build_dynkin_quiver(DynkinType("A", 4))
     bad = LabeledQuiver(real.type, real.quiver, real.color, sign, real.nu, real.hindex)
     monkeypatch.setattr(quiver, "build_dynkin_quiver", lambda dt, level=2: bad)
+    done = []
+    update = quiver._mutate_phase
+    monkeypatch.setattr(quiver, "_mutate_phase", lambda q, phase: done.append(phase) or update(q, phase))
     with pytest.raises(LoopPropertyError, match=re.escape(message)):
         build_mutation_loop(DynkinType("A", 4))
+    assert len(done) == updates
 
 
 @pytest.mark.parametrize("dt", [DynkinType("B", 4), DynkinType("C", 5), DynkinType("D", 6), DynkinType("A", 5)], ids=str)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from yexp import spectral, ysys
+from yexp.qsys import _sin_pi
 from yexp.rootsys import DynkinType, build_root_system, group_constants
 from yexp.spectral import (ExponentSequence, Tolerances, build_case, c_blocks,
                            case_passed, check_conjecture_38, check_jacobian_fd,
@@ -234,6 +235,158 @@ def test_lemma_boundary_values():
     for dt in (DynkinType("B", 130), DynkinType("D", 168), DynkinType("B", 512), DynkinType("D", 512)):
         order = 4 * (dt.rank // 2) + 1 if dt.family == "B" else dt.rank
         assert max(lemma_boundary_value(dt, a) for a in range(1, order)) <= 1e-9
+
+
+def test_seeded_points_are_drawn_row_by_row():
+    long = spectral._seeded_uniform(4, (20, 13), 0.5, 2.0)
+    assert np.array_equal(spectral._seeded_uniform(4, (5, 13), 0.5, 2.0), long[:5])
+    assert long.min() >= 0.5 and long.max() < 2.0
+    assert not np.array_equal(spectral._seeded_uniform(5, (20, 13), 0.5, 2.0), long)
+
+
+# The per-a reference: one scalar phi per admissible a, with lambda^j read
+# from the same table of roots of unity, and the boundary value one a at a time.
+
+def oracle_powers(dt, a):
+    order = spectral.lemma_parameters(dt) + 1
+    k = np.arange(order)
+    roots = _sin_pi(order + 4 * k, 2 * order) + 1j * _sin_pi(2 * k, order)
+    return lambda j: roots[(a * j) % order]
+
+
+def oracle_phi_B(n, power):
+    l = n // 2
+    lam = power(1)
+    phi = np.zeros(2 * n + 1, dtype=complex)
+    phi[2 * l - 1] = 1.0
+    phi[2 * l + 1] = 1.0
+
+    def geom(lo, hi):
+        return (power(hi + 1) - power(lo)) / (lam - 1)
+
+    for k in range(1, l):
+        coef_odd = -2 * (l - k) * (2 * l + 1) ** 2 / (
+            (2 * l - 2 * k - 1) ** 2 * (2 * l - 2 * k + 1) ** 2 * (4 * l + 1)
+        )
+        phi[2 * l - 2 * k - 2] = (coef_odd / lam) * (
+            (2 * l - 2 * k + 1) * (power(2 * k + 1) + power(2 * k) + power(-2 * k) + power(-(2 * k + 1)))
+            + 2 * geom(-(2 * k - 1), 2 * k - 1)
+        )
+        coef_even = (2 * l - 2 * k + 1) * (2 * l + 1) ** 2 / (4 * l + 1)
+        phi[2 * l - 2 * k - 1] = 2 * coef_even * (
+            (l - k + 1) * (power(2 * k) + power(2 * k - 1) + power(-(2 * k - 1)) + power(-2 * k))
+            + geom(-(2 * k - 2), 2 * k - 2)
+        )
+    phi[2 * l - 2] = -(2 * l * (2 * l + 1) ** 2 / ((2 * l - 1) ** 2 * (4 * l + 1) ** 2)) * (
+        2 + (2 * l + 1) * power(-1) + (2 * l + 1) * power(-2)
+    )
+    phi[2 * l] = -((2 * l + 1) ** 3 / (8 * l ** 3)) * (1 + power(-1))
+    phi[2 * l + 2] = (2 * l * (2 * l + 1) ** 2 / (4 * l + 1)) * ((2 * l + 1) * (lam + power(-1)) + 4 * l)
+    for k in range(1, l):
+        phi[2 * l + 2 * k + 1] = -phi[2 * l - 2 * k - 1] / (16 * lam * (l - k) ** 2 * (l - k + 1) ** 2)
+        phi[2 * l + 2 * k + 2] = (
+            -lam * (2 * l - 2 * k - 1) ** 2 * (2 * l - 2 * k + 1) ** 2 * phi[2 * l - 2 * k - 2]
+        )
+    return phi
+
+
+def oracle_phi_D(n, power):
+    l = n // 2
+    lam = power(1)
+    phi = np.zeros(n, dtype=complex)
+    phi[n - 2] = 1.0
+    phi[n - 1] = 1.0
+    for k in range(1, l):
+        coef_odd = (l - k) * (2 * l - 1) ** 2 / (
+            l * (2 * l - 2 * k - 1) ** 2 * (2 * l - 2 * k + 1) ** 2
+        )
+        full = (power(k) - power(-(k - 1))) / (lam - 1)
+        phi[2 * l - 2 * k - 2] = coef_odd * ((2 * l - 2 * k + 1) * (power(k) + power(-k)) + 2 * full)
+        coef_even = -(2 * l - 2 * k + 1) * (2 * l - 1) ** 2 / l
+        mid = (power(k) - power(-(k - 2))) / (lam - 1)
+        phi[2 * l - 2 * k - 1] = coef_even * ((l - k + 1) * (power(k) + power(-(k - 1))) + mid)
+    return phi
+
+
+def oracle_eigenvector(case, a):
+    dt = case.type
+    power = oracle_powers(dt, a)
+    lam = power(1)
+    phi = (oracle_phi_B if dt.family == "B" else oracle_phi_D)(dt.rank, power)
+    return lam, phi, float(np.max(np.abs(case.jacobian @ phi - lam * phi)) / np.max(np.abs(phi)))
+
+
+def oracle_boundary_value(dt, a):
+    power = oracle_powers(dt, a)
+    l = dt.rank // 2
+    if dt.family == "B":
+        return abs((2 * (2 * l + 1) ** 2 / (4 * l + 1)) * power(-2 * l) * power(np.arange(4 * l + 1)).sum())
+    return abs((2 * (2 * l - 1) ** 2 / (2 * l)) * power(-(l - 1)) * power(np.arange(2 * l)).sum())
+
+
+def oracle_snap(eigenvalues, period):
+    exps, worst = [], 0.0
+    for lam in eigenvalues:
+        m = int(round(np.angle(lam) / (2 * np.pi) * period)) % period
+        worst = max(worst, abs(lam - np.exp(2j * np.pi * m / period)))
+        exps.append(m)
+    return tuple(sorted(exps)), worst
+
+
+def oracle_lemma_summary(case):
+    a_all = range(1, spectral.lemma_parameters(case.type) + 1)
+    vectors = [oracle_eigenvector(case, a) for a in a_all] + [special_eigenvector(case)]
+    exps = case.report.exponents
+    lemma_exps, _ = oracle_snap(np.array([lam for lam, _, _ in vectors]), exps.period)
+    return {
+        "vectors": max(res for _, _, res in vectors),
+        "boundary": max(oracle_boundary_value(case.type, a) for a in a_all),
+        "exponent_multiset_match": 0.0 if lemma_exps == exps.exponents else 1.0,
+    }
+
+
+ORACLE_LEMMA_TYPES = ([DynkinType("B", n) for n in range(2, 41, 2)]
+                      + [DynkinType("D", n) for n in range(4, 41, 2)]
+                      + [DynkinType("B", 130), DynkinType("D", 168)])
+
+
+@pytest.mark.parametrize("dt", ORACLE_LEMMA_TYPES, ids=str)
+def test_lemma_summary_matches_the_per_a_loop(dt):
+    case = build_case(dt)
+    got, want = lemma_summary(case), oracle_lemma_summary(case)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert abs(got[key] - want[key]) <= 1e-12 * max(1.0, want[key]), key
+
+
+@pytest.mark.parametrize("dt", [DynkinType("B", 6), DynkinType("D", 8)], ids=str)
+def test_lemma_eigenvector_is_a_column_of_the_batch(dt):
+    case = build_case(dt)
+    for a in range(1, spectral.lemma_parameters(dt) + 1):
+        lam, phi, res = lemma_eigenvector(case, a)
+        want_lam, want_phi, want_res = oracle_eigenvector(case, a)
+        assert lam == want_lam
+        np.testing.assert_allclose(phi, want_phi, rtol=1e-14, atol=0)
+        assert abs(res - want_res) <= 1e-12
+
+
+@pytest.mark.parametrize("dt", [DynkinType("B", 16), DynkinType("D", 16), DynkinType("B", 130)], ids=str)
+def test_lemma_boundary_value_on_an_array_of_a(dt):
+    a = np.arange(1, spectral.lemma_parameters(dt) + 1)
+    values = lemma_boundary_value(dt, a)
+    assert values.shape == a.shape
+    want = [oracle_boundary_value(dt, int(x)) for x in a]
+    np.testing.assert_allclose(values, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("dt", [DynkinType("A", 7), DynkinType("B", 9), DynkinType("C", 10),
+                                DynkinType("D", 12)], ids=str)
+def test_snap_exponents_matches_the_loop(dt):
+    rep = build_case(dt).report
+    got = spectral.snap_exponents(rep.eigenvalues, rep.exponents.period)
+    want = oracle_snap(rep.eigenvalues, rep.exponents.period)
+    assert got[0] == want[0]
+    assert abs(got[1] - want[1]) <= 1e-15
 
 
 def test_c_blocks_structure():
