@@ -803,6 +803,12 @@ def check_jacobian_fd(case: Case, tol: float) -> Dict:
     return _verdict(np.max(np.abs(case.jacobian - fd)) / scale, tol)
 
 
+def periodicity_verdict(loop: MutationLoop, period: int, seed: int, points: int, tol: float) -> Dict:
+    """Verdict on mu_gamma^period = id at `points` seeded points drawn from [0.5, 2)."""
+    y = _seeded_uniform(seed, (points, loop.n_vertices), 0.5, 2.0)
+    return _verdict(check_periodicity(loop, y, period), tol)
+
+
 def c_checks(case: Case, tolerances: Tolerances = Tolerances(), samples: int = 32) -> Dict[str, Dict]:
     """The type-C checks of C_n: the block reduction and the (open) Csol conjecture.
 
@@ -855,10 +861,6 @@ def run_case(
         return _verdict(fixed_res, tolerances.fixed_point,
                         newton_res <= tolerances.newton_agreement, newton_agreement=newton_res)
 
-    def periodicity():
-        points = _seeded_uniform(seed, (periodicity_points, loop.n_vertices), 0.5, 2.0)
-        return _verdict(check_periodicity(loop, points, period), tolerances.periodicity)
-
     def lemma_vectors():
         summary = lemma_summary(case)
         return _verdict(max(summary["vectors"], summary["boundary"],
@@ -869,7 +871,8 @@ def run_case(
 
     checks: Dict[str, Dict] = {
         "fixed_point": _guarded(fixed_point),
-        "periodicity": _guarded(periodicity),
+        "periodicity": _guarded(lambda: periodicity_verdict(loop, period, seed, periodicity_points,
+                                                             tolerances.periodicity)),
         "jacobian_fd": _guarded(lambda: check_jacobian_fd(case, tolerances.fd_jacobian)),
         "conjecture_38": _guarded(lambda: check_conjecture_38(rep, tolerances.charpoly)),
     }

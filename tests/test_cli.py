@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from yexp import ysys
 from yexp.cli import main
 from yexp.errors import ConvergenceError
@@ -56,10 +58,41 @@ def test_conjecture_c(capsys):
     assert csol["csol_l"] <= 1e-7
 
 
-def test_conjecture_c_ignores_charpoly_tolerance(capsys):
-    code, out, _ = run(capsys, "conjecture-c", "--rank", "5", "--tol-charpoly", "1e-30")
-    assert code == 0
-    assert json.loads(out)["all_passed"] is True
+def test_conjecture_c_rejects_charpoly_tolerance(capsys):
+    code, out, err = run(capsys, "conjecture-c", "--rank", "5", "--tol-charpoly", "1e-30")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --tol-charpoly" in err
+
+
+TOL_FLAGS = ["--tol-fixed-point", "--tol-periodicity", "--tol-charpoly", "--tol-fd-jacobian"]
+TABLE_FLAGS = ["--family", "--rank", "--csv"]
+# the flags each command reads, besides --rank-max
+READS = {
+    **dict.fromkeys(["quiver", "qtable", "ytable", "eta", "exponents"], TABLE_FLAGS),
+    "periodicity": ["--family", "--rank", "--seed", "--tol-periodicity", "--csv"],
+    "verify": ["--family", "--rank", "--samples", "--seed", *TOL_FLAGS, "--json", "--csv"],
+    "conjecture-c": ["--rank", "--samples", "--json"],
+    "sweep": ["--samples", "--seed", *TOL_FLAGS, "--json", "--csv"],
+}
+SHARED_FLAGS = ["--family", "--rank", "--samples", "--seed", "--json", "--csv", *TOL_FLAGS]
+
+
+@pytest.mark.parametrize("command", READS)
+def test_each_command_takes_only_the_flags_it_reads(command, tmp_path, capsys):
+    values = {"--family": "C", "--rank": "2", "--samples": "16", "--seed": "1",
+              "--json": str(tmp_path / "out.json"), "--csv": str(tmp_path / "out.csv"),
+              **dict.fromkeys(TOL_FLAGS, "1e-5")}
+    rank_max = ["--rank-max", "1" if command == "sweep" else "2"]
+    full = [command, *rank_max] + [part for flag in READS[command] for part in (flag, values[flag])]
+    code, _, err = run(capsys, *full)
+    assert code == 0, err
+    minimal = [command, *rank_max] + [part for flag in ("--family", "--rank") if flag in READS[command]
+                                      for part in (flag, values[flag])]
+    for flag in SHARED_FLAGS:
+        if flag not in READS[command]:
+            code, out, err = run(capsys, *minimal, flag, values[flag])
+            assert code == 2 and out == ""
+            assert f"unrecognized arguments: {flag}" in err
 
 
 def test_conjecture_c_scaled_tolerances_fail(capsys, monkeypatch):
@@ -114,6 +147,15 @@ def test_periodicity_command(capsys):
     assert float(cells[3]) <= 1e-8
 
 
+@pytest.mark.parametrize("case", [("B", "200"), ("D", "256")], ids="".join)
+def test_periodicity_at_high_rank(case, capsys):
+    # y overflows along these orbits (max|log y| grows like twice the rank); log y does not
+    family, rank = case
+    code, out, err = run(capsys, "periodicity", "--family", family, "--rank", rank)
+    assert code == 0, err
+    assert float(out.strip().splitlines()[1].split(",")[3]) <= 1e-8
+
+
 def periodicity_rows(capsys, *argv):
     code, out, _ = run(capsys, "periodicity", *argv)
     assert code == 0
@@ -126,6 +168,14 @@ def test_periodicity_points_depend_only_on_seed_and_rank(capsys):
     assert in_range[6] == alone[6]
     report = run_case(DynkinType("B", 6), seed=3, periodicity_points=20)
     assert alone[6] == report["checks"]["periodicity"]["residual"]
+
+
+def test_verify_checks_periodicity_at_the_command_points(capsys):
+    # at C5, seed 0, the worst of the 20 points is not among the first 5 that sweep uses
+    rows = periodicity_rows(capsys, "--family", "C", "--rank", "5")
+    code, out, _ = run(capsys, "verify", "--family", "C", "--rank", "5")
+    assert code == 0
+    assert json.loads(out)["checks"]["periodicity"]["residual"] == rows[5]
 
 
 def test_negative_seed_is_a_usage_error(capsys):
@@ -180,6 +230,15 @@ def test_tol_scale_env(capsys, monkeypatch):
     monkeypatch.setenv("YEXP_TOL_SCALE", "-1")
     code, _, _ = run(capsys, "verify", "--family", "A", "--rank", "3")
     assert code == 2
+
+
+def test_tol_scale_env_is_read_only_by_gated_commands(capsys, monkeypatch):
+    monkeypatch.setenv("YEXP_TOL_SCALE", "-1")
+    for command in ("quiver", "qtable", "ytable", "eta", "exponents"):
+        code, out, _ = run(capsys, command, "--family", "A", "--rank", "2")
+        assert code == 0 and out
+    code, _, err = run(capsys, "verify", "--family", "A", "--rank", "2")
+    assert code == 2 and "YEXP_TOL_SCALE" in err
 
 
 def test_failed_check_exits_one(capsys, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from yexp.errors import MutationDomainError
 from yexp.quiver import Quiver, build_mutation_loop, mutate_quiver
 from yexp.rootsys import DynkinType, group_constants
-from yexp.yseed import (YSeed, _apply_phase, _mutate_values, check_periodicity, cluster_transform,
+from yexp.yseed import (YSeed, _apply_phase, _apply_phase_log, _mutate_values, check_periodicity, cluster_transform,
                         finite_difference_jacobian, loop_jacobian, mutate_yseed,
                         permutation_matrix)
 from yexp.ysys import assemble_eta
@@ -331,6 +331,27 @@ def test_periodicity(dt):
     # off the period the residuals are O(1) and differ from point to point
     off = max(check_periodicity(loop, y, period - 1) for y in points)
     assert check_periodicity(loop, points, period - 1) == off
+
+
+@pytest.mark.parametrize("dt", ALL_TYPES + [DynkinType("B", 200), DynkinType("D", 256)], ids=str)
+def test_log_transform_is_log_of_cluster_transform(dt):
+    # one loop step on x = log y, as check_periodicity takes it, against the y-space oracle
+    loop = build_mutation_loop(dt)
+    y = np.random.default_rng(37).uniform(0.5, 2.0, (5, loop.n_vertices))
+    x = np.log(y).T
+    for phase in loop.phases:
+        x = _apply_phase_log(phase, x)
+    np.testing.assert_allclose(x[np.argsort(loop.nu)].T, np.log(cluster_transform(loop, y)),
+                               rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("bad", [-0.5, 0.0])
+def test_periodicity_needs_positive_points(bad):
+    loop = build_mutation_loop(DynkinType("A", 3))
+    y = np.ones((2, loop.n_vertices))
+    y[1, 1] = bad
+    with pytest.raises(ValueError, match="positive"):
+        check_periodicity(loop, y, 8)
 
 
 @pytest.mark.parametrize("dt", [DynkinType("B", 4), DynkinType("C", 3), DynkinType("D", 5), DynkinType("A", 2)], ids=str)
