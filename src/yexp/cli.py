@@ -82,13 +82,13 @@ def _emit(text: str, path: Optional[str]):
 
 def _types(args) -> List[DynkinType]:
     if args.command == "sweep":
-        return [DynkinType(fam, r) for fam, lo in _MIN_RANK.items()
-                for r in range(lo, args.rank_max + 1)]
-    hi = args.rank if args.rank_max is None else args.rank_max
-    if hi < args.rank:
-        raise ValueError("--rank-max below --rank")
-    family = getattr(args, "family", "C")  # conjecture-c is about type C
-    return [DynkinType(family, r) for r in range(args.rank, hi + 1)]
+        spans = [(fam, lo, args.rank_max) for fam, lo in _MIN_RANK.items()]
+    else:  # conjecture-c is about type C
+        spans = [(getattr(args, "family", "C"), args.rank, args.rank if args.rank_max is None else args.rank_max)]
+    types = [DynkinType(fam, r) for fam, lo, hi in spans for r in range(lo, hi + 1)]
+    if not types:  # a run that checks nothing must not report a pass
+        raise ValueError(f"--rank-max {args.rank_max} selects no case")
+    return types
 
 
 def _tolerances(args) -> spectral.Tolerances:

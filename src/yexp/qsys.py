@@ -153,10 +153,8 @@ def kr_qtable(dt: DynkinType, level: int = 2) -> QTable:
     return QTable(dt, level, rs.t_i, vals)
 
 
-def closed_form_qtable(dt: DynkinType, level: int = 2) -> QTable:
+def closed_form_qtable(dt: DynkinType) -> QTable:
     """Level-2 closed forms of the restricted table for the classical families."""
-    if level != 2:
-        raise ValueError("closed forms are available at level 2 only")
     rs = build_root_system(dt)
     n = dt.rank
     vals: Dict[Tuple[int, int], float] = {}
@@ -190,8 +188,8 @@ def closed_form_qtable(dt: DynkinType, level: int = 2) -> QTable:
             ) / (s[1] * s[2] * s[3])
             vals[(i, 3)] = vals[(i, 1)]
     for i in range(1, n + 1):
-        vals[(i, 0)] = vals[(i, rs.t_i[i - 1] * level)] = 1.0
-    return QTable(dt, level, rs.t_i, vals)
+        vals[(i, 0)] = vals[(i, rs.t_i[i - 1] * 2)] = 1.0
+    return QTable(dt, 2, rs.t_i, vals)
 
 
 def check_restricted_qsystem(qt: QTable) -> float:

@@ -11,6 +11,7 @@ vertex in the underlying index set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -177,6 +178,11 @@ class MutationLoop:
     def n_vertices(self):
         return self.start.n_vertices
 
+    @cached_property
+    def back(self) -> np.ndarray:
+        """nu^-1 as an index array, made once per loop: v[back] is v relabelled by nu."""
+        return np.argsort(self.nu)
+
 
 def _build_A(n):
     arrows = np.zeros((n, n), dtype=int)
@@ -314,22 +320,20 @@ def _build_C(n):
     return arrows, tuple(color), tuple(sign), tuple(nu), tuple(hindex)
 
 
-def build_dynkin_quiver(dt: DynkinType, level: int = 2) -> LabeledQuiver:
+def build_dynkin_quiver(dt: DynkinType) -> LabeledQuiver:
     """Level-2 Dynkin quiver of a classical type, with labels and folding."""
-    if level != 2:
-        raise ValueError(f"unsupported level {level}: only level 2 quivers are implemented")
     builder = {"A": _build_A, "B": _build_B, "C": _build_C, "D": _build_D}[dt.family]
     arrows, color, sign, nu, hindex = builder(dt.rank)
     return LabeledQuiver(dt, Quiver(arrows), color, sign, nu, hindex)
 
 
-def build_mutation_loop(dt: DynkinType, level: int = 2) -> MutationLoop:
+def build_mutation_loop(dt: DynkinType) -> MutationLoop:
     """Mutation loop (mu_+, mu_-, nu) on the Dynkin quiver, with both phases compiled.
 
     Raises LoopPropertyError if a phase has an arrow inside it or the quiver
     does not return to its start.
     """
-    lq = build_dynkin_quiver(dt, level)
+    lq = build_dynkin_quiver(dt)
     plus = tuple(v for v in range(lq.n_vertices) if lq.sign[v] == "+")
     minus = tuple(v for v in range(lq.n_vertices) if lq.sign[v] == "-")
     q = lq.quiver

@@ -8,8 +8,9 @@ det(zI - J) = N/D is then decided on integers: D is contained in N, and N - D
 equals the exponent multiset of the snapped spectrum of J.
 
 Each (family, rank) case is built once, as a frozen `Case`: the fixed point
-eta with its Y-solution, and the spectrum of the loop Jacobian J there. Every
-per-case check reads J, its phase factors and the Y-values from that `Case`.
+eta with its Y-solution, and the spectrum of the log-coordinate Jacobian
+L = diag(1/eta) J diag(eta) there. L is similar to J and stays bounded at every
+rank, so every check reads L, unscaled, with J's closed forms carried over.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import numpy as np
 from .qsys import _sin_pi
 from .quiver import MutationLoop
 from .rootsys import DynkinType, RootSystem, build_root_system, group_constants
-from .yseed import (LoopJacobian, check_periodicity, cluster_transform,
-                    finite_difference_jacobian, loop_jacobian)
+from .yseed import (check_periodicity, cluster_transform, finite_difference_jacobian,
+                    log_loop_jacobian, loop_jacobian)
 from .ysys import EtaPoint, assemble_eta, calibrate_reading
 
 
@@ -39,7 +40,7 @@ class ExponentSequence:
 @dataclass
 class SpectralReport:
     type: DynkinType
-    jacobian: LoopJacobian
+    jacobian: np.ndarray
     eigenvalues: np.ndarray
     exponents: ExponentSequence
     residuals: Dict[str, float] = field(default_factory=dict)
@@ -76,11 +77,10 @@ def snap_exponents(eigenvalues: np.ndarray, period: int) -> Tuple[Tuple[int, ...
 
 
 def spectrum(loop: MutationLoop, eta) -> SpectralReport:
-    """Eigen-decomposition of the loop Jacobian at a verified fixed point."""
+    """Eigen-decomposition of the log-coordinate loop Jacobian L at a verified fixed point."""
     dt = loop.start.type
     _, _, period = group_constants(dt)
-    lj = loop_jacobian(loop, eta)
-    jac = lj.matrix
+    jac = log_loop_jacobian(loop, np.log(eta))
     eigs = np.linalg.eigvals(jac)
     exps, snap = snap_exponents(eigs, period)
     residuals = {
@@ -92,7 +92,7 @@ def spectrum(loop: MutationLoop, eta) -> SpectralReport:
     }
     return SpectralReport(
         type=dt,
-        jacobian=lj,
+        jacobian=jac,
         eigenvalues=eigs,
         exponents=ExponentSequence(period, exps),
         residuals=residuals,
@@ -100,16 +100,15 @@ def spectrum(loop: MutationLoop, eta) -> SpectralReport:
 
 
 def check_conjecture_38(rep: SpectralReport, tol: float) -> Dict:
-    """Verdict on det(zI - J) = N/D for the Jacobian of a spectrum report.
+    """Verdict on det(zI - L) = N/D for the Jacobian L of a spectrum report.
 
     Passes when D is contained in N, N - D equals the snapped spectrum exactly,
-    and max(snap error, |J^P - I|_max / max(1, |J|_max)) is within `tol`. With
-    J^P = I the minimal polynomial of J divides the separable z^P - 1, so J is
-    diagonalizable and its eigenvalue multiset fixes det(zI - J).
+    and max(snap error, |L^P - I|_max) is within `tol`. With L^P = I the minimal
+    polynomial of L divides the separable z^P - 1, so L is diagonalizable and
+    its eigenvalue multiset fixes det(zI - L), which is det(zI - J).
     """
     num, den = conjectured_charpoly(build_root_system(rep.type))
-    scale = max(1.0, float(np.max(np.abs(rep.jacobian.matrix))))
-    residual = max(rep.residuals["exponent_snap"], rep.residuals["power_identity"] / scale)
+    residual = max(rep.residuals["exponent_snap"], rep.residuals["power_identity"])
     division_exact = not (den - num)
     quotient_matches = num - den == Counter(rep.exponents.exponents)
     return _verdict(residual, tol, division_exact and quotient_matches,
@@ -119,7 +118,7 @@ def check_conjecture_38(rep: SpectralReport, tol: float) -> Dict:
 @dataclass(frozen=True)
 class Case:
     """One (family, rank) case: eta with its Y-solution, and the spectrum of
-    the loop Jacobian at eta, which holds the case's only Jacobian."""
+    the loop Jacobian at eta, which holds the case's only Jacobian, L."""
 
     point: EtaPoint
     report: SpectralReport
@@ -130,7 +129,7 @@ class Case:
 
     @property
     def jacobian(self) -> np.ndarray:
-        return self.report.jacobian.matrix
+        return self.report.jacobian
 
 
 def build_case(dt: DynkinType, tol: float = 1e-9) -> Case:
@@ -158,48 +157,44 @@ def _seeded_uniform(seed: int, shape: Tuple[int, int], low: float, high: float) 
 
 # ------------------------------------------------------- B/D relation matrices
 
-def _relation_matrix_B(n: int, N: int) -> Dict[int, Dict[int, float]]:
-    """Rows of J_gamma(eta) for B_{2l} in closed form (1-based indices)."""
+def _relation_matrix_B(n: int) -> Dict[int, Dict[int, float]]:
+    """Rows of the y-space J_gamma(eta) for B_{2l} in closed form (1-based indices)."""
     l = n // 2
     rows: Dict[int, Dict[int, float]] = {}
-
-    def put(r, entries):
-        rows[r] = {c: v for c, v in entries.items() if 1 <= c <= N}
-
     for k in range(1, l):
-        put(2 * k - 1, {4 * l - 2 * k + 3: -1.0 / (4 * k * k - 1) ** 2})
-        put(2 * k, {
+        rows[2 * k - 1] = {4 * l - 2 * k + 3: -1.0 / (4 * k * k - 1) ** 2}
+        rows[2 * k] = {
             4 * l - 2 * k + 1: k / (k + 1),
             4 * l - 2 * k + 2: 16.0 * k * k * (k + 1) ** 2,
             4 * l - 2 * k + 3: (k + 1) / k,
-        })
-        put(2 * l + 2 * k + 2, {2 * l - 2 * k: -1.0 / (16.0 * (l - k) ** 2 * (l - k + 1) ** 2)})
+        }
+        rows[2 * l + 2 * k + 2] = {2 * l - 2 * k: -1.0 / (16.0 * (l - k) ** 2 * (l - k + 1) ** 2)}
         entries = {
             2 * l - 2 * k - 1: float((2 * l - 2 * k - 1) ** 2 * (2 * l - 2 * k + 1) ** 2),
             2 * l - 2 * k: (2 * l - 2 * k - 1) / (2 * l - 2 * k + 1),
         }
         if 2 * l - 2 * k - 2 >= 1:
             entries[2 * l - 2 * k - 2] = (2 * l - 2 * k + 1) / (2 * l - 2 * k - 1)
-        put(2 * l + 2 * k + 3, entries)
-    put(2 * l - 1, {
+        rows[2 * l + 2 * k + 3] = entries
+    rows[2 * l - 1] = {
         2 * l: 2 * l * (2 * l + 1) / ((2 * l - 1) * (4 * l + 1) ** 2),
         2 * l + 2: 2 * l * (2 * l + 1) / ((2 * l - 1) * (4 * l + 1) ** 2),
         2 * l + 1: 16.0 * l ** 4 / ((4 * l * l - 1) * (4 * l + 1) ** 2),
         2 * l + 3: -2.0 / ((2 * l - 1) ** 2 * (2 * l + 1) * (4 * l + 1)),
-    })
+    }
     for r, other in ((2 * l, 2 * l + 2), (2 * l + 2, 2 * l)):
-        put(r, {
+        rows[r] = {
             r: -2 * l / (2 * l + 1),
             2 * l + 1: 8.0 * l ** 3 / (2 * l + 1) ** 3,
             other: 1.0 / (2 * l + 1),
             2 * l + 3: (4 * l + 1) / (2 * l * (2 * l + 1) ** 3),
-        })
-    put(2 * l + 1, {
+        }
+    rows[2 * l + 1] = {
         2 * l: -((2 * l + 1) ** 2) / (8.0 * l ** 3),
         2 * l + 2: -((2 * l + 1) ** 2) / (8.0 * l ** 3),
         2 * l + 3: -(4 * l + 1) / (16.0 * l ** 4),
         2 * l + 1: -1.0,
-    })
+    }
     entries = {
         2 * l - 1: float((2 * l - 1) ** 2 * (4 * l + 1)),
         2 * l: float(4 * l * l - 1),
@@ -209,7 +204,7 @@ def _relation_matrix_B(n: int, N: int) -> Dict[int, Dict[int, float]]:
     }
     if 2 * l - 2 >= 1:
         entries[2 * l - 2] = (2 * l + 1) / (2 * l - 1)
-    put(2 * l + 3, entries)
+    rows[2 * l + 3] = entries
     return rows
 
 
@@ -248,24 +243,23 @@ def _relation_matrix_D(n: int) -> Dict[int, Dict[int, float]]:
 def relation_residuals(case: Case, seed: int = 0) -> Dict[str, float]:
     """Residuals of the closed-form eigen-equation rows against the engine Jacobian.
 
-    Types B and D compare predicted Jacobian rows on coordinate vectors; type C
-    checks the phase-factor identities on random vectors. Even rank only.
+    Types B and D compare the rows of L with the closed-form rows of J carried
+    into log coordinates, J[r, c] eta_c / eta_r; type C checks the phase-factor
+    identities of the y-space J on random vectors. Even rank only.
     """
     dt = case.type
     if dt.rank % 2:
         raise ValueError("relation rows are available for even ranks only")
     if dt.family in ("B", "D"):
-        jac = case.jacobian
         n = dt.rank
-        rows = _relation_matrix_B(n, 2 * n + 1) if dt.family == "B" else _relation_matrix_D(n)
-        worst = 0.0
-        for r, entries in rows.items():
-            predicted = np.zeros(jac.shape[0])
-            for c, v in entries.items():
-                predicted[c - 1] = v
-            scale = max(1.0, float(np.max(np.abs(jac[r - 1]))))
-            worst = max(worst, float(np.max(np.abs(jac[r - 1] - predicted))) / scale)
-        return {"rows": worst}
+        rows = _relation_matrix_B(n) if dt.family == "B" else _relation_matrix_D(n)
+        eta = case.point.eta
+        r = np.array(sorted(rows))
+        predicted = np.zeros((len(r), len(eta)))
+        for k, row in enumerate(r):
+            for c, v in rows[row].items():
+                predicted[k, c - 1] = v * eta[c - 1] / eta[row - 1]
+        return {"rows": float(np.max(np.abs(case.jacobian[r - 1] - predicted)))}
     if dt.family != "C":
         raise ValueError(f"no closed-form relation rows for family {dt.family}")
     return _c_relation_residuals(case, seed)
@@ -275,7 +269,7 @@ def _c_relation_residuals(case: Case, seed: int) -> Dict[str, float]:
     n = case.type.rank
     l = n // 2
     Y = case.point.ysol.value
-    jp, jm, _ = case.report.jacobian.phase_factors
+    jp, jm, _ = loop_jacobian(case.point.loop, case.point.eta).phase_factors
 
     def top(i):
         return 3 * (i - 1)
@@ -432,18 +426,20 @@ def _lemma_powers(dt: DynkinType, a) -> Callable[[int], np.ndarray]:
 
 
 def _lemma_vectors(case: Case, a: np.ndarray):
-    """Closed-form eigenvectors at lambda = zeta^a for an array of a: returns
-    lambda (A,), Phi (N, A) and the residual of each column, all from one J @ Phi."""
+    """Closed-form eigenvectors Phi of J at lambda = zeta^a for an array of a: returns
+    lambda (A,), Phi (N, A) and the residual of each column, all from one L @ Psi,
+    with Psi = Phi / eta the same eigenvectors for L = diag(1/eta) J diag(eta)."""
     dt = case.type
     power = _lemma_powers(dt, a)
     phi = _lemma_phi_B(dt.rank, power) if dt.family == "B" else _lemma_phi_D(dt.rank, power)
     lam = power(1)
-    residuals = np.max(np.abs(case.jacobian @ phi - lam * phi), axis=0) / np.max(np.abs(phi), axis=0)
+    psi = phi / case.point.eta[:, None]
+    residuals = np.max(np.abs(case.jacobian @ psi - lam * psi), axis=0) / np.max(np.abs(psi), axis=0)
     return lam, phi, residuals
 
 
 def lemma_eigenvector(case: Case, a: int):
-    """Closed-form eigenvector at lambda = zeta^a; returns (lambda, psi, residual)."""
+    """Closed-form eigenvector phi of J at lambda = zeta^a; returns (lambda, phi, residual on L)."""
     amax = lemma_parameters(case.type)
     if not 1 <= a <= amax:
         raise ValueError(f"a = {a} out of range 1..{amax}")
@@ -452,7 +448,8 @@ def lemma_eigenvector(case: Case, a: int):
 
 
 def special_eigenvector(case: Case):
-    """The lambda = -1 vector supported on the two symmetric vertices."""
+    """The lambda = -1 vector supported on the two symmetric vertices. eta is equal
+    there, so it is an eigenvector of L as of J."""
     dt = case.type
     n = dt.rank
     if dt.family == "B":
@@ -505,7 +502,6 @@ class CBlockPair:
     Lhat: np.ndarray
     K: Callable[[complex], np.ndarray]
     L: Callable[[complex], np.ndarray]
-    basis: np.ndarray
     residuals: Dict[str, float]
 
 
@@ -664,12 +660,12 @@ def _reduced_blocks(n: int, Y) -> Tuple[Callable[[complex], np.ndarray], Callabl
 
 
 def c_blocks(case: Case, block_tol: float = 1e-9) -> CBlockPair:
-    """Block-diagonalize the C_n Jacobian in the symmetric/antisymmetric basis.
+    """Block-diagonalize the C_n Jacobian L in the symmetric/antisymmetric basis.
 
-    Raises if the off-diagonal blocks exceed `block_tol`. For even rank the
-    extracted blocks are also compared against their closed-form entry tables,
-    entry by entry: relative to |table entry| where it is nonzero, and to
-    max(1, max|table|) where it is zero.
+    Raises if the off-diagonal blocks exceed `block_tol`. For even rank the blocks
+    are compared with J's closed-form tables scaled by d_col / d_row, d being eta on
+    each basis vector (eta is equal on each folded pair), entry by entry: relative
+    to |table entry| where it is nonzero, and to max(1, max|table|) where it is zero.
     """
     if case.type.family != "C":
         raise ValueError(f"the block reduction is for type C, not {case.type.family}")
@@ -688,9 +684,11 @@ def c_blocks(case: Case, block_tol: float = 1e-9) -> CBlockPair:
     Y = case.point.ysol.value
     residuals = {"offdiag": offdiag}
     if n % 2 == 0:
+        d = case.point.eta[np.argmax(u != 0, axis=0)]
         # per entry, since the entries of L-hat span many magnitudes at high rank
-        for name, block, ref in (("khat_reference", khat, _khat_reference(n, Y)),
-                                 ("lhat_reference", lhat, _lhat_reference(n, Y))):
+        for name, block, ref, dd in (("khat_reference", khat, _khat_reference(n, Y), d[:nk]),
+                                     ("lhat_reference", lhat, _lhat_reference(n, Y), d[nk:])):
+            ref = ref * dd[None, :] / dd[:, None]
             scale = np.where(ref != 0, np.abs(ref), max(1.0, float(np.max(np.abs(ref)))))
             residuals[name] = float(np.max(np.abs(block - ref) / scale))
     K, L = _reduced_blocks(n, Y)
@@ -701,7 +699,6 @@ def c_blocks(case: Case, block_tol: float = 1e-9) -> CBlockPair:
         Lhat=lhat,
         K=K,
         L=L,
-        basis=u,
         residuals=residuals,
     )
 
@@ -793,14 +790,11 @@ def _guarded(compute: Callable[[], Dict]) -> Dict:
 
 
 def check_jacobian_fd(case: Case, tol: float) -> Dict:
-    """Verdict on the analytic loop Jacobian against central differences.
-
-    The residual is max|J - J_fd| / max(1, max|J|): the entries of J grow with
-    rank, and the float error of the differences grows with them.
-    """
+    """Verdict on the analytic L against central differences of the log-coordinate
+    loop: the residual is max|L - L_fd|, where |L| is at most the largest arrow
+    multiplicity at every rank."""
     fd = finite_difference_jacobian(case.point.loop, case.point.eta)
-    scale = max(1.0, float(np.max(np.abs(case.jacobian))))
-    return _verdict(np.max(np.abs(case.jacobian - fd)) / scale, tol)
+    return _verdict(np.max(np.abs(case.jacobian - fd)), tol)
 
 
 def periodicity_verdict(loop: MutationLoop, period: int, seed: int, points: int, tol: float) -> Dict:

@@ -5,13 +5,15 @@ unconnected vertices, compiled once by build_mutation_loop, so each phase is
 applied as one vectorized update, to one point or a batch of points, with its
 closed-form Jacobian. The single-mutation rule (`mutate_yseed`) is kept as the
 public engine and the reference the phase updates are tested against.
-`check_periodicity` runs the same phase updates on log y, for positive points.
+On x = log y (`log_cluster_transform`) orbits stay finite, and the Jacobian
+L = diag(1/y') J diag(y) stays within the arrow multiplicities at every rank;
+the y-space J (`loop_jacobian`) serves complex points and is L's oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -37,16 +39,13 @@ class LoopJacobian:
     phase_factors: Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _mutate_values(arrows: np.ndarray, y: np.ndarray, k: int, jac: Optional[np.ndarray]):
-    """Apply the Y-seed value rule at k in place of y; update jac rows if given."""
+def _mutate_values(arrows: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
+    """The Y-seed value rule at k, applied to a copy of y."""
     yk = y[k]
     if yk == 0:
         raise MutationDomainError(k)
     out = y.copy()
     out[k] = 1.0 / yk
-    row_k = jac[k, :].copy() if jac is not None else None
-    if jac is not None:
-        jac[k, :] = (-1.0 / yk ** 2) * row_k
     n = y.shape[0]
     for i in range(n):
         if i == k:
@@ -57,17 +56,9 @@ def _mutate_values(arrows: np.ndarray, y: np.ndarray, k: int, jac: Optional[np.n
             base = 1.0 / yk + 1.0
             if base == 0:
                 raise MutationDomainError(k)
-            f = base ** (-a)
-            out[i] = y[i] * f
-            if jac is not None:
-                dfk = a * y[i] * base ** (-a - 1) / yk ** 2
-                jac[i, :] = f * jac[i, :] + dfk * row_k
+            out[i] = y[i] * base ** (-a)
         elif b > 0:
-            f = (yk + 1.0) ** b
-            out[i] = y[i] * f
-            if jac is not None:
-                dfk = b * y[i] * (yk + 1.0) ** (b - 1)
-                jac[i, :] = f * jac[i, :] + dfk * row_k
+            out[i] = y[i] * (yk + 1.0) ** b
     if not np.isfinite(out).all():
         raise MutationDomainError(k, f"mutation at vertex {k} produced a non-finite value")
     return out
@@ -76,7 +67,7 @@ def _mutate_values(arrows: np.ndarray, y: np.ndarray, k: int, jac: Optional[np.n
 def mutate_yseed(seed: YSeed, k: int) -> YSeed:
     """Single Y-seed mutation at vertex k."""
     y = np.asarray(seed.values, dtype=complex if any(isinstance(v, complex) for v in seed.values) else float)
-    out = _mutate_values(seed.quiver.arrows, y, k, None)
+    out = _mutate_values(seed.quiver.arrows, y, k)
     return YSeed(mutate_quiver(seed.quiver, k), tuple(out))
 
 
@@ -152,7 +143,7 @@ def cluster_transform(loop: MutationLoop, y) -> np.ndarray:
         raise ValueError(f"expected {loop.n_vertices} values per point, got shape {y.shape}")
     plus, minus = loop.phases
     end, _ = _apply_phase(minus, _apply_phase(plus, y, False)[0], False)
-    return end[..., np.argsort(loop.nu)]
+    return end[..., loop.back]
 
 
 def _apply_phase_log(phase: Phase, x: np.ndarray) -> np.ndarray:
@@ -172,6 +163,33 @@ def _apply_phase_log(phase: Phase, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _log_phase_jacobian(phase: Phase, x: np.ndarray) -> np.ndarray:
+    """Jacobian of `_apply_phase_log` at one point x (N,): -1 on the phase's diagonal,
+    1 on the rest, and arrow j adds |e_j| sigma(sign(e_j) x_k) at (target, k), the
+    derivative of e_j log(1 + y_k^sign(e_j)), with sigma the logistic function."""
+    s, rows, cols, e = phase.vertices, phase.rows, phase.cols, phase.exponents
+    jac = np.eye(len(x))
+    jac[s, s] = -1.0
+    jac[rows, s[cols]] = np.abs(e) * np.exp(-np.logaddexp(0.0, -np.sign(e) * x[s][cols]))
+    return jac
+
+
+def log_cluster_transform(loop: MutationLoop, x: np.ndarray) -> np.ndarray:
+    """The loop nu . mu_- . mu_+ on x = log y: one point (N,) or a batch with
+    vertices on axis 0 (N, k). It is finite wherever x is, so it never raises."""
+    plus, minus = loop.phases
+    return _apply_phase_log(minus, _apply_phase_log(plus, x))[loop.back]
+
+
+def log_loop_jacobian(loop: MutationLoop, x: np.ndarray) -> np.ndarray:
+    """Loop Jacobian in log coordinates at x = log y: L = diag(1/y') J diag(y) with
+    y' the image of y, so L at a fixed point is similar to J."""
+    plus, minus = loop.phases
+    jp = _log_phase_jacobian(plus, x)
+    jm = _log_phase_jacobian(minus, _apply_phase_log(plus, x))
+    return (jm @ jp)[loop.back]
+
+
 def check_periodicity(loop: MutationLoop, y, period: int) -> float:
     """Max relative residual |mu_gamma^period(y) - y| / |y| over one positive point or a batch.
 
@@ -182,11 +200,8 @@ def check_periodicity(loop: MutationLoop, y, period: int) -> float:
     if not (y0 > 0).all():
         raise ValueError("periodicity is checked at positive points only")
     x = x0 = np.log(y0).T
-    back = np.argsort(loop.nu)
     for _ in range(period):
-        for phase in loop.phases:
-            x = _apply_phase_log(phase, x)
-        x = x[back]
+        x = log_cluster_transform(loop, x)
     return float(np.max(np.abs(np.expm1(x - x0)), initial=0.0))
 
 
@@ -201,12 +216,12 @@ def loop_jacobian(loop: MutationLoop, y) -> LoopJacobian:
 
 
 def finite_difference_jacobian(loop: MutationLoop, y, h: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of the cluster transformation (test oracle).
+    """Central-difference `log_loop_jacobian` at x = log y, for positive y (test oracle).
 
-    The 2N shifted points run through the transformation as one batch.
+    The 2N shifted points run through `log_cluster_transform` as one batch.
     """
-    y = np.asarray(y, dtype=float)
-    n = y.shape[0]
+    x = np.log(np.asarray(y, dtype=float))
+    n = x.shape[0]
     step = h * np.eye(n)
-    images = cluster_transform(loop, y + np.vstack((step, -step)))
-    return ((images[:n] - images[n:]) / (2 * h)).T
+    images = log_cluster_transform(loop, (x + np.vstack((step, -step))).T)
+    return (images[:, :n] - images[:, n:]) / (2 * h)

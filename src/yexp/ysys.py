@@ -5,6 +5,8 @@ whose formula admits several readings (Cartan transpose, ratio direction, G or
 its transpose in each system). This module calibrates the reading once against
 the closed-form type-B/D solutions (exact rationals); only the search itself
 passes candidate readings around, everything else uses the calibrated one.
+`newton_fixed_point` finds eta independently of the Y-solution, in log
+coordinates, where the loop Jacobian stays bounded at every rank.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .errors import CalibrationError, ConvergenceError, FixedPointError, MutationDomainError
+from .errors import CalibrationError, ConvergenceError, FixedPointError
 from .qsys import QTable, closed_form_qtable
 from .quiver import MutationLoop, build_mutation_loop
 from .rootsys import DynkinType, RootSystem, build_root_system
-from .yseed import cluster_transform, loop_jacobian
+from .yseed import cluster_transform, log_cluster_transform, log_loop_jacobian
 
 
 def index_set_H(dt: DynkinType, level: int = 2) -> Tuple[Tuple[int, int], ...]:
@@ -266,18 +268,6 @@ def assemble_eta(dt: DynkinType, tol: float = 1e-9) -> EtaPoint:
     return EtaPoint(loop, eta, ys)
 
 
-def _log_residual(loop: MutationLoop, x: np.ndarray):
-    """y = e^x, its image mu_gamma(y) and F(x) = log mu_gamma(y) - x; F is None where not finite."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        y = np.exp(x)
-        try:
-            image = cluster_transform(loop, y)
-        except MutationDomainError:
-            return y, None, None
-        f = np.log(image) - x
-    return y, image, f if np.isfinite(f).all() else None
-
-
 def newton_fixed_point(
     loop: MutationLoop,
     start=None,
@@ -286,37 +276,35 @@ def newton_fixed_point(
 ) -> np.ndarray:
     """Newton solve of mu_gamma(y) = y in log coordinates, from a positive start (default all ones).
 
-    Solves F(x) = log mu_gamma(e^x) - x = 0, so every iterate y = e^x is
-    positive. The step length t starts at 1 and is halved until
-    |F(x + t step)| <= (1 - 1e-4 t) |F(x)| with F finite there (Armijo
-    backtracking; Dennis and Schnabel 1983, sec. 6.3). Converged when
-    max|mu_gamma(y) - y| / |y| <= tol; raises ConvergenceError when t falls
-    below machine epsilon or max_iter steps do not converge.
+    Solves F(x) = log_cluster_transform(x) - x = 0 with the matrix L(x) - I, so
+    every iterate y = e^x is positive. The step length t starts at 1 and is halved
+    until |F(x + t step)| <= (1 - 1e-4 t) |F(x)|, which a non-finite F never meets
+    (Armijo backtracking; Dennis and Schnabel 1983, sec. 6.3). Converged when
+    max|expm1(F)| = max|mu_gamma(y) - y| / |y| <= tol; raises ConvergenceError
+    when t falls below machine epsilon or max_iter steps do not converge.
     """
     n = loop.n_vertices
     y0 = np.ones(n) if start is None else np.asarray(start, dtype=float)
     if (y0 <= 0).any():
         raise ValueError("start must be strictly positive")
+
+    def residual(x):
+        return log_cluster_transform(loop, x) - x
+
     x = np.log(y0)
-    y, image, f = _log_residual(loop, x)
-    if f is None:
-        raise ConvergenceError(math.inf, "the loop has no finite image at the start point")
-    norm = np.linalg.norm(f)
+    f = residual(x)
     last = math.inf
     for _ in range(max_iter):
-        last = float(np.max(np.abs(image - y) / y))
+        last = float(np.max(np.abs(np.expm1(f))))
         if last <= tol:
-            return y
-        jac = loop_jacobian(loop, y).matrix * y / image[:, None] - np.eye(n)
-        step = np.linalg.solve(jac, -f)
+            return np.exp(x)
+        step = np.linalg.solve(log_loop_jacobian(loop, x) - np.eye(n), -f)
         t = 1.0
-        y, image, trial = _log_residual(loop, x + step)
-        while trial is None or np.linalg.norm(trial) > (1 - 1e-4 * t) * norm:
+        while not np.linalg.norm(trial := residual(x + t * step)) <= (1 - 1e-4 * t) * np.linalg.norm(f):
             t /= 2
             if t < np.finfo(float).eps:
                 raise ConvergenceError(last, f"Newton line search stalled (residual {last:.3e})")
-            y, image, trial = _log_residual(loop, x + t * step)
-        x, f, norm = x + t * step, trial, np.linalg.norm(trial)
+        x, f = x + t * step, trial
     raise ConvergenceError(last, f"Newton did not converge in {max_iter} iterations (residual {last:.3e})")
 
 

@@ -17,7 +17,7 @@ from yexp.spectral import (build_case, c_blocks, conjectured_charpoly, lemma_sum
                            relation_residuals, verify_c_reduction, verify_conjecture,
                            verify_conjecture_csol)
 from yexp.yseed import (YSeed, check_periodicity, cluster_transform,
-                        finite_difference_jacobian, loop_jacobian, mutate_yseed)
+                        finite_difference_jacobian, log_loop_jacobian, mutate_yseed)
 from yexp.ysys import (assemble_eta, calibrate_reading, check_ysystem,
                        closed_form_y_exact, newton_fixed_point, y_from_q, y_solution)
 from yexp.qsys import (check_qsol_properties, check_restricted_qsystem,
@@ -148,12 +148,12 @@ def test_criterion_06_jacobian():
                DynkinType("C", 4), DynkinType("C", 5), DynkinType("D", 6)]:
         ep = assemble_eta(dt)
         _, _, period = group_constants(dt)
-        jac = loop_jacobian(ep.loop, ep.eta).matrix
+        jac = log_loop_jacobian(ep.loop, np.log(ep.eta))
         fd = finite_difference_jacobian(ep.loop, ep.eta, h=1e-6)
         worst_fd = max(worst_fd, float(np.max(np.abs(jac - fd))))
         power = np.linalg.matrix_power(jac, period)
         worst_pow = max(worst_pow, float(np.max(np.abs(power - np.eye(len(jac))))))
-    report(6, "Jacobian: analytic vs central differences <= 1e-5, J^P = I <= 1e-7",
+    report(6, "log-coordinate Jacobian L: analytic vs central differences <= 1e-5, L^P = I <= 1e-7",
            worst_fd <= 1e-5 and worst_pow <= 1e-7, f"fd {worst_fd:.2e}, power {worst_pow:.2e}")
 
 

@@ -209,6 +209,15 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["sweep", "--rank-max", "0"], ["sweep", "--rank-max", "-3"],
+                                  ["verify", "--family", "B", "--rank", "5", "--rank-max", "4"]])
+def test_a_range_selecting_no_case_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "selects no case" in err
+
+
 def test_unwritable_output(capsys):
     code, _, _ = run(capsys, "verify", "--family", "A", "--rank", "2",
                      "--json", "/nonexistent-dir/x.json")

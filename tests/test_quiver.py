@@ -106,11 +106,6 @@ def test_dynkin_quiver_shape(dt):
         assert "0" in lq.sign
 
 
-def test_unsupported_level():
-    with pytest.raises(ValueError, match="level"):
-        build_dynkin_quiver(DynkinType("B", 3), level=3)
-
-
 LOOP_TYPES = [DynkinType(f, r) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
               for r in range(lo, 41)]
 
@@ -156,7 +151,7 @@ def test_phase_with_an_inner_arrow_is_rejected(sign, message, updates, monkeypat
     # is still joined after mutating at 0. The phase is rejected before its update.
     real = build_dynkin_quiver(DynkinType("A", 4))
     bad = LabeledQuiver(real.type, real.quiver, real.color, sign, real.nu, real.hindex)
-    monkeypatch.setattr(quiver, "build_dynkin_quiver", lambda dt, level=2: bad)
+    monkeypatch.setattr(quiver, "build_dynkin_quiver", lambda dt: bad)
     done = []
     update = quiver._mutate_phase
     monkeypatch.setattr(quiver, "_mutate_phase", lambda q, phase: done.append(phase) or update(q, phase))

@@ -313,7 +313,8 @@ def oracle_eigenvector(case, a):
     power = oracle_powers(dt, a)
     lam = power(1)
     phi = (oracle_phi_B if dt.family == "B" else oracle_phi_D)(dt.rank, power)
-    return lam, phi, float(np.max(np.abs(case.jacobian @ phi - lam * phi)) / np.max(np.abs(phi)))
+    psi = phi / case.point.eta  # the eigenvector of L = diag(1/eta) J diag(eta)
+    return lam, phi, float(np.max(np.abs(case.jacobian @ psi - lam * psi)) / np.max(np.abs(psi)))
 
 
 def oracle_boundary_value(dt, a):
@@ -531,10 +532,43 @@ def test_c_exponents_match_template(fam, n):
 
 
 def test_jacobian_fd_is_relative_at_c34():
-    # max|J| is about 1.9e7 here; the absolute max|J - J_fd| (about 1.4e-5)
-    # is over the 1e-5 tolerance, the relative one is about 7e-13
-    verdict = check_jacobian_fd(build_case(DynkinType("C", 34)), Tolerances().fd_jacobian)
+    # max|J| is about 1.9e7 here, and max|J - J_fd| about 1.4e-5, over the 1e-5
+    # tolerance; L holds the relative derivatives d log y' / d log y, so max|L| is 1
+    # and the unscaled residual is rounding-sized
+    case = build_case(DynkinType("C", 34))
+    assert np.max(np.abs(case.jacobian)) <= 2.0
+    verdict = check_jacobian_fd(case, Tolerances().fd_jacobian)
     assert verdict["pass"] is True
+    assert verdict["residual"] <= 1e-7
+
+
+def test_jacobian_fd_catches_one_scaled_column():
+    case = build_case(DynkinType("C", 34))
+    jac = case.jacobian.copy()
+    jac[:, 5] *= 1 + 1e-4
+    broken = spectral.Case(case.point, spectral.SpectralReport(case.type, jac, case.report.eigenvalues,
+                                                               case.report.exponents))
+    assert not check_jacobian_fd(broken, Tolerances().fd_jacobian)["pass"]
+
+
+def test_c_checks_pass_from_rank_159():
+    # the off-diagonal block of the y-space J reached 1.2e-9 here, over block_diag = 1e-9
+    checks = spectral.c_checks(build_case(DynkinType("C", 159)))
+    assert checks["c_reduction"]["pass"] and checks["csol"]["pass"], checks
+    assert checks["c_reduction"]["offdiag"] <= 1e-14
+
+
+def test_block_diag_catches_a_small_off_diagonal_entry():
+    case = build_case(DynkinType("C", 64))
+    u = spectral._c_basis(64)
+    bump = np.zeros_like(case.jacobian)
+    bump[0, 63] = 1e-8  # row of the K-hat block, column of the L-hat block
+    jac = case.jacobian + u @ bump @ np.linalg.inv(u)
+    broken = spectral.Case(case.point, spectral.SpectralReport(case.type, jac, case.report.eigenvalues,
+                                                               case.report.exponents))
+    assert spectral.c_checks(case)["c_reduction"]["pass"]
+    checks = spectral.c_checks(broken)
+    assert not checks["c_reduction"]["pass"] and "off-diagonal" in checks["c_reduction"]["error"]
 
 
 BUILDERS = ("assemble_eta", "y_solution", "build_mutation_loop", "spectrum", "c_blocks")

@@ -6,9 +6,9 @@ import pytest
 from yexp.errors import MutationDomainError
 from yexp.quiver import Quiver, build_mutation_loop, mutate_quiver
 from yexp.rootsys import DynkinType, group_constants
-from yexp.yseed import (YSeed, _apply_phase, _apply_phase_log, _mutate_values, check_periodicity, cluster_transform,
-                        finite_difference_jacobian, loop_jacobian, mutate_yseed,
-                        permutation_matrix)
+from yexp.yseed import (YSeed, _apply_phase, _mutate_values, check_periodicity, cluster_transform,
+                        finite_difference_jacobian, log_cluster_transform, log_loop_jacobian,
+                        loop_jacobian, mutate_yseed, permutation_matrix)
 from yexp.ysys import assemble_eta
 
 
@@ -72,6 +72,22 @@ def test_pole_raises():
         mutate_yseed(YSeed(Quiver(a), (0.0, 1.0)), 0)
 
 
+def _mutate_with_jacobian(arrows, y, k, jac):
+    """`_mutate_values` at k, with the chain rule applied in place to the rows of jac."""
+    out = _mutate_values(arrows, y, k)
+    yk = y[k]
+    row_k = jac[k, :].copy()
+    jac[k, :] = (-1.0 / yk ** 2) * row_k
+    for i in range(y.shape[0]):
+        a, b = arrows[k, i], arrows[i, k]
+        if a > 0:
+            base = 1.0 / yk + 1.0
+            jac[i, :] = base ** (-a) * jac[i, :] + a * y[i] * base ** (-a - 1) / yk ** 2 * row_k
+        elif b > 0:
+            jac[i, :] = (yk + 1.0) ** b * jac[i, :] + b * y[i] * (yk + 1.0) ** (b - 1) * row_k
+    return out
+
+
 def _sequential_phases(loop, y, want_jac=False):
     """Reference engine: one `_mutate_values` and one `mutate_quiver` per vertex.
 
@@ -83,7 +99,7 @@ def _sequential_phases(loop, y, want_jac=False):
     for phase in (loop.plus_set, loop.minus_set):
         jac = np.eye(len(y), dtype=y.dtype) if want_jac else None
         for k in phase:
-            y = _mutate_values(arrows, y, k, jac)
+            y = _mutate_with_jacobian(arrows, y, k, jac) if want_jac else _mutate_values(arrows, y, k)
             arrows = mutate_quiver(Quiver(arrows), k).arrows
         images.append(y)
         jacs.append(jac)
@@ -273,7 +289,7 @@ def test_pole_at_a_sink_is_not_an_error():
     y = np.array([2.0, -1.0, 3.0])
     mid, _ = _apply_phase(loop.phases[0], y, False)
     np.testing.assert_array_equal(mid, [0.0, -1.0, 0.0])
-    np.testing.assert_array_equal(mid, _mutate_values(loop.start.quiver.arrows, y, 1, None))
+    np.testing.assert_array_equal(mid, _mutate_values(loop.start.quiver.arrows, y, 1))
 
 
 BATCH_TYPES = [DynkinType(f, r) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
@@ -338,10 +354,7 @@ def test_log_transform_is_log_of_cluster_transform(dt):
     # one loop step on x = log y, as check_periodicity takes it, against the y-space oracle
     loop = build_mutation_loop(dt)
     y = np.random.default_rng(37).uniform(0.5, 2.0, (5, loop.n_vertices))
-    x = np.log(y).T
-    for phase in loop.phases:
-        x = _apply_phase_log(phase, x)
-    np.testing.assert_allclose(x[np.argsort(loop.nu)].T, np.log(cluster_transform(loop, y)),
+    np.testing.assert_allclose(log_cluster_transform(loop, np.log(y).T).T, np.log(cluster_transform(loop, y)),
                                rtol=1e-13, atol=1e-13)
 
 
@@ -388,27 +401,44 @@ def test_single_vertex_jacobian():
 def test_jacobian_matches_finite_differences(dt):
     ep = assemble_eta(dt)
     analytic = loop_jacobian(ep.loop, ep.eta).matrix
-    numeric = finite_difference_jacobian(ep.loop, ep.eta, h=1e-6)
+    numeric = _column_differences(lambda y: cluster_transform(ep.loop, y), ep.eta, h=1e-6)
     assert np.max(np.abs(analytic - numeric)) <= 1e-5
 
 
-def _column_differences(loop, y, h=1e-6):
-    """Reference central differences, one column and two transforms at a time."""
+def _column_differences(transform, y, h=1e-6):
+    """Reference central differences of transform, one column and two calls at a time."""
     n = y.shape[0]
     jac = np.zeros((n, n))
     for j in range(n):
         up, dn = y.copy(), y.copy()
         up[j] += h
         dn[j] -= h
-        jac[:, j] = (cluster_transform(loop, up) - cluster_transform(loop, dn)) / (2 * h)
+        jac[:, j] = (transform(up) - transform(dn)) / (2 * h)
     return jac
 
 
 @pytest.mark.parametrize("dt", BATCH_TYPES, ids=str)
 def test_finite_differences_match_the_column_loop_bitwise(dt):
+    # finite_difference_jacobian differentiates the loop on x = log y
     loop = build_mutation_loop(dt)
     y = np.random.default_rng(47).uniform(0.5, 2.0, loop.n_vertices)
-    _same_bits(finite_difference_jacobian(loop, y), _column_differences(loop, y))
+    _same_bits(finite_difference_jacobian(loop, y),
+               _column_differences(lambda x: log_cluster_transform(loop, x), np.log(y)))
+
+
+LOG_JACOBIAN_TYPES = [DynkinType(f, r) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
+                      for r in range(lo, 41)]
+
+
+@pytest.mark.parametrize("dt", LOG_JACOBIAN_TYPES, ids=str)
+def test_log_jacobian_is_the_similar_y_space_jacobian(dt):
+    # L = diag(1/y') J diag(y), y' the image of y: at eta, where y' = y, and at a random point
+    ep = assemble_eta(dt)
+    y_random = np.random.default_rng(53).uniform(0.5, 2.0, ep.loop.n_vertices)
+    for y, image in ((ep.eta, ep.eta), (y_random, cluster_transform(ep.loop, y_random))):
+        got = log_loop_jacobian(ep.loop, np.log(y))
+        want = loop_jacobian(ep.loop, y).matrix * y[None, :] / image[:, None]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(got))
 
 
 @pytest.mark.parametrize("dt", [DynkinType("C", 4), DynkinType("C", 6), DynkinType("B", 4)], ids=str)

@@ -2,13 +2,12 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from yexp import ysys
-from yexp.errors import ConvergenceError, MutationDomainError
+from yexp.errors import ConvergenceError
 from yexp.qsys import QTable, check_restricted_qsystem, closed_form_qtable
 from yexp.quiver import build_mutation_loop
 from yexp.rootsys import DynkinType, build_root_system
@@ -238,17 +237,17 @@ def test_newton_b2_matches_closed_form():
 
 
 def _arctan_map(monkeypatch):
-    """Replace the loop with y -> y exp(-arctan(log y)), so F(x) = -arctan(x):
-    full Newton steps diverge from |x| > 1.4, and only backtracking converges."""
-    def transform(loop, y):
-        return y * np.exp(-np.arctan(np.log(y)))
+    """Replace the loop with y -> y exp(-arctan(log y)), that is x -> x - arctan(x)
+    in log coordinates, so F(x) = -arctan(x): full Newton steps diverge from
+    |x| > 1.4, and only backtracking converges."""
+    def transform(loop, x):
+        return x - np.arctan(x)
 
-    def jacobian(loop, y):
-        u = np.log(y)
-        return SimpleNamespace(matrix=np.diag(np.exp(-np.arctan(u)) * u * u / (1 + u * u)))
+    def jacobian(loop, x):
+        return np.diag(1 - 1 / (1 + x * x))
 
-    monkeypatch.setattr(ysys, "cluster_transform", transform)
-    monkeypatch.setattr(ysys, "loop_jacobian", jacobian)
+    monkeypatch.setattr(ysys, "log_cluster_transform", transform)
+    monkeypatch.setattr(ysys, "log_loop_jacobian", jacobian)
     return build_mutation_loop(DynkinType("A", 1))
 
 
@@ -260,16 +259,14 @@ def test_newton_backtracks_where_full_steps_diverge(monkeypatch):
 
 def test_newton_line_search_stall_raises(monkeypatch):
     loop = _arctan_map(monkeypatch)
-    start = np.exp(3.0)
 
-    def defined_only_at_start(loop, y):
-        if y[0] != start:
-            raise MutationDomainError(0)
-        return y * np.exp(-np.arctan(np.log(y)))
+    def defined_only_at_start(loop, x):
+        # NaN, as where the map has no finite image, fails every Armijo test
+        return np.where(x == 3.0, x - np.arctan(x), np.nan)
 
-    monkeypatch.setattr(ysys, "cluster_transform", defined_only_at_start)
+    monkeypatch.setattr(ysys, "log_cluster_transform", defined_only_at_start)
     with pytest.raises(ConvergenceError, match="line search") as err:
-        newton_fixed_point(loop, start=[start])
+        newton_fixed_point(loop, start=[math.exp(3.0)])
     assert err.value.last_residual > 0
 
 
