@@ -47,7 +47,10 @@ _TEXT = {  # the text each table command writes for one case
 }
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser(commands=COMMANDS) -> argparse.ArgumentParser:
+    """The parser of `commands`, all of them by default. Built for fewer, its metavar
+    keeps every command in the usage line; the full parser has none, so that its
+    errors still call the action "command"."""
     defaults = spectral.Tolerances()
     flags = {
         "family": dict(required=True, choices=sorted(_MIN_RANK)),
@@ -63,11 +66,12 @@ def _parser() -> argparse.ArgumentParser:
         prog="yexp",
         description="Level-2 Dynkin quiver mutation loops: fixed points, spectra, exponents.",
     )
-    sub = p.add_subparsers(dest="command", required=True)
-    for command, names in COMMANDS.items():
+    every = "{" + ",".join(COMMANDS) + "}" if len(commands) < len(COMMANDS) else None
+    sub = p.add_subparsers(dest="command", required=True, metavar=every)
+    for command in commands:
         sp = sub.add_parser(command, allow_abbrev=False)  # so --rank never means --rank-max
         sp.add_argument("--rank-max", type=int, default=8 if command == "sweep" else None)
-        for name in names:
+        for name in COMMANDS[command]:
             sp.add_argument("--" + name, **flags[name])
     return p
 
@@ -104,8 +108,11 @@ def _tolerances(args) -> spectral.Tolerances:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only the named command's subparser; help, no command or an unknown one need them all
+    commands = argv[:1] if argv[:1] and argv[0] in COMMANDS else COMMANDS
     try:
-        args = _parser().parse_args(argv)
+        args = _parser(commands).parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -211,8 +211,7 @@ def loop_jacobian(loop: MutationLoop, y) -> LoopJacobian:
     plus, minus = loop.phases
     mid, jp = _apply_phase(plus, y, True)
     _, jm = _apply_phase(minus, mid, True)
-    pmat = permutation_matrix(loop.nu, dtype=y.dtype)
-    return LoopJacobian(pmat @ jm @ jp, (jp, jm, pmat))
+    return LoopJacobian((jm @ jp)[loop.back], (jp, jm, permutation_matrix(loop.nu, dtype=y.dtype)))
 
 
 def finite_difference_jacobian(loop: MutationLoop, y, h: float = 1e-6) -> np.ndarray:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from yexp import ysys
+from yexp import cli, ysys
 from yexp.cli import main
 from yexp.errors import ConvergenceError
 from yexp.rootsys import DynkinType
@@ -207,6 +207,56 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, "nonsense")
     assert code == 2
+
+
+def parse_with_every_command(capsys, argv):
+    """Exit code and output of the parser that holds all of the commands' subparsers."""
+    code = None
+    try:
+        cli._parser().parse_args(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def spy_on_parsers(monkeypatch):
+    built, original = [], cli._parser
+    monkeypatch.setattr(cli, "_parser", lambda commands=cli.COMMANDS: built.append(list(commands))
+                        or original(commands))
+    return built
+
+
+def _required(command):
+    given = {"family": ["--family", "B"], "rank": ["--rank", "4"]}
+    return [part for name in given if name in cli.COMMANDS[command] for part in given[name]]
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_one_subparser_prints_what_the_full_parser_prints(command, capsys, monkeypatch):
+    # sweep requires no flag, so a flag without its value stands in for a missing one
+    missing = [command] if _required(command) else [command, "--rank-max"]
+    unknown = [command, *_required(command), "--bogus"]
+    for argv in ([command, "--help"], unknown, missing):
+        want = parse_with_every_command(capsys, argv)
+        built = spy_on_parsers(monkeypatch)
+        assert run(capsys, *argv) == want
+        assert built == [[command]]
+        monkeypatch.undo()
+    # an unknown flag is reported by the top-level parser, under its usage line
+    err = parse_with_every_command(capsys, unknown)[2]
+    assert err.startswith("usage: yexp [-h]") and "{" + ",".join(cli.COMMANDS) + "}" in err
+
+
+@pytest.mark.parametrize("argv,message", [([], "error: the following arguments are required: command\n"),
+                                          (["bogus"], "error: argument command: invalid choice: 'bogus'"),
+                                          (["--help"], "")])
+def test_no_or_an_unknown_command_reads_the_full_parser(argv, message, capsys, monkeypatch):
+    want = parse_with_every_command(capsys, argv)
+    built = spy_on_parsers(monkeypatch)
+    assert run(capsys, *argv) == want
+    assert built == [list(cli.COMMANDS)]
+    assert message in want[2]
 
 
 @pytest.mark.parametrize("argv", [["sweep", "--rank-max", "0"], ["sweep", "--rank-max", "-3"],

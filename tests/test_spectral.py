@@ -1,3 +1,5 @@
+import dataclasses
+import math
 from collections import Counter
 
 import numpy as np
@@ -521,6 +523,197 @@ def test_csol_degree_count():
     bigs = [x + 1 / x for x in xs]
     fitted = np.polyfit(bigs, vals, 2 * n)
     assert abs(fitted[0]) > 1e-6  # leading coefficient of degree 2n is present
+
+
+def csol_products_oracle(n, lam):
+    big = lam + 1 / lam
+    prod_k = np.prod([big - 2 * math.cos((2 * i + 3) * math.pi / (2 * (n + 3))) for i in range(1, n)])
+    prod_l = np.prod(
+        [(big - 2 * math.cos((i + 2) * math.pi / (n + 3))) ** 2 for i in range(1, n - 1)]
+    ) * np.prod([big - 2 * math.cos(j * math.pi / (n + 3)) for j in (1, 2, n + 1, n + 2)])
+    return prod_k, prod_l
+
+
+def c_reduction_oracle(blocks, jacobian, samples):
+    """The identities of `verify_c_reduction` by dense determinants, sample by sample,
+    det(zI - J) among them, taken of the case's full Jacobian."""
+    n = blocks.rank
+    out = {"k_reduction": 0.0, "l_reduction": 0.0, "full_det": 0.0}
+    for lam in spectral._unit_circle_samples(samples):
+        det_k = np.linalg.det(blocks.K(lam))
+        det_l = np.linalg.det(blocks.L(lam))
+        lhs_k = (-lam) ** (-(n - 1)) * np.linalg.det(blocks.Khat - lam ** 2 * np.eye(n - 1))
+        out["k_reduction"] = max(out["k_reduction"], abs(lhs_k - det_k) / max(1.0, abs(det_k)))
+        lhs_l = lam ** (-2 * n) * np.linalg.det(blocks.Lhat - lam ** 2 * np.eye(2 * n))
+        out["l_reduction"] = max(out["l_reduction"], abs(lhs_l - det_l) / max(1.0, abs(det_l)))
+        lhs_f = np.linalg.det(lam ** 2 * np.eye(3 * n - 1) - jacobian)
+        rhs_f = lam ** (3 * n - 1) * det_k * det_l
+        out["full_det"] = max(out["full_det"], abs(lhs_f - rhs_f) / max(1.0, abs(rhs_f)))
+    return out
+
+
+def csol_oracle(blocks, samples):
+    out = {"csol_k": 0.0, "csol_l": 0.0}
+    for lam in spectral._unit_circle_samples(samples):
+        prod_k, prod_l = csol_products_oracle(blocks.rank, lam)
+        det_k = np.linalg.det(blocks.K(lam))
+        det_l = np.linalg.det(blocks.L(lam))
+        out["csol_k"] = max(out["csol_k"], abs(det_k - prod_k) / max(1.0, abs(prod_k)))
+        out["csol_l"] = max(out["csol_l"], abs(det_l - prod_l) / max(1.0, abs(prod_l)))
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_c_identities_match_the_dense_determinant_oracle(n):
+    case = build_case(DynkinType("C", n))
+    blocks = c_blocks(case)
+    tol = Tolerances().c_identities
+    for got, want in ((verify_c_reduction(blocks, samples=16), c_reduction_oracle(blocks, case.jacobian, 16)),
+                      (verify_conjecture_csol(blocks, samples=32), csol_oracle(blocks, 32))):
+        for name, value in want.items():
+            assert abs(got[name] - value) <= 1e-9, name
+        assert (max(got[name] for name in want) <= tol) == (max(want.values()) <= tol)
+
+
+@pytest.mark.parametrize("n", [6, 20, 40])
+def test_full_det_catches_one_moved_eigenvalue(n):
+    blocks = c_case_blocks(n)
+    assert verify_c_reduction(blocks)["full_det"] <= Tolerances().c_identities
+    moved = blocks.eigenvalues.copy()
+    moved[0] += 1e-6
+    res = verify_c_reduction(dataclasses.replace(blocks, eigenvalues=moved))
+    assert res["full_det"] > Tolerances().c_identities
+
+
+@pytest.mark.parametrize("n", [6, 20, 40])
+def test_k_checks_catch_one_scaled_entry_of_k(n):
+    blocks = c_case_blocks(n)
+
+    def scaled(lam):
+        k = blocks.K(lam)
+        k[0, 1] *= 1 + 1e-5  # y_1 / (y_2 + 1), free of lambda
+        return k
+
+    scaled_blocks = dataclasses.replace(blocks, K=scaled)
+    tol = Tolerances().c_identities
+    assert verify_c_reduction(scaled_blocks)["k_reduction"] > tol
+    assert verify_conjecture_csol(scaled_blocks)["csol_k"] > tol
+
+
+def khat_reference_oracle(n: int, Y) -> np.ndarray:
+    d = n - 1
+    R1 = lambda i: Y(i, 1) * Y(i + 1, 1) / ((Y(i, 1) + 1) * (Y(i + 1, 1) + 1))
+    k = np.zeros((d, d))
+    for i in range(1, d + 1):
+        for j in range(1, d + 1):
+            if j % 2 == 0:
+                if i == j:
+                    k[i - 1, j - 1] = -1.0
+                elif abs(i - j) == 1:
+                    k[i - 1, j - 1] = Y(i, 1) * Y(j, 1) ** 2 / (Y(j, 1) + 1)
+            else:
+                if i == j:
+                    k[i - 1, j - 1] = -1.0 + (R1(j - 1) if j >= 2 else 0.0) + (0.0 if j == d else R1(j))
+                elif abs(i - j) == 1:
+                    k[i - 1, j - 1] = -1.0 / (Y(i, 1) * (Y(j, 1) + 1))
+                elif abs(i - j) == 2:
+                    mid = (i + j) // 2
+                    k[i - 1, j - 1] = Y(i, 1) * Y(mid, 1) / ((Y(j, 1) + 1) * (Y(mid, 1) + 1))
+    return k
+
+
+def lhat_reference_oracle(n: int, Y) -> np.ndarray:
+    l = n // 2
+    d = 4 * l
+    R = lambda m, i: Y(i, m) * Y(i + 1, m) / ((Y(i, m) + 1) * (Y(i + 1, m) + 1))
+    S = lambda i: 2.0 / ((Y(i, 1) + 1) * (Y(i, 2) + 1))
+    L = np.zeros((d, d))
+    for j in range(1, 4 * l - 1):
+        for i in range(1, 4 * l - 1):
+            v = 0.0
+            if j % 4 == 0:
+                jj = j // 2
+                if i == j:
+                    v = -1.0 + R(2, jj - 1) + (R(2, jj) if jj < 2 * l - 1 else 0.0) + S(jj)
+                elif i == j - 1:
+                    v = -1.0 / (Y(jj, 1) * Y(jj, 2) * (Y(jj, 2) + 1))
+                elif abs(i - j) == 2 and i % 2 == 0:
+                    v = -1.0 / (Y(i // 2, 2) * (Y(jj, 2) + 1))
+                elif abs(i + 1 - j) == 2 and i % 2 == 1:
+                    v = Y((i + 1) // 2, 1) / (Y(jj, 2) + 1) * (
+                        1.0 / (Y((i + 1) // 2, 2) + 1) + Y(jj, 1) / (Y(jj, 2) * (Y(jj, 1) + 1))
+                    )
+                elif abs(i - j) == 4 and i % 2 == 0:
+                    nb = jj + 1 if i > j else jj - 1
+                    v = Y(nb, 2) * Y(i // 2, 2) / ((Y(jj, 2) + 1) * (Y(nb, 2) + 1))
+            elif j % 4 == 1:
+                jj = (j + 1) // 2
+                if i == j:
+                    v = -1.0 + (R(1, jj - 1) if jj >= 2 else 0.0) + (0.0 if j == 4 * l - 3 else R(1, jj)) + S(jj)
+                elif i == j + 1:
+                    v = -2.0 / (Y(i // 2, 1) * Y(i // 2, 2) * (Y(i // 2, 1) + 1))
+                elif abs(i - j) == 2 and i % 2 == 1:
+                    v = -1.0 / (Y((i + 1) // 2, 1) * (Y(jj, 1) + 1))
+                elif abs(i - 1 - j) == 2 and i % 2 == 0:
+                    v = 2 * Y(i // 2, 2) / (Y(jj, 1) + 1) * (
+                        1.0 / (Y(i // 2, 1) + 1) + Y(jj, 2) / (Y(jj, 1) * (Y(jj, 2) + 1))
+                    )
+                elif abs(i - j) == 4 and i % 2 == 1:
+                    nb = jj + 1 if i > j else jj - 1
+                    v = Y(nb, 1) * Y((i + 1) // 2, 1) / ((Y(jj, 1) + 1) * (Y(nb, 1) + 1))
+            elif j % 4 == 2:
+                jj = j // 2
+                if i == j:
+                    v = -1.0
+                elif i == j - 1:
+                    v = Y(jj, 1) * Y(jj, 2) / (Y(jj, 2) + 1)
+                elif abs(i - j) == 2 and i % 2 == 0:
+                    v = Y(i // 2, 2) * Y(jj, 2) ** 2 / (Y(jj, 2) + 1)
+            else:
+                jj = (j + 1) // 2
+                if i == j:
+                    v = -1.0
+                elif i == j + 1:
+                    v = 2 * Y(i // 2, 1) * Y(i // 2, 2) / (Y(i // 2, 1) + 1)
+                elif abs(i - j) == 2 and i % 2 == 1:
+                    v = Y((i + 1) // 2, 1) * Y(jj, 1) ** 2 / (Y(jj, 1) + 1)
+            if v:
+                L[i - 1, j - 1] = v
+    m = 2 * l  # node index n
+    if l >= 2:
+        L[4 * l - 2, 4 * l - 5] = Y(m - 1, 2) * Y(m, 1) / ((Y(m - 2, 2) + 1) * (Y(m - 1, 2) + 1))
+        L[4 * l - 1, 4 * l - 5] = Y(m - 1, 2) / (Y(m, 1) * (Y(m - 2, 2) + 1))
+        L[4 * l - 5, 4 * l - 2] = Y(m - 2, 2) * Y(m - 1, 2) / ((Y(m - 1, 2) + 1) * (Y(m, 1) + 1))
+    L[4 * l - 2, 4 * l - 4] = 2 * Y(m, 1) / (Y(m - 1, 1) + 1) * (
+        1 + Y(m - 1, 2) / (Y(m - 1, 1) * (Y(m - 1, 2) + 1))
+    )
+    L[4 * l - 1, 4 * l - 4] = 2 * Y(m - 1, 2) / (Y(m - 1, 1) * Y(m, 1) * (Y(m - 1, 1) + 1))
+    L[4 * l - 2, 4 * l - 3] = Y(m - 1, 2) ** 2 * Y(m, 1) / (Y(m - 1, 2) + 1)
+    L[4 * l - 1, 4 * l - 3] = Y(m - 1, 2) ** 2 / Y(m, 1)
+    L[4 * l - 4, 4 * l - 2] = Y(m - 1, 1) / ((Y(m - 1, 2) + 1) * (Y(m, 1) + 1))
+    L[4 * l - 3, 4 * l - 2] = -1.0 / (Y(m - 1, 2) * (Y(m, 1) + 1))
+    L[4 * l - 2, 4 * l - 2] = Y(m - 1, 2) * Y(m, 1) / ((Y(m - 1, 2) + 1) * (Y(m, 1) + 1))
+    # Y(m-1,2)/(Y(m,1)(Y(m,1)+1)) - (Y(m-1,2)+1)/Y(m,1)^2, without its cancellation at high rank
+    L[4 * l - 1, 4 * l - 2] = -(Y(m - 1, 2) + Y(m, 1) + 1) / (Y(m, 1) ** 2 * (Y(m, 1) + 1))
+    L[4 * l - 2, 4 * l - 1] = Y(m, 1) ** 2 / (Y(m - 1, 2) + 1)
+    return L
+
+
+@pytest.mark.parametrize("n", [*range(2, 65, 2), 256])
+def test_banded_tables_match_the_full_loop_oracle_bitwise(n):
+    Y = y_solution(DynkinType("C", n)).value
+    for got, want in ((spectral._khat_reference(n, Y), khat_reference_oracle(n, Y)),
+                      (spectral._lhat_reference(n, Y), lhat_reference_oracle(n, Y))):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_csol_products_over_an_array_match_the_scalar_oracle(n):
+    lams = spectral._unit_circle_samples(32)
+    got = csol_products(n, lams)
+    want = np.array([csol_products_oracle(n, lam) for lam in lams]).T
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(csol_products(n, lams[3]), want[:, 3], rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("fam,n", [("C", 3), ("C", 4)])

@@ -457,6 +457,17 @@ def test_phase_factor_product(dt):
         assert np.array_equal(pmat, expected)
 
 
+@pytest.mark.parametrize("dt", [DynkinType(f, r) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
+                                for r in range(lo, 25)], ids=str)
+def test_loop_jacobian_is_the_dense_permutation_product(dt):
+    loop = build_mutation_loop(dt)
+    y = np.random.default_rng(dt.rank).uniform(0.5, 2.0, loop.n_vertices)
+    lj = loop_jacobian(loop, y)
+    jp, jm, pmat = lj.phase_factors
+    want = pmat @ jm @ jp
+    assert np.max(np.abs(lj.matrix - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("dt", [DynkinType("B", 4), DynkinType("D", 6)], ids=str)
 def test_jacobian_power_identity(dt):
     ep = assemble_eta(dt)
