@@ -6,8 +6,8 @@ Jacobian spectra and exponents, and machine-checks the characteristic
 polynomial identities behind them.
 """
 
-from .errors import (CalibrationError, ConvergenceError, FixedPointError,
-                     LoopPropertyError, MutationDomainError)
+from .errors import (ConvergenceError, FixedPointError, LoopPropertyError,
+                     MutationDomainError)
 from .quiver import (LabeledQuiver, MutationLoop, Quiver, build_dynkin_quiver,
                      build_mutation_loop, dump_quiver, mutate_quiver, permute_quiver)
 from .qsys import (QTable, check_qsol_properties, check_restricted_qsystem,
@@ -18,7 +18,7 @@ from .spectral import (Case, CBlockPair, ExponentSequence, SpectralReport, Toler
                        check_jacobian_fd, conjectured_charpoly, exponents_csv,
                        lemma_eigenvector, lemma_summary, relation_residuals, run_case,
                        special_eigenvector, spectrum, verify_c_reduction,
-                       verify_conjecture, verify_conjecture_csol)
+                       verify_conjecture_csol)
 from .yseed import (LoopJacobian, YSeed, check_periodicity, cluster_transform,
                     finite_difference_jacobian, loop_jacobian, mutate_yseed)
 from .ysys import (EtaPoint, GReading, YSolution, assemble_eta, calibrate_reading,

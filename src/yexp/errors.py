@@ -13,10 +13,6 @@ class LoopPropertyError(RuntimeError):
     """The mutated quiver did not return to its start under nu."""
 
 
-class CalibrationError(RuntimeError):
-    """No coefficient-convention reading reproduces the closed-form Y values."""
-
-
 class FixedPointError(RuntimeError):
     """An assembled candidate fixed point failed its defining residual check."""
 

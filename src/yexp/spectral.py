@@ -19,7 +19,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .quiver import MutationLoop
 from .rootsys import DynkinType, RootSystem, build_root_system, group_constants
 from .yseed import (check_periodicity, cluster_transform, finite_difference_jacobian,
                     log_loop_jacobian, loop_jacobian)
-from .ysys import EtaPoint, assemble_eta, calibrate_reading
+from .ysys import EtaPoint, assemble_eta, calibrate_reading, newton_fixed_point
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,6 @@ class SpectralReport:
     eigenvalues: np.ndarray
     exponents: ExponentSequence
     residuals: Dict[str, float] = field(default_factory=dict)
-    conjecture: Optional[Dict] = None
 
 
 # ------------------------------------------------------ conjectured N/D
@@ -136,13 +135,6 @@ def build_case(dt: DynkinType, tol: float = 1e-9) -> Case:
     """Assemble eta (fixed-point residual within `tol`) and take its spectrum."""
     point = assemble_eta(dt, tol=tol)
     return Case(point, spectrum(point.loop, point.eta))
-
-
-def verify_conjecture(dt: DynkinType) -> SpectralReport:
-    """Spectrum report with the `check_conjecture_38` verdict at the default tolerance."""
-    rep = build_case(dt).report
-    rep.conjecture = check_conjecture_38(rep, Tolerances().charpoly)
-    return rep
 
 
 def _seeded_uniform(seed: int, shape: Tuple[int, int], low: float, high: float) -> np.ndarray:
@@ -269,7 +261,7 @@ def _c_relation_residuals(case: Case, seed: int) -> Dict[str, float]:
     n = case.type.rank
     l = n // 2
     Y = case.point.ysol.value
-    jp, jm, _ = loop_jacobian(case.point.loop, case.point.eta).phase_factors
+    jp, jm = loop_jacobian(case.point.loop, case.point.eta).phase_factors
 
     def top(i):
         return 3 * (i - 1)
@@ -852,8 +844,6 @@ def run_case(
     pass flag, and a check whose call raises reports its error instead of a
     residual; the caller decides what a failure means.
     """
-    from .ysys import newton_fixed_point  # looked up per call, so it can be replaced
-
     # assemble under a coarse guard so an over-tight configured tolerance is
     # reported as a failing check instead of aborting the suite
     case = build_case(dt, tol=max(tolerances.fixed_point, 1e-6))

@@ -31,12 +31,12 @@ class YSeed:
 class LoopJacobian:
     """Loop Jacobian at a point, with its per-phase factors.
 
-    phase_factors = (J_plus at y, J_minus at mu_+(y), permutation matrix of nu);
-    their product equals `matrix`.
+    phase_factors = (J_plus at y, J_minus at mu_+(y)); `matrix` is their product
+    J_minus J_plus with its rows relabelled by nu, (J_minus J_plus)[loop.back].
     """
 
     matrix: np.ndarray
-    phase_factors: Tuple[np.ndarray, np.ndarray, np.ndarray]
+    phase_factors: Tuple[np.ndarray, np.ndarray]
 
 
 def _mutate_values(arrows: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
@@ -129,13 +129,6 @@ def _raise_domain_error(phase: Phase, yt: np.ndarray, out: np.ndarray):
     raise MutationDomainError(v, f"phase mutation produced a non-finite value at vertex {v}")
 
 
-def permutation_matrix(nu, dtype=float) -> np.ndarray:
-    n = len(nu)
-    p = np.zeros((n, n), dtype=dtype)
-    p[nu, np.arange(n)] = 1
-    return p
-
-
 def cluster_transform(loop: MutationLoop, y) -> np.ndarray:
     """Composite transformation nu . mu_- . mu_+ of one point (N,) or a batch (k, N)."""
     y = np.asarray(y, dtype=complex if np.iscomplexobj(y) else float)
@@ -211,7 +204,7 @@ def loop_jacobian(loop: MutationLoop, y) -> LoopJacobian:
     plus, minus = loop.phases
     mid, jp = _apply_phase(plus, y, True)
     _, jm = _apply_phase(minus, mid, True)
-    return LoopJacobian((jm @ jp)[loop.back], (jp, jm, permutation_matrix(loop.nu, dtype=y.dtype)))
+    return LoopJacobian((jm @ jp)[loop.back], (jp, jm))
 
 
 def finite_difference_jacobian(loop: MutationLoop, y, h: float = 1e-6) -> np.ndarray:

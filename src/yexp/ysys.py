@@ -1,12 +1,13 @@
 """Level-restricted constant Y-systems and the positive fixed point eta.
 
 The coupling exponents form one cached integer matrix G over the index set H,
-whose formula admits several readings (Cartan transpose, ratio direction, G or
-its transpose in each system). This module calibrates the reading once against
-the closed-form type-B/D solutions (exact rationals); only the search itself
-passes candidate readings around, everything else uses the calibrated one.
-`newton_fixed_point` finds eta independently of the Y-solution, in log
-coordinates, where the loop Jacobian stays bounded at every rank.
+built from the row Cartan matrix with the convolution case picked by the
+ratio t_first/t_second. The Q-system (and so `y_from_q`) reads G, the Y-system
+reads its transpose: `READING` names this reading of the formula, the only one
+of its 16 under which the closed-form type-B/D solutions satisfy both systems
+(the tests search all 16). `newton_fixed_point` finds eta independently of the
+Y-solution, in log coordinates, where the loop Jacobian stays bounded at every
+rank.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .errors import CalibrationError, ConvergenceError, FixedPointError
+from .errors import ConvergenceError, FixedPointError
 from .qsys import QTable, closed_form_qtable
 from .quiver import MutationLoop, build_mutation_loop
 from .rootsys import DynkinType, RootSystem, build_root_system
@@ -39,7 +40,7 @@ def index_set_H(dt: DynkinType, level: int = 2) -> Tuple[Tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class GReading:
-    """Calibrated reading of the coupling-coefficient formula.
+    """A reading of the coupling-coefficient formula.
 
     cartan_convention: "row" for C_{ij} = 2<a_i,a_j>/<a_i,a_i>, "col" for the transpose.
     case_direction:    which ratio (t_first/t_second or the reverse) selects the
@@ -55,14 +56,17 @@ class GReading:
     qy_order: str
 
 
-def _g_formula(t_i, cartan: np.ndarray, a: int, bm: int, c: int, dk: int, direction: str) -> int:
-    """Three-case coupling formula on first pair (a, bm), second pair (c, dk); `cartan` follows the reading."""
+READING = GReading("row", "first/second", "swapped", "direct")
+
+
+def _g_formula(t_i, cartan: np.ndarray, a: int, bm: int, c: int, dk: int) -> int:
+    """Three-case coupling formula on first pair (a, bm), second pair (c, dk); the case is
+    picked by t_a / t_c."""
     ta, tc = t_i[a - 1], t_i[c - 1]
-    num, den = (ta, tc) if direction == "first/second" else (tc, ta)
-    if num == 2 * den:
+    if ta == 2 * tc:
         coef = -cartan[c - 1, a - 1]
         return coef * ((bm == 2 * dk - 1) + 2 * (bm == 2 * dk) + (bm == 2 * dk + 1))
-    if num == 3 * den:
+    if ta == 3 * tc:
         coef = -cartan[c - 1, a - 1]
         return coef * (
             (bm == 3 * dk - 2) + 2 * (bm == 3 * dk - 1) + 3 * (bm == 3 * dk)
@@ -72,35 +76,27 @@ def _g_formula(t_i, cartan: np.ndarray, a: int, bm: int, c: int, dk: int, direct
 
 
 @lru_cache(maxsize=None)
-def _g_matrix(dt: DynkinType, level: int, convention: str, direction: str) -> np.ndarray:
-    """Read-only integer G[p, q] = `_g_formula` on pairs H[p], H[q] of H = index_set_H(dt, level);
-    it vanishes unless the Cartan matrix couples the two nodes, so only those node pairs are visited."""
+def _g_matrix(dt: DynkinType, level: int) -> np.ndarray:
+    """Read-only integer G[p, q] = `_g_formula` on pairs H[p], H[q] of H = index_set_H(dt, level)
+    with the row Cartan matrix; it vanishes unless the Cartan matrix couples the two nodes, so
+    only those node pairs are visited."""
     rs = build_root_system(dt)
-    cartan = np.array(rs.cartan) if convention == "row" else np.array(rs.cartan).T
+    cartan = np.array(rs.cartan)
     H = index_set_H(dt, level)
     pos = {h: p for p, h in enumerate(H)}
     g = np.zeros((len(H), len(H)), dtype=np.int64)
     for a, c in np.argwhere((cartan != 0) | (cartan.T != 0)) + 1:
         for bm, dk in iproduct(range(1, rs.t_i[a - 1] * level), range(1, rs.t_i[c - 1] * level)):
-            g[pos[(a, bm)], pos[(c, dk)]] = _g_formula(rs.t_i, cartan, a, bm, c, dk, direction)
+            g[pos[(a, bm)], pos[(c, dk)]] = _g_formula(rs.t_i, cartan, a, bm, c, dk)
     g.setflags(write=False)
     return g
 
 
-def _coupling(dt: DynkinType, level: int, reading: GReading, order: str) -> np.ndarray:
-    """G, or its transpose when `order` (the reading's ysys_order or qy_order) is "swapped"."""
-    g = _g_matrix(dt, level, reading.cartan_convention, reading.case_direction)
-    return g if order == "direct" else g.T
-
-
-def g_coefficient(rs: RootSystem, i: int, m: int, j: int, k: int,
-                  reading: GReading | None = None) -> int:
-    """Coupling exponent attached to (j, k) in the Q-system relation at (i, m)
-    under `reading` (default: the calibrated one)."""
-    reading = reading or calibrate_reading()
+def g_coefficient(rs: RootSystem, i: int, m: int, j: int, k: int) -> int:
+    """Coupling exponent G[(i, m), (j, k)] attached to (j, k) in the Q-system relation at (i, m)."""
     level = max(2, m // rs.t_i[i - 1] + 1, k // rs.t_i[j - 1] + 1)  # least level whose H holds both
     H = index_set_H(rs.type, level)
-    return int(_coupling(rs.type, level, reading, reading.qy_order)[H.index((i, m)), H.index((j, k))])
+    return int(_g_matrix(rs.type, level)[H.index((i, m)), H.index((j, k))])
 
 
 @dataclass(frozen=True)
@@ -128,72 +124,31 @@ def closed_form_y_exact(dt: DynkinType) -> Dict[Tuple[int, int], Fraction]:
     raise ValueError(f"closed-form Y values cover types B and D, not {dt.family}")
 
 
-def y_from_q(qt: QTable, reading: GReading | None = None) -> YSolution:
-    """Positive Y-system solution Y = Q_m^2 prod Q^G / (Q_{m-1} Q_{m+1}) built
-    from a Q-table (default: calibrated reading)."""
-    reading = reading or calibrate_reading()
+def y_from_q(qt: QTable) -> YSolution:
+    """Positive Y-system solution Y = Q_m^2 prod Q^G / (Q_{m-1} Q_{m+1}) built from a Q-table."""
     H = index_set_H(qt.type, qt.level)
     q = np.array([qt.value(i, m) for i, m in H])
     ends = np.array([qt.value(i, m - 1) * qt.value(i, m + 1) for i, m in H])
-    g = _coupling(qt.type, qt.level, reading, reading.qy_order)
+    g = _g_matrix(qt.type, qt.level)
     y = q * q * np.exp(g @ np.log(q)) / ends
     return YSolution(qt.type, qt.level, dict(zip(H, y.tolist())))
 
 
-def check_ysystem(ys: YSolution, reading: GReading | None = None) -> float:
-    """Max relative residual of Y_m^2 (1 + 1/Y_{m-1})(1 + 1/Y_{m+1}) = (1 + Y_m)^2 prod (1 + Y)^G,
-    with 1 + 1/Y = 1 at the ends m = 0, t_i * level (default: calibrated reading)."""
-    reading = reading or calibrate_reading()
+def check_ysystem(ys: YSolution) -> float:
+    """Max relative residual of Y_m^2 (1 + 1/Y_{m-1})(1 + 1/Y_{m+1}) = (1 + Y_m)^2 prod (1 + Y)^(G^T),
+    with 1 + 1/Y = 1 at the ends m = 0, t_i * level."""
     H = index_set_H(ys.type, ys.level)
     y = np.array([ys.values[h] for h in H])
     inv = {h: 1.0 + 1.0 / v for h, v in ys.values.items()}
     den = np.array([inv.get((i, m - 1), 1.0) * inv.get((i, m + 1), 1.0) for i, m in H])
-    g = _coupling(ys.type, ys.level, reading, reading.ysys_order)
+    g = _g_matrix(ys.type, ys.level).T
     rhs = (1.0 + y) ** 2 * np.exp(g @ np.log1p(y)) / den
     return float(np.max(np.abs(y * y - rhs) / (y * y)))
 
 
-def _calibration_cases():
-    return (DynkinType("B", 4), DynkinType("B", 5), DynkinType("D", 5))
-
-
-@lru_cache(maxsize=None)
 def calibrate_reading() -> GReading:
-    """Search the finite space of readings for the one matching the closed forms.
-
-    A reading passes when (a) the closed-form B/D solutions satisfy the
-    Y-system and (b) rebuilding them from the closed-form Q-tables reproduces
-    the same rationals. Raises CalibrationError unless exactly one survives.
-    """
-    cases = _calibration_cases()
-    exact = {dt: closed_form_y_exact(dt) for dt in cases}
-    ysols = {
-        dt: YSolution(dt, 2, {k: float(v) for k, v in exact[dt].items()}) for dt in cases
-    }
-    qtabs = {dt: closed_form_qtable(dt) for dt in cases}
-    survivors = []
-    space = iproduct(("row", "col"), ("first/second", "second/first"), ("direct", "swapped"), ("direct", "swapped"))
-    for conv, direction, oy, oq in space:
-        reading = GReading(conv, direction, oy, oq)
-        ok = True
-        for dt in cases:
-            if check_ysystem(ysols[dt], reading) > 1e-9:
-                ok = False
-                break
-            rebuilt = y_from_q(qtabs[dt], reading)
-            if any(
-                abs(rebuilt.value(i, m) - float(v)) > 1e-10 * max(1.0, float(v))
-                for (i, m), v in exact[dt].items()
-            ):
-                ok = False
-                break
-        if ok:
-            survivors.append(reading)
-    if len(survivors) != 1:
-        raise CalibrationError(
-            f"expected exactly one consistent reading, found {len(survivors)}: {survivors}"
-        )
-    return survivors[0]
+    """The reading of the coupling formula that every case uses, `READING`."""
+    return READING
 
 
 def y_solution(dt: DynkinType) -> YSolution:

@@ -13,9 +13,9 @@ import yexp
 from yexp import DynkinType
 from yexp.quiver import Quiver, build_mutation_loop, mutate_quiver, permute_quiver
 from yexp.rootsys import build_root_system, group_constants
-from yexp.spectral import (build_case, c_blocks, conjectured_charpoly, lemma_summary,
-                           relation_residuals, verify_c_reduction, verify_conjecture,
-                           verify_conjecture_csol)
+from yexp.spectral import (Tolerances, build_case, c_blocks, check_conjecture_38,
+                           conjectured_charpoly, lemma_summary, relation_residuals,
+                           verify_c_reduction, verify_conjecture_csol)
 from yexp.yseed import (YSeed, check_periodicity, cluster_transform,
                         finite_difference_jacobian, log_loop_jacobian, mutate_yseed)
 from yexp.ysys import (assemble_eta, calibrate_reading, check_ysystem,
@@ -166,10 +166,11 @@ def test_criterion_07_type_b_charpoly():
     ok = True
     for n in range(2, 9):
         dt = DynkinType("B", n)
-        rep = verify_conjecture(dt)
+        rep = build_case(dt).report
         expected = tuple(sorted(list(range(2, 4 * n + 1, 2)) + [2 * n + 1]))
         ok = (ok and rep.exponents.exponents == expected and rep.exponents.period == 4 * n + 2
-              and quotient_exponents(dt) == Counter(expected) and rep.conjecture["pass"])
+              and quotient_exponents(dt) == Counter(expected)
+              and check_conjecture_38(rep, Tolerances().charpoly)["pass"])
     report(7, "type B: N/D = (z+1)(z^{2n+1}-1)/(z-1), exponents {2,4..4n} + {2n+1}, n = 2..8", ok)
 
 
@@ -177,10 +178,11 @@ def test_criterion_08_type_d_charpoly():
     ok = True
     for n in range(4, 11):
         dt = DynkinType("D", n)
-        rep = verify_conjecture(dt)
+        rep = build_case(dt).report
         expected = tuple(sorted([k for k in range(2, 2 * n, 2)] + [n]))
         ok = (ok and rep.exponents.exponents == expected and rep.exponents.period == 2 * n
-              and quotient_exponents(dt) == Counter(expected) and rep.conjecture["pass"])
+              and quotient_exponents(dt) == Counter(expected)
+              and check_conjecture_38(rep, Tolerances().charpoly)["pass"])
     report(8, "type D: N/D = (1+z)(z^n-1)/(z-1), exponents evens + {n}, n = 4..10", ok)
 
 

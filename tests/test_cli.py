@@ -1,12 +1,15 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
-from yexp import cli, ysys
+import yexp
+from yexp import cli, spectral
 from yexp.cli import main
 from yexp.errors import ConvergenceError
 from yexp.rootsys import DynkinType
@@ -40,6 +43,21 @@ def test_verify_json(tmp_path, capsys):
             assert key in check
     assert len(data["exponents"]) == data["n_vertices"]
     assert data["calibration"]["qy_order"] in ("direct", "swapped")
+
+
+def test_the_benchmark_tracer_finds_every_function_it_wraps(capsys):
+    # perfbench/spans.py wraps these names by module and name; a traced run fails on a missing one
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for layer, names in spans.WRAPPED.items():
+        module = importlib.import_module(f"yexp.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"yexp.{layer}.{name}"
+    code, out, _ = run(capsys, "verify", "--family", "B", "--rank", "4")
+    assert code == 0
+    assert json.loads(out)["calibration"] == asdict(yexp.calibrate_reading())
 
 
 def test_verify_d19_passes(capsys):
@@ -328,7 +346,7 @@ def test_raising_check_is_recorded_not_fatal(capsys, monkeypatch):
     def no_convergence(loop, *args, **kwargs):
         raise ConvergenceError(1.0, "Newton did not converge")
 
-    monkeypatch.setattr(ysys, "newton_fixed_point", no_convergence)
+    monkeypatch.setattr(spectral, "newton_fixed_point", no_convergence)
     code, out, _ = run(capsys, "verify", "--family", "B", "--rank", "4")
     assert code == 1
     checks = json.loads(out)["checks"]

@@ -12,8 +12,7 @@ from yexp.spectral import (ExponentSequence, Tolerances, build_case, c_blocks,
                            case_passed, check_conjecture_38, check_jacobian_fd,
                            conjectured_charpoly, csol_products, lemma_boundary_value,
                            lemma_eigenvector, lemma_summary, relation_residuals, run_case,
-                           special_eigenvector, verify_c_reduction, verify_conjecture,
-                           verify_conjecture_csol)
+                           special_eigenvector, verify_c_reduction, verify_conjecture_csol)
 from yexp.ysys import y_solution
 
 
@@ -161,13 +160,14 @@ def test_quotient_closed_form_c(n):
 
 @pytest.mark.parametrize("dt", [DynkinType("B", 6), DynkinType("D", 8), DynkinType("A", 4)], ids=str)
 def test_verify_conjecture_examples(dt):
-    rep = verify_conjecture(dt)
-    assert rep.conjecture["pass"] is True
-    assert rep.conjecture["residual"] <= 1e-7
+    verdict = check_conjecture_38(build_case(dt).report, Tolerances().charpoly)
+    assert verdict["pass"] is True
+    assert verdict["residual"] <= 1e-7
 
 
 def test_conjecture_38_rejects_a_wrong_spectrum():
-    rep = verify_conjecture(DynkinType("B", 6))
+    rep = build_case(DynkinType("B", 6)).report
+    assert check_conjecture_38(rep, Tolerances().charpoly)["pass"] is True
     exps = rep.exponents.exponents
     rep.exponents = ExponentSequence(rep.exponents.period, (exps[0] + 1,) + exps[1:])
     verdict = check_conjecture_38(rep, 1e-7)
@@ -179,10 +179,10 @@ def test_conjecture_38_rejects_a_wrong_spectrum():
 @pytest.mark.parametrize("dt", [DynkinType("C", 20), DynkinType("D", 24), DynkinType("B", 24)], ids=str)
 def test_conjecture_38_high_rank(dt):
     # the float polynomial division reported false failures at these ranks
-    rep = verify_conjecture(dt)
-    assert rep.conjecture["division_exact"] is True
-    assert rep.conjecture["quotient_matches_spectrum"] is True
-    assert rep.conjecture["pass"] is True
+    verdict = check_conjecture_38(build_case(dt).report, Tolerances().charpoly)
+    assert verdict["division_exact"] is True
+    assert verdict["quotient_matches_spectrum"] is True
+    assert verdict["pass"] is True
 
 
 @pytest.mark.parametrize("dt", [DynkinType("B", 4), DynkinType("D", 6), DynkinType("C", 4)], ids=str)

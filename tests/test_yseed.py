@@ -8,8 +8,16 @@ from yexp.quiver import Quiver, build_mutation_loop, mutate_quiver
 from yexp.rootsys import DynkinType, group_constants
 from yexp.yseed import (YSeed, _apply_phase, _mutate_values, check_periodicity, cluster_transform,
                         finite_difference_jacobian, log_cluster_transform, log_loop_jacobian,
-                        loop_jacobian, mutate_yseed, permutation_matrix)
+                        loop_jacobian, mutate_yseed)
 from yexp.ysys import assemble_eta
+
+
+def permutation_matrix(nu) -> np.ndarray:
+    """The dense matrix of nu: P[nu[i], i] = 1 (oracle for the row relabelling by loop.back)."""
+    n = len(nu)
+    p = np.zeros((n, n))
+    p[nu, np.arange(n)] = 1
+    return p
 
 
 def example_quiver():
@@ -233,7 +241,7 @@ def test_phase_updates_match_sequential_mutations(dt):
         assert np.max(np.abs(cluster_transform(loop, y) - want) / np.abs(want)) <= 1e-13
         _, (jp, jm) = _sequential_phases(loop, y, want_jac=True)
         got = loop_jacobian(loop, y).phase_factors
-        for factor, ref in zip(got, (jp, jm, permutation_matrix(loop.nu))):
+        for factor, ref in zip(got, (jp, jm), strict=True):
             assert np.max(np.abs(factor - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
@@ -246,7 +254,7 @@ def test_complex_values_match_sequential_mutations(dt):
     want = _sequential_transform(loop, y)
     assert np.max(np.abs(cluster_transform(loop, y) - want) / np.abs(want)) <= 1e-13
     _, (jp, jm) = _sequential_phases(loop, y, want_jac=True)
-    got_p, got_m, _ = loop_jacobian(loop, y).phase_factors
+    got_p, got_m = loop_jacobian(loop, y).phase_factors
     for factor, ref in ((got_p, jp), (got_m, jm)):
         assert np.max(np.abs(factor - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
@@ -445,7 +453,8 @@ def test_log_jacobian_is_the_similar_y_space_jacobian(dt):
 def test_phase_factor_product(dt):
     ep = assemble_eta(dt)
     lj = loop_jacobian(ep.loop, ep.eta)
-    jp, jm, pmat = lj.phase_factors
+    jp, jm = lj.phase_factors
+    pmat = permutation_matrix(ep.loop.nu)
     prod = pmat @ jm @ jp
     scale = np.max(np.abs(lj.matrix))
     assert np.max(np.abs(prod - lj.matrix)) <= 1e-12 * scale
@@ -463,8 +472,8 @@ def test_loop_jacobian_is_the_dense_permutation_product(dt):
     loop = build_mutation_loop(dt)
     y = np.random.default_rng(dt.rank).uniform(0.5, 2.0, loop.n_vertices)
     lj = loop_jacobian(loop, y)
-    jp, jm, pmat = lj.phase_factors
-    want = pmat @ jm @ jp
+    jp, jm = lj.phase_factors
+    want = permutation_matrix(loop.nu) @ jm @ jp
     assert np.max(np.abs(lj.matrix - want)) <= 1e-15 * np.max(np.abs(want))
 
 

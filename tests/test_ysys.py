@@ -27,13 +27,6 @@ def test_index_set_examples():
     assert set(c3) == {(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1)}
 
 
-def test_calibration_unique_and_logged():
-    reading = calibrate_reading()
-    assert isinstance(reading, GReading)
-    # the two formula uses end up with transposed index order
-    assert {reading.ysys_order, reading.qy_order} == {"direct", "swapped"}
-
-
 def test_g_coefficient_examples():
     rs = build_root_system(DynkinType("B", 4))
     assert g_coefficient(rs, 2, 1, 2, 1) == -2
@@ -45,7 +38,8 @@ def test_g_coefficient_examples():
     assert g_coefficient(rs, 4, 6, 3, 3) == oracle_g(rs, 4, 6, 3, 3, reading, reading.qy_order) == 2
 
 
-# Scalar oracles: the coupling rule applied one (i, m), (j, k) pair at a time.
+# Scalar oracles: the coupling rule applied one (i, m), (j, k) pair at a time, under any of
+# the 16 readings of the formula (Cartan transpose, ratio direction, G or G^T in each system).
 
 ALL_READINGS = [GReading(*r) for r in product(("row", "col"), ("first/second", "second/first"),
                                               ("direct", "swapped"), ("direct", "swapped"))]
@@ -57,11 +51,26 @@ def oracle_cartan(rs, convention):
     return cartan if convention == "row" else cartan.T
 
 
+def oracle_g_formula(t_i, cartan, a, bm, c, dk, direction):
+    """The three-case coupling formula, with the convolution case picked by t_a/t_c
+    ("first/second") or t_c/t_a ("second/first")."""
+    ta, tc = t_i[a - 1], t_i[c - 1]
+    num, den = (ta, tc) if direction == "first/second" else (tc, ta)
+    if num == 2 * den:
+        return -cartan[c - 1, a - 1] * ((bm == 2 * dk - 1) + 2 * (bm == 2 * dk) + (bm == 2 * dk + 1))
+    if num == 3 * den:
+        return -cartan[c - 1, a - 1] * (
+            (bm == 3 * dk - 2) + 2 * (bm == 3 * dk - 1) + 3 * (bm == 3 * dk)
+            + 2 * (bm == 3 * dk + 1) + (bm == 3 * dk + 2)
+        )
+    return -cartan[a - 1, c - 1] * (tc * bm == ta * dk)
+
+
 def oracle_g(rs, i, m, j, k, reading, order):
     """Exponent of (j, k) in the relation at (i, m) when the equation family's index order is `order`."""
     first, second = ((i, m), (j, k)) if order == "direct" else ((j, k), (i, m))
-    return ysys._g_formula(rs.t_i, oracle_cartan(rs, reading.cartan_convention),
-                           *first, *second, reading.case_direction)
+    return oracle_g_formula(rs.t_i, oracle_cartan(rs, reading.cartan_convention),
+                            *first, *second, reading.case_direction)
 
 
 def oracle_y_from_q(qt, reading):
@@ -113,29 +122,52 @@ def oracle_check_qsystem(qt, reading):
     return worst
 
 
+CLOSED_FORM_TYPES = [DynkinType(f, r) for f, lo in (("B", 2), ("D", 4)) for r in range(lo, 13)]
+
+
+def fits_the_closed_forms(reading, dt):
+    """The exact B/D solution satisfies the Y-system and is rebuilt from the closed-form Q-table."""
+    exact = closed_form_y_exact(dt)
+    ys = YSolution(dt, 2, {h: float(v) for h, v in exact.items()})
+    rebuilt = oracle_y_from_q(closed_form_qtable(dt), reading)
+    return oracle_check_ysystem(ys, reading) <= 1e-9 and all(
+        abs(rebuilt[h] - float(v)) <= 1e-10 * max(1.0, float(v)) for h, v in exact.items())
+
+
+def test_calibration_unique_and_logged():
+    """Of the 16 readings exactly one fits the closed forms, and it is the one every case uses."""
+    survivors = [r for r in ALL_READINGS if all(fits_the_closed_forms(r, dt) for dt in CLOSED_FORM_TYPES)]
+    reading = calibrate_reading()
+    assert survivors == [reading]
+    assert isinstance(reading, GReading)
+    # the two formula uses end up with transposed index order
+    assert {reading.ysys_order, reading.qy_order} == {"direct", "swapped"}
+
+
 ORACLE_TYPES = [DynkinType(f, r) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
                 for r in range(lo, 13)]
 
 
 @pytest.mark.parametrize("dt", ORACLE_TYPES, ids=str)
-def test_coupling_arrays_match_the_scalar_oracle(dt, monkeypatch):
+def test_coupling_arrays_match_the_scalar_oracle(dt):
     rs = build_root_system(dt)
-    H = index_set_H(dt)
+    reading = calibrate_reading()
+    for level in (2, 3, 4):
+        H = index_set_H(dt, level)
+        g = ysys._g_matrix(dt, level)
+        for got, order in ((g, reading.qy_order), (g.T, reading.ysys_order)):
+            assert got.tolist() == [[oracle_g(rs, i, m, j, k, reading, order) for j, k in H]
+                                    for i, m in H]
     qt = closed_form_qtable(dt)
     ys = y_solution(dt)
-    for reading in ALL_READINGS:
-        for order in ("direct", "swapped"):
-            expected = [[oracle_g(rs, i, m, j, k, reading, order) for j, k in H] for i, m in H]
-            assert ysys._coupling(dt, 2, reading, order).tolist() == expected
-        rebuilt = y_from_q(qt, reading).values
-        for h, v in oracle_y_from_q(qt, reading).items():
-            assert abs(rebuilt[h] - v) <= 1e-12 * abs(v)
-        # each residual is relative already, so one of rounding size agrees to 1e-12 absolutely
-        res, ref = check_ysystem(ys, reading), oracle_check_ysystem(ys, reading)
-        assert abs(res - ref) <= 1e-12 * max(1.0, ref)
-        monkeypatch.setattr(ysys, "calibrate_reading", lambda: reading)
-        res, ref = check_restricted_qsystem(qt), oracle_check_qsystem(qt, reading)
-        assert abs(res - ref) <= 1e-12 * max(1.0, ref)
+    rebuilt = y_from_q(qt).values
+    for h, v in oracle_y_from_q(qt, reading).items():
+        assert abs(rebuilt[h] - v) <= 1e-12 * abs(v)
+    # each residual is relative already, so one of rounding size agrees to 1e-12 absolutely
+    res, ref = check_ysystem(ys), oracle_check_ysystem(ys, reading)
+    assert abs(res - ref) <= 1e-12 * max(1.0, ref)
+    res, ref = check_restricted_qsystem(qt), oracle_check_qsystem(qt, reading)
+    assert abs(res - ref) <= 1e-12 * max(1.0, ref)
 
 
 def test_closed_form_y_values_exact():
