@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -99,11 +100,12 @@ def _tolerances(args) -> spectral.Tolerances:
     """The defaults, overridden by the command's --tol-* flags, scaled by YEXP_TOL_SCALE."""
     given = {name: getattr(args, "tol_" + name) for name in _TOLERANCES if hasattr(args, "tol_" + name)}
     scale = float(os.environ.get("YEXP_TOL_SCALE", "1.0"))
-    if scale <= 0:
-        raise ValueError("YEXP_TOL_SCALE must be positive")
+    if not (0 < scale < math.inf):  # false for nan as well
+        raise ValueError(f"YEXP_TOL_SCALE must be positive and finite, got {scale}")
     tol = replace(spectral.Tolerances(), **given).scaled(scale)
-    if min(asdict(tol).values()) <= 0:
-        raise ValueError("tolerances must be strictly positive")
+    for name, value in asdict(tol).items():
+        if not (0 < value < math.inf):
+            raise ValueError(f"tolerance {name} must be positive and finite, got {value}")
     return tol
 
 

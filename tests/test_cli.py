@@ -318,6 +318,23 @@ def test_tol_scale_env_is_read_only_by_gated_commands(capsys, monkeypatch):
     assert code == 2 and "YEXP_TOL_SCALE" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["periodicity", "verify"])
+def test_a_non_finite_tolerance_is_a_usage_error(command, value, capsys, monkeypatch):
+    # an infinite tolerance would pass any finite residual, a nan one fail every check
+    case = [command, "--family", "A", "--rank", "3"]
+    monkeypatch.setenv("YEXP_TOL_SCALE", value)
+    code, out, err = run(capsys, *case)
+    assert (code, out) == (2, "") and "YEXP_TOL_SCALE must be positive and finite" in err
+    monkeypatch.delenv("YEXP_TOL_SCALE")
+    for flag in READS[command]:
+        if flag in TOL_FLAGS:
+            code, out, err = run(capsys, *case, flag, value)
+            name = flag.removeprefix("--tol-").replace("-", "_")
+            assert (code, out) == (2, ""), flag
+            assert f"tolerance {name} must be positive and finite" in err, flag
+
+
 def test_failed_check_exits_one(capsys, monkeypatch):
     # impossibly tight tolerances turn residuals into reported failures
     monkeypatch.setenv("YEXP_TOL_SCALE", "1e-12")

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 from yexp.errors import MutationDomainError
 from yexp.quiver import Quiver, build_mutation_loop, mutate_quiver
 from yexp.rootsys import DynkinType, group_constants
-from yexp.yseed import (YSeed, _apply_phase, _mutate_values, check_periodicity, cluster_transform,
-                        finite_difference_jacobian, log_cluster_transform, log_loop_jacobian,
-                        loop_jacobian, mutate_yseed)
+from yexp.yseed import (_FD_COLUMNS, _SIMD_SOFTPLUS, YSeed, _apply_phase, _mutate_values, _softplus,
+                        check_periodicity, cluster_transform, finite_difference_jacobian,
+                        log_cluster_transform, log_loop_jacobian, loop_jacobian, mutate_yseed)
 from yexp.ysys import assemble_eta
 
 
@@ -434,6 +435,16 @@ def test_finite_differences_match_the_column_loop_bitwise(dt):
                _column_differences(lambda x: log_cluster_transform(loop, x), np.log(y)))
 
 
+@pytest.mark.parametrize("dt", [DynkinType("C", 30), DynkinType("B", 70), DynkinType("D", 130)], ids=str)
+def test_finite_differences_in_column_blocks_match_the_column_loop_bitwise(dt):
+    # N = 89, 141 and 130: two or three blocks of _FD_COLUMNS, the last one partial
+    loop = build_mutation_loop(dt)
+    assert loop.n_vertices > _FD_COLUMNS and loop.n_vertices % _FD_COLUMNS
+    y = np.random.default_rng(71).uniform(0.5, 2.0, loop.n_vertices)
+    _same_bits(finite_difference_jacobian(loop, y),
+               _column_differences(lambda x: log_cluster_transform(loop, x), np.log(y)))
+
+
 LOG_JACOBIAN_TYPES = [DynkinType(f, r) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
                       for r in range(lo, 41)]
 
@@ -447,6 +458,111 @@ def test_log_jacobian_is_the_similar_y_space_jacobian(dt):
         got = log_loop_jacobian(ep.loop, np.log(y))
         want = loop_jacobian(ep.loop, y).matrix * y[None, :] / image[:, None]
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(got))
+
+
+def _apply_phase_log(phase, x):
+    """Oracle: the phase's mutations on x = log y, vertices on axis 0, for positive points.
+
+    x_k -> -x_k for k in the phase, and arrow j adds e_j log(1 + y_k^sign(e_j)) to
+    its target, as in `_apply_phase`; log(1 + 1/y_k) = log(1 + y_k) - x_k.
+    """
+    s, cols, e = phase.vertices, phase.cols, phase.exponents
+    if x.ndim == 2:
+        e = e[:, None]
+    xs = x[s]
+    soft = np.logaddexp(0.0, xs)[cols]
+    out = x.copy()
+    out[phase.targets] += np.add.reduceat(e * np.where(e > 0, soft, soft - xs[cols]), phase.starts)
+    out[s] = -xs
+    return out
+
+
+def _log_phase_jacobian(phase, x):
+    """Oracle: the dense Jacobian of `_apply_phase_log` at one point x (N,): -1 on the
+    phase's diagonal, 1 on the rest, and arrow j adds |e_j| sigma(sign(e_j) x_k) at
+    (target, k), the derivative of e_j log(1 + y_k^sign(e_j)), sigma the logistic function."""
+    s, rows, cols, e = phase.vertices, phase.rows, phase.cols, phase.exponents
+    jac = np.eye(len(x))
+    jac[s, s] = -1.0
+    jac[rows, s[cols]] = np.abs(e) * np.exp(-np.logaddexp(0.0, -np.sign(e) * x[s][cols]))
+    return jac
+
+
+def _oracle_log_step(loop, x):
+    plus, minus = loop.phases
+    return _apply_phase_log(minus, _apply_phase_log(plus, x))[loop.back]
+
+
+def _oracle_log_jacobian(loop, x):
+    plus, minus = loop.phases
+    jm = _log_phase_jacobian(minus, _apply_phase_log(plus, x))
+    return (jm @ _log_phase_jacobian(plus, x))[loop.back]
+
+
+PROGRAM_TYPES = LOG_JACOBIAN_TYPES + [DynkinType(f, 256) for f in "ABCD"]
+
+
+def _log_points(loop, seed, k=4):
+    return np.log(np.random.default_rng(seed).uniform(0.5, 2.0, (loop.n_vertices, k)))
+
+
+def _assert_program_is_the_oracle(loop, x):
+    batch = log_cluster_transform(loop, x)
+    assert np.max(np.abs(batch - _oracle_log_step(loop, x))) <= 1e-13
+    for j in range(x.shape[1]):
+        single = log_cluster_transform(loop, x[:, j])
+        _same_bits(single, batch[:, j])
+        want = _oracle_log_jacobian(loop, x[:, j])
+        assert np.max(np.abs(log_loop_jacobian(loop, x[:, j]) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dt", PROGRAM_TYPES, ids=str)
+def test_log_programs_match_the_phase_oracle(dt):
+    # on single and batched points, one step and L, and a batch gives each point's own bits
+    loop = build_mutation_loop(dt)
+    _assert_program_is_the_oracle(loop, _log_points(loop, dt.rank))
+
+
+@pytest.mark.parametrize("dt", [DynkinType("B", 3), DynkinType("C", 5), DynkinType("B", 8), DynkinType("C", 9)],
+                         ids=str)
+def test_log_programs_fold_nu_inverse(dt):
+    # every classical nu is an involution; relabel by a cyclic shift, whose inverse differs, to tell nu from nu^-1
+    loop = build_mutation_loop(dt)
+    nu = tuple(np.roll(np.arange(loop.n_vertices), 1))
+    shifted = dataclasses.replace(loop, nu=nu)
+    assert not np.array_equal(shifted.back, nu)
+    _assert_program_is_the_oracle(shifted, _log_points(loop, 59))
+    y = np.random.default_rng(61).uniform(0.5, 2.0, loop.n_vertices)
+    np.testing.assert_allclose(log_cluster_transform(shifted, np.log(y)), np.log(cluster_transform(shifted, y)),
+                               rtol=0, atol=1e-13)
+
+
+def test_log_programs_are_built_once_per_loop():
+    loop = build_mutation_loop(DynkinType("C", 6))
+    programs = loop.programs
+    assert loop.programs is programs
+    x = _log_points(loop, 3)
+    log_cluster_transform(loop, x)
+    log_loop_jacobian(loop, x[:, 0])
+    assert loop.programs is programs
+    assert loop.jacobian_pairs is loop.jacobian_pairs
+    assert build_mutation_loop(DynkinType("C", 6)).programs is not programs
+    for program in programs:
+        assert not program.index.flags.writeable and not program.weights.flags.writeable
+
+
+@pytest.mark.parametrize("rows", [1, _SIMD_SOFTPLUS - 1, _SIMD_SOFTPLUS, 3 * _SIMD_SOFTPLUS])
+def test_softplus_is_log_one_plus_exp_in_either_form(rows):
+    # across exp's overflow, around the cap of 40, and where log(1 + e^t) rounds to t
+    values = np.concatenate((np.linspace(-1000.0, 1000.0, 4001), np.linspace(35.0, 41.0, 601), [-0.0, 0.0]))
+    t = np.resize(values, (rows, -(-len(values) // rows)))
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        got = _softplus(t.copy())
+    want = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+    assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+    if rows < _SIMD_SOFTPLUS:
+        _same_bits(got, np.logaddexp(0.0, t))
+    _same_bits(_softplus(t[:, 7].copy()), got[:, 7])
 
 
 @pytest.mark.parametrize("dt", [DynkinType("C", 4), DynkinType("C", 6), DynkinType("B", 4)], ids=str)
