@@ -113,7 +113,7 @@ class Phase:
     multiplicity exponents[e]: positive for rows[e] -> vertex, negative for
     vertex -> rows[e]. The arrows are sorted by row, then by vertex; the
     segment of row targets[j] starts at arrow starts[j]. The y-space updates
-    read these arrays; on x = log y a phase runs as its `LogProgram`.
+    read these arrays; on x = log y a phase runs as its `yseed.LogProgram`.
     """
 
     vertices: np.ndarray
@@ -140,49 +140,6 @@ def _compile_phase(q: Quiver, vertices: Tuple[int, ...], name: str) -> Phase:
     for part in parts:
         part.setflags(write=False)
     return Phase(*parts)
-
-
-@dataclass(frozen=True, eq=False)
-class LogProgram:
-    """One phase on x = log y, compiled to one weighted sum per vertex.
-
-    z = x[reads] = [x; x[vertices]], with softplus(t) = log(1 + e^t) taken on
-    its last len(vertices) entries, so z = [x; softplus(x_S)]. Row i of the
-    image is the sum, in entry order, of weights[a] z[index[a]] over the entries
-    a with rows[a] = i, and entry a reads vertex reads[index[a]]. The entries
-    are sorted by row and cover every row. A phase vertex's row is its -1
-    diagonal. Any other vertex's is its +1 diagonal, then, arrow by arrow:
-    e softplus(x_k) for an arrow it -> k of multiplicity e, and -e softplus(x_k)
-    followed by the linear e x_k for an arrow k -> it, since
-    log(1 + 1/y_k) = softplus(x_k) - x_k.
-    """
-
-    reads: np.ndarray
-    index: np.ndarray
-    weights: np.ndarray
-    rows: np.ndarray
-
-
-def _compile_log_program(phase: Phase, order: np.ndarray) -> LogProgram:
-    """The phase as a LogProgram whose row i is vertex order[i] after the phase."""
-    n = len(order)
-    s, rows, e = phase.vertices, phase.rows, phase.exponents
-    arrow = np.arange(len(rows))
-    out = e < 0
-    diagonal = np.ones(n)
-    diagonal[s] = -1.0
-    # entries: the diagonals, a softplus per arrow, a linear term per arrow out of the phase
-    row = np.concatenate((np.arange(n), rows, rows[out]))
-    index = np.concatenate((np.arange(n), n + phase.cols, s[phase.cols[out]]))
-    weights = np.concatenate((diagonal, e, -e[out])).astype(float)
-    kind = np.repeat((0, 1, 2), (n, len(rows), int(out.sum())))
-    position = np.empty(n, dtype=np.intp)
-    position[order] = np.arange(n)
-    by = np.lexsort((kind, np.concatenate((np.full(n, -1), arrow, arrow[out])), position[row]))
-    parts = (np.concatenate((np.arange(n), s)), index[by], weights[by], position[row[by]])
-    for part in parts:
-        part.setflags(write=False)
-    return LogProgram(*parts)
 
 
 def _mutate_phase(q: Quiver, phase: Phase) -> Quiver:
@@ -230,27 +187,20 @@ class MutationLoop:
         return np.argsort(self.nu)
 
     @cached_property
-    def programs(self) -> Tuple[LogProgram, LogProgram]:
-        """mu_+ and mu_- as LogPrograms, made once per loop; row i of mu_-'s is vertex
-        back[i], so the second program's image is already relabelled by nu."""
-        plus, minus = self.phases
-        return _compile_log_program(plus, np.arange(self.n_vertices)), _compile_log_program(minus, self.back)
+    def programs(self):
+        """mu_+ and mu_- as `yseed.LogProgram`s, made once per loop by
+        `yseed.compile_log_programs`."""
+        from .yseed import compile_log_programs  # yseed imports this module
+
+        return compile_log_programs(self)
 
     @cached_property
     def jacobian_pairs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(a, b, flat), made once per loop: the terms of L = J_- J_+ on x = log y. Entry
-        a[p] of mu_-'s program reads some vertex k, entry b[p] of mu_+'s program is in
-        row k, and the product of their Jacobian entries adds to L.flat[flat[p]]."""
-        plus, minus = self.programs
-        n = self.n_vertices
-        k = minus.reads[minus.index]
-        sizes = np.bincount(plus.rows, minlength=n)
-        count = sizes[k]
-        a = np.repeat(np.arange(len(k)), count)
-        # the pairs of one entry of mu_-'s program run through row k's entries in order
-        first = np.cumsum(sizes) - sizes
-        b = np.arange(len(a)) + np.repeat(first[k] - (np.cumsum(count) - count), count)
-        return a, b, minus.rows[a] * n + plus.reads[plus.index[b]]
+        """The pairs of program entries that meet in J_- J_+, made once per loop by
+        `yseed.log_jacobian_pairs`."""
+        from .yseed import log_jacobian_pairs
+
+        return log_jacobian_pairs(self)
 
 
 def _build_A(n):

@@ -7,7 +7,7 @@ import pytest
 from yexp.errors import MutationDomainError
 from yexp.quiver import Quiver, build_mutation_loop, mutate_quiver
 from yexp.rootsys import DynkinType, group_constants
-from yexp.yseed import (_FD_COLUMNS, _SIMD_SOFTPLUS, YSeed, _apply_phase, _mutate_values, _softplus,
+from yexp.yseed import (_FD_COLUMNS, YSeed, _apply_phase, _mutate_values, _softplus,
                         check_periodicity, cluster_transform, finite_difference_jacobian,
                         log_cluster_transform, log_loop_jacobian, loop_jacobian, mutate_yseed)
 from yexp.ysys import assemble_eta
@@ -551,18 +551,13 @@ def test_log_programs_are_built_once_per_loop():
         assert not program.index.flags.writeable and not program.weights.flags.writeable
 
 
-@pytest.mark.parametrize("rows", [1, _SIMD_SOFTPLUS - 1, _SIMD_SOFTPLUS, 3 * _SIMD_SOFTPLUS])
-def test_softplus_is_log_one_plus_exp_in_either_form(rows):
+def test_softplus_is_log_one_plus_exp():
     # across exp's overflow, around the cap of 40, and where log(1 + e^t) rounds to t
-    values = np.concatenate((np.linspace(-1000.0, 1000.0, 4001), np.linspace(35.0, 41.0, 601), [-0.0, 0.0]))
-    t = np.resize(values, (rows, -(-len(values) // rows)))
+    t = np.concatenate((np.linspace(-1000.0, 1000.0, 4001), np.linspace(35.0, 41.0, 601), [-0.0, 0.0]))
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         got = _softplus(t.copy())
     want = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
     assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
-    if rows < _SIMD_SOFTPLUS:
-        _same_bits(got, np.logaddexp(0.0, t))
-    _same_bits(_softplus(t[:, 7].copy()), got[:, 7])
 
 
 @pytest.mark.parametrize("dt", [DynkinType("C", 4), DynkinType("C", 6), DynkinType("B", 4)], ids=str)
