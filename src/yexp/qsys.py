@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as iproduct
 from typing import Dict, Tuple
 
 import numpy as np
 
 from .rootsys import DynkinType, RootSystem, build_root_system
+
+_QDIM_ENTRIES = 1 << 14  # (weight, root) pairs per qdim block
 
 
 def _sin_pi(a, p: int):
@@ -41,6 +42,9 @@ def qdim(rs: RootSystem, level: int, weight):
     The q-dimension is prod over positive roots of
     sin(pi t<alpha, rho + lambda>/P) / sin(pi t<alpha, rho>/P) with
     P = t(level + h_dual) (Kac, Infinite-dimensional Lie algebras, ch. 13).
+    Each sine is read by its integer pairing from one table of `_sin_pi`
+    values that spans the stack's pairings but never 2|P|, and the stack runs
+    in blocks of about _QDIM_ENTRIES (weight, root) pairs.
     """
     n = rs.type.rank
     weight = np.asarray(weight)
@@ -51,8 +55,25 @@ def qdim(rs: RootSystem, level: int, weight):
     if period == 0 or not np.all(rs.heights % period):
         raise ZeroDivisionError(f"q-dimension denominator vanishes: P = {period} divides a root height")
     den = _sin_pi(rs.heights, period)
-    shifted = rs.pairings((t // np.array(rs.t_i)) * (1 + weight))
-    q = np.prod(_sin_pi(shifted, period) / den, axis=-1)
+    scale = t // np.array(rs.t_i)
+    stack = weight.reshape(-1, n)
+    # pairings grow with each coordinate, so the columnwise extremes bound them all
+    low = rs.pairings(scale * (1 + stack.min(axis=0, initial=0))).min()
+    top = rs.pairings(scale * (1 + stack.max(axis=0, initial=0))).max()
+    wrap = low < 0 or top >= 2 * abs(period)
+    size = 2 * abs(period) if wrap else top + 1
+    # a table larger than the stack itself costs more than the sines it saves
+    table = _sin_pi(np.arange(size), period) if size <= len(stack) * len(den) else None
+    rows = max(1, _QDIM_ENTRIES // len(den))
+    q = np.empty(len(stack))
+    for lo in range(0, len(stack), rows):
+        shifted = rs.pairings(scale * (1 + stack[lo:lo + rows]))
+        if table is None:
+            sines = _sin_pi(shifted, period)
+        else:
+            sines = table[np.mod(shifted, size) if wrap else shifted]
+        q[lo:lo + rows] = np.prod(sines / den, axis=-1)
+    q = q.reshape(weight.shape[:-1])
     return float(q) if weight.ndim == 1 else q
 
 
@@ -82,17 +103,18 @@ def _kr_terms(dt: DynkinType, t_i, i: int, m: int):
                 w[i - 1] += ki
                 terms.append(tuple(w))
         return terms
-    # C, 1 <= i <= n-1: k_1 + ... + k_i <= m with k_j = m*delta_{i,j} (mod 2)
-    ranges = []
-    for j in range(1, i + 1):
-        par = m % 2 if j == i else 0
-        ranges.append(range(par, m + 1, 2))
-    for combo in iproduct(*ranges):
-        if sum(combo) <= m:
-            w = [0] * n
-            for j, c in enumerate(combo):
-                w[j] = c
-            terms.append(tuple(w))
+    # C, 1 <= i <= n-1: k_1 + ... + k_i <= m with k_j = m*delta_{i,j} (mod 2),
+    # in lexicographic order, each coordinate bounded by what the sum leaves
+    tail = (0,) * (n - i)
+
+    def extend(prefix, budget):
+        if len(prefix) == i - 1:
+            terms.extend(prefix + (k,) + tail for k in range(m % 2, budget + 1, 2))
+            return
+        for k in range(0, budget + 1, 2):
+            extend(prefix + (k,), budget - k)
+
+    extend((), m)
     return terms
 
 
@@ -108,6 +130,15 @@ def _compositions(total, parts):
     return out
 
 
+def _kr_values(rs: RootSystem, level: int, cells) -> np.ndarray:
+    """Q_m^{(i)} for each (i, m) in `cells`: every cell's terms stacked into one
+    `qdim` call, each cell's q-dimensions summed in term order by one bincount."""
+    terms = [_kr_terms(rs.type, rs.t_i, i, m) for i, m in cells]
+    stack = np.array([w for cell in terms for w in cell], dtype=np.int64).reshape(-1, rs.type.rank)
+    owner = np.repeat(np.arange(len(terms)), [len(cell) for cell in terms])
+    return np.bincount(owner, weights=qdim(rs, level, stack), minlength=len(terms))
+
+
 def kr_qchar(rs: RootSystem, level: int, i: int, m: int) -> float:
     """KR character value Q_m^{(i)} as a sum of specialized q-dimensions."""
     n = rs.type.rank
@@ -115,7 +146,7 @@ def kr_qchar(rs: RootSystem, level: int, i: int, m: int) -> float:
         raise ValueError(f"node index {i} out of range 1..{n}")
     if m < 0:
         raise ValueError(f"negative m = {m}")
-    return sum(qdim(rs, level, np.array(_kr_terms(rs.type, rs.t_i, i, m))).tolist())
+    return float(_kr_values(rs, level, [(i, m)])[0])
 
 
 @dataclass(frozen=True)
@@ -144,13 +175,11 @@ class QTable:
 
 
 def kr_qtable(dt: DynkinType, level: int = 2) -> QTable:
-    """Fill the restricted table by evaluating the KR character sums."""
+    """Fill the restricted table by evaluating the KR character sums, all of
+    its cells in one stacked pass (`_kr_values`)."""
     rs = build_root_system(dt)
-    vals = {}
-    for i in range(1, dt.rank + 1):
-        for m in range(0, rs.t_i[i - 1] * level + 1):
-            vals[(i, m)] = kr_qchar(rs, level, i, m)
-    return QTable(dt, level, rs.t_i, vals)
+    cells = [(i, m) for i in range(1, dt.rank + 1) for m in range(0, rs.t_i[i - 1] * level + 1)]
+    return QTable(dt, level, rs.t_i, dict(zip(cells, _kr_values(rs, level, cells).tolist())))
 
 
 def closed_form_qtable(dt: DynkinType) -> QTable:
@@ -194,14 +223,12 @@ def closed_form_qtable(dt: DynkinType) -> QTable:
 
 def check_restricted_qsystem(qt: QTable) -> float:
     """Max relative residual of the level-restricted Q-system Q_m^2 = Q_{m-1} Q_{m+1} + Q_m^2 prod Q^G,
-    read as Q_m^2 = Q_{m-1} Q_{m+1} (1 + Y_m) with Y = y_from_q(qt), which takes the product."""
-    from .ysys import y_from_q
+    read as Q_m^2 = Q_{m-1} Q_{m+1} (1 + Y_m) with Y as `y_from_q` builds it, which takes the
+    product; one array expression over H."""
+    from .ysys import _q_and_y
 
-    ys = y_from_q(qt)
-    return max(
-        abs(q * q - qt.value(i, m - 1) * qt.value(i, m + 1) * (1.0 + ys.value(i, m))) / (q * q)
-        for (i, m), q in qt.interior_items()
-    )
+    _, q, ends, y = _q_and_y(qt)
+    return float(np.max(np.abs(q * q - ends * (1.0 + y)) / (q * q)))
 
 
 def check_qsol_properties(dt: DynkinType, level: int = 2, vanish_terms: int = None) -> Dict[str, float]:
@@ -225,14 +252,14 @@ def check_qsol_properties(dt: DynkinType, level: int = 2, vanish_terms: int = No
             margin = qt.value(i, m + 1) - qt.value(i, m)
             if margin <= 0:
                 growth = max(growth, -margin + 1e-300)
-    vanish = 0.0
+    cells = []
     for i in range(1, dt.rank + 1):
         top = rs.t_i[i - 1] * level
         jmax = rs.t_i[i - 1] * rs.h_dual - 1
         if vanish_terms is not None:
             jmax = min(jmax, vanish_terms)
-        for j in range(1, jmax + 1):
-            vanish = max(vanish, abs(kr_qchar(rs, level, i, top + j)))
+        cells += [(i, top + j) for j in range(1, jmax + 1)]
+    vanish = float(np.max(np.abs(_kr_values(rs, level, cells)), initial=0.0))
     return {"symmetry": sym, "growth": growth, "vanishing": vanish}
 
 

@@ -124,13 +124,19 @@ def closed_form_y_exact(dt: DynkinType) -> Dict[Tuple[int, int], Fraction]:
     raise ValueError(f"closed-form Y values cover types B and D, not {dt.family}")
 
 
-def y_from_q(qt: QTable) -> YSolution:
-    """Positive Y-system solution Y = Q_m^2 prod Q^G / (Q_{m-1} Q_{m+1}) built from a Q-table."""
+def _q_and_y(qt: QTable):
+    """(H, Q_m, Q_{m-1} Q_{m+1}, Y_m) over H = index_set_H, the last three as arrays,
+    with Y = Q_m^2 prod Q^G / (Q_{m-1} Q_{m+1})."""
     H = index_set_H(qt.type, qt.level)
     q = np.array([qt.value(i, m) for i, m in H])
     ends = np.array([qt.value(i, m - 1) * qt.value(i, m + 1) for i, m in H])
     g = _g_matrix(qt.type, qt.level)
-    y = q * q * np.exp(g @ np.log(q)) / ends
+    return H, q, ends, q * q * np.exp(g @ np.log(q)) / ends
+
+
+def y_from_q(qt: QTable) -> YSolution:
+    """Positive Y-system solution Y = Q_m^2 prod Q^G / (Q_{m-1} Q_{m+1}) built from a Q-table."""
+    H, _, _, y = _q_and_y(qt)
     return YSolution(qt.type, qt.level, dict(zip(H, y.tolist())))
 
 

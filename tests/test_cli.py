@@ -12,6 +12,7 @@ import yexp
 from yexp import cli, spectral
 from yexp.cli import main
 from yexp.errors import ConvergenceError
+from yexp.qsys import closed_form_qtable
 from yexp.rootsys import DynkinType
 from yexp.spectral import run_case
 
@@ -153,6 +154,16 @@ def test_tables_parse(capsys):
     code, out, _ = run(capsys, "eta", "--family", "D", "--rank", "4")
     assert code == 0
     assert len(out.strip().splitlines()) == 5
+
+
+def test_qtable_c16_matches_the_closed_forms(capsys):
+    code, out, _ = run(capsys, "qtable", "--family", "C", "--rank", "16")
+    assert code == 0
+    closed = closed_form_qtable(DynkinType("C", 16))
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert {(int(i), int(m)) for i, m, _ in rows} == set(closed.values)
+    for i, m, q in rows:
+        assert float(q) == pytest.approx(closed.value(int(i), int(m)), abs=1e-9), (i, m)
 
 
 def test_periodicity_command(capsys):

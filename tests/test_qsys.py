@@ -1,10 +1,13 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
-from yexp.qsys import (_sin_pi, check_qsol_properties, check_restricted_qsystem,
-                       closed_form_qtable, kr_qchar, kr_qtable, qdim, qtable_csv)
+from yexp import qsys
+from yexp.qsys import (_QDIM_ENTRIES, _kr_terms, _sin_pi, check_qsol_properties,
+                       check_restricted_qsystem, closed_form_qtable, kr_qchar, kr_qtable, qdim,
+                       qtable_csv)
 from yexp.rootsys import DynkinType, build_root_system
 
 from test_rootsys import _rows
@@ -174,3 +177,96 @@ def test_qtable_csv_roundtrip():
     assert rows[(1, 1)] == pytest.approx(2.0)
     assert rows[(2, 2)] == pytest.approx(3.0)
     assert len(rows) == 3 + 5  # node 1: m=0..2, node 2: m=0..4
+
+
+def _product_kr_terms(dt, t_i, i, m):
+    """Reference terms: type C below node n filters the full product of parity ranges
+    (k_j even for j < i, k_i = m mod 2) down to sum <= m; the other cases are one
+    term or a chain, which `_kr_terms` lists directly."""
+    n = dt.rank
+    if dt.family != "C" or i == n or m == 0:
+        return _kr_terms(dt, t_i, i, m)
+    ranges = [range(m % 2 if j == i else 0, m + 1, 2) for j in range(1, i + 1)]
+    return [combo + (0,) * (n - i) for combo in product(*ranges) if sum(combo) <= m]
+
+
+def _per_cell_qchar(rs, level, i, m):
+    """Reference KR value: the cell's own sines and quotients, summed one term at a time."""
+    period = rs.t_group * (level + rs.h_dual)
+    weights = np.array(_product_kr_terms(rs.type, rs.t_i, i, m))
+    shifted = rs.pairings((rs.t_group // np.array(rs.t_i)) * (1 + weights))
+    total = 0
+    for q in np.prod(_sin_pi(shifted, period) / _sin_pi(rs.heights, period), axis=-1).tolist():
+        total += q
+    return total
+
+
+FLOOR_TO_12 = [DynkinType(f, r) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
+               for r in range(lo, 13)]
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("dt", FLOOR_TO_12, ids=str)
+def test_kr_qtable_is_the_per_cell_sum_bit_for_bit(dt, level):
+    rs = build_root_system(dt)
+    qt = kr_qtable(dt, level)
+    assert sorted(qt.values) == [(i, m) for i in range(1, dt.rank + 1)
+                                 for m in range(rs.t_i[i - 1] * level + 1)]
+    for (i, m), v in qt.values.items():
+        assert v.hex() == _per_cell_qchar(rs, level, i, m).hex(), (i, m)
+
+
+@pytest.mark.parametrize("dt", [DynkinType("B", 20), DynkinType("D", 20)], ids=str)
+def test_kr_qtable_over_several_qdim_blocks(dt):
+    rs = build_root_system(dt)
+    qt = kr_qtable(dt)
+    stacked = sum(len(_kr_terms(dt, rs.t_i, i, m)) for i, m in qt.values)
+    assert stacked > 2 * (_QDIM_ENTRIES // len(rs.heights))
+    for (i, m), v in qt.values.items():
+        assert v.hex() == _per_cell_qchar(rs, 2, i, m).hex(), (i, m)
+
+
+@pytest.mark.parametrize("rank", range(2, 7))
+def test_c_terms_are_the_filtered_product_in_its_order(rank):
+    dt = DynkinType("C", rank)
+    rs = build_root_system(dt)
+    for i in range(1, rank + 1):
+        for m in range(2 * rs.t_i[i - 1] * 3 + 5):
+            assert _kr_terms(dt, rs.t_i, i, m) == _product_kr_terms(dt, rs.t_i, i, m), (i, m)
+
+
+@pytest.mark.parametrize("dt", [DynkinType("A", 4), DynkinType("B", 5), DynkinType("C", 6),
+                                DynkinType("D", 6)], ids=str)
+def test_kr_qtable_calls_qdim_once_and_matches_kr_qchar(dt, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return qdim(*args)
+
+    monkeypatch.setattr(qsys, "qdim", counted)
+    qt = kr_qtable(dt, 3)
+    assert len(calls) == 1
+    rs = build_root_system(dt)
+    for (i, m), v in qt.values.items():
+        assert kr_qchar(rs, 3, i, m).hex() == v.hex(), (i, m)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 4), ("C", 5), ("D", 5)])
+def test_qdim_sine_table_matches_the_direct_sines(family, rank):
+    # pairings from below zero to past 2P take the reduced table; the direct sines are the reference
+    rs = build_root_system(DynkinType(family, rank))
+    period = rs.t_group * (2 + rs.h_dual)
+    for lo, hi in ((0, 3), (0, 3 * period), (-period, period)):
+        weights = np.random.default_rng(hi).integers(lo, hi, (40, rank))
+        shifted = rs.pairings((rs.t_group // np.array(rs.t_i)) * (1 + weights))
+        want = np.prod(_sin_pi(shifted, period) / _sin_pi(rs.heights, period), axis=-1)
+        assert [q.hex() for q in qdim(rs, 2, weights).tolist()] == [q.hex() for q in want.tolist()]
+
+
+@pytest.mark.parametrize("dt", [DynkinType("B", 6), DynkinType("C", 6), DynkinType("D", 6)], ids=str)
+def test_qsol_properties_without_a_vanishing_cap(dt):
+    rep = check_qsol_properties(dt)
+    assert rep["symmetry"] <= 1e-9
+    assert rep["growth"] == 0.0
+    assert rep["vanishing"] <= 1e-9
