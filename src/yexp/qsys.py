@@ -42,9 +42,11 @@ def qdim(rs: RootSystem, level: int, weight):
     The q-dimension is prod over positive roots of
     sin(pi t<alpha, rho + lambda>/P) / sin(pi t<alpha, rho>/P) with
     P = t(level + h_dual) (Kac, Infinite-dimensional Lie algebras, ch. 13).
-    Each sine is read by its integer pairing from one table of `_sin_pi`
-    values that spans the stack's pairings but never 2|P|, and the stack runs
-    in blocks of about _QDIM_ENTRIES (weight, root) pairs.
+    When the stack has at least 2|P| (weight, root) pairs, the sines of
+    pairings 0 <= a < 2|P| are read by integer pairing from one table of
+    `_sin_pi` values; a block with a pairing outside that range takes its
+    sines directly. The stack runs in blocks of about _QDIM_ENTRIES
+    (weight, root) pairs.
     """
     n = rs.type.rank
     weight = np.asarray(weight)
@@ -57,21 +59,17 @@ def qdim(rs: RootSystem, level: int, weight):
     den = _sin_pi(rs.heights, period)
     scale = t // np.array(rs.t_i)
     stack = weight.reshape(-1, n)
-    # pairings grow with each coordinate, so the columnwise extremes bound them all
-    low = rs.pairings(scale * (1 + stack.min(axis=0, initial=0))).min()
-    top = rs.pairings(scale * (1 + stack.max(axis=0, initial=0))).max()
-    wrap = low < 0 or top >= 2 * abs(period)
-    size = 2 * abs(period) if wrap else top + 1
+    size = 2 * abs(period)
     # a table larger than the stack itself costs more than the sines it saves
     table = _sin_pi(np.arange(size), period) if size <= len(stack) * len(den) else None
     rows = max(1, _QDIM_ENTRIES // len(den))
     q = np.empty(len(stack))
     for lo in range(0, len(stack), rows):
         shifted = rs.pairings(scale * (1 + stack[lo:lo + rows]))
-        if table is None:
-            sines = _sin_pi(shifted, period)
+        if table is not None and 0 <= shifted.min() and shifted.max() < size:
+            sines = table[shifted]
         else:
-            sines = table[np.mod(shifted, size) if wrap else shifted]
+            sines = _sin_pi(shifted, period)
         q[lo:lo + rows] = np.prod(sines / den, axis=-1)
     q = q.reshape(weight.shape[:-1])
     return float(q) if weight.ndim == 1 else q

@@ -246,6 +246,7 @@ def _run(program: LogProgram, x: np.ndarray) -> np.ndarray:
     if where is None:
         program.batch.clear()
         where = program.batch[k] = ((program.rows * k)[:, None] + np.arange(k)).ravel()
+        where.setflags(write=False)
     return np.bincount(where, weights=terms.ravel(), minlength=n * k).reshape(n, k)
 
 

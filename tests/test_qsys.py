@@ -254,11 +254,15 @@ def test_kr_qtable_calls_qdim_once_and_matches_kr_qchar(dt, monkeypatch):
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 4), ("C", 5), ("D", 5)])
 def test_qdim_sine_table_matches_the_direct_sines(family, rank):
-    # pairings from below zero to past 2P take the reduced table; the direct sines are the reference
+    # blocks whose pairings lie in [0, 2P) read the table, blocks with one below zero or
+    # past it the direct sines; the last stack mixes both kinds of block
     rs = build_root_system(DynkinType(family, rank))
     period = rs.t_group * (2 + rs.h_dual)
-    for lo, hi in ((0, 3), (0, 3 * period), (-period, period)):
-        weights = np.random.default_rng(hi).integers(lo, hi, (40, rank))
+    rows = _QDIM_ENTRIES // len(rs.heights)
+    rng = np.random.default_rng(period)
+    mixed = np.concatenate((rng.integers(0, 2, (rows, rank)), rng.integers(0, 3 * period, (40, rank))))
+    for weights in (rng.integers(0, 3, (40, rank)), rng.integers(0, 3 * period, (40, rank)),
+                    rng.integers(-period, period, (40, rank)), mixed):
         shifted = rs.pairings((rs.t_group // np.array(rs.t_i)) * (1 + weights))
         want = np.prod(_sin_pi(shifted, period) / _sin_pi(rs.heights, period), axis=-1)
         assert [q.hex() for q in qdim(rs, 2, weights).tolist()] == [q.hex() for q in want.tolist()]

@@ -559,6 +559,7 @@ def test_a_batch_index_is_built_once_per_width():
     assert plus.batch == {}  # one point builds no batch index
     image = _run(plus, x)
     where = plus.batch[3]
+    assert not where.flags.writeable
     assert _run(plus, x).tobytes() == image.tobytes() and plus.batch[3] is where
     assert [image[:, j].tobytes() for j in range(3)] == [q.tobytes() for q in singles]
     _run(plus, x[:, :2])
