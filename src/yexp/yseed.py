@@ -14,7 +14,7 @@ gather, a softplus, a gather, a multiply and a row sum. The y-space J
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
@@ -156,12 +156,15 @@ class LogProgram:
     e softplus(x_k) for an arrow it -> k of multiplicity e, and -e softplus(x_k)
     followed by the linear e x_k for an arrow k -> it, since
     log(1 + 1/y_k) = softplus(x_k) - x_k.
+    `batch` keeps the flat image index of the last batch width k that `_run`
+    saw, so an orbit or a finite-difference block of k points builds it once.
     """
 
     reads: np.ndarray
     index: np.ndarray
     weights: np.ndarray
     rows: np.ndarray
+    batch: dict = field(default_factory=dict, repr=False)
 
 
 def _compile_log_program(phase: Phase, order: np.ndarray) -> LogProgram:
@@ -228,7 +231,8 @@ def _run(program: LogProgram, x: np.ndarray) -> np.ndarray:
 
     gather, softplus, gather, multiply, and a bincount that sums each row's
     terms in entry order, one point alone or in a batch, where entry a of
-    point j lands in row rows[a] * k + j of the flattened image.
+    point j lands in row rows[a] * k + j of the flattened image; that index is
+    built once per batch width (`program.batch`).
     """
     z = x[program.reads]
     _softplus(z[len(x):])
@@ -238,8 +242,12 @@ def _run(program: LogProgram, x: np.ndarray) -> np.ndarray:
         return np.bincount(program.rows, weights=terms, minlength=len(x))
     terms *= program.weights[:, None]
     n, k = x.shape
-    where = (program.rows * k)[:, None] + np.arange(k)
-    return np.bincount(where.ravel(), weights=terms.ravel(), minlength=n * k).reshape(n, k)
+    where = program.batch.get(k)
+    if where is None:
+        program.batch.clear()
+        where = program.batch[k] = ((program.rows * k)[:, None] + np.arange(k)).ravel()
+        where.setflags(write=False)
+    return np.bincount(where, weights=terms.ravel(), minlength=n * k).reshape(n, k)
 
 
 def _values(program: LogProgram, x: np.ndarray) -> np.ndarray:

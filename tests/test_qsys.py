@@ -262,7 +262,7 @@ def test_qdim_sine_table_matches_the_direct_sines(family, rank):
     rng = np.random.default_rng(period)
     mixed = np.concatenate((rng.integers(0, 2, (rows, rank)), rng.integers(0, 3 * period, (40, rank))))
     for weights in (rng.integers(0, 3, (40, rank)), rng.integers(0, 3 * period, (40, rank)),
-                    rng.integers(-period, period, (40, rank)), mixed):
+                    rng.integers(-3 * period, period, (40, rank)), mixed):
         shifted = rs.pairings((rs.t_group // np.array(rs.t_i)) * (1 + weights))
         want = np.prod(_sin_pi(shifted, period) / _sin_pi(rs.heights, period), axis=-1)
         assert [q.hex() for q in qdim(rs, 2, weights).tolist()] == [q.hex() for q in want.tolist()]

@@ -7,7 +7,7 @@ import pytest
 from yexp.errors import MutationDomainError
 from yexp.quiver import Quiver, build_mutation_loop, mutate_quiver
 from yexp.rootsys import DynkinType, group_constants
-from yexp.yseed import (_FD_COLUMNS, YSeed, _apply_phase, _mutate_values, _softplus,
+from yexp.yseed import (_FD_COLUMNS, YSeed, _apply_phase, _mutate_values, _run, _softplus,
                         check_periodicity, cluster_transform, finite_difference_jacobian,
                         log_cluster_transform, log_loop_jacobian, loop_jacobian, mutate_yseed)
 from yexp.ysys import assemble_eta
@@ -549,6 +549,21 @@ def test_log_programs_are_built_once_per_loop():
     assert build_mutation_loop(DynkinType("C", 6)).programs is not programs
     for program in programs:
         assert not program.index.flags.writeable and not program.weights.flags.writeable
+
+
+def test_a_batch_index_is_built_once_per_width():
+    loop = build_mutation_loop(DynkinType("C", 6))
+    plus, _ = loop.programs
+    x = _log_points(loop, 5, k=3)
+    singles = [_run(plus, x[:, j]) for j in range(3)]
+    assert plus.batch == {}  # one point builds no batch index
+    image = _run(plus, x)
+    where = plus.batch[3]
+    assert not where.flags.writeable
+    assert _run(plus, x).tobytes() == image.tobytes() and plus.batch[3] is where
+    assert [image[:, j].tobytes() for j in range(3)] == [q.tobytes() for q in singles]
+    _run(plus, x[:, :2])
+    assert list(plus.batch) == [2]  # only the last width is kept
 
 
 def test_softplus_is_log_one_plus_exp():
