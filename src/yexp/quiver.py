@@ -105,23 +105,20 @@ class LabeledQuiver:
 
 @dataclass(frozen=True, eq=False)
 class Phase:
-    """One phase of a mutation loop, compiled for a single batched update.
+    """One phase of a mutation loop, compiled once.
 
     The phase mutates at the pairwise unconnected vertices `vertices` of the
     quiver it acts on, so its mutations commute and none changes the arrows
     at another. Arrow e joins rows[e] to vertices[cols[e]], with signed
     multiplicity exponents[e]: positive for rows[e] -> vertex, negative for
-    vertex -> rows[e]. The arrows are sorted by row, then by vertex; the
-    segment of row targets[j] starts at arrow starts[j]. The y-space updates
-    read these arrays; on x = log y a phase runs as its `yseed.LogProgram`.
+    vertex -> rows[e]. The arrows are sorted by row, then by vertex. Values
+    run only as the phase's `yseed.LogProgram`, on x = log y.
     """
 
     vertices: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     exponents: np.ndarray
-    targets: np.ndarray
-    starts: np.ndarray
 
 
 def _compile_phase(q: Quiver, vertices: Tuple[int, ...], name: str) -> Phase:
@@ -136,7 +133,7 @@ def _compile_phase(q: Quiver, vertices: Tuple[int, ...], name: str) -> Phase:
         )
     signed = a[:, s] - a[s, :].T
     rows, cols = np.nonzero(signed)
-    parts = (s, rows, cols, signed[rows, cols], *np.unique(rows, return_index=True))
+    parts = (s, rows, cols, signed[rows, cols])
     for part in parts:
         part.setflags(write=False)
     return Phase(*parts)
@@ -145,8 +142,8 @@ def _compile_phase(q: Quiver, vertices: Tuple[int, ...], name: str) -> Phase:
 def _mutate_phase(q: Quiver, phase: Phase) -> Quiver:
     """Mutate q at every vertex k of the phase at once. On b = a - a^T, off the phase,
     b_ij gains sum_k [b_ik]+ [b_kj]+ - [-b_ik]+ [-b_kj]+ = (U - U^T)_ij with U = [c]+ [-c]+^T
-    for c = b[targets, vertices]; the phase's rows and columns change sign."""
-    s, t = phase.vertices, phase.targets
+    for c = b[t, vertices], t the rows joined to the phase; its rows and columns change sign."""
+    s, t = phase.vertices, np.flatnonzero(np.bincount(phase.rows))
     b = q.arrows - q.arrows.T
     c = b[np.ix_(t, s)]
     u = np.maximum(c, 0) @ np.maximum(-c, 0).T

@@ -26,8 +26,7 @@ import numpy as np
 from .qsys import _sin_pi
 from .quiver import MutationLoop
 from .rootsys import DynkinType, RootSystem, build_root_system, group_constants
-from .yseed import (check_periodicity, cluster_transform, finite_difference_jacobian,
-                    log_loop_jacobian, loop_jacobian)
+from .yseed import check_periodicity, finite_difference_jacobian, log_loop_jacobian, loop_jacobian
 from .ysys import EtaPoint, assemble_eta, calibrate_reading, newton_fixed_point
 
 
@@ -64,6 +63,11 @@ def conjectured_charpoly(rs: RootSystem) -> Tuple[Counter, Counter]:
     long = np.concatenate((rs.long, rs.long))
     den = np.concatenate((h[~long], np.add.outer(h[long] // t, (2 + h_dual) * np.arange(t)).ravel()))
     return Counter(num.tolist()), Counter((den % period).tolist())
+
+
+def _worst(*residuals) -> float:
+    """The largest residual, or nan if any is: builtin max keeps its first argument against a later nan."""
+    return math.nan if any(map(math.isnan, residuals)) else float(max(residuals))
 
 
 # ------------------------------------------------------------------- spectrum
@@ -107,7 +111,7 @@ def check_conjecture_38(rep: SpectralReport, tol: float) -> Dict:
     its eigenvalue multiset fixes det(zI - L), which is det(zI - J).
     """
     num, den = conjectured_charpoly(build_root_system(rep.type))
-    residual = max(rep.residuals["exponent_snap"], rep.residuals["power_identity"])
+    residual = _worst(rep.residuals["exponent_snap"], rep.residuals["power_identity"])
     division_exact = not (den - num)
     quotient_matches = num - den == Counter(rep.exponents.exponents)
     return _verdict(residual, tol, division_exact and quotient_matches,
@@ -277,7 +281,7 @@ def _c_relation_residuals(case: Case, seed: int) -> Dict[str, float]:
 
     def record(name, lhs, rhs):
         r = abs(lhs - rhs) / max(1.0, abs(lhs))
-        worst[name] = max(worst.get(name, 0.0), r)
+        worst[name] = _worst(worst.get(name, 0.0), r)
 
     for psi in _seeded_uniform(seed, (4, 3 * n - 1), -1.0, 1.0):
         psi_p = jp @ psi
@@ -478,7 +482,7 @@ def lemma_summary(case: Case) -> Dict[str, float]:
     exps = case.report.exponents
     lemma_exps, _ = snap_exponents(np.append(lams, special_lam), exps.period)
     return {
-        "vectors": max(float(np.max(residuals)), special_res),
+        "vectors": _worst(np.max(residuals), special_res),
         "boundary": float(np.max(lemma_boundary_value(case.type, a))),
         "exponent_multiset_match": 0.0 if lemma_exps == exps.exponents else 1.0,
     }
@@ -670,7 +674,7 @@ def c_blocks(case: Case, block_tol: float = 1e-9) -> CBlockPair:
     u = _c_basis(n)
     m = np.linalg.solve(u, jac @ u)
     nk = n - 1
-    offdiag = max(float(np.max(np.abs(m[:nk, nk:]))), float(np.max(np.abs(m[nk:, :nk]))))
+    offdiag = _worst(np.max(np.abs(m[:nk, nk:])), np.max(np.abs(m[nk:, :nk])))
     if not offdiag <= block_tol:
         raise RuntimeError(
             f"C_{n}: subspace invariance fails (off-diagonal block {offdiag:.3e})"
@@ -709,6 +713,15 @@ def _dets(block: Callable[[complex], np.ndarray], lams: np.ndarray) -> np.ndarra
     return np.array([np.linalg.det(block(lam)) for lam in lams])
 
 
+def _product(factors: np.ndarray) -> np.ndarray:
+    """prod(factors) along the last axis as exp(sum log|f|) prod(f / |f|): a running
+    product of thousands of factors can over- and underflow (to inf * 0 = nan) where
+    the product is modest, and summed angles near +-pi round away tiny phases."""
+    factors = np.asarray(factors, dtype=complex)
+    modulus = np.abs(factors)
+    return np.exp(np.sum(np.log(modulus), axis=-1)) * np.prod(factors / modulus, axis=-1)
+
+
 def _relative_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))))
 
@@ -718,7 +731,7 @@ def verify_c_reduction(blocks: CBlockPair, samples: int = 16) -> Dict[str, float
     and of the full factorization det(zI - J) = z^{(3n-1)/2} det K det L.
 
     det K, det L and the hat-block determinants are LU determinants per sample;
-    det(zI - J) is prod_i (z - lambda_i) over the case's eigenvalues.
+    det(zI - J) is prod_i (z - lambda_i) over the case's eigenvalues, in log form.
     """
     n = blocks.rank
     lams = _unit_circle_samples(samples)
@@ -727,7 +740,7 @@ def verify_c_reduction(blocks: CBlockPair, samples: int = 16) -> Dict[str, float
     det_k, det_l = _dets(blocks.K, lams), _dets(blocks.L, lams)
     lhs_k = (-lams) ** (-(n - 1)) * _dets(lambda lam: blocks.Khat - lam ** 2 * eye_k, lams)
     lhs_l = lams ** (-2 * n) * _dets(lambda lam: blocks.Lhat - lam ** 2 * eye_l, lams)
-    lhs_f = np.prod(z[:, None] - blocks.eigenvalues[None, :], axis=1)
+    lhs_f = _product(z[:, None] - blocks.eigenvalues[None, :])
     return {
         "k_reduction": _relative_gap(lhs_k, det_k),
         "l_reduction": _relative_gap(lhs_l, det_l),
@@ -738,12 +751,12 @@ def verify_c_reduction(blocks: CBlockPair, samples: int = 16) -> Dict[str, float
 
 def csol_products(n: int, lam):
     """Right-hand sides of the two conjectured determinant factorizations, at one
-    sample lambda or at an array of them."""
+    sample lambda or at an array of them, each a product in log form."""
     big = np.asarray(lam + 1 / lam)[..., None]
     two_cos = lambda ks, den: np.array([2 * math.cos(k * math.pi / den) for k in ks])
-    prod_k = np.prod(big - two_cos(range(5, 2 * n + 2, 2), 2 * (n + 3)), axis=-1)
-    prod_l = (np.prod((big - two_cos(range(3, n + 1), n + 3)) ** 2, axis=-1)
-              * np.prod(big - two_cos((1, 2, n + 1, n + 2), n + 3), axis=-1))
+    prod_k = _product(big - two_cos(range(5, 2 * n + 2, 2), 2 * (n + 3)))
+    squared = big - two_cos(range(3, n + 1), n + 3)
+    prod_l = _product(np.concatenate((squared, squared, big - two_cos((1, 2, n + 1, n + 2), n + 3)), axis=-1))
     return prod_k, prod_l
 
 
@@ -820,12 +833,12 @@ def c_checks(case: Case, tolerances: Tolerances = Tolerances(), samples: int = 3
 
     def reduction():
         red = verify_c_reduction(blocks, samples=max(16, samples // 2))
-        return _verdict(max(v for k, v in red.items() if k != "offdiag"),
+        return _verdict(_worst(*(v for k, v in red.items() if k != "offdiag")),
                         tolerances.c_identities, **red)
 
     def csol():
         cs = verify_conjecture_csol(blocks, samples=samples)
-        return _verdict(max(cs["csol_k"], cs["csol_l"]), tolerances.c_identities,
+        return _verdict(_worst(cs["csol_k"], cs["csol_l"]), tolerances.c_identities,
                         csol_k=cs["csol_k"], csol_l=cs["csol_l"], status=cs["conjecture_status"])
 
     return {"c_reduction": _guarded(reduction), "csol": _guarded(csol)}
@@ -852,18 +865,17 @@ def run_case(
     period = rep.exponents.period
 
     def fixed_point():
-        fixed_res = np.max(np.abs(cluster_transform(loop, eta) - eta) / np.abs(eta))
         newton_res = float(np.max(np.abs(newton_fixed_point(loop) - eta) / np.abs(eta)))
-        return _verdict(fixed_res, tolerances.fixed_point,
+        return _verdict(case.point.residual, tolerances.fixed_point,
                         newton_res <= tolerances.newton_agreement, newton_agreement=newton_res)
 
     def lemma_vectors():
         summary = lemma_summary(case)
-        return _verdict(max(summary["vectors"], summary["boundary"],
-                            summary["exponent_multiset_match"]), tolerances.lemma)
+        return _verdict(_worst(summary["vectors"], summary["boundary"],
+                               summary["exponent_multiset_match"]), tolerances.lemma)
 
     def relations():
-        return _verdict(max(relation_residuals(case, seed=seed).values()), tolerances.relations)
+        return _verdict(_worst(*relation_residuals(case, seed=seed).values()), tolerances.relations)
 
     checks: Dict[str, Dict] = {
         "fixed_point": _guarded(fixed_point),

@@ -1,15 +1,14 @@
 """Y-seed mutation, cluster transformations of mutation loops, and their Jacobians.
 
-A loop's two phases are each a set of commuting mutations at pairwise
-unconnected vertices, compiled once by build_mutation_loop, so each phase is
-applied as one vectorized update, to one point or a batch of points, with its
-closed-form Jacobian. The single-mutation rule (`mutate_yseed`) is kept as the
-public engine and the reference the phase updates are tested against.
-On x = log y (`log_cluster_transform`) orbits stay finite, and the Jacobian
-L = diag(1/y') J diag(y) stays within the arrow multiplicities at every rank;
-there each phase is the loop's `LogProgram` (`MutationLoop.programs`): a
-gather, a softplus, a gather, a multiply and a row sum. The y-space J
-(`loop_jacobian`) serves complex points and is L's oracle.
+Y-seed mutation is subtraction-free, so a loop maps positive points to positive
+points, and on x = log y each of its two phases (commuting mutations at pairwise
+unconnected vertices) runs as one `LogProgram` (`MutationLoop.programs`): a
+gather, a softplus, a gather, a multiply and a row sum, on one point or a batch.
+There orbits stay finite and the Jacobian L = diag(1/y') J diag(y) stays within
+the arrow multiplicities at every rank. This is the one engine: the y-space
+`cluster_transform` and `loop_jacobian` are views of it, defined at positive
+points only (anything else raises ValueError). The single-mutation rule
+`mutate_yseed` is the reference that the programs are tested against.
 """
 
 from __future__ import annotations
@@ -33,11 +32,10 @@ class YSeed:
 
 @dataclass(frozen=True)
 class LoopJacobian:
-    """Loop Jacobian at a point, with its per-phase factors.
-
-    phase_factors = (J_plus at y, J_minus at mu_+(y)); `matrix` is their product
-    J_minus J_plus with its rows relabelled by nu, (J_minus J_plus)[loop.back].
-    """
+    """Loop Jacobian J = diag(y') L diag(1/y) at a positive point y, y' its image
+    and L the log-coordinate Jacobian, with its phase factors (J_plus at y, J_minus
+    at mu_+(y)), each its program's entries scaled the same way. J_minus is taken
+    before nu, so `matrix` = P_nu J_minus J_plus = (J_minus J_plus)[loop.back]."""
 
     matrix: np.ndarray
     phase_factors: Tuple[np.ndarray, np.ndarray]
@@ -73,74 +71,6 @@ def mutate_yseed(seed: YSeed, k: int) -> YSeed:
     y = np.asarray(seed.values, dtype=complex if any(isinstance(v, complex) for v in seed.values) else float)
     out = _mutate_values(seed.quiver.arrows, y, k)
     return YSeed(mutate_quiver(seed.quiver, k), tuple(out))
-
-
-def _apply_phase(phase: Phase, y: np.ndarray, want_jac: bool):
-    """Mutate y at every vertex of a phase at once; return the image and its Jacobian.
-
-    y is one point (N,) or a batch of points (k, N). For k in the phase,
-    y_k -> 1/y_k. Every other y_i is multiplied by (1 + y_k)^a for each arrow
-    i -> k of multiplicity a, and by (1 + 1/y_k)^-a for each arrow k -> i.
-    The Jacobian, of a single point only, is diagonal except in the phase's
-    columns; it is None unless asked for.
-    """
-    s, rows, cols, e = phase.vertices, phase.rows, phase.cols, phase.exponents
-    into = e > 0
-    # vertices on axis 0, so one point and a batch index alike
-    yt = y.T
-    yk = yt[s]
-    if y.ndim == 2:
-        into, e = into[:, None], e[:, None]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inv = 1.0 / yk
-        base = np.where(into, yk[cols] + 1.0, inv[cols] + 1.0)
-        gain = np.multiply.reduceat(base ** e, phase.starts)
-        out = yt.copy()
-        out[phase.targets] = yt[phase.targets] * gain
-    out[s] = inv
-    # every pole makes the image non-finite, so one test covers them all
-    if not np.isfinite(out).all():
-        _raise_domain_error(phase, yt, out)
-    if not want_jac:
-        return out.T, None
-    jac = np.eye(len(y), dtype=y.dtype)
-    jac[phase.targets, phase.targets] = gain
-    jac[s, s] = -inv * inv
-    plus_one = yk[cols] + 1.0
-    coeff = np.where(into, e / plus_one, -e / (yk[cols] * plus_one))
-    jac[rows, s[cols]] = out[rows] * coeff
-    return out, jac
-
-
-def _raise_domain_error(phase: Phase, yt: np.ndarray, out: np.ndarray):
-    """Raise for the first point whose image is non-finite, as one mutation at a time would.
-
-    y_k = 0, or 1 + 1/y_k = 0 where k has an outgoing arrow, is a pole; the
-    first pole in phase order is named, and otherwise the first non-finite
-    value.
-    """
-    if yt.ndim == 2:
-        point = int(np.argmin(np.isfinite(out).all(axis=0)))
-        yt, out = yt[:, point], out[:, point]
-    s, cols, e = phase.vertices, phase.cols, phase.exponents
-    yk = yt[s]
-    pole = yk == 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pole[cols[(e < 0) & (1.0 / yk[cols] + 1.0 == 0)]] = True
-    if pole.any():
-        raise MutationDomainError(int(s[np.argmax(pole)]))
-    v = int(np.argmin(np.isfinite(out)))
-    raise MutationDomainError(v, f"phase mutation produced a non-finite value at vertex {v}")
-
-
-def cluster_transform(loop: MutationLoop, y) -> np.ndarray:
-    """Composite transformation nu . mu_- . mu_+ of one point (N,) or a batch (k, N)."""
-    y = np.asarray(y, dtype=complex if np.iscomplexobj(y) else float)
-    if y.ndim not in (1, 2) or y.shape[-1] != loop.n_vertices:
-        raise ValueError(f"expected {loop.n_vertices} values per point, got shape {y.shape}")
-    plus, minus = loop.phases
-    end, _ = _apply_phase(minus, _apply_phase(plus, y, False)[0], False)
-    return end[..., loop.back]
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,6 +213,24 @@ def log_loop_jacobian(loop: MutationLoop, x: np.ndarray) -> np.ndarray:
     return np.bincount(flat, weights=terms, minlength=n * n).reshape(n, n)
 
 
+def _positive_points(loop: MutationLoop, y, ndims=(1, 2)) -> np.ndarray:
+    """y as float points, one (N,) or a batch (k, N) as `ndims` allows. A complex,
+    non-positive, non-finite or mis-shaped y raises ValueError: it is never cast."""
+    y = np.asarray(y)
+    if y.ndim not in ndims or y.shape[-1] != loop.n_vertices:
+        raise ValueError(f"expected {loop.n_vertices} values per point, got shape {y.shape}")
+    if np.iscomplexobj(y) or not ((y > 0) & (y < np.inf)).all():
+        raise ValueError("the loop is defined at positive points only")
+    return y.astype(float)
+
+
+def cluster_transform(loop: MutationLoop, y) -> np.ndarray:
+    """Composite transformation nu . mu_- . mu_+ of one positive point (N,) or a
+    batch (k, N): exp(`log_cluster_transform`(log y))."""
+    x = np.log(_positive_points(loop, y))
+    return np.exp(log_cluster_transform(loop, x.T)).T
+
+
 def check_periodicity(loop: MutationLoop, y, period: int) -> float:
     """Max relative residual |mu_gamma^period(y) - y| / |y| over one positive point or a batch.
 
@@ -290,32 +238,42 @@ def check_periodicity(loop: MutationLoop, y, period: int) -> float:
     grows like twice the rank), one `log_cluster_transform` (two LogPrograms) per
     step for the whole batch; the residual is |expm1(x_period - x_0)|.
     """
-    y0 = np.asarray(y, dtype=float)
-    if not (y0 > 0).all():
-        raise ValueError("periodicity is checked at positive points only")
-    x = x0 = np.log(y0).T
+    x = x0 = np.log(_positive_points(loop, y)).T
     for _ in range(period):
         x = log_cluster_transform(loop, x)
     return float(np.max(np.abs(np.expm1(x - x0)), initial=0.0))
 
 
+def _y_entries(program: LogProgram, x: np.ndarray, image: np.ndarray) -> np.ndarray:
+    """The program's entries of L at x (`_values`) carried to y = e^x, entry a times
+    y'[rows[a]] / y[reads[index[a]]] with y' = e^image: those of diag(y') L diag(1/y)."""
+    return _values(program, x) * np.exp(image[program.rows] - x[program.reads[program.index]])
+
+
 def loop_jacobian(loop: MutationLoop, y) -> LoopJacobian:
-    """Analytic Jacobian of the cluster transformation at y, with phase factors."""
-    y = np.asarray(y, dtype=complex if np.iscomplexobj(y) else float)
-    plus, minus = loop.phases
-    mid, jp = _apply_phase(plus, y, True)
-    _, jm = _apply_phase(minus, mid, True)
-    return LoopJacobian((jm @ jp)[loop.back], (jp, jm))
+    """Jacobian of the loop at one positive point y, with its phase factors: each
+    factor scatters its program's entries at x = log y carried to y (`_y_entries`),
+    and J pairs them as `log_loop_jacobian` pairs L's, with no dense product."""
+    x = np.log(_positive_points(loop, y, ndims=(1,)))
+    n = len(x)
+    plus, minus = loop.programs
+    a, b, flat = loop.jacobian_pairs
+    mid = _run(plus, x)
+    jp, jm = _y_entries(plus, x, mid), _y_entries(minus, mid, _run(minus, mid))
+    dense = lambda where, entries: np.bincount(where, weights=entries, minlength=n * n).reshape(n, n)
+    # entry e of a program sits at (rows[e], reads[index[e]]); mu_-'s row nu[v] holds vertex v
+    jp_dense, jm_dense = (dense(p.rows * n + p.reads[p.index], e) for p, e in ((plus, jp), (minus, jm)))
+    return LoopJacobian(dense(flat, jm[a] * jp[b]), (jp_dense, jm_dense[list(loop.nu)]))
 
 
 def finite_difference_jacobian(loop: MutationLoop, y, h: float = 1e-6) -> np.ndarray:
-    """Central-difference `log_loop_jacobian` at x = log y, for positive y (test oracle).
+    """Central-difference `log_loop_jacobian` at x = log y, for one positive y (test oracle).
 
     The shifted points run through `log_cluster_transform` in batches of
     _FD_COLUMNS columns (2 _FD_COLUMNS points), so the batch's temporaries stay
     bounded at any rank; every column is what it would be on its own.
     """
-    x = np.log(np.asarray(y, dtype=float))
+    x = np.log(_positive_points(loop, y, ndims=(1,)))
     n = x.shape[0]
     jac = np.empty((n, n))
     for lo in range(0, n, _FD_COLUMNS):

@@ -25,7 +25,7 @@ from .errors import ConvergenceError, FixedPointError
 from .qsys import QTable, closed_form_qtable
 from .quiver import MutationLoop, build_mutation_loop
 from .rootsys import DynkinType, RootSystem, build_root_system
-from .yseed import cluster_transform, log_cluster_transform, log_loop_jacobian
+from .yseed import log_cluster_transform, log_loop_jacobian
 
 
 def index_set_H(dt: DynkinType, level: int = 2) -> Tuple[Tuple[int, int], ...]:
@@ -166,11 +166,12 @@ def y_solution(dt: DynkinType) -> YSolution:
 
 @dataclass(frozen=True)
 class EtaPoint:
-    """The fixed point eta of a loop, with the Y-solution it was assembled from."""
+    """The fixed point eta of a loop, its Y-solution and its residual max|mu_gamma(eta) - eta| / eta."""
 
     loop: MutationLoop
     eta: np.ndarray
     ysol: YSolution
+    residual: float
 
 
 def _eta_components(dt: DynkinType, ys: YSolution) -> np.ndarray:
@@ -214,19 +215,19 @@ def _eta_components(dt: DynkinType, ys: YSolution) -> np.ndarray:
 def assemble_eta(dt: DynkinType, tol: float = 1e-9) -> EtaPoint:
     """Fixed point of the cluster transformation, assembled from the Y-solution.
 
-    The defining property mu_gamma(eta) = eta is enforced; a residual above
-    `tol` raises FixedPointError with the per-component residuals.
+    mu_gamma(eta) = eta is enforced on x = log eta by the residuals
+    |expm1(mu_gamma(x) - x)| = |mu_gamma(eta) - eta| / eta, Newton's measure: one
+    above `tol`, or nan, raises FixedPointError with them all.
     """
     loop = build_mutation_loop(dt)
     ys = y_solution(dt)
     eta = _eta_components(dt, ys)
-    image = cluster_transform(loop, eta)
-    residuals = np.abs(image - eta) / np.abs(eta)
-    if residuals.max() > tol:
-        raise FixedPointError(
-            residuals, f"{dt}: assembled eta is not fixed (max residual {residuals.max():.3e})"
-        )
-    return EtaPoint(loop, eta, ys)
+    x = np.log(eta)
+    residuals = np.abs(np.expm1(log_cluster_transform(loop, x) - x))
+    worst = float(np.max(residuals))
+    if not worst <= tol:
+        raise FixedPointError(residuals, f"{dt}: assembled eta is not fixed (max residual {worst:.3e})")
+    return EtaPoint(loop, eta, ys, worst)
 
 
 def newton_fixed_point(

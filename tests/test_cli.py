@@ -213,20 +213,21 @@ def test_negative_seed_is_a_usage_error(capsys):
 
 
 def test_cli_runs_never_import_numpy_random():
-    # a fresh interpreter, since this one has imported numpy.random already
+    # a fresh interpreter, since this one has imported numpy.random already; numpy.ma
+    # too, which np.unique without return_index imports lazily, at about 20 ms a process
     script = (
         "import contextlib, io, sys\n"
         "from yexp.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(['verify', '--family', 'C', '--rank', '4']),\n"
         "             main(['periodicity', '--family', 'B', '--rank', '4', '--rank-max', '6'])]\n"
-        "print(codes, 'numpy.random' in sys.modules)\n"
+        "print(codes, 'numpy.random' in sys.modules, 'numpy.ma' in sys.modules)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                          timeout=120, check=True).stdout
-    assert out.strip() == "[0, 0] False"
+    assert out.strip() == "[0, 0] False False"
 
 
 def test_usage_errors(capsys):

@@ -716,6 +716,83 @@ def test_csol_products_over_an_array_match_the_scalar_oracle(n):
     np.testing.assert_allclose(csol_products(n, lams[3]), want[:, 3], rtol=1e-14, atol=0)
 
 
+def test_csol_products_match_the_running_product_to_rank_64():
+    lams = spectral._unit_circle_samples(32)
+    for n in range(2, 65):
+        want = np.array([csol_products_oracle(n, lam) for lam in lams]).T
+        np.testing.assert_allclose(csol_products(n, lams), want, rtol=1e-12, atol=0, err_msg=f"C{n}")
+
+
+def test_csol_products_at_c1024_are_finite_and_nonzero():
+    # a running product reads 0.0 at 11 of these 32 samples and nan at 11 more:
+    # it overflows, then meets an underflow; the log-moduli are summed exactly here
+    n = 1024
+    lams = spectral._unit_circle_samples(32)
+    prod_k, prod_l = csol_products(n, lams)
+    for lam, k, l in zip(lams, prod_k, prod_l):
+        big = (lam + 1 / lam).real
+        cos = lambda ks, den: [big - 2 * math.cos(j * math.pi / den) for j in ks]
+        want_k = math.fsum(math.log(abs(f)) for f in cos(range(5, 2 * n + 2, 2), 2 * (n + 3)))
+        want_l = math.fsum([2 * math.log(abs(f)) for f in cos(range(3, n + 1), n + 3)]
+                           + [math.log(abs(f)) for f in cos((1, 2, n + 1, n + 2), n + 3)])
+        assert np.isfinite(k) and np.isfinite(l) and k != 0 and l != 0
+        assert abs(math.log(abs(k)) - want_k) <= 1e-9 and abs(math.log(abs(l)) - want_l) <= 1e-9
+
+
+def test_log_form_product_neither_underflows_nor_overflows():
+    factors = np.concatenate((np.full(2000, 1e-3), np.full(2000, 1e3)))
+    assert np.prod(factors) == 0.0  # the running product underflows before the large factors
+    assert spectral._product(factors) == pytest.approx(1.0, rel=1e-12, abs=0)
+    assert spectral._product(-factors[::-1]) == pytest.approx(1.0, rel=1e-12, abs=0)
+    z = np.exp(1j * np.linspace(0.3, 2.9, 7)) * np.linspace(0.5, 3.0, 7)
+    assert spectral._product(z) == pytest.approx(np.prod(z), rel=1e-14, abs=0)
+
+
+def test_worst_residual_keeps_a_nan():
+    assert max(7.6e-13, math.nan) == 7.6e-13  # builtin max keeps its first argument
+    for residuals in ((7.6e-13, math.nan), (math.nan, 7.6e-13), (0.0, 1.0, math.nan, 2.0)):
+        assert math.isnan(spectral._worst(*residuals))
+    assert spectral._worst(1.0, 3.0, 2.0) == 3.0
+
+
+def test_csol_fails_on_a_nan_component(monkeypatch):
+    def nan_l(blocks, samples=32):
+        return {"csol_k": 7.6e-13, "csol_l": math.nan, "conjecture_status": "open; numerical evidence only"}
+
+    monkeypatch.setattr(spectral, "verify_conjecture_csol", nan_l)
+    checks = spectral.c_checks(build_case(DynkinType("C", 4)))
+    assert checks["c_reduction"]["pass"]
+    assert checks["csol"]["pass"] is False and math.isnan(checks["csol"]["residual"])
+
+
+def test_a_nan_c_relation_row_fails_relations(monkeypatch):
+    # a nan in row mid(1) of J_+ reaches some relation rows and not others
+    loop_jacobian = spectral.loop_jacobian
+
+    def nan_row(loop, y):
+        lj = loop_jacobian(loop, y)
+        jp, jm = lj.phase_factors
+        jp = jp.copy()
+        jp[1] = np.nan
+        return dataclasses.replace(lj, phase_factors=(jp, jm))
+
+    monkeypatch.setattr(spectral, "loop_jacobian", nan_row)
+    residuals = relation_residuals(build_case(DynkinType("C", 4)))
+    assert math.isnan(residuals["plus_mid_odd"])
+    assert residuals["plus_outer_odd"] <= 1e-12
+    checks = run_case(DynkinType("C", 4), samples=8, periodicity_points=2)["checks"]
+    assert checks["relations"]["pass"] is False and math.isnan(checks["relations"]["residual"])
+    assert all(c["pass"] for name, c in checks.items() if name != "relations")
+
+
+def test_fixed_point_verdict_reads_the_assembled_residual(monkeypatch):
+    assemble_eta = spectral.assemble_eta
+    monkeypatch.setattr(spectral, "assemble_eta",
+                        lambda dt, tol: dataclasses.replace(assemble_eta(dt, tol), residual=2e-9))
+    checks = run_case(DynkinType("B", 4), samples=8, periodicity_points=2)["checks"]
+    assert checks["fixed_point"]["residual"] == 2e-9 and checks["fixed_point"]["pass"] is False
+
+
 @pytest.mark.parametrize("fam,n", [("C", 3), ("C", 4)])
 def test_c_exponents_match_template(fam, n):
     rep = build_case(DynkinType(fam, n)).report

@@ -7,7 +7,7 @@ import pytest
 from yexp.errors import MutationDomainError
 from yexp.quiver import Quiver, build_mutation_loop, mutate_quiver
 from yexp.rootsys import DynkinType, group_constants
-from yexp.yseed import (_FD_COLUMNS, YSeed, _apply_phase, _mutate_values, _run, _softplus,
+from yexp.yseed import (_FD_COLUMNS, YSeed, _mutate_values, _run, _softplus,
                         check_periodicity, cluster_transform, finite_difference_jacobian,
                         log_cluster_transform, log_loop_jacobian, loop_jacobian, mutate_yseed)
 from yexp.ysys import assemble_eta
@@ -87,7 +87,7 @@ def _mutate_with_jacobian(arrows, y, k, jac):
     yk = y[k]
     row_k = jac[k, :].copy()
     jac[k, :] = (-1.0 / yk ** 2) * row_k
-    for i in range(y.shape[0]):
+    for i in np.flatnonzero(arrows[k] + arrows[:, k]):  # the rows that change besides k
         a, b = arrows[k, i], arrows[i, k]
         if a > 0:
             base = 1.0 / yk + 1.0
@@ -97,19 +97,26 @@ def _mutate_with_jacobian(arrows, y, k, jac):
     return out
 
 
-def _sequential_phases(loop, y, want_jac=False):
-    """Reference engine: one `_mutate_values` and one `mutate_quiver` per vertex.
+def _mutate_points(arrows, y, k):
+    """`_mutate_values` at k on one point (N,) or on each point of a batch (k, N)."""
+    points = [_mutate_values(arrows, point, k) for point in np.reshape(y, (-1, y.shape[-1]))]
+    return np.reshape(points, y.shape)
 
-    Returns the values after mu_+ and after mu_- (before nu), and the two
-    phase Jacobians (None unless asked for).
+
+def _sequential_phases(loop, y, want_jac=False):
+    """Reference engine: one `_mutate_values` per point and one `mutate_quiver` per vertex.
+
+    y is one point (N,) or, without Jacobians, a batch (k, N). Returns the
+    values after mu_+ and after mu_- (before nu), and the two phase Jacobians
+    (None unless asked for).
     """
-    arrows = loop.start.quiver.arrows
+    q = loop.start.quiver
     images, jacs = [], []
     for phase in (loop.plus_set, loop.minus_set):
         jac = np.eye(len(y), dtype=y.dtype) if want_jac else None
         for k in phase:
-            y = _mutate_with_jacobian(arrows, y, k, jac) if want_jac else _mutate_values(arrows, y, k)
-            arrows = mutate_quiver(Quiver(arrows), k).arrows
+            y = _mutate_with_jacobian(q.arrows, y, k, jac) if want_jac else _mutate_points(q.arrows, y, k)
+            q = mutate_quiver(q, k)
         images.append(y)
         jacs.append(jac)
     return images, jacs
@@ -118,15 +125,25 @@ def _sequential_phases(loop, y, want_jac=False):
 def _sequential_transform(loop, y):
     (_, end), _ = _sequential_phases(loop, y)
     out = np.empty_like(end)
-    out[list(loop.nu)] = end
+    out[..., list(loop.nu)] = end
     return out
 
 
+def _sequential_jacobian(loop, y):
+    """Reference image of y, the y-space loop Jacobian there, its phase factors'
+    product J_- J_+ relabelled by nu as the values are, and the factors (J_+, J_-).
+    The product is an einsum: a BLAS product of this size can take milliseconds
+    where BLAS threads contend for the cores."""
+    (_, end), (jp, jm) = _sequential_phases(loop, y, want_jac=True)
+    image, jac = np.empty_like(end), np.empty_like(jp)
+    image[list(loop.nu)] = end
+    jac[list(loop.nu)] = np.einsum("ij,jk->ik", jm, jp)
+    return image, jac, (jp, jm)
+
+
 def _phase_images(dt, y):
-    """Engine values after mu_+ and after mu_- (before nu), for display checks."""
-    plus, minus = build_mutation_loop(dt).phases
-    mid, _ = _apply_phase(plus, np.asarray(y, dtype=float), False)
-    end, _ = _apply_phase(minus, mid, False)
+    """Reference values after mu_+ and after mu_- (before nu), for display checks."""
+    (mid, end), _ = _sequential_phases(build_mutation_loop(dt), np.asarray(y, dtype=float))
     return mid, end
 
 
@@ -234,30 +251,21 @@ ORACLE_TYPES = ALL_TYPES + [DynkinType(f, 24) for f in "BCD"]
 
 @pytest.mark.parametrize("dt", ORACLE_TYPES, ids=str)
 def test_phase_updates_match_sequential_mutations(dt):
+    # every fast path against one mutation at a time: the log programs, the
+    # y-space views of them, and both phase factors, J_- taken before nu
     loop = build_mutation_loop(dt)
     rng = np.random.default_rng(37)
     for _ in range(3):
         y = rng.uniform(0.5, 2.0, loop.n_vertices)
-        want = _sequential_transform(loop, y)
+        want, want_jac, (jp, jm) = _sequential_jacobian(loop, y)
         assert np.max(np.abs(cluster_transform(loop, y) - want) / np.abs(want)) <= 1e-13
-        _, (jp, jm) = _sequential_phases(loop, y, want_jac=True)
-        got = loop_jacobian(loop, y).phase_factors
-        for factor, ref in zip(got, (jp, jm), strict=True):
-            assert np.max(np.abs(factor - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
-
-
-@pytest.mark.parametrize("dt", [DynkinType("A", 5), DynkinType("B", 4), DynkinType("C", 4),
-                                DynkinType("D", 6)], ids=str)
-def test_complex_values_match_sequential_mutations(dt):
-    loop = build_mutation_loop(dt)
-    rng = np.random.default_rng(41)
-    y = rng.uniform(0.5, 2.0, loop.n_vertices) * np.exp(1j * rng.uniform(-1, 1, loop.n_vertices))
-    want = _sequential_transform(loop, y)
-    assert np.max(np.abs(cluster_transform(loop, y) - want) / np.abs(want)) <= 1e-13
-    _, (jp, jm) = _sequential_phases(loop, y, want_jac=True)
-    got_p, got_m = loop_jacobian(loop, y).phase_factors
-    for factor, ref in ((got_p, jp), (got_m, jm)):
-        assert np.max(np.abs(factor - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+        assert np.max(np.abs(log_cluster_transform(loop, np.log(y)) - np.log(want))) <= 1e-13
+        want_log = want_jac * y / want[:, None]
+        got_log = log_loop_jacobian(loop, np.log(y))
+        assert np.max(np.abs(got_log - want_log)) <= 1e-13 * np.max(np.abs(want_log))
+        lj = loop_jacobian(loop, y)
+        for got, ref in zip((lj.matrix, *lj.phase_factors), (want_jac, jp, jm), strict=True):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
 def _raised_vertex(transform, loop, y):
@@ -285,20 +293,38 @@ def test_domain_errors_name_the_sequential_vertex(dt):
         z[vertex] = value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _raised_vertex(cluster_transform, loop, z) == vertex, name
-            assert _raised_vertex(cluster_transform, loop, np.stack([y, z])) == vertex, name
             assert _raised_vertex(_sequential_transform, loop, z) == vertex, name
-            with pytest.raises(MutationDomainError):
-                loop_jacobian(loop, z)
 
 
 def test_pole_at_a_sink_is_not_an_error():
     # mu_+ of A3 mutates the sink 1: y_1 = -1 zeroes its neighbours instead of raising
     loop = build_mutation_loop(DynkinType("A", 3))
     y = np.array([2.0, -1.0, 3.0])
-    mid, _ = _apply_phase(loop.phases[0], y, False)
-    np.testing.assert_array_equal(mid, [0.0, -1.0, 0.0])
-    np.testing.assert_array_equal(mid, _mutate_values(loop.start.quiver.arrows, y, 1))
+    np.testing.assert_array_equal(_mutate_values(loop.start.quiver.arrows, y, 1), [0.0, -1.0, 0.0])
+
+
+VIEWS = {
+    "cluster_transform": cluster_transform,
+    "loop_jacobian": loop_jacobian,
+    "check_periodicity": lambda loop, y: check_periodicity(loop, y, 1),
+    "finite_difference_jacobian": finite_difference_jacobian,
+}
+
+
+@pytest.mark.parametrize("bad", ["complex", "complex with zero imaginary parts", "zero", "negative", "nan", "inf",
+                                 "mis-shaped"])
+@pytest.mark.parametrize("name", VIEWS)
+def test_y_space_views_reject_points_off_the_positive_domain(name, bad):
+    # a complex point raises rather than losing its imaginary part to a cast
+    loop = build_mutation_loop(DynkinType("C", 4))
+    y = np.linspace(0.5, 2.0, loop.n_vertices + (bad == "mis-shaped"))
+    z = y.astype(complex if bad.startswith("complex") else float)
+    z[1] = {"complex": 1 + 1j, "zero": 0.0, "negative": -0.5, "nan": np.nan, "inf": np.inf}.get(bad, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for point in (z, np.stack([y, z])):
+            with pytest.raises(ValueError, match="positive points only|values per point"):
+                VIEWS[name](loop, point)
 
 
 BATCH_TYPES = [DynkinType(f, r) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
@@ -314,14 +340,8 @@ def _same_bits(got, want):
 @pytest.mark.parametrize("dt", BATCH_TYPES, ids=str)
 def test_batched_points_match_single_points_bitwise(dt):
     loop = build_mutation_loop(dt)
-    rng = np.random.default_rng(43)
-    real = rng.uniform(0.5, 2.0, (4, loop.n_vertices))
-    for batch in (real, real * np.exp(1j * rng.uniform(-1, 1, real.shape))):
-        for phase in loop.phases:
-            got, jac = _apply_phase(phase, batch, False)
-            assert jac is None
-            _same_bits(got, [_apply_phase(phase, y, False)[0] for y in batch])
-        _same_bits(cluster_transform(loop, batch), [cluster_transform(loop, y) for y in batch])
+    batch = np.random.default_rng(43).uniform(0.5, 2.0, (4, loop.n_vertices))
+    _same_bits(cluster_transform(loop, batch), [cluster_transform(loop, y) for y in batch])
 
 
 def test_cluster_transform_rejects_bad_shapes():
@@ -360,10 +380,10 @@ def test_periodicity(dt):
 
 @pytest.mark.parametrize("dt", ALL_TYPES + [DynkinType("B", 200), DynkinType("D", 256)], ids=str)
 def test_log_transform_is_log_of_cluster_transform(dt):
-    # one loop step on x = log y, as check_periodicity takes it, against the y-space oracle
+    # one loop step on x = log y, as check_periodicity takes it, against one mutation at a time
     loop = build_mutation_loop(dt)
     y = np.random.default_rng(37).uniform(0.5, 2.0, (5, loop.n_vertices))
-    np.testing.assert_allclose(log_cluster_transform(loop, np.log(y).T).T, np.log(cluster_transform(loop, y)),
+    np.testing.assert_allclose(log_cluster_transform(loop, np.log(y).T).T, np.log(_sequential_transform(loop, y)),
                                rtol=1e-13, atol=1e-13)
 
 
@@ -454,9 +474,10 @@ def test_log_jacobian_is_the_similar_y_space_jacobian(dt):
     # L = diag(1/y') J diag(y), y' the image of y: at eta, where y' = y, and at a random point
     ep = assemble_eta(dt)
     y_random = np.random.default_rng(53).uniform(0.5, 2.0, ep.loop.n_vertices)
-    for y, image in ((ep.eta, ep.eta), (y_random, cluster_transform(ep.loop, y_random))):
+    for y in (ep.eta, y_random):
+        image, jac, _ = _sequential_jacobian(ep.loop, y)
         got = log_loop_jacobian(ep.loop, np.log(y))
-        want = loop_jacobian(ep.loop, y).matrix * y[None, :] / image[:, None]
+        want = jac * y[None, :] / image[:, None]
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(got))
 
 
@@ -464,15 +485,16 @@ def _apply_phase_log(phase, x):
     """Oracle: the phase's mutations on x = log y, vertices on axis 0, for positive points.
 
     x_k -> -x_k for k in the phase, and arrow j adds e_j log(1 + y_k^sign(e_j)) to
-    its target, as in `_apply_phase`; log(1 + 1/y_k) = log(1 + y_k) - x_k.
+    its row, summed by rows; log(1 + 1/y_k) = log(1 + y_k) - x_k.
     """
     s, cols, e = phase.vertices, phase.cols, phase.exponents
     if x.ndim == 2:
         e = e[:, None]
     xs = x[s]
     soft = np.logaddexp(0.0, xs)[cols]
-    out = x.copy()
-    out[phase.targets] += np.add.reduceat(e * np.where(e > 0, soft, soft - xs[cols]), phase.starts)
+    gain = np.zeros_like(x)
+    np.add.at(gain, phase.rows, e * np.where(e > 0, soft, soft - xs[cols]))
+    out = x + gain
     out[s] = -xs
     return out
 
@@ -533,8 +555,12 @@ def test_log_programs_fold_nu_inverse(dt):
     assert not np.array_equal(shifted.back, nu)
     _assert_program_is_the_oracle(shifted, _log_points(loop, 59))
     y = np.random.default_rng(61).uniform(0.5, 2.0, loop.n_vertices)
-    np.testing.assert_allclose(log_cluster_transform(shifted, np.log(y)), np.log(cluster_transform(shifted, y)),
+    np.testing.assert_allclose(log_cluster_transform(shifted, np.log(y)), np.log(_sequential_transform(shifted, y)),
                                rtol=0, atol=1e-13)
+    image, jac, (jp, jm) = _sequential_jacobian(shifted, y)
+    lj = loop_jacobian(shifted, y)
+    for got, ref in zip((lj.matrix, *lj.phase_factors), (jac, jp, jm), strict=True):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_log_programs_are_built_once_per_loop():

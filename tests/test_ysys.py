@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from yexp import ysys
-from yexp.errors import ConvergenceError
+from yexp.errors import ConvergenceError, FixedPointError
 from yexp.qsys import QTable, check_restricted_qsystem, closed_form_qtable
 from yexp.quiver import build_mutation_loop
 from yexp.rootsys import DynkinType, build_root_system
@@ -236,6 +236,27 @@ def test_eta_is_fixed_point(dt):
     ep = assemble_eta(dt)
     out = cluster_transform(ep.loop, ep.eta)
     assert np.max(np.abs(out - ep.eta) / np.abs(ep.eta)) <= 1e-9
+
+
+def test_assembled_residual_is_the_relative_image_gap(monkeypatch):
+    # eta moved off the fixed point by up to 1e-6: the residual kept on the point is
+    # max|mu(eta) - eta| / eta, and past `tol`, or nan, it raises with every component
+    dt = DynkinType("C", 5)
+    components = ysys._eta_components
+    exact = assemble_eta(dt)
+    assert exact.residual == np.max(np.abs(np.expm1(ysys.log_cluster_transform(exact.loop, np.log(exact.eta))
+                                                    - np.log(exact.eta))))
+    n = exact.loop.n_vertices
+    monkeypatch.setattr(ysys, "_eta_components", lambda dt, ys: components(dt, ys) * np.linspace(1, 1 + 1e-6, n))
+    ep = assemble_eta(dt, tol=1e-3)
+    gap = np.max(np.abs(cluster_transform(ep.loop, ep.eta) - ep.eta) / ep.eta)
+    assert 1e-7 < ep.residual == pytest.approx(gap, rel=1e-6)
+    with pytest.raises(FixedPointError) as err:
+        assemble_eta(dt)
+    assert err.value.residuals.shape == (n,) and np.max(err.value.residuals) == ep.residual
+    monkeypatch.setattr(ysys, "_eta_components", lambda dt, ys: np.where(np.arange(n) == 2, np.nan, 1.0))
+    with pytest.raises(FixedPointError):
+        assemble_eta(dt, tol=1e3)
 
 
 @pytest.mark.parametrize("dt", ALL_TYPES, ids=str)
