@@ -48,10 +48,7 @@ def _mutate_values(arrows: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
         raise MutationDomainError(k)
     out = y.copy()
     out[k] = 1.0 / yk
-    n = y.shape[0]
-    for i in range(n):
-        if i == k:
-            continue
+    for i in np.flatnonzero(arrows[k] + arrows[:, k]):  # the neighbours of k; no other value changes
         a = arrows[k, i]
         b = arrows[i, k]
         if a > 0:
