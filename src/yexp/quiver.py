@@ -6,6 +6,10 @@ each classical family is encoded together with vertex colors (black/white),
 phase signs (+ / - / 0 where 0 marks white vertices mutated in neither
 phase), the folding permutation nu, and the (node, row) coordinate of each
 vertex in the underlying index set.
+
+A mutation loop compiles each of its two phases (commuting mutations at
+pairwise unconnected vertices) once, straight from the arrows between the phase
+and the rest of the quiver to a `LogProgram` on x = log y, which `yseed` runs.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ class Quiver:
             raise ValueError("arrow multiplicities must be nonnegative")
         if np.diagonal(a).any():
             raise ValueError("quiver has a 1-cycle (loop)")
-        if np.minimum(a, a.T).any():
+        joined = a > 0  # a boolean transpose costs far less than an integer one
+        if (joined & joined.T).any():
             raise ValueError("quiver has a 2-cycle")
         a.setflags(write=False)
         object.__setattr__(self, "arrows", a)
@@ -56,15 +61,19 @@ class Quiver:
 
 
 def mutate_quiver(q: Quiver, k: int) -> Quiver:
-    """Mutate at vertex k: compose paths through k, reverse at k, cancel 2-cycles."""
+    """Mutate at vertex k: compose paths through k, reverse at k, cancel 2-cycles.
+    Only the arrows at k and between its in- and out-neighbours change."""
     a = q.arrows
     n = a.shape[0]
     if not 0 <= k < n:
         raise IndexError(f"vertex {k} out of range for quiver on {n} vertices")
-    b = a + np.outer(a[:, k], a[k, :])
+    i, j = np.flatnonzero(a[:, k]), np.flatnonzero(a[k])  # the arrows i -> k and k -> j
+    net = a[np.ix_(i, j)] - a[np.ix_(j, i)].T + np.outer(a[i, k], a[k, j])
+    b = a.copy()
+    b[np.ix_(i, j)] = np.maximum(net, 0)
+    b[np.ix_(j, i)] = np.maximum(-net, 0).T
     b[k, :] = a[:, k]
     b[:, k] = a[k, :]
-    b -= np.minimum(b, b.T)
     return Quiver(b)
 
 
@@ -104,24 +113,34 @@ class LabeledQuiver:
 
 
 @dataclass(frozen=True, eq=False)
-class Phase:
-    """One phase of a mutation loop, compiled once.
+class LogProgram:
+    """One phase on x = log y, compiled to one weighted sum per vertex.
 
-    The phase mutates at the pairwise unconnected vertices `vertices` of the
-    quiver it acts on, so its mutations commute and none changes the arrows
-    at another. Arrow e joins rows[e] to vertices[cols[e]], with signed
-    multiplicity exponents[e]: positive for rows[e] -> vertex, negative for
-    vertex -> rows[e]. The arrows are sorted by row, then by vertex. Values
-    run only as the phase's `yseed.LogProgram`, on x = log y.
+    z = x[reads] = [x; x[vertices]], with softplus(t) = log(1 + e^t) taken on
+    its last len(vertices) entries, so z = [x; softplus(x_S)]. Row i of the
+    image is the sum, in entry order, of weights[a] z[index[a]] over the entries
+    a with rows[a] = i, and entry a reads vertex reads[index[a]]. The entries
+    are sorted by row and cover every row. A phase vertex's row is its -1
+    diagonal. Any other vertex's is its +1 diagonal, then, arrow by arrow:
+    e softplus(x_k) for an arrow it -> k of multiplicity e, and -e softplus(x_k)
+    followed by the linear e x_k for an arrow k -> it, since
+    log(1 + 1/y_k) = softplus(x_k) - x_k.
+    `batch` keeps the flat image index of the last batch width k that
+    `yseed._run` saw, so an orbit or a finite-difference block of k points builds it once.
     """
 
-    vertices: np.ndarray
+    reads: np.ndarray
+    index: np.ndarray
+    weights: np.ndarray
     rows: np.ndarray
-    cols: np.ndarray
-    exponents: np.ndarray
+    batch: dict = field(default_factory=dict, repr=False)
 
 
-def _compile_phase(q: Quiver, vertices: Tuple[int, ...], name: str) -> Phase:
+def _compile_phase(q: Quiver, vertices: Tuple[int, ...], order: np.ndarray, name: str) -> LogProgram:
+    """The phase mutating q at `vertices` as a LogProgram whose row i is vertex order[i]
+    after the phase. The vertices must be pairwise unconnected, so the mutations commute
+    and none changes the arrows at another; only the arrows between them and the rest
+    enter, each with its signed multiplicity: positive for v -> k, negative for k -> v."""
     s = np.array(vertices, dtype=np.intp)
     a = q.arrows
     inside = a[np.ix_(s, s)]
@@ -132,22 +151,51 @@ def _compile_phase(q: Quiver, vertices: Tuple[int, ...], name: str) -> Phase:
             "its mutations do not commute"
         )
     signed = a[:, s] - a[s, :].T
-    rows, cols = np.nonzero(signed)
-    parts = (s, rows, cols, signed[rows, cols])
+    rows, cols = np.nonzero(signed)  # the arrows, sorted by row, then by phase vertex
+    e = signed[rows, cols]
+    n = len(order)
+    arrow = np.arange(len(rows))
+    out = e < 0
+    diagonal = np.ones(n)
+    diagonal[s] = -1.0
+    # entries: the diagonals, a softplus per arrow, a linear term per arrow out of the phase
+    row = np.concatenate((np.arange(n), rows, rows[out]))
+    index = np.concatenate((np.arange(n), n + cols, s[cols[out]]))
+    weights = np.concatenate((diagonal, e, -e[out])).astype(float)
+    kind = np.repeat((0, 1, 2), (n, len(rows), int(out.sum())))
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n)
+    by = np.lexsort((kind, np.concatenate((np.full(n, -1), arrow, arrow[out])), position[row]))
+    parts = (np.concatenate((np.arange(n), s)), index[by], weights[by], position[row[by]])
     for part in parts:
         part.setflags(write=False)
-    return Phase(*parts)
+    return LogProgram(*parts)
 
 
-def _mutate_phase(q: Quiver, phase: Phase) -> Quiver:
-    """Mutate q at every vertex k of the phase at once. On b = a - a^T, off the phase,
-    b_ij gains sum_k [b_ik]+ [b_kj]+ - [-b_ik]+ [-b_kj]+ = (U - U^T)_ij with U = [c]+ [-c]+^T
-    for c = b[t, vertices], t the rows joined to the phase; its rows and columns change sign."""
-    s, t = phase.vertices, np.flatnonzero(np.bincount(phase.rows))
+def _pairs(keys: np.ndarray, sorted_keys: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(p, r): every pair of positions with keys[p] == sorted_keys[r], for keys in [0, n);
+    the pairs of one p run through its r in order."""
+    sizes = np.bincount(sorted_keys, minlength=n)
+    count = sizes[keys]
+    p = np.repeat(np.arange(len(keys)), count)
+    first = np.cumsum(sizes) - sizes
+    return p, np.arange(len(p)) + np.repeat(first[keys] - (np.cumsum(count) - count), count)
+
+
+def _mutate_phase(q: Quiver, vertices: Tuple[int, ...]) -> Quiver:
+    """Mutate q at every vertex k of a phase at once. On b = a - a^T, off the phase,
+    b_ij gains sum_k [b_ik]+ [b_kj]+ - [-b_ik]+ [-b_kj]+: each path i -> k -> j through
+    the phase adds b_ik b_kj to b_ij and takes it from b_ji, in O(paths); the phase's
+    rows and columns change sign."""
+    s = np.array(vertices, dtype=np.intp)
     b = q.arrows - q.arrows.T
-    c = b[np.ix_(t, s)]
-    u = np.maximum(c, 0) @ np.maximum(-c, 0).T
-    b[np.ix_(t, t)] += u - u.T
+    k_in, i = np.nonzero(b[:, s].T > 0)  # the arrows i -> k and k -> j, by k
+    k_out, j = np.nonzero(b[s] > 0)
+    p, r = _pairs(k_in, k_out, len(s))
+    i, j, k = i[p], j[r], s[k_in[p]]
+    w = b[i, k] * b[k, j]
+    np.add.at(b, (i, j), w)
+    np.add.at(b, (j, i), -w)
     b[s] *= -1
     b[:, s] *= -1
     return Quiver(np.maximum(b, 0))
@@ -157,18 +205,17 @@ def _mutate_phase(q: Quiver, phase: Phase) -> Quiver:
 class MutationLoop:
     """The loop nu . mu_- . mu_+ on a labeled quiver.
 
-    `phases` holds mu_+ and mu_- compiled against the quivers they act on;
+    `programs` holds mu_+ and mu_- as LogPrograms on x = log y, compiled
+    against the quivers they act on, with nu folded into mu_-'s row order;
     build_mutation_loop fills it. It takes no part in equality or hashing,
-    since the start quiver and the vertex sets determine it. `programs` holds
-    the same two phases on x = log y, with nu folded into mu_-'s row order,
-    and `jacobian_pairs` the pairs of their entries that meet in J_- J_+.
+    since the start quiver, the vertex sets and nu determine it.
     """
 
     start: LabeledQuiver
     plus_set: Tuple[int, ...]
     minus_set: Tuple[int, ...]
     nu: Tuple[int, ...]
-    phases: Tuple[Phase, ...] = field(default=(), compare=False, repr=False)
+    programs: Tuple[LogProgram, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def sequence(self):
@@ -184,20 +231,15 @@ class MutationLoop:
         return np.argsort(self.nu)
 
     @cached_property
-    def programs(self):
-        """mu_+ and mu_- as `yseed.LogProgram`s, made once per loop by
-        `yseed.compile_log_programs`."""
-        from .yseed import compile_log_programs  # yseed imports this module
-
-        return compile_log_programs(self)
-
-    @cached_property
     def jacobian_pairs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The pairs of program entries that meet in J_- J_+, made once per loop by
-        `yseed.log_jacobian_pairs`."""
-        from .yseed import log_jacobian_pairs
-
-        return log_jacobian_pairs(self)
+        """(a, b, flat), the terms of L = J_- J_+ on x = log y, made once per loop.
+        Entry a[p] of mu_-'s program reads some vertex k, entry b[p] of mu_+'s program
+        is in row k, and the product of their Jacobian entries adds to L.flat[flat[p]].
+        Row k of mu_+'s program is vertex k, the order build_mutation_loop gives it."""
+        plus, minus = self.programs
+        n = self.n_vertices
+        a, b = _pairs(minus.reads[minus.index], plus.rows, n)
+        return a, b, minus.rows[a] * n + plus.reads[plus.index[b]]
 
 
 def _build_A(n):
@@ -344,7 +386,9 @@ def build_dynkin_quiver(dt: DynkinType) -> LabeledQuiver:
 
 
 def build_mutation_loop(dt: DynkinType) -> MutationLoop:
-    """Mutation loop (mu_+, mu_-, nu) on the Dynkin quiver, with both phases compiled.
+    """Mutation loop (mu_+, mu_-, nu) on the Dynkin quiver, with both phases compiled:
+    mu_+'s program rows are the vertices in order; row i of mu_-'s is vertex nu^-1(i),
+    so the second program's image is already relabelled by nu.
 
     Raises LoopPropertyError if a phase has an arrow inside it or the quiver
     does not return to its start.
@@ -353,16 +397,16 @@ def build_mutation_loop(dt: DynkinType) -> MutationLoop:
     plus = tuple(v for v in range(lq.n_vertices) if lq.sign[v] == "+")
     minus = tuple(v for v in range(lq.n_vertices) if lq.sign[v] == "-")
     q = lq.quiver
-    phases = []
-    for name, vertices in (("+", plus), ("-", minus)):
-        phases.append(_compile_phase(q, vertices, f"mu_{name} of {dt}"))
-        q = _mutate_phase(q, phases[-1])
+    programs = []
+    for name, vertices, order in (("+", plus, np.arange(lq.n_vertices)), ("-", minus, np.argsort(lq.nu))):
+        programs.append(_compile_phase(q, vertices, order, f"mu_{name} of {dt}"))
+        q = _mutate_phase(q, vertices)
     if permute_quiver(q, lq.nu) != lq.quiver:
         raise LoopPropertyError(
             f"{dt}: quiver does not return to its start after mu_+, mu_-, nu; "
             "the quiver encoding is wrong"
         )
-    return MutationLoop(lq, plus, minus, lq.nu, tuple(phases))
+    return MutationLoop(lq, plus, minus, lq.nu, tuple(programs))
 
 
 def dump_quiver(lq: LabeledQuiver) -> str:

@@ -1,25 +1,26 @@
 """Y-seed mutation, cluster transformations of mutation loops, and their Jacobians.
 
 Y-seed mutation is subtraction-free, so a loop maps positive points to positive
-points, and on x = log y each of its two phases (commuting mutations at pairwise
-unconnected vertices) runs as one `LogProgram` (`MutationLoop.programs`): a
+points, and on x = log y each of its two phases runs as one `quiver.LogProgram`
+(`MutationLoop.programs`, compiled once by `quiver.build_mutation_loop`): a
 gather, a softplus, a gather, a multiply and a row sum, on one point or a batch.
 There orbits stay finite and the Jacobian L = diag(1/y') J diag(y) stays within
-the arrow multiplicities at every rank. This is the one engine: the y-space
-`cluster_transform` and `loop_jacobian` are views of it, defined at positive
-points only (anything else raises ValueError). The single-mutation rule
-`mutate_yseed` is the reference that the programs are tested against.
+the arrow multiplicities at every rank. This module runs the programs and is the
+one engine: the y-space `cluster_transform` and `loop_jacobian` are views of it,
+defined at positive points only (anything else raises ValueError). The
+single-mutation rule `mutate_yseed` is the reference that the programs are
+tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
 from .errors import MutationDomainError
-from .quiver import MutationLoop, Phase, Quiver, mutate_quiver
+from .quiver import LogProgram, MutationLoop, Quiver, mutate_quiver
 
 _FD_COLUMNS = 64  # columns per finite-difference batch
 
@@ -68,78 +69,6 @@ def mutate_yseed(seed: YSeed, k: int) -> YSeed:
     y = np.asarray(seed.values, dtype=complex if any(isinstance(v, complex) for v in seed.values) else float)
     out = _mutate_values(seed.quiver.arrows, y, k)
     return YSeed(mutate_quiver(seed.quiver, k), tuple(out))
-
-
-@dataclass(frozen=True, eq=False)
-class LogProgram:
-    """One phase on x = log y, compiled to one weighted sum per vertex.
-
-    z = x[reads] = [x; x[vertices]], with softplus(t) = log(1 + e^t) taken on
-    its last len(vertices) entries, so z = [x; softplus(x_S)]. Row i of the
-    image is the sum, in entry order, of weights[a] z[index[a]] over the entries
-    a with rows[a] = i, and entry a reads vertex reads[index[a]]. The entries
-    are sorted by row and cover every row. A phase vertex's row is its -1
-    diagonal. Any other vertex's is its +1 diagonal, then, arrow by arrow:
-    e softplus(x_k) for an arrow it -> k of multiplicity e, and -e softplus(x_k)
-    followed by the linear e x_k for an arrow k -> it, since
-    log(1 + 1/y_k) = softplus(x_k) - x_k.
-    `batch` keeps the flat image index of the last batch width k that `_run`
-    saw, so an orbit or a finite-difference block of k points builds it once.
-    """
-
-    reads: np.ndarray
-    index: np.ndarray
-    weights: np.ndarray
-    rows: np.ndarray
-    batch: dict = field(default_factory=dict, repr=False)
-
-
-def _compile_log_program(phase: Phase, order: np.ndarray) -> LogProgram:
-    """The phase as a LogProgram whose row i is vertex order[i] after the phase."""
-    n = len(order)
-    s, rows, e = phase.vertices, phase.rows, phase.exponents
-    arrow = np.arange(len(rows))
-    out = e < 0
-    diagonal = np.ones(n)
-    diagonal[s] = -1.0
-    # entries: the diagonals, a softplus per arrow, a linear term per arrow out of the phase
-    row = np.concatenate((np.arange(n), rows, rows[out]))
-    index = np.concatenate((np.arange(n), n + phase.cols, s[phase.cols[out]]))
-    weights = np.concatenate((diagonal, e, -e[out])).astype(float)
-    kind = np.repeat((0, 1, 2), (n, len(rows), int(out.sum())))
-    position = np.empty(n, dtype=np.intp)
-    position[order] = np.arange(n)
-    by = np.lexsort((kind, np.concatenate((np.full(n, -1), arrow, arrow[out])), position[row]))
-    parts = (np.concatenate((np.arange(n), s)), index[by], weights[by], position[row[by]])
-    for part in parts:
-        part.setflags(write=False)
-    return LogProgram(*parts)
-
-
-def compile_log_programs(loop: MutationLoop) -> Tuple[LogProgram, LogProgram]:
-    """mu_+ and mu_- as LogPrograms (`loop.programs` caches them). mu_+'s rows are
-    the vertices in order; row i of mu_-'s is vertex back[i], so the second
-    program's image is already relabelled by nu."""
-    plus, minus = loop.phases
-    return _compile_log_program(plus, np.arange(loop.n_vertices)), _compile_log_program(minus, loop.back)
-
-
-def log_jacobian_pairs(loop: MutationLoop) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, b, flat), the terms of L = J_- J_+ on x = log y (`loop.jacobian_pairs`
-    caches them). Entry a[p] of mu_-'s program reads some vertex k, entry b[p] of
-    mu_+'s program is in row k, and the product of their Jacobian entries adds to
-    L.flat[flat[p]]. Row k of mu_+'s program must be vertex k, the order
-    `compile_log_programs` gives it."""
-    plus, minus = loop.programs
-    n = loop.n_vertices
-    k = minus.reads[minus.index]
-    sizes = np.bincount(plus.rows, minlength=n)
-    count = sizes[k]
-    a = np.repeat(np.arange(len(k)), count)
-    # the pairs of one entry of mu_-'s program run through row k's entries in order
-    first = np.cumsum(sizes) - sizes
-    b = np.arange(len(a)) + np.repeat(first[k] - (np.cumsum(count) - count), count)
-    return a, b, minus.rows[a] * n + plus.reads[plus.index[b]]
 
 
 def _softplus(t: np.ndarray) -> np.ndarray:

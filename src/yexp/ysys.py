@@ -60,18 +60,12 @@ READING = GReading("row", "first/second", "swapped", "direct")
 
 
 def _g_formula(t_i, cartan: np.ndarray, a: int, bm: int, c: int, dk: int) -> int:
-    """Three-case coupling formula on first pair (a, bm), second pair (c, dk); the case is
-    picked by t_a / t_c."""
+    """Coupling formula on first pair (a, bm), second pair (c, dk); the case is picked by
+    t_a / t_c, which is 1, 2 or 1/2 for the classical types (every t_i is 1 or 2)."""
     ta, tc = t_i[a - 1], t_i[c - 1]
     if ta == 2 * tc:
         coef = -cartan[c - 1, a - 1]
         return coef * ((bm == 2 * dk - 1) + 2 * (bm == 2 * dk) + (bm == 2 * dk + 1))
-    if ta == 3 * tc:
-        coef = -cartan[c - 1, a - 1]
-        return coef * (
-            (bm == 3 * dk - 2) + 2 * (bm == 3 * dk - 1) + 3 * (bm == 3 * dk)
-            + 2 * (bm == 3 * dk + 1) + (bm == 3 * dk + 2)
-        )
     return -cartan[a - 1, c - 1] * (tc * bm == ta * dk)
 
 

@@ -1,4 +1,6 @@
+import ast
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,19 +113,23 @@ LOOP_TYPES = [DynkinType(f, r) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D",
 
 
 def assert_phases_match_vertex_chain(loop):
-    """Each compiled phase lists exactly the arrows between its set and the rest
-    of the quiver it acts on, and its one-step update equals mutate_quiver at
-    each of its vertices in turn, entry for entry."""
+    """Each compiled program's softplus entries list exactly the arrows between its
+    phase and the rest of the quiver that the single-vertex mutate_quiver chain has
+    reached, each in its vertex's row, and the phase's one-step update equals
+    mutate_quiver at each of its vertices in turn, entry for entry."""
     q = loop.start.quiver
-    for vertices, phase in zip((loop.plus_set, loop.minus_set), loop.phases):
+    n = loop.n_vertices
+    for vertices, program, order in zip((loop.plus_set, loop.minus_set), loop.programs,
+                                        (np.arange(n), loop.back), strict=True):
         a = q.arrows
         s = list(vertices)
         assert not a[np.ix_(s, s)].any()
-        assert phase.vertices.tolist() == s
-        signed = np.zeros((loop.n_vertices, len(s)), dtype=int)
-        signed[phase.rows, phase.cols] = phase.exponents
+        assert program.reads.tolist() == list(range(n)) + s
+        soft = program.index >= n
+        signed = np.zeros((n, len(s)), dtype=int)
+        signed[order[program.rows[soft]], program.index[soft] - n] = program.weights[soft]
         assert np.array_equal(signed, a[:, s] - a[s, :].T)
-        updated = quiver._mutate_phase(q, phase)
+        updated = quiver._mutate_phase(q, vertices)
         for k in vertices:
             q = mutate_quiver(q, k)
         assert np.array_equal(updated.arrows, q.arrows)
@@ -154,7 +160,7 @@ def test_phase_with_an_inner_arrow_is_rejected(sign, message, updates, monkeypat
     monkeypatch.setattr(quiver, "build_dynkin_quiver", lambda dt: bad)
     done = []
     update = quiver._mutate_phase
-    monkeypatch.setattr(quiver, "_mutate_phase", lambda q, phase: done.append(phase) or update(q, phase))
+    monkeypatch.setattr(quiver, "_mutate_phase", lambda q, vertices: done.append(vertices) or update(q, vertices))
     with pytest.raises(LoopPropertyError, match=re.escape(message)):
         build_mutation_loop(DynkinType("A", 4))
     assert len(done) == updates
@@ -195,3 +201,14 @@ def test_dump_format():
     text = dump_quiver(build_dynkin_quiver(DynkinType("A", 2)))
     assert "0 -> 1 x1" in text
     assert "vertex 0: y_1^(1) black sign=- nu=0" in text
+
+
+def test_quiver_never_imports_yseed():
+    # yseed runs the programs that quiver compiles; the layering runs one way
+    names = []
+    for node in ast.walk(ast.parse(Path(quiver.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names += [node.module or ""] + [f"{node.module or ''}.{alias.name}" for alias in node.names]
+    assert not [name for name in names if "yseed" in name.split(".")]

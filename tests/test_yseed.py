@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from yexp import quiver
 from yexp.errors import MutationDomainError
 from yexp.quiver import Quiver, build_mutation_loop, mutate_quiver
 from yexp.rootsys import DynkinType, group_constants
@@ -481,19 +482,37 @@ def test_log_jacobian_is_the_similar_y_space_jacobian(dt):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(got))
 
 
+def _arrow_lists(q, vertices):
+    """(vertices, rows, cols, exponents): arrow j joins rows[j] to vertices[cols[j]] in q,
+    with signed multiplicity exponents[j], positive for rows[j] -> vertex."""
+    s = np.array(vertices, dtype=np.intp)
+    signed = q.arrows[:, s] - q.arrows[s, :].T
+    rows, cols = np.nonzero(signed)
+    return s, rows, cols, signed[rows, cols]
+
+
+def _chain_phases(loop):
+    """Both phases' arrow lists, each read off the quiver that the single-vertex
+    `mutate_quiver` chain has reached when the phase starts."""
+    q = loop.start.quiver
+    for k in loop.plus_set:
+        q = mutate_quiver(q, k)
+    return _arrow_lists(loop.start.quiver, loop.plus_set), _arrow_lists(q, loop.minus_set)
+
+
 def _apply_phase_log(phase, x):
     """Oracle: the phase's mutations on x = log y, vertices on axis 0, for positive points.
 
     x_k -> -x_k for k in the phase, and arrow j adds e_j log(1 + y_k^sign(e_j)) to
     its row, summed by rows; log(1 + 1/y_k) = log(1 + y_k) - x_k.
     """
-    s, cols, e = phase.vertices, phase.cols, phase.exponents
+    s, rows, cols, e = phase
     if x.ndim == 2:
         e = e[:, None]
     xs = x[s]
     soft = np.logaddexp(0.0, xs)[cols]
     gain = np.zeros_like(x)
-    np.add.at(gain, phase.rows, e * np.where(e > 0, soft, soft - xs[cols]))
+    np.add.at(gain, rows, e * np.where(e > 0, soft, soft - xs[cols]))
     out = x + gain
     out[s] = -xs
     return out
@@ -503,20 +522,20 @@ def _log_phase_jacobian(phase, x):
     """Oracle: the dense Jacobian of `_apply_phase_log` at one point x (N,): -1 on the
     phase's diagonal, 1 on the rest, and arrow j adds |e_j| sigma(sign(e_j) x_k) at
     (target, k), the derivative of e_j log(1 + y_k^sign(e_j)), sigma the logistic function."""
-    s, rows, cols, e = phase.vertices, phase.rows, phase.cols, phase.exponents
+    s, rows, cols, e = phase
     jac = np.eye(len(x))
     jac[s, s] = -1.0
     jac[rows, s[cols]] = np.abs(e) * np.exp(-np.logaddexp(0.0, -np.sign(e) * x[s][cols]))
     return jac
 
 
-def _oracle_log_step(loop, x):
-    plus, minus = loop.phases
+def _oracle_log_step(loop, phases, x):
+    plus, minus = phases
     return _apply_phase_log(minus, _apply_phase_log(plus, x))[loop.back]
 
 
-def _oracle_log_jacobian(loop, x):
-    plus, minus = loop.phases
+def _oracle_log_jacobian(loop, phases, x):
+    plus, minus = phases
     jm = _log_phase_jacobian(minus, _apply_phase_log(plus, x))
     return (jm @ _log_phase_jacobian(plus, x))[loop.back]
 
@@ -529,12 +548,13 @@ def _log_points(loop, seed, k=4):
 
 
 def _assert_program_is_the_oracle(loop, x):
+    phases = _chain_phases(loop)
     batch = log_cluster_transform(loop, x)
-    assert np.max(np.abs(batch - _oracle_log_step(loop, x))) <= 1e-13
+    assert np.max(np.abs(batch - _oracle_log_step(loop, phases, x))) <= 1e-13
     for j in range(x.shape[1]):
         single = log_cluster_transform(loop, x[:, j])
         _same_bits(single, batch[:, j])
-        want = _oracle_log_jacobian(loop, x[:, j])
+        want = _oracle_log_jacobian(loop, phases, x[:, j])
         assert np.max(np.abs(log_loop_jacobian(loop, x[:, j]) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -551,7 +571,12 @@ def test_log_programs_fold_nu_inverse(dt):
     # every classical nu is an involution; relabel by a cyclic shift, whose inverse differs, to tell nu from nu^-1
     loop = build_mutation_loop(dt)
     nu = tuple(np.roll(np.arange(loop.n_vertices), 1))
-    shifted = dataclasses.replace(loop, nu=nu)
+    mid = loop.start.quiver
+    for k in loop.plus_set:
+        mid = mutate_quiver(mid, k)
+    # mu_- compiled afresh with its rows in nu^-1 order, as build_mutation_loop orders them
+    minus = quiver._compile_phase(mid, loop.minus_set, np.argsort(nu), "mu_-")
+    shifted = dataclasses.replace(loop, nu=nu, programs=(loop.programs[0], minus))
     assert not np.array_equal(shifted.back, nu)
     _assert_program_is_the_oracle(shifted, _log_points(loop, 59))
     y = np.random.default_rng(61).uniform(0.5, 2.0, loop.n_vertices)
