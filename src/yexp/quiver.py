@@ -67,11 +67,11 @@ def mutate_quiver(q: Quiver, k: int) -> Quiver:
     n = a.shape[0]
     if not 0 <= k < n:
         raise IndexError(f"vertex {k} out of range for quiver on {n} vertices")
-    i, j = np.flatnonzero(a[:, k]), np.flatnonzero(a[k])  # the arrows i -> k and k -> j
-    net = a[np.ix_(i, j)] - a[np.ix_(j, i)].T + np.outer(a[i, k], a[k, j])
+    ij = np.ix_(np.flatnonzero(a[:, k]), np.flatnonzero(a[k]))  # the arrows i -> k and k -> j
+    net = a[ij] - a.T[ij] + a[:, k][ij[0]] * a[k][ij[1]]  # i -> j, less j -> i, plus i -> k -> j
     b = a.copy()
-    b[np.ix_(i, j)] = np.maximum(net, 0)
-    b[np.ix_(j, i)] = np.maximum(-net, 0).T
+    b[ij] = np.maximum(net, 0)
+    b.T[ij] = np.maximum(-net, 0)
     b[k, :] = a[:, k]
     b[:, k] = a[k, :]
     return Quiver(b)

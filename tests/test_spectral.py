@@ -40,16 +40,15 @@ def c_basis(n):
     return u
 
 
-@pytest.mark.parametrize("n", [*range(2, 13), 64])
-def test_c_split_by_index_is_the_dense_change_of_basis(n):
-    case = build_case(DynkinType("C", n))
+def assert_split_is_the_dense_change_of_basis(case, blocks):
+    """c_blocks' index split against u^-1 L u solved with the dense basis."""
+    n = case.type.rank
     u = c_basis(n)
     m = np.linalg.solve(u, case.jacobian @ u)
-    pair = c_blocks(case)
     nk = n - 1
-    assert np.max(np.abs(pair.Khat - m[:nk, :nk])) <= 1e-14
-    assert np.max(np.abs(pair.Lhat - m[nk:, nk:])) <= 1e-14
-    assert abs(pair.residuals["offdiag"] - max(np.max(np.abs(m[:nk, nk:])), np.max(np.abs(m[nk:, :nk])))) <= 1e-14
+    assert np.max(np.abs(blocks.Khat - m[:nk, :nk])) <= 1e-14
+    assert np.max(np.abs(blocks.Lhat - m[nk:, nk:])) <= 1e-14
+    assert abs(blocks.residuals["offdiag"] - max(np.max(np.abs(m[:nk, nk:])), np.max(np.abs(m[nk:, :nk])))) <= 1e-14
 
 
 def poly_b(n):
@@ -619,6 +618,7 @@ def csol_oracle(blocks, samples):
 def test_c_identities_match_the_dense_determinant_oracle(n):
     case = build_case(DynkinType("C", n))
     blocks = c_blocks(case)
+    assert_split_is_the_dense_change_of_basis(case, blocks)
     tol = Tolerances().c_identities
     for got, want in ((verify_c_reduction(blocks, samples=16), c_reduction_oracle(blocks, case.jacobian, 16)),
                       (verify_conjecture_csol(blocks, samples=32), csol_oracle(blocks, 32))):
@@ -882,6 +882,7 @@ def test_c_checks_pass_from_rank_159():
 
 def test_block_diag_catches_a_small_off_diagonal_entry():
     case = build_case(DynkinType("C", 64))
+    assert_split_is_the_dense_change_of_basis(case, c_blocks(case))
     u = c_basis(64)
     bump = np.zeros_like(case.jacobian)
     bump[0, 63] = 1e-8  # row of the K-hat block, column of the L-hat block

@@ -491,13 +491,17 @@ def _arrow_lists(q, vertices):
     return s, rows, cols, signed[rows, cols]
 
 
-def _chain_phases(loop):
-    """Both phases' arrow lists, each read off the quiver that the single-vertex
-    `mutate_quiver` chain has reached when the phase starts."""
+def _quiver_after_plus(loop):
+    """The quiver mu_- acts on, by the single-vertex `mutate_quiver` chain through mu_+."""
     q = loop.start.quiver
     for k in loop.plus_set:
         q = mutate_quiver(q, k)
-    return _arrow_lists(loop.start.quiver, loop.plus_set), _arrow_lists(q, loop.minus_set)
+    return q
+
+
+def _chain_phases(loop):
+    """Both phases' arrow lists, each read off the quiver the chain has reached when the phase starts."""
+    return _arrow_lists(loop.start.quiver, loop.plus_set), _arrow_lists(_quiver_after_plus(loop), loop.minus_set)
 
 
 def _apply_phase_log(phase, x):
@@ -571,11 +575,8 @@ def test_log_programs_fold_nu_inverse(dt):
     # every classical nu is an involution; relabel by a cyclic shift, whose inverse differs, to tell nu from nu^-1
     loop = build_mutation_loop(dt)
     nu = tuple(np.roll(np.arange(loop.n_vertices), 1))
-    mid = loop.start.quiver
-    for k in loop.plus_set:
-        mid = mutate_quiver(mid, k)
     # mu_- compiled afresh with its rows in nu^-1 order, as build_mutation_loop orders them
-    minus = quiver._compile_phase(mid, loop.minus_set, np.argsort(nu), "mu_-")
+    minus = quiver._compile_phase(_quiver_after_plus(loop), loop.minus_set, np.argsort(nu), "mu_-")
     shifted = dataclasses.replace(loop, nu=nu, programs=(loop.programs[0], minus))
     assert not np.array_equal(shifted.back, nu)
     _assert_program_is_the_oracle(shifted, _log_points(loop, 59))
