@@ -37,8 +37,7 @@ class Quiver:
             raise ValueError("arrow multiplicities must be nonnegative")
         if np.diagonal(a).any():
             raise ValueError("quiver has a 1-cycle (loop)")
-        joined = a > 0  # a boolean transpose costs far less than an integer one
-        if (joined & joined.T).any():
+        if np.minimum(a, a.T).any():
             raise ValueError("quiver has a 2-cycle")
         a.setflags(write=False)
         object.__setattr__(self, "arrows", a)
@@ -61,19 +60,15 @@ class Quiver:
 
 
 def mutate_quiver(q: Quiver, k: int) -> Quiver:
-    """Mutate at vertex k: compose paths through k, reverse at k, cancel 2-cycles.
-    Only the arrows at k and between its in- and out-neighbours change."""
+    """Mutate at vertex k: compose paths through k, reverse at k, cancel 2-cycles."""
     a = q.arrows
     n = a.shape[0]
     if not 0 <= k < n:
         raise IndexError(f"vertex {k} out of range for quiver on {n} vertices")
-    ij = np.ix_(np.flatnonzero(a[:, k]), np.flatnonzero(a[k]))  # the arrows i -> k and k -> j
-    net = a[ij] - a.T[ij] + a[:, k][ij[0]] * a[k][ij[1]]  # i -> j, less j -> i, plus i -> k -> j
-    b = a.copy()
-    b[ij] = np.maximum(net, 0)
-    b.T[ij] = np.maximum(-net, 0)
+    b = a + np.outer(a[:, k], a[k, :])
     b[k, :] = a[:, k]
     b[:, k] = a[k, :]
+    b -= np.minimum(b, b.T)
     return Quiver(b)
 
 
@@ -207,15 +202,17 @@ class MutationLoop:
 
     `programs` holds mu_+ and mu_- as LogPrograms on x = log y, compiled
     against the quivers they act on, with nu folded into mu_-'s row order;
-    build_mutation_loop fills it. It takes no part in equality or hashing,
-    since the start quiver, the vertex sets and nu determine it.
+    build_mutation_loop fills it by `_compile_loop`. It takes no part in
+    equality or hashing, since the start quiver, the vertex sets and nu
+    determine it: a loop made with another of those (say by `dataclasses.replace`)
+    needs programs compiled for it by `_compile_loop`.
     """
 
     start: LabeledQuiver
     plus_set: Tuple[int, ...]
     minus_set: Tuple[int, ...]
     nu: Tuple[int, ...]
-    programs: Tuple[LogProgram, ...] = field(default=(), compare=False, repr=False)
+    programs: Tuple[LogProgram, ...] = field(compare=False, repr=False)
 
     @property
     def sequence(self):
@@ -226,16 +223,11 @@ class MutationLoop:
         return self.start.n_vertices
 
     @cached_property
-    def back(self) -> np.ndarray:
-        """nu^-1 as an index array, made once per loop: v[back] is v relabelled by nu."""
-        return np.argsort(self.nu)
-
-    @cached_property
     def jacobian_pairs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(a, b, flat), the terms of L = J_- J_+ on x = log y, made once per loop.
         Entry a[p] of mu_-'s program reads some vertex k, entry b[p] of mu_+'s program
         is in row k, and the product of their Jacobian entries adds to L.flat[flat[p]].
-        Row k of mu_+'s program is vertex k, the order build_mutation_loop gives it."""
+        Row k of mu_+'s program is vertex k, the order `_compile_loop` gives it."""
         plus, minus = self.programs
         n = self.n_vertices
         a, b = _pairs(minus.reads[minus.index], plus.rows, n)
@@ -385,10 +377,18 @@ def build_dynkin_quiver(dt: DynkinType) -> LabeledQuiver:
     return LabeledQuiver(dt, Quiver(arrows), color, sign, nu, hindex)
 
 
+def _compile_loop(q: Quiver, plus, minus, nu, name: str) -> Tuple[Tuple[LogProgram, ...], Quiver]:
+    """The programs of nu . mu_- . mu_+ on q, and the quiver after mu_-. mu_+'s rows are
+    the vertices in order; row i of mu_-'s is vertex nu^-1(i), so its image is relabelled."""
+    programs = []
+    for sign, vertices, order in (("+", plus, np.arange(q.n_vertices)), ("-", minus, np.argsort(nu))):
+        programs.append(_compile_phase(q, vertices, order, f"mu_{sign} of {name}"))
+        q = _mutate_phase(q, vertices)
+    return tuple(programs), q
+
+
 def build_mutation_loop(dt: DynkinType) -> MutationLoop:
-    """Mutation loop (mu_+, mu_-, nu) on the Dynkin quiver, with both phases compiled:
-    mu_+'s program rows are the vertices in order; row i of mu_-'s is vertex nu^-1(i),
-    so the second program's image is already relabelled by nu.
+    """Mutation loop (mu_+, mu_-, nu) on the Dynkin quiver, with both phases compiled.
 
     Raises LoopPropertyError if a phase has an arrow inside it or the quiver
     does not return to its start.
@@ -396,17 +396,13 @@ def build_mutation_loop(dt: DynkinType) -> MutationLoop:
     lq = build_dynkin_quiver(dt)
     plus = tuple(v for v in range(lq.n_vertices) if lq.sign[v] == "+")
     minus = tuple(v for v in range(lq.n_vertices) if lq.sign[v] == "-")
-    q = lq.quiver
-    programs = []
-    for name, vertices, order in (("+", plus, np.arange(lq.n_vertices)), ("-", minus, np.argsort(lq.nu))):
-        programs.append(_compile_phase(q, vertices, order, f"mu_{name} of {dt}"))
-        q = _mutate_phase(q, vertices)
+    programs, q = _compile_loop(lq.quiver, plus, minus, lq.nu, str(dt))
     if permute_quiver(q, lq.nu) != lq.quiver:
         raise LoopPropertyError(
             f"{dt}: quiver does not return to its start after mu_+, mu_-, nu; "
             "the quiver encoding is wrong"
         )
-    return MutationLoop(lq, plus, minus, lq.nu, tuple(programs))
+    return MutationLoop(lq, plus, minus, lq.nu, programs)
 
 
 def dump_quiver(lq: LabeledQuiver) -> str:

@@ -670,7 +670,9 @@ def c_blocks(case: Case, block_tol: float = 1e-9) -> CBlockPair:
     nk = n - 1
     offdiag = _worst(np.max(np.abs(m[:nk, nk:])), np.max(np.abs(m[nk:, :nk])))
     if not offdiag <= block_tol:
-        raise RuntimeError(f"C_{n}: subspace invariance fails (off-diagonal block {offdiag:.3e})")
+        raise RuntimeError(
+            f"C_{n}: subspace invariance fails (off-diagonal block {offdiag:.3e})"
+        )
     khat = m[:nk, :nk].copy()
     lhat = m[nk:, nk:].copy()
     Y = case.point.ysol.value
@@ -685,8 +687,15 @@ def c_blocks(case: Case, block_tol: float = 1e-9) -> CBlockPair:
             scale = np.where(ref != 0, np.abs(ref), max(1.0, float(np.max(np.abs(ref)))))
             residuals[name] = float(np.max(np.abs(block - ref) / scale))
     K, L = _reduced_blocks(n, Y)
-    return CBlockPair(rank=n, eigenvalues=case.report.eigenvalues, Khat=khat, Lhat=lhat,
-                      K=K, L=L, residuals=residuals)
+    return CBlockPair(
+        rank=n,
+        eigenvalues=case.report.eigenvalues,
+        Khat=khat,
+        Lhat=lhat,
+        K=K,
+        L=L,
+        residuals=residuals,
+    )
 
 
 def _unit_circle_samples(count: int) -> np.ndarray:

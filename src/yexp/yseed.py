@@ -36,7 +36,7 @@ class LoopJacobian:
     """Loop Jacobian J = diag(y') L diag(1/y) at a positive point y, y' its image
     and L the log-coordinate Jacobian, with its phase factors (J_plus at y, J_minus
     at mu_+(y)), each its program's entries scaled the same way. J_minus is taken
-    before nu, so `matrix` = P_nu J_minus J_plus = (J_minus J_plus)[loop.back]."""
+    before nu, so `matrix` = P_nu J_minus J_plus = (J_minus J_plus)[nu^-1]."""
 
     matrix: np.ndarray
     phase_factors: Tuple[np.ndarray, np.ndarray]

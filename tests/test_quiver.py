@@ -1,4 +1,5 @@
 import ast
+import functools
 import re
 from pathlib import Path
 
@@ -112,15 +113,30 @@ LOOP_TYPES = [DynkinType(f, r) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D",
               for r in range(lo, 41)]
 
 
+@functools.cache
+def vertex_chain(dt, phases):
+    """The quiver that the single-vertex mutate_quiver chain reaches on dt's Dynkin quiver
+    after its first `phases` phases (mu_+, then mu_-), one vertex at a time in increasing
+    order. Cached, since the tests of quiver and of yseed both read it."""
+    lq = build_dynkin_quiver(dt)
+    if phases == 0:
+        return lq.quiver
+    q = vertex_chain(dt, phases - 1)
+    for k in (v for v in range(lq.n_vertices) if lq.sign[v] == "+-"[phases - 1]):
+        q = mutate_quiver(q, k)
+    return q
+
+
 def assert_phases_match_vertex_chain(loop):
     """Each compiled program's softplus entries list exactly the arrows between its
     phase and the rest of the quiver that the single-vertex mutate_quiver chain has
     reached, each in its vertex's row, and the phase's one-step update equals
     mutate_quiver at each of its vertices in turn, entry for entry."""
-    q = loop.start.quiver
     n = loop.n_vertices
-    for vertices, program, order in zip((loop.plus_set, loop.minus_set), loop.programs,
-                                        (np.arange(n), loop.back), strict=True):
+    chain = [vertex_chain(loop.start.type, phases) for phases in range(3)]
+    assert chain[0] == loop.start.quiver
+    for q, after, vertices, program, order in zip(chain[:2], chain[1:], (loop.plus_set, loop.minus_set),
+                                                  loop.programs, (np.arange(n), np.argsort(loop.nu)), strict=True):
         a = q.arrows
         s = list(vertices)
         assert not a[np.ix_(s, s)].any()
@@ -129,11 +145,8 @@ def assert_phases_match_vertex_chain(loop):
         signed = np.zeros((n, len(s)), dtype=int)
         signed[order[program.rows[soft]], program.index[soft] - n] = program.weights[soft]
         assert np.array_equal(signed, a[:, s] - a[s, :].T)
-        updated = quiver._mutate_phase(q, vertices)
-        for k in vertices:
-            q = mutate_quiver(q, k)
-        assert np.array_equal(updated.arrows, q.arrows)
-    assert permute_quiver(q, loop.nu) == loop.start.quiver
+        assert np.array_equal(quiver._mutate_phase(q, vertices).arrows, after.arrows)
+    assert permute_quiver(chain[2], loop.nu) == loop.start.quiver
 
 
 @pytest.mark.parametrize("dt", LOOP_TYPES, ids=str)
@@ -189,10 +202,12 @@ def test_phase_order_independence(dt):
 
 def test_loop_property_error_diagnostic():
     lq = build_dynkin_quiver(DynkinType("D", 4))
-    bad = MutationLoop(lq, (0,), (), lq.nu)
+    programs, end = quiver._compile_loop(lq.quiver, (0,), (), lq.nu, "a wrong split")
+    bad = MutationLoop(lq, (0,), (), lq.nu, programs)
     q = lq.quiver
     for k in bad.sequence:
         q = mutate_quiver(q, k)
+    assert q == end
     # a wrong phase split must not return to the start
     assert permute_quiver(q, lq.nu) != lq.quiver
 

@@ -13,9 +13,11 @@ from yexp.yseed import (_FD_COLUMNS, YSeed, _mutate_values, _run, _softplus,
                         log_cluster_transform, log_loop_jacobian, loop_jacobian, mutate_yseed)
 from yexp.ysys import assemble_eta
 
+from test_quiver import vertex_chain
+
 
 def permutation_matrix(nu) -> np.ndarray:
-    """The dense matrix of nu: P[nu[i], i] = 1 (oracle for the row relabelling by loop.back)."""
+    """The dense matrix of nu: P[nu[i], i] = 1 (oracle for the row relabelling by nu^-1 = argsort(nu))."""
     n = len(nu)
     p = np.zeros((n, n))
     p[nu, np.arange(n)] = 1
@@ -491,17 +493,12 @@ def _arrow_lists(q, vertices):
     return s, rows, cols, signed[rows, cols]
 
 
-def _quiver_after_plus(loop):
-    """The quiver mu_- acts on, by the single-vertex `mutate_quiver` chain through mu_+."""
-    q = loop.start.quiver
-    for k in loop.plus_set:
-        q = mutate_quiver(q, k)
-    return q
-
-
 def _chain_phases(loop):
-    """Both phases' arrow lists, each read off the quiver the chain has reached when the phase starts."""
-    return _arrow_lists(loop.start.quiver, loop.plus_set), _arrow_lists(_quiver_after_plus(loop), loop.minus_set)
+    """Both phases' arrow lists, each read off the quiver that the single-vertex
+    `mutate_quiver` chain (`test_quiver.vertex_chain`) has reached when the phase starts."""
+    start, after_plus = (vertex_chain(loop.start.type, phases) for phases in range(2))
+    assert start == loop.start.quiver
+    return _arrow_lists(start, loop.plus_set), _arrow_lists(after_plus, loop.minus_set)
 
 
 def _apply_phase_log(phase, x):
@@ -535,13 +532,13 @@ def _log_phase_jacobian(phase, x):
 
 def _oracle_log_step(loop, phases, x):
     plus, minus = phases
-    return _apply_phase_log(minus, _apply_phase_log(plus, x))[loop.back]
+    return _apply_phase_log(minus, _apply_phase_log(plus, x))[np.argsort(loop.nu)]
 
 
 def _oracle_log_jacobian(loop, phases, x):
     plus, minus = phases
     jm = _log_phase_jacobian(minus, _apply_phase_log(plus, x))
-    return (jm @ _log_phase_jacobian(plus, x))[loop.back]
+    return (jm @ _log_phase_jacobian(plus, x))[np.argsort(loop.nu)]
 
 
 PROGRAM_TYPES = LOG_JACOBIAN_TYPES + [DynkinType(f, 256) for f in "ABCD"]
@@ -575,10 +572,10 @@ def test_log_programs_fold_nu_inverse(dt):
     # every classical nu is an involution; relabel by a cyclic shift, whose inverse differs, to tell nu from nu^-1
     loop = build_mutation_loop(dt)
     nu = tuple(np.roll(np.arange(loop.n_vertices), 1))
-    # mu_- compiled afresh with its rows in nu^-1 order, as build_mutation_loop orders them
-    minus = quiver._compile_phase(_quiver_after_plus(loop), loop.minus_set, np.argsort(nu), "mu_-")
-    shifted = dataclasses.replace(loop, nu=nu, programs=(loop.programs[0], minus))
-    assert not np.array_equal(shifted.back, nu)
+    # the programs compiled for the shifted nu as build_mutation_loop compiles them
+    programs, _ = quiver._compile_loop(loop.start.quiver, loop.plus_set, loop.minus_set, nu, f"{dt}, shifted")
+    shifted = dataclasses.replace(loop, nu=nu, programs=programs)
+    assert not np.array_equal(np.argsort(nu), nu)
     _assert_program_is_the_oracle(shifted, _log_points(loop, 59))
     y = np.random.default_rng(61).uniform(0.5, 2.0, loop.n_vertices)
     np.testing.assert_allclose(log_cluster_transform(shifted, np.log(y)), np.log(_sequential_transform(shifted, y)),
