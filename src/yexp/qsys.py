@@ -3,13 +3,16 @@
 The q-dimension of an irreducible character is a product of sine ratios
 over positive roots; KR characters at level ell are finite sums of such
 terms. At level 2 the sums collapse to closed forms, which this module
-also provides directly.
+also provides directly. The restricted Q-system couples the table through the
+integer matrix G over the index set H (`_g_matrix`), which `ysys` reads too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product as iproduct
 from typing import Dict, Tuple
 
 import numpy as np
@@ -172,6 +175,53 @@ class QTable:
                 yield (i, m), self.value(i, m)
 
 
+def index_set_H(dt: DynkinType, level: int = 2) -> Tuple[Tuple[int, int], ...]:
+    """All (i, m) with 1 <= i <= rank and 1 <= m <= t_i * level - 1."""
+    rs = build_root_system(dt)
+    return tuple(
+        (i, m)
+        for i in range(1, dt.rank + 1)
+        for m in range(1, rs.t_i[i - 1] * level)
+    )
+
+
+def _g_formula(t_i, cartan: np.ndarray, a: int, bm: int, c: int, dk: int) -> int:
+    """Coupling formula on first pair (a, bm), second pair (c, dk); the case is picked by
+    t_a / t_c, which is 1, 2 or 1/2 for the classical types (every t_i is 1 or 2)."""
+    ta, tc = t_i[a - 1], t_i[c - 1]
+    if ta == 2 * tc:
+        coef = -cartan[c - 1, a - 1]
+        return coef * ((bm == 2 * dk - 1) + 2 * (bm == 2 * dk) + (bm == 2 * dk + 1))
+    return -cartan[a - 1, c - 1] * (tc * bm == ta * dk)
+
+
+@lru_cache(maxsize=None)
+def _g_matrix(dt: DynkinType, level: int) -> np.ndarray:
+    """Read-only integer G[p, q] = `_g_formula` on pairs H[p], H[q] of H = index_set_H(dt, level)
+    with the row Cartan matrix; it vanishes unless the Cartan matrix couples the two nodes, so
+    only those node pairs are visited."""
+    rs = build_root_system(dt)
+    cartan = np.array(rs.cartan)
+    H = index_set_H(dt, level)
+    pos = {h: p for p, h in enumerate(H)}
+    g = np.zeros((len(H), len(H)), dtype=np.int64)
+    for a, c in np.argwhere((cartan != 0) | (cartan.T != 0)) + 1:
+        for bm, dk in iproduct(range(1, rs.t_i[a - 1] * level), range(1, rs.t_i[c - 1] * level)):
+            g[pos[(a, bm)], pos[(c, dk)]] = _g_formula(rs.t_i, cartan, a, bm, c, dk)
+    g.setflags(write=False)
+    return g
+
+
+def _q_and_y(qt: QTable):
+    """(H, Q_m, Q_{m-1} Q_{m+1}, Y_m) over H = index_set_H, the last three as arrays,
+    with Y = Q_m^2 prod Q^G / (Q_{m-1} Q_{m+1})."""
+    H = index_set_H(qt.type, qt.level)
+    q = np.array([qt.value(i, m) for i, m in H])
+    ends = np.array([qt.value(i, m - 1) * qt.value(i, m + 1) for i, m in H])
+    g = _g_matrix(qt.type, qt.level)
+    return H, q, ends, q * q * np.exp(g @ np.log(q)) / ends
+
+
 def kr_qtable(dt: DynkinType, level: int = 2) -> QTable:
     """Fill the restricted table by evaluating the KR character sums, all of
     its cells in one stacked pass (`_kr_values`)."""
@@ -223,8 +273,6 @@ def check_restricted_qsystem(qt: QTable) -> float:
     """Max relative residual of the level-restricted Q-system Q_m^2 = Q_{m-1} Q_{m+1} + Q_m^2 prod Q^G,
     read as Q_m^2 = Q_{m-1} Q_{m+1} (1 + Y_m) with Y as `y_from_q` builds it, which takes the
     product; one array expression over H."""
-    from .ysys import _q_and_y
-
     _, q, ends, y = _q_and_y(qt)
     return float(np.max(np.abs(q * q - ends * (1.0 + y)) / (q * q)))
 

@@ -10,7 +10,8 @@ N, and N - D equals the exponent multiset of the snapped spectrum of J.
 Each (family, rank) case is built once, as a frozen `Case`: the fixed point
 eta with its Y-solution, and the spectrum of the log-coordinate Jacobian
 L = diag(1/eta) J diag(eta) there. L is similar to J and stays bounded at every
-rank, so every check reads L, unscaled, with J's closed forms carried over.
+rank, so every check reads L, unscaled, with J's closed forms carried over; the
+type-C relations read L's plus factor L_+ beside it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import numpy as np
 from .qsys import _sin_pi
 from .quiver import MutationLoop
 from .rootsys import DynkinType, RootSystem, build_root_system, group_constants
-from .yseed import check_periodicity, finite_difference_jacobian, log_loop_jacobian, loop_jacobian
+from .yseed import (check_periodicity, finite_difference_jacobian, log_cluster_transform, log_loop_jacobian,
+                    log_plus_phase)
 from .ysys import EtaPoint, assemble_eta, calibrate_reading, newton_fixed_point
 
 
@@ -237,12 +239,12 @@ def _relation_matrix_D(n: int) -> Dict[int, Dict[int, float]]:
     return rows
 
 
-def relation_residuals(case: Case, seed: int = 0) -> Dict[str, float]:
+def relation_residuals(case: Case) -> Dict[str, float]:
     """Residuals of the closed-form eigen-equation rows against the engine Jacobian.
 
     Types B and D compare the rows of L with the closed-form rows of J carried
     into log coordinates, J[r, c] eta_c / eta_r; type C checks the phase-factor
-    identities of the y-space J on random vectors. Even rank only.
+    identities on rows of L_+ and L (`_c_relation_residuals`). Even rank only.
     """
     dt = case.type
     if dt.rank % 2:
@@ -259,14 +261,34 @@ def relation_residuals(case: Case, seed: int = 0) -> Dict[str, float]:
         return {"rows": float(np.max(np.abs(case.jacobian[r - 1] - predicted)))}
     if dt.family != "C":
         raise ValueError(f"no closed-form relation rows for family {dt.family}")
-    return _c_relation_residuals(case, seed)
+    return _c_relation_residuals(case)
 
 
-def _c_relation_residuals(case: Case, seed: int) -> Dict[str, float]:
+class _ScaledRows:
+    """Row k of diag(scale) M, built on demand from M's row `row(k)`."""
+
+    def __init__(self, scale: np.ndarray, row: Callable[[int], np.ndarray]):
+        self.scale, self.row = scale, row
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        return self.scale[k] * self.row(k)
+
+
+def _c_relation_residuals(case: Case) -> Dict[str, float]:
+    """The C_n phase-factor identities psi' = J_+ psi, psi'' = J_- psi' (J_- before
+    nu) in closed form, for every psi at once: psi = diag(eta), row k eta_k e_k, so
+    psi' = diag(y') L_+ with y' = mu_+(eta) and psi'' = diag(y'') L_- L_+ with y''
+    the loop's image before nu, where (L_- L_+)[v] = L[nu(v)]. Each residual is a
+    row's max|lhs - rhs| over the lhs row's scale: a gap on a row of L_+ or of L."""
     n = case.type.rank
     l = n // 2
     Y = case.point.ysol.value
-    jp, jm = loop_jacobian(case.point.loop, case.point.eta).phase_factors
+    loop, x = case.point.loop, np.log(case.point.eta)
+    nu = list(loop.nu)
+    x_plus, plus = log_plus_phase(loop, x)
+    psi = _ScaledRows(case.point.eta, lambda k: np.eye(1, len(x), k)[0])
+    psi_p = _ScaledRows(np.exp(x_plus), plus.__getitem__)
+    psi_pp = _ScaledRows(np.exp(log_cluster_transform(loop, x))[nu], lambda k: case.jacobian[nu[k]])
 
     def top(i):
         return 3 * (i - 1)
@@ -280,76 +302,73 @@ def _c_relation_residuals(case: Case, seed: int) -> Dict[str, float]:
     p, q = 3 * n - 3, 3 * n - 2
     worst: Dict[str, float] = {}
 
-    def record(name, lhs, rhs):
-        r = abs(lhs - rhs) / max(1.0, abs(lhs))
+    def record(name, rows, k, rhs):
+        r = np.max(np.abs(rows[k] - rhs)) / rows.scale[k]
         worst[name] = _worst(worst.get(name, 0.0), r)
 
-    for psi in _seeded_uniform(seed, (4, 3 * n - 1), -1.0, 1.0):
-        psi_p = jp @ psi
-        psi_pp = jm @ psi_p
-        for k in range(1, l + 1):
-            for row in (top, bot):
-                record("plus_outer_odd", psi_p[row(2 * k - 1)], -psi[row(2 * k - 1)] / Y(2 * k - 1, 1) ** 2)
-            record("minus_mid_odd", psi_pp[mid(2 * k - 1)], -psi_p[mid(2 * k - 1)] / Y(2 * k - 1, 2) ** 2)
-        for k in range(1, l):
-            i = 2 * k - 1
-            rhs = Y(i, 2) * (
-                (psi[mid(i - 1)] / (Y(i - 1, 2) + 1) if i - 1 >= 1 else 0.0)
-                + (psi[top(i)] + psi[bot(i)]) / (Y(i, 1) * (Y(i, 1) + 1))
-                + Y(i, 2) * psi[mid(i)]
-                + psi[mid(i + 1)] / (Y(i + 1, 2) + 1)
-            )
-            record("plus_mid_odd", psi_p[mid(i)], rhs)
-            i = 2 * k
-            for row in (top, bot):
-                rhs = Y(i, 1) * (
-                    psi[row(i - 1)] / (Y(i - 1, 1) + 1)
-                    + Y(i, 1) * psi[row(i)]
-                    + psi[mid(i)] / (Y(i, 2) * (Y(i, 2) + 1))
-                    + psi[row(i + 1)] / (Y(i + 1, 1) + 1)
-                )
-                record("plus_outer_even", psi_p[row(i)], rhs)
-            record("plus_mid_even", psi_p[mid(i)], -psi[mid(i)] / Y(i, 2) ** 2)
-            for row in (top, bot):
-                record("minus_outer_even", psi_pp[row(i)], -psi_p[row(i)] / Y(i, 1) ** 2)
-            rhs = Y(i, 2) * (
-                psi_p[mid(i - 1)] / (Y(i - 1, 2) + 1)
-                + (psi_p[top(i)] + psi_p[bot(i)]) / (Y(i, 1) * (Y(i, 1) + 1))
-                + Y(i, 2) * psi_p[mid(i)]
-                + psi_p[mid(i + 1)] / (Y(i + 1, 2) + 1)
-            )
-            record("minus_mid_even", psi_pp[mid(i)], rhs)
-            i = 2 * k - 1
-            for row in (top, bot):
-                rhs = Y(i, 1) * (
-                    (psi_p[row(i - 1)] / (Y(i - 1, 1) + 1) if i - 1 >= 1 else 0.0)
-                    + Y(i, 1) * psi_p[row(i)]
-                    + psi_p[mid(i)] / (Y(i, 2) * (Y(i, 2) + 1))
-                    + psi_p[row(i + 1)] / (Y(i + 1, 1) + 1)
-                )
-                record("minus_outer_odd", psi_pp[row(i)], rhs)
-        i = 2 * l - 1
+    for k in range(1, l + 1):
+        for row in (top, bot):
+            record("plus_outer_odd", psi_p, row(2 * k - 1), -psi[row(2 * k - 1)] / Y(2 * k - 1, 1) ** 2)
+        record("minus_mid_odd", psi_pp, mid(2 * k - 1), -psi_p[mid(2 * k - 1)] / Y(2 * k - 1, 2) ** 2)
+    for k in range(1, l):
+        i = 2 * k - 1
         rhs = Y(i, 2) * (
             (psi[mid(i - 1)] / (Y(i - 1, 2) + 1) if i - 1 >= 1 else 0.0)
             + (psi[top(i)] + psi[bot(i)]) / (Y(i, 1) * (Y(i, 1) + 1))
             + Y(i, 2) * psi[mid(i)]
-            + psi[p] / (Y(n, 1) + 1)
+            + psi[mid(i + 1)] / (Y(i + 1, 2) + 1)
         )
-        record("plus_mid_last", psi_p[mid(i)], rhs)
+        record("plus_mid_odd", psi_p, mid(i), rhs)
+        i = 2 * k
+        for row in (top, bot):
+            rhs = Y(i, 1) * (
+                psi[row(i - 1)] / (Y(i - 1, 1) + 1)
+                + Y(i, 1) * psi[row(i)]
+                + psi[mid(i)] / (Y(i, 2) * (Y(i, 2) + 1))
+                + psi[row(i + 1)] / (Y(i + 1, 1) + 1)
+            )
+            record("plus_outer_even", psi_p, row(i), rhs)
+        record("plus_mid_even", psi_p, mid(i), -psi[mid(i)] / Y(i, 2) ** 2)
+        for row in (top, bot):
+            record("minus_outer_even", psi_pp, row(i), -psi_p[row(i)] / Y(i, 1) ** 2)
+        rhs = Y(i, 2) * (
+            psi_p[mid(i - 1)] / (Y(i - 1, 2) + 1)
+            + (psi_p[top(i)] + psi_p[bot(i)]) / (Y(i, 1) * (Y(i, 1) + 1))
+            + Y(i, 2) * psi_p[mid(i)]
+            + psi_p[mid(i + 1)] / (Y(i + 1, 2) + 1)
+        )
+        record("minus_mid_even", psi_pp, mid(i), rhs)
+        i = 2 * k - 1
         for row in (top, bot):
             rhs = Y(i, 1) * (
                 (psi_p[row(i - 1)] / (Y(i - 1, 1) + 1) if i - 1 >= 1 else 0.0)
                 + Y(i, 1) * psi_p[row(i)]
                 + psi_p[mid(i)] / (Y(i, 2) * (Y(i, 2) + 1))
+                + psi_p[row(i + 1)] / (Y(i + 1, 1) + 1)
             )
-            record("minus_outer_last", psi_pp[row(i)], rhs)
-        record("minus_white_plus", psi_pp[p], psi_p[mid(2 * l - 1)] / Y(n, 1) - (Y(n - 1, 2) + 1) * psi[p] / Y(n, 1) ** 2)
-        rhs = Y(n, 1) * (
-            psi_p[mid(2 * l - 1)] / (Y(n - 1, 2) + 1)
-            + (psi[top(2 * l - 1)] + psi[bot(2 * l - 1)]) / (Y(n - 1, 1) + 1)
-            + Y(n, 1) * psi[q] / (Y(n - 1, 2) + 1)
+            record("minus_outer_odd", psi_pp, row(i), rhs)
+    i = 2 * l - 1
+    rhs = Y(i, 2) * (
+        (psi[mid(i - 1)] / (Y(i - 1, 2) + 1) if i - 1 >= 1 else 0.0)
+        + (psi[top(i)] + psi[bot(i)]) / (Y(i, 1) * (Y(i, 1) + 1))
+        + Y(i, 2) * psi[mid(i)]
+        + psi[p] / (Y(n, 1) + 1)
+    )
+    record("plus_mid_last", psi_p, mid(i), rhs)
+    for row in (top, bot):
+        rhs = Y(i, 1) * (
+            (psi_p[row(i - 1)] / (Y(i - 1, 1) + 1) if i - 1 >= 1 else 0.0)
+            + Y(i, 1) * psi_p[row(i)]
+            + psi_p[mid(i)] / (Y(i, 2) * (Y(i, 2) + 1))
         )
-        record("minus_white_fixed", psi_pp[q], rhs)
+        record("minus_outer_last", psi_pp, row(i), rhs)
+    record("minus_white_plus", psi_pp, p, psi_p[mid(2 * l - 1)] / Y(n, 1) - (Y(n - 1, 2) + 1) * psi[p] / Y(n, 1) ** 2)
+    rhs = Y(n, 1) * (
+        psi_p[mid(2 * l - 1)] / (Y(n - 1, 2) + 1)
+        + (psi[top(2 * l - 1)] + psi[bot(2 * l - 1)]) / (Y(n - 1, 1) + 1)
+        + Y(n, 1) * psi[q] / (Y(n - 1, 2) + 1)
+    )
+    record("minus_white_fixed", psi_pp, q, rhs)
     return worst
 
 
@@ -870,7 +889,7 @@ def run_case(
                                summary["exponent_multiset_match"]), tolerances.lemma)
 
     def relations():
-        return _verdict(_worst(*relation_residuals(case, seed=seed).values()), tolerances.relations)
+        return _verdict(_worst(*relation_residuals(case).values()), tolerances.relations)
 
     checks: Dict[str, Dict] = {
         "fixed_point": _guarded(fixed_point),

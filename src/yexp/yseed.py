@@ -34,12 +34,9 @@ class YSeed:
 @dataclass(frozen=True)
 class LoopJacobian:
     """Loop Jacobian J = diag(y') L diag(1/y) at a positive point y, y' its image
-    and L the log-coordinate Jacobian, with its phase factors (J_plus at y, J_minus
-    at mu_+(y)), each its program's entries scaled the same way. J_minus is taken
-    before nu, so `matrix` = P_nu J_minus J_plus = (J_minus J_plus)[nu^-1]."""
+    and L the log-coordinate Jacobian."""
 
     matrix: np.ndarray
-    phase_factors: Tuple[np.ndarray, np.ndarray]
 
 
 def _mutate_values(arrows: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
@@ -139,6 +136,16 @@ def log_loop_jacobian(loop: MutationLoop, x: np.ndarray) -> np.ndarray:
     return np.bincount(flat, weights=terms, minlength=n * n).reshape(n, n)
 
 
+def log_plus_phase(loop: MutationLoop, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The plus phase at x = log y: its image x' = log mu_+(y) and its Jacobian
+    L_+ = diag(1/y') J_+ diag(y), the right factor that `log_loop_jacobian` pairs,
+    the program's entries scattered to (rows[e], reads[index[e]])."""
+    plus = loop.programs[0]
+    n = len(x)
+    where = plus.rows * n + plus.reads[plus.index]
+    return _run(plus, x), np.bincount(where, weights=_values(plus, x), minlength=n * n).reshape(n, n)
+
+
 def _positive_points(loop: MutationLoop, y, ndims=(1, 2)) -> np.ndarray:
     """y as float points, one (N,) or a batch (k, N) as `ndims` allows. A complex,
     non-positive, non-finite or mis-shaped y raises ValueError: it is never cast."""
@@ -170,26 +177,12 @@ def check_periodicity(loop: MutationLoop, y, period: int) -> float:
     return float(np.max(np.abs(np.expm1(x - x0)), initial=0.0))
 
 
-def _y_entries(program: LogProgram, x: np.ndarray, image: np.ndarray) -> np.ndarray:
-    """The program's entries of L at x (`_values`) carried to y = e^x, entry a times
-    y'[rows[a]] / y[reads[index[a]]] with y' = e^image: those of diag(y') L diag(1/y)."""
-    return _values(program, x) * np.exp(image[program.rows] - x[program.reads[program.index]])
-
-
 def loop_jacobian(loop: MutationLoop, y) -> LoopJacobian:
-    """Jacobian of the loop at one positive point y, with its phase factors: each
-    factor scatters its program's entries at x = log y carried to y (`_y_entries`),
-    and J pairs them as `log_loop_jacobian` pairs L's, with no dense product."""
-    x = np.log(_positive_points(loop, y, ndims=(1,)))
-    n = len(x)
-    plus, minus = loop.programs
-    a, b, flat = loop.jacobian_pairs
-    mid = _run(plus, x)
-    jp, jm = _y_entries(plus, x, mid), _y_entries(minus, mid, _run(minus, mid))
-    dense = lambda where, entries: np.bincount(where, weights=entries, minlength=n * n).reshape(n, n)
-    # entry e of a program sits at (rows[e], reads[index[e]]); mu_-'s row nu[v] holds vertex v
-    jp_dense, jm_dense = (dense(p.rows * n + p.reads[p.index], e) for p, e in ((plus, jp), (minus, jm)))
-    return LoopJacobian(dense(flat, jm[a] * jp[b]), (jp_dense, jm_dense[list(loop.nu)]))
+    """Jacobian of the loop at one positive point y: `log_loop_jacobian` at x = log y
+    carried to y, J[r, c] = L[r, c] y'_r / y_c."""
+    y = _positive_points(loop, y, ndims=(1,))
+    x = np.log(y)
+    return LoopJacobian(log_loop_jacobian(loop, x) * np.exp(log_cluster_transform(loop, x))[:, None] / y)
 
 
 def finite_difference_jacobian(loop: MutationLoop, y, h: float = 1e-6) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Level-restricted constant Y-systems and the positive fixed point eta.
 
-The coupling exponents form one cached integer matrix G over the index set H,
-built from the row Cartan matrix with the convolution case picked by the
-ratio t_first/t_second. The Q-system (and so `y_from_q`) reads G, the Y-system
-reads its transpose: `READING` names this reading of the formula, the only one
-of its 16 under which the closed-form type-B/D solutions satisfy both systems
-(the tests search all 16). `newton_fixed_point` finds eta independently of the
+The coupling exponents form one cached integer matrix G over the index set H
+(`qsys._g_matrix`), built from the row Cartan matrix with the convolution case
+picked by the ratio t_first/t_second. The Q-system (and so `y_from_q`) reads G,
+the Y-system reads its transpose: `READING` names this reading of the formula,
+the only one of its 16 under which the closed-form type-B/D solutions satisfy
+both systems (the tests search all 16). `newton_fixed_point` finds eta independently of the
 Y-solution, in log coordinates, where the loop Jacobian stays bounded at every
 rank.
 """
@@ -15,27 +15,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product as iproduct
 from typing import Dict, Tuple
 
 import numpy as np
 
 from .errors import ConvergenceError, FixedPointError
-from .qsys import QTable, closed_form_qtable
+from .qsys import QTable, _g_matrix, _q_and_y, closed_form_qtable, index_set_H
 from .quiver import MutationLoop, build_mutation_loop
 from .rootsys import DynkinType, RootSystem, build_root_system
 from .yseed import log_cluster_transform, log_loop_jacobian
-
-
-def index_set_H(dt: DynkinType, level: int = 2) -> Tuple[Tuple[int, int], ...]:
-    """All (i, m) with 1 <= i <= rank and 1 <= m <= t_i * level - 1."""
-    rs = build_root_system(dt)
-    return tuple(
-        (i, m)
-        for i in range(1, dt.rank + 1)
-        for m in range(1, rs.t_i[i - 1] * level)
-    )
 
 
 @dataclass(frozen=True)
@@ -57,33 +45,6 @@ class GReading:
 
 
 READING = GReading("row", "first/second", "swapped", "direct")
-
-
-def _g_formula(t_i, cartan: np.ndarray, a: int, bm: int, c: int, dk: int) -> int:
-    """Coupling formula on first pair (a, bm), second pair (c, dk); the case is picked by
-    t_a / t_c, which is 1, 2 or 1/2 for the classical types (every t_i is 1 or 2)."""
-    ta, tc = t_i[a - 1], t_i[c - 1]
-    if ta == 2 * tc:
-        coef = -cartan[c - 1, a - 1]
-        return coef * ((bm == 2 * dk - 1) + 2 * (bm == 2 * dk) + (bm == 2 * dk + 1))
-    return -cartan[a - 1, c - 1] * (tc * bm == ta * dk)
-
-
-@lru_cache(maxsize=None)
-def _g_matrix(dt: DynkinType, level: int) -> np.ndarray:
-    """Read-only integer G[p, q] = `_g_formula` on pairs H[p], H[q] of H = index_set_H(dt, level)
-    with the row Cartan matrix; it vanishes unless the Cartan matrix couples the two nodes, so
-    only those node pairs are visited."""
-    rs = build_root_system(dt)
-    cartan = np.array(rs.cartan)
-    H = index_set_H(dt, level)
-    pos = {h: p for p, h in enumerate(H)}
-    g = np.zeros((len(H), len(H)), dtype=np.int64)
-    for a, c in np.argwhere((cartan != 0) | (cartan.T != 0)) + 1:
-        for bm, dk in iproduct(range(1, rs.t_i[a - 1] * level), range(1, rs.t_i[c - 1] * level)):
-            g[pos[(a, bm)], pos[(c, dk)]] = _g_formula(rs.t_i, cartan, a, bm, c, dk)
-    g.setflags(write=False)
-    return g
 
 
 def g_coefficient(rs: RootSystem, i: int, m: int, j: int, k: int) -> int:
@@ -116,16 +77,6 @@ def closed_form_y_exact(dt: DynkinType) -> Dict[Tuple[int, int], Fraction]:
         vals[(n - 1, 1)] = vals[(n, 1)] = Fraction(n - 1)
         return vals
     raise ValueError(f"closed-form Y values cover types B and D, not {dt.family}")
-
-
-def _q_and_y(qt: QTable):
-    """(H, Q_m, Q_{m-1} Q_{m+1}, Y_m) over H = index_set_H, the last three as arrays,
-    with Y = Q_m^2 prod Q^G / (Q_{m-1} Q_{m+1})."""
-    H = index_set_H(qt.type, qt.level)
-    q = np.array([qt.value(i, m) for i, m in H])
-    ends = np.array([qt.value(i, m - 1) * qt.value(i, m + 1) for i, m in H])
-    g = _g_matrix(qt.type, qt.level)
-    return H, q, ends, q * q * np.exp(g @ np.log(q)) / ends
 
 
 def y_from_q(qt: QTable) -> YSolution:

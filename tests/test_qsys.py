@@ -10,7 +10,13 @@ from yexp.qsys import (_QDIM_ENTRIES, _kr_terms, _sin_pi, check_qsol_properties,
                        qtable_csv)
 from yexp.rootsys import DynkinType, build_root_system
 
+from test_quiver import imported_names
 from test_rootsys import _rows
+
+
+def test_qsys_never_imports_ysys():
+    # ysys reads the coupling matrix and the Q-to-Y map from qsys; the layering runs one way
+    assert not [name for name in imported_names(qsys) if "ysys" in name.split(".")]
 
 
 def test_qdim_trivial_weight():

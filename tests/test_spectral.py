@@ -15,6 +15,8 @@ from yexp.spectral import (ExponentSequence, Tolerances, build_case, c_blocks,
                            special_eigenvector, verify_c_reduction, verify_conjecture_csol)
 from yexp.ysys import y_solution
 
+from test_quiver import imported_names
+
 
 def c_case_blocks(n):
     return c_blocks(build_case(DynkinType("C", n)))
@@ -237,10 +239,25 @@ def test_conjecture_38_high_rank(dt):
     assert verdict["pass"] is True
 
 
-@pytest.mark.parametrize("dt", [DynkinType("B", 4), DynkinType("D", 6), DynkinType("C", 4)], ids=str)
+@pytest.mark.parametrize("dt", [DynkinType("B", 4), DynkinType("D", 6), *(DynkinType("C", n) for n in range(2, 41, 2)),
+                                DynkinType("C", 128)], ids=str)
 def test_relation_residuals(dt):
+    # type C read as log-coordinate rows: the y-space rows on random vectors reached 1.5e-11 at C128
     rel = relation_residuals(build_case(dt))
-    assert max(rel.values()) <= 1e-9
+    assert max(rel.values()) <= 1e-12
+
+
+def test_a_moved_entry_of_l_fails_relations():
+    # minus_outer_last reads row top(n - 1) of the case's own L
+    case = build_case(DynkinType("C", 6))
+    jac = case.jacobian.copy()
+    row = 3 * (6 - 2)
+    jac[row, np.flatnonzero(jac[row])[0]] += 1e-8
+    broken = spectral.Case(case.point, dataclasses.replace(case.report, jacobian=jac))
+    assert max(relation_residuals(case).values()) <= 1e-12
+    rel = relation_residuals(broken)
+    assert rel["minus_outer_last"] >= 1e-9
+    assert max(rel.values()) > Tolerances().relations
 
 
 def test_relation_residuals_odd_rank_rejected():
@@ -818,18 +835,21 @@ def test_csol_fails_on_a_nan_component(monkeypatch):
     assert checks["csol"]["pass"] is False and math.isnan(checks["csol"]["residual"])
 
 
+def test_spectral_imports_no_y_space_view():
+    # every check reads the log-coordinate programs; the y-space views are for callers outside
+    assert not {"yseed.loop_jacobian", "yseed.cluster_transform"} & set(imported_names(spectral))
+
+
 def test_a_nan_c_relation_row_fails_relations(monkeypatch):
-    # a nan in row mid(1) of J_+ reaches some relation rows and not others
-    loop_jacobian = spectral.loop_jacobian
+    # a nan in row mid(1) of L_+ reaches some relation rows and not others
+    log_plus_phase = spectral.log_plus_phase
 
-    def nan_row(loop, y):
-        lj = loop_jacobian(loop, y)
-        jp, jm = lj.phase_factors
-        jp = jp.copy()
-        jp[1] = np.nan
-        return dataclasses.replace(lj, phase_factors=(jp, jm))
+    def nan_row(loop, x):
+        x_plus, plus = log_plus_phase(loop, x)
+        plus[1] = np.nan
+        return x_plus, plus
 
-    monkeypatch.setattr(spectral, "loop_jacobian", nan_row)
+    monkeypatch.setattr(spectral, "log_plus_phase", nan_row)
     residuals = relation_residuals(build_case(DynkinType("C", 4)))
     assert math.isnan(residuals["plus_mid_odd"])
     assert residuals["plus_outer_odd"] <= 1e-12
