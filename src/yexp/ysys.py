@@ -5,9 +5,9 @@ The coupling exponents form one cached integer matrix G over the index set H
 picked by the ratio t_first/t_second. The Q-system (and so `y_from_q`) reads G,
 the Y-system reads its transpose: `READING` names this reading of the formula,
 the only one of its 16 under which the closed-form type-B/D solutions satisfy
-both systems (the tests search all 16). `newton_fixed_point` finds eta independently of the
-Y-solution, in log coordinates, where the loop Jacobian stays bounded at every
-rank.
+both systems (the tests search all 16). `newton_fixed_point` finds eta
+independently of the Y-solution, in log coordinates, where the loop Jacobian
+stays bounded at every rank.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConvergenceError, FixedPointError
 from .qsys import QTable, _g_matrix, _q_and_y, closed_form_qtable, index_set_H
 from .quiver import MutationLoop, build_mutation_loop
-from .rootsys import DynkinType, RootSystem, build_root_system
+from .rootsys import DynkinType, RootSystem
 from .yseed import log_cluster_transform, log_loop_jacobian
 
 

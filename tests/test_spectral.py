@@ -242,7 +242,7 @@ def test_conjecture_38_high_rank(dt):
 @pytest.mark.parametrize("dt", [DynkinType("B", 4), DynkinType("D", 6), *(DynkinType("C", n) for n in range(2, 41, 2)),
                                 DynkinType("C", 128)], ids=str)
 def test_relation_residuals(dt):
-    # type C read as log-coordinate rows: the y-space rows on random vectors reached 1.5e-11 at C128
+    # every family reads unscaled log-coordinate rows, whose gaps stay rounding-sized at every rank
     rel = relation_residuals(build_case(dt))
     assert max(rel.values()) <= 1e-12
 
