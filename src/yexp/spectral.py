@@ -144,14 +144,13 @@ def build_case(dt: DynkinType, tol: float = 1e-9) -> Case:
     return Case(point, spectrum(point.loop, point.eta))
 
 
-def _seeded_uniform(seed: int, shape: Tuple[int, int], low: float, high: float) -> np.ndarray:
-    """Uniform draws on [low, high) from random.Random(seed), row by row, so a shorter
+def _seeded_uniform(seed: int, shape: Tuple[int, int]) -> np.ndarray:
+    """Uniform draws on [0.5, 2) from random.Random(seed), row by row, so a shorter
     draw is the first rows of a longer one. `import numpy` has loaded `random` already."""
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = random.Random(seed)
-    draws = np.array([rng.random() for _ in range(shape[0] * shape[1])]).reshape(shape)
-    return low + (high - low) * draws
+    return 0.5 + 1.5 * np.array([rng.random() for _ in range(shape[0] * shape[1])]).reshape(shape)
 
 
 # ------------------------------------------------------- B/D relation matrices
@@ -830,7 +829,7 @@ def check_jacobian_fd(case: Case, tol: float) -> Dict:
 
 def periodicity_verdict(loop: MutationLoop, period: int, seed: int, points: int, tol: float) -> Dict:
     """Verdict on mu_gamma^period = id at `points` seeded points drawn from [0.5, 2)."""
-    y = _seeded_uniform(seed, (points, loop.n_vertices), 0.5, 2.0)
+    y = _seeded_uniform(seed, (points, loop.n_vertices))
     return _verdict(check_periodicity(loop, y, period), tol)
 
 

@@ -309,10 +309,10 @@ def test_lemma_boundary_values():
 
 
 def test_seeded_points_are_drawn_row_by_row():
-    long = spectral._seeded_uniform(4, (20, 13), 0.5, 2.0)
-    assert np.array_equal(spectral._seeded_uniform(4, (5, 13), 0.5, 2.0), long[:5])
+    long = spectral._seeded_uniform(4, (20, 13))
+    assert np.array_equal(spectral._seeded_uniform(4, (5, 13)), long[:5])
     assert long.min() >= 0.5 and long.max() < 2.0
-    assert not np.array_equal(spectral._seeded_uniform(5, (20, 13), 0.5, 2.0), long)
+    assert not np.array_equal(spectral._seeded_uniform(5, (20, 13)), long)
 
 
 # The per-a reference: one scalar phi per admissible a, with lambda^j read
