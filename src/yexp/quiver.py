@@ -7,9 +7,10 @@ phase signs (+ / - / 0 where 0 marks white vertices mutated in neither
 phase), the folding permutation nu, and the (node, row) coordinate of each
 vertex in the underlying index set.
 
-A mutation loop compiles each of its two phases (commuting mutations at
-pairwise unconnected vertices) once, straight from the arrows between the phase
-and the rest of the quiver to a `LogProgram` on x = log y, which `yseed` runs.
+A mutation loop carries one exchange matrix b = a - a^T through its two phases
+(commuting mutations at pairwise unconnected vertices). Each phase reads its
+signed arrows from b once, compiles them to a `LogProgram` on x = log y, which
+`yseed` runs, and mutates b in place from the same list.
 """
 
 from __future__ import annotations
@@ -30,7 +31,13 @@ class Quiver:
     __slots__ = ("arrows",)
 
     def __init__(self, arrows):
-        a = np.array(arrows, dtype=int)
+        a = np.array(arrows)
+        if a.dtype != int:
+            with np.errstate(invalid="ignore"):  # nan and inf fail the comparison below
+                whole = a.astype(int)
+            if not np.array_equal(whole, a):
+                raise ValueError("arrow multiplicities must be integers")
+            a = whole
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("arrow matrix must be square")
         if (a < 0).any():
@@ -131,21 +138,23 @@ class LogProgram:
     batch: dict = field(default_factory=dict, repr=False)
 
 
-def _compile_phase(q: Quiver, vertices: Tuple[int, ...], order: np.ndarray, name: str) -> LogProgram:
-    """The phase mutating q at `vertices` as a LogProgram whose row i is vertex order[i]
-    after the phase. The vertices must be pairwise unconnected, so the mutations commute
-    and none changes the arrows at another; only the arrows between them and the rest
-    enter, each with its signed multiplicity: positive for v -> k, negative for k -> v."""
+def _compile_phase(b: np.ndarray, vertices: Tuple[int, ...], order: np.ndarray, name: str) -> LogProgram:
+    """The phase mutating the exchange matrix b at `vertices` as a LogProgram whose row i
+    is vertex order[i] after the phase; b is then mutated in place. The vertices must be
+    pairwise unconnected, so the mutations commute and none changes the arrows at another;
+    only the arrows between them and the rest enter, each with its signed multiplicity
+    b_vk: positive for v -> k, negative for k -> v. On b, off the phase, each path
+    i -> k -> j through it adds b_ik b_kj to b_ij and takes it from b_ji, and the phase's
+    entries change sign (Fomin-Zelevinsky matrix mutation, in O(paths))."""
     s = np.array(vertices, dtype=np.intp)
-    a = q.arrows
-    inside = a[np.ix_(s, s)]
+    inside = b[np.ix_(s, s)]
     if inside.any():
-        i, j = np.argwhere(inside)[0]
+        i, j = np.argwhere(inside > 0)[0]
         raise LoopPropertyError(
             f"phase {name} has an arrow {s[i]} -> {s[j]} inside it; "
             "its mutations do not commute"
         )
-    signed = a[:, s] - a[s, :].T
+    signed = b[:, s]
     rows, cols = np.nonzero(signed)  # the arrows, sorted by row, then by phase vertex
     e = signed[rows, cols]
     n = len(order)
@@ -164,6 +173,14 @@ def _compile_phase(q: Quiver, vertices: Tuple[int, ...], order: np.ndarray, name
     parts = (np.concatenate((np.arange(n), s)), index[by], weights[by], position[row[by]])
     for part in parts:
         part.setflags(write=False)
+    into = np.flatnonzero(~out)  # the paths i -> k -> j: arrows into the phase, and out of it by k
+    away = np.flatnonzero(out)[np.argsort(cols[out])]
+    p, r = _pairs(cols[into], cols[away], len(s))
+    i, j, w = rows[into[p]], rows[away[r]], -e[into[p]] * e[away[r]]
+    np.add.at(b, (i, j), w)
+    np.add.at(b, (j, i), -w)
+    b[rows, s[cols]] = -e
+    b[s[cols], rows] = e
     return LogProgram(*parts)
 
 
@@ -177,31 +194,12 @@ def _pairs(keys: np.ndarray, sorted_keys: np.ndarray, n: int) -> Tuple[np.ndarra
     return p, np.arange(len(p)) + np.repeat(first[keys] - (np.cumsum(count) - count), count)
 
 
-def _mutate_phase(q: Quiver, vertices: Tuple[int, ...]) -> Quiver:
-    """Mutate q at every vertex k of a phase at once. On b = a - a^T, off the phase,
-    b_ij gains sum_k [b_ik]+ [b_kj]+ - [-b_ik]+ [-b_kj]+: each path i -> k -> j through
-    the phase adds b_ik b_kj to b_ij and takes it from b_ji, in O(paths); the phase's
-    rows and columns change sign."""
-    s = np.array(vertices, dtype=np.intp)
-    b = q.arrows - q.arrows.T
-    k_in, i = np.nonzero(b[:, s].T > 0)  # the arrows i -> k and k -> j, by k
-    k_out, j = np.nonzero(b[s] > 0)
-    p, r = _pairs(k_in, k_out, len(s))
-    i, j, k = i[p], j[r], s[k_in[p]]
-    w = b[i, k] * b[k, j]
-    np.add.at(b, (i, j), w)
-    np.add.at(b, (j, i), -w)
-    b[s] *= -1
-    b[:, s] *= -1
-    return Quiver(np.maximum(b, 0))
-
-
 @dataclass(frozen=True)
 class MutationLoop:
     """The loop nu . mu_- . mu_+ on a labeled quiver.
 
     `programs` holds mu_+ and mu_- as LogPrograms on x = log y, compiled
-    against the quivers they act on, with nu folded into mu_-'s row order;
+    against the exchange matrices they act on, with nu folded into mu_-'s row order;
     build_mutation_loop fills it by `_compile_loop`. It takes no part in
     equality or hashing, since the start quiver, the vertex sets and nu
     determine it: a loop made with another of those (say by `dataclasses.replace`)
@@ -377,14 +375,12 @@ def build_dynkin_quiver(dt: DynkinType) -> LabeledQuiver:
     return LabeledQuiver(dt, Quiver(arrows), color, sign, nu, hindex)
 
 
-def _compile_loop(q: Quiver, plus, minus, nu, name: str) -> Tuple[Tuple[LogProgram, ...], Quiver]:
-    """The programs of nu . mu_- . mu_+ on q, and the quiver after mu_-. mu_+'s rows are
-    the vertices in order; row i of mu_-'s is vertex nu^-1(i), so its image is relabelled."""
-    programs = []
-    for sign, vertices, order in (("+", plus, np.arange(q.n_vertices)), ("-", minus, np.argsort(nu))):
-        programs.append(_compile_phase(q, vertices, order, f"mu_{sign} of {name}"))
-        q = _mutate_phase(q, vertices)
-    return tuple(programs), q
+def _compile_loop(b: np.ndarray, plus, minus, nu, name: str) -> Tuple[LogProgram, ...]:
+    """The programs of nu . mu_- . mu_+ on the exchange matrix b, which is left mutated
+    by mu_- . mu_+ in place. mu_+'s rows are the vertices in order; row i of mu_-'s is
+    vertex nu^-1(i), so its image is relabelled."""
+    return tuple(_compile_phase(b, vertices, order, f"mu_{sign} of {name}")
+                 for sign, vertices, order in (("+", plus, np.arange(len(b))), ("-", minus, np.argsort(nu))))
 
 
 def build_mutation_loop(dt: DynkinType) -> MutationLoop:
@@ -396,8 +392,10 @@ def build_mutation_loop(dt: DynkinType) -> MutationLoop:
     lq = build_dynkin_quiver(dt)
     plus = tuple(v for v in range(lq.n_vertices) if lq.sign[v] == "+")
     minus = tuple(v for v in range(lq.n_vertices) if lq.sign[v] == "-")
-    programs, q = _compile_loop(lq.quiver, plus, minus, lq.nu, str(dt))
-    if permute_quiver(q, lq.nu) != lq.quiver:
+    b = lq.quiver.arrows - lq.quiver.arrows.T
+    start = b[np.ix_(lq.nu, lq.nu)]  # nu(b) is the start iff b is this
+    programs = _compile_loop(b, plus, minus, lq.nu, str(dt))
+    if not np.array_equal(b, start):
         raise LoopPropertyError(
             f"{dt}: quiver does not return to its start after mu_+, mu_-, nu; "
             "the quiver encoding is wrong"
@@ -407,12 +405,8 @@ def build_mutation_loop(dt: DynkinType) -> MutationLoop:
 
 def dump_quiver(lq: LabeledQuiver) -> str:
     """Textual dump: one line per arrow "i -> j xM", then label lines."""
-    lines = []
     a = lq.quiver.arrows
-    for i in range(lq.n_vertices):
-        for j in range(lq.n_vertices):
-            if a[i, j]:
-                lines.append(f"{i} -> {j} x{a[i, j]}")
+    lines = [f"{i} -> {j} x{a[i, j]}" for i, j in np.argwhere(a)]
     for v in range(lq.n_vertices):
         i, m = lq.hindex[v]
         lines.append(f"vertex {v}: y_{m}^({i}) {lq.color[v]} sign={lq.sign[v]} nu={lq.nu[v]}")

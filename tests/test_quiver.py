@@ -65,6 +65,23 @@ def test_quiver_validation():
         mutate_quiver(arrows_of([], 2), 5)
 
 
+@pytest.mark.parametrize("multiplicity", [0.5, 1.7, -0.5, np.nan, np.inf])
+def test_non_integral_multiplicities_are_rejected(multiplicity):
+    with pytest.raises(ValueError, match="integers"):
+        Quiver([[0, multiplicity], [0, 0]])
+
+
+def test_integral_multiplicities_of_any_dtype_are_one_quiver():
+    one = Quiver([[0, 1], [0, 0]])
+    for arrows in ([[0, 1.0], [0, 0]], np.array([[0, 1], [0, 0]], dtype=np.int32),
+                   np.array([[False, True], [False, False]])):
+        q = Quiver(arrows)
+        assert q == one and hash(q) == hash(one) and q.arrows.dtype == one.arrows.dtype
+    given = np.array([[0, 2], [0, 0]])
+    Quiver(given)
+    assert given.flags.writeable  # the quiver froze its own copy
+
+
 def test_permute_quiver():
     q = arrows_of([(0, 1, 1)], 2)
     assert permute_quiver(q, (0, 1)) == q
@@ -145,7 +162,9 @@ def assert_phases_match_vertex_chain(loop):
         signed = np.zeros((n, len(s)), dtype=int)
         signed[order[program.rows[soft]], program.index[soft] - n] = program.weights[soft]
         assert np.array_equal(signed, a[:, s] - a[s, :].T)
-        assert np.array_equal(quiver._mutate_phase(q, vertices).arrows, after.arrows)
+        b = a - a.T
+        quiver._compile_phase(b, vertices, order, "one phase")
+        assert np.array_equal(b, after.arrows - after.arrows.T)
     assert permute_quiver(chain[2], loop.nu) == loop.start.quiver
 
 
@@ -161,22 +180,76 @@ def test_phase_updates_match_vertex_chain_at_high_rank(dt):
     assert_phases_match_vertex_chain(build_mutation_loop(dt))
 
 
-@pytest.mark.parametrize("sign, message, updates", [
-    (("+", "+", "-", "-"), "mu_+ of A4 has an arrow 0 -> 1", 0),
-    (("+", "-", "-", "0"), "mu_- of A4 has an arrow 2 -> 1", 1),
+@pytest.mark.parametrize("sign, message, compiled", [
+    (("+", "+", "-", "-"), "mu_+ of A4 has an arrow 0 -> 1", 1),
+    (("+", "-", "-", "0"), "mu_- of A4 has an arrow 2 -> 1", 2),
 ], ids=["plus", "minus"])
-def test_phase_with_an_inner_arrow_is_rejected(sign, message, updates, monkeypatch):
+def test_phase_with_an_inner_arrow_is_rejected(sign, message, compiled, monkeypatch):
     # A4 is 0 -> 1 <- 2 -> 3; {0, 1} is joined in the start quiver, and {1, 2}
-    # is still joined after mutating at 0. The phase is rejected before its update.
+    # is still joined after mutating at 0. The phase is rejected with b unchanged.
     real = build_dynkin_quiver(DynkinType("A", 4))
     bad = LabeledQuiver(real.type, real.quiver, real.color, sign, real.nu, real.hindex)
     monkeypatch.setattr(quiver, "build_dynkin_quiver", lambda dt: bad)
-    done = []
-    update = quiver._mutate_phase
-    monkeypatch.setattr(quiver, "_mutate_phase", lambda q, vertices: done.append(vertices) or update(q, vertices))
+    seen = []
+    compile_phase = quiver._compile_phase
+
+    def spy(b, *args):
+        seen.append((b, b.copy()))
+        return compile_phase(b, *args)
+
+    monkeypatch.setattr(quiver, "_compile_phase", spy)
     with pytest.raises(LoopPropertyError, match=re.escape(message)):
         build_mutation_loop(DynkinType("A", 4))
-    assert len(done) == updates
+    assert len(seen) == compiled
+    b, before = seen[-1]
+    assert np.array_equal(b, before)
+
+
+@pytest.mark.parametrize("dt", [DynkinType("A", 5), DynkinType("B", 4), DynkinType("C", 5), DynkinType("D", 6)], ids=str)
+def test_a_loop_build_constructs_one_quiver(dt, monkeypatch):
+    # the start quiver; both phases and the loop check work on one exchange matrix
+    made = []
+    init = Quiver.__init__
+    monkeypatch.setattr(Quiver, "__init__", lambda self, arrows: made.append(1) or init(self, arrows))
+    build_mutation_loop(dt)
+    assert len(made) == 1
+
+
+def _phase_update(q, vertices):
+    """The exchange matrix after compiling the phase at `vertices` on q's."""
+    b = q.arrows - q.arrows.T
+    quiver._compile_phase(b, tuple(vertices), np.arange(q.n_vertices), "a test phase")
+    return b
+
+
+def _mutated_in_turn(q, vertices):
+    for k in vertices:
+        q = mutate_quiver(q, k)
+    return q.arrows - q.arrows.T
+
+
+def test_phase_update_pairs_out_arrows_by_phase_vertex():
+    # phase {0, 1}; read row by row, its arrows out of the phase are 1 -> 2, 0 -> 3, 1 -> 4:
+    # unlike in every Dynkin quiver, they are not in phase-vertex order
+    q = arrows_of([(5, 0, 1), (6, 1, 2), (5, 1, 1), (1, 2, 1), (0, 3, 2), (1, 4, 3), (3, 6, 1)], 7)
+    b = q.arrows - q.arrows.T
+    rows, cols = np.nonzero(b[:, [0, 1]])
+    out_by_row = cols[b[rows, cols] < 0]
+    assert out_by_row.tolist() == [1, 0, 1]
+    assert np.array_equal(_phase_update(q, (0, 1)), _mutated_in_turn(q, (0, 1)))
+
+
+def test_phase_update_is_the_single_vertex_chain_on_random_quivers():
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        n = int(rng.integers(2, 10))
+        q = _random_quiver(rng, n)
+        phase = []
+        for k in rng.permutation(n):
+            if not q.arrows[k, phase].any() and not q.arrows[phase, k].any():
+                phase.append(int(k))
+        phase = sorted(phase[:int(rng.integers(1, len(phase) + 1))])
+        assert np.array_equal(_phase_update(q, phase), _mutated_in_turn(q, phase))
 
 
 @pytest.mark.parametrize("dt", [DynkinType("B", 4), DynkinType("C", 5), DynkinType("D", 6), DynkinType("A", 5)], ids=str)
@@ -200,22 +273,39 @@ def test_phase_order_independence(dt):
     assert permute_quiver(reference, loop.nu) == loop.start.quiver
 
 
-def test_loop_property_error_diagnostic():
+def test_loop_property_error_diagnostic(monkeypatch):
     lq = build_dynkin_quiver(DynkinType("D", 4))
-    programs, end = quiver._compile_loop(lq.quiver, (0,), (), lq.nu, "a wrong split")
+    b = lq.quiver.arrows - lq.quiver.arrows.T
+    programs = quiver._compile_loop(b, (0,), (), lq.nu, "a wrong split")
     bad = MutationLoop(lq, (0,), (), lq.nu, programs)
     q = lq.quiver
     for k in bad.sequence:
         q = mutate_quiver(q, k)
-    assert q == end
-    # a wrong phase split must not return to the start
+    assert np.array_equal(b, q.arrows - q.arrows.T)
+    # a wrong phase split must not return to the start, and the build says so
     assert permute_quiver(q, lq.nu) != lq.quiver
+    sign = ("+",) + ("0",) * (lq.n_vertices - 1)
+    wrong = LabeledQuiver(lq.type, lq.quiver, lq.color, sign, lq.nu, lq.hindex)
+    monkeypatch.setattr(quiver, "build_dynkin_quiver", lambda dt: wrong)
+    with pytest.raises(LoopPropertyError, match="D4: quiver does not return to its start"):
+        build_mutation_loop(DynkinType("D", 4))
 
 
 def test_dump_format():
     text = dump_quiver(build_dynkin_quiver(DynkinType("A", 2)))
     assert "0 -> 1 x1" in text
     assert "vertex 0: y_1^(1) black sign=- nu=0" in text
+
+
+@pytest.mark.parametrize("dt", [DynkinType("A", 7), DynkinType("B", 5), DynkinType("C", 6), DynkinType("D", 9)], ids=str)
+def test_dump_lists_arrows_row_by_row(dt):
+    lq = build_dynkin_quiver(dt)
+    a = lq.quiver.arrows
+    n = lq.n_vertices
+    arrows = [f"{i} -> {j} x{a[i, j]}" for i in range(n) for j in range(n) if a[i, j]]
+    labels = [f"vertex {v}: y_{lq.hindex[v][1]}^({lq.hindex[v][0]}) {lq.color[v]} sign={lq.sign[v]} nu={lq.nu[v]}"
+              for v in range(n)]
+    assert dump_quiver(lq) == "\n".join(arrows + labels) + "\n"
 
 
 def imported_names(module):
