@@ -5,7 +5,10 @@ whose (i, j) entry counts the arrows i -> j. The level-2 Dynkin quiver of
 each classical family is encoded together with vertex colors (black/white),
 phase signs (+ / - / 0 where 0 marks white vertices mutated in neither
 phase), the folding permutation nu, and the (node, row) coordinate of each
-vertex in the underlying index set.
+vertex in the underlying index set. The signs state the orientation once: every
+edge of a Dynkin chain points into its "+" end and every arrow inside B's and C's
+node columns leaves it (`_path`); only the arrows that join the chains to B's column,
+D's fork and C's p and q are listed.
 
 A mutation loop carries one exchange matrix b = a - a^T through its two phases
 (commuting mutations at pairwise unconnected vertices). Each phase reads its
@@ -232,140 +235,72 @@ class MutationLoop:
         return a, b, minus.rows[a] * n + plus.reads[plus.index[b]]
 
 
+def _path(arrows: np.ndarray, vertices: Sequence[int], sign: Sequence[str]) -> None:
+    """Point each edge between consecutive vertices of a chain into its "+" end: the
+    first phase mutates the sinks of every chain. On arrows.T it points each edge out
+    of its "+" end, as inside B's and C's node columns."""
+    for u, v in zip(vertices, vertices[1:]):
+        if sign[v] == "+":
+            arrows[u, v] = 1
+        else:
+            arrows[v, u] = 1
+
+
 def _build_A(n):
-    arrows = np.zeros((n, n), dtype=int)
-    for s in range(1, n + 1):
-        if s % 2 == 1:
-            for t in (s - 1, s + 1):
-                if 1 <= t <= n:
-                    arrows[s - 1, t - 1] = 1
-    color = ("black",) * n
     sign = tuple("+" if s % 2 == 0 else "-" for s in range(1, n + 1))
-    nu = tuple(range(n))
-    hindex = tuple((s, 1) for s in range(1, n + 1))
-    return arrows, color, sign, nu, hindex
+    arrows = np.zeros((n, n), dtype=int)
+    _path(arrows, range(n), sign)
+    return arrows, ("black",) * n, sign, tuple(range(n)), tuple((s, 1) for s in range(1, n + 1))
 
 
 def _build_D(n):
+    # the path of nodes 1..n-1, and the fork's other leg n -> n-2
+    sign = tuple("+" if s % 2 == n % 2 else "-" for s in range(1, n - 1)) + ("-", "-")
     arrows = np.zeros((n, n), dtype=int)
-    for s in range(1, n - 1):
-        if s % 2 == (n - 1) % 2:
-            for t in (s - 1, s + 1):
-                if 1 <= t <= n - 2:
-                    arrows[s - 1, t - 1] = 1
-    arrows[n - 2, n - 3] = 1
+    _path(arrows, range(n - 1), sign)
     arrows[n - 1, n - 3] = 1
-    color = ("black",) * n
-    sign = ["+" if s % 2 == n % 2 else "-" for s in range(1, n - 1)] + ["-", "-"]
-    nu = tuple(range(n))
-    hindex = tuple((s, 1) for s in range(1, n + 1))
-    return arrows, color, tuple(sign), nu, hindex
+    return arrows, ("black",) * n, sign, tuple(range(n)), tuple((s, 1) for s in range(1, n + 1))
 
 
 def _build_B(n):
-    # left wing nodes 1..n-1, the three-vertex column of the short node n,
-    # right wing nodes n+1..2n-1; nu mirrors node s <-> 2n-s.
+    # left wing nodes 1..n-1, the three-vertex column c1, c2, c3 of the short node n,
+    # right wing nodes n+1..2n-1; nu mirrors node s <-> 2n-s and fixes the column.
     N = 2 * n + 1
-    arrows = np.zeros((N, N), dtype=int)
     c1, c2, c3 = n - 1, n, n + 1
-
-    def left(s):
-        return s - 1
-
-    def right(j):
-        return j + 1
-
-    for s in range(1, n):
-        if s % 2 == (n - 1) % 2:
-            for t in (s - 1, s + 1):
-                if 1 <= t <= n - 1:
-                    arrows[left(s), left(t)] = 1
-    arrows[left(n - 1), c1] = 1
-    arrows[left(n - 1), c3] = 1
-    arrows[c1, c2] = 1
-    arrows[c3, c2] = 1
-    arrows[c2, left(n - 1)] = 1
-    arrows[c2, right(n + 1)] = 1
-    for j in range(n + 1, 2 * n):
-        if j % 2 == n % 2:
-            for t in (j - 1, j + 1):
-                if n + 1 <= t <= 2 * n - 1:
-                    arrows[right(j), right(t)] = 1
-
-    color = ["white"] * (n - 1) + ["black"] * 3 + ["white"] * (n - 1)
-    sign = [""] * N
-    for s in range(1, n):
-        sign[left(s)] = "+" if s % 2 == n % 2 else "0"
-    sign[c1] = sign[c3] = "+"
-    sign[c2] = "-"
-    for j in range(n + 1, 2 * n):
-        sign[right(j)] = "+" if j % 2 == (n + 1) % 2 else "0"
-    nu = list(range(N))
-    for s in range(1, n):
-        nu[left(s)] = right(2 * n - s)
-        nu[right(2 * n - s)] = left(s)
-    hindex = [(s, 1) for s in range(1, n)] + [(n, 1), (n, 2), (n, 3)] + \
-        [(j, 1) for j in range(n + 1, 2 * n)]
-    return arrows, tuple(color), tuple(sign), tuple(nu), tuple(hindex)
+    sign = tuple("+" if s % 2 == n % 2 else "0" for s in range(1, n)) + ("+", "-", "+") + \
+        tuple("+" if j % 2 != n % 2 else "0" for j in range(n + 1, 2 * n))
+    arrows = np.zeros((N, N), dtype=int)
+    _path(arrows, range(n - 1), sign)
+    _path(arrows, range(n + 2, N), sign)
+    _path(arrows.T, (c1, c2, c3), sign)
+    for u, v in ((n - 2, c1), (n - 2, c3), (c2, n - 2), (c2, n + 2)):  # n - 2, n + 2: the wings' inner ends
+        arrows[u, v] = 1
+    nu = list(range(N - 1, -1, -1))
+    nu[c1], nu[c3] = c1, c3
+    color = ("white",) * (n - 1) + ("black",) * 3 + ("white",) * (n - 1)
+    hindex = tuple((s, 1) for s in range(1, n)) + ((n, 1), (n, 2), (n, 3)) + \
+        tuple((j, 1) for j in range(n + 1, 2 * n))
+    return arrows, color, sign, tuple(nu), hindex
 
 
 def _build_C(n):
-    # columns of three black vertices for nodes 1..n-1, then the two white
-    # vertices p (+) and q (-); nu swaps p and q.
+    # columns (top, mid, bot) of three black vertices for nodes 1..n-1, then the two
+    # white vertices p (+) and q (0); nu swaps p and q.
     N = 3 * n - 1
+    p, q = N - 2, N - 1
+    columns = (("+", "-", "+"), ("-", "+", "-"))  # node n-1's column, then alternating
+    sign = tuple(s for i in range(1, n) for s in columns[(n - 1 - i) % 2]) + ("+", "0")
     arrows = np.zeros((N, N), dtype=int)
-
-    def top(i):
-        return 3 * (i - 1)
-
-    def mid(i):
-        return 3 * (i - 1) + 1
-
-    def bot(i):
-        return 3 * (i - 1) + 2
-
-    p, q = 3 * n - 3, 3 * n - 2
-
-    def type_o(i):
-        return i % 2 == (n - 1) % 2
-
-    for i in range(1, n):
-        if type_o(i):
-            arrows[top(i), mid(i)] = 1
-            arrows[bot(i), mid(i)] = 1
-            for t in (i - 1, i + 1):
-                if 1 <= t <= n - 1:
-                    arrows[mid(i), mid(t)] = 1
-        else:
-            arrows[mid(i), top(i)] = 1
-            arrows[mid(i), bot(i)] = 1
-            for t in (i - 1, i + 1):
-                if 1 <= t <= n - 1:
-                    arrows[top(i), top(t)] = 1
-                    arrows[bot(i), bot(t)] = 1
-    arrows[mid(n - 1), p] = 1
-    arrows[mid(n - 1), q] = 1
-    arrows[q, top(n - 1)] = 1
-    arrows[q, bot(n - 1)] = 1
-
-    color = ["black"] * (3 * n - 3) + ["white", "white"]
-    sign = [""] * N
-    for i in range(1, n):
-        if type_o(i):
-            sign[top(i)] = sign[bot(i)] = "+"
-            sign[mid(i)] = "-"
-        else:
-            sign[top(i)] = sign[bot(i)] = "-"
-            sign[mid(i)] = "+"
-    sign[p] = "+"
-    sign[q] = "0"
+    for row in range(3):
+        _path(arrows, range(row, p, 3), sign)
+    for top in range(0, p, 3):
+        _path(arrows.T, range(top, top + 3), sign)
+    for u, v in ((p - 2, p), (p - 2, q), (q, p - 3), (q, p - 1)):  # node n-1's column is p-3..p-1
+        arrows[u, v] = 1
     nu = list(range(N))
     nu[p], nu[q] = q, p
-    hindex = []
-    for i in range(1, n):
-        hindex += [(i, 1), (i, 2), (i, 3)]
-    hindex += [(n, 1), (n + 1, 1)]
-    return arrows, tuple(color), tuple(sign), tuple(nu), tuple(hindex)
+    hindex = tuple((i, m) for i in range(1, n) for m in (1, 2, 3)) + ((n, 1), (n + 1, 1))
+    return arrows, ("black",) * (N - 2) + ("white", "white"), sign, tuple(nu), hindex
 
 
 def build_dynkin_quiver(dt: DynkinType) -> LabeledQuiver:

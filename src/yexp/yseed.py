@@ -147,11 +147,14 @@ def log_plus_phase(loop: MutationLoop, x: np.ndarray) -> Tuple[np.ndarray, np.nd
 
 
 def _positive_points(loop: MutationLoop, y, ndims=(1, 2)) -> np.ndarray:
-    """y as float points, one (N,) or a batch (k, N) as `ndims` allows. A complex,
-    non-positive, non-finite or mis-shaped y raises ValueError: it is never cast."""
+    """y as float points, one (N,) or a batch (k, N) of k >= 1 as `ndims` allows. A complex,
+    non-positive, non-finite or mis-shaped y, or an empty batch, raises ValueError: it is
+    never cast."""
     y = np.asarray(y)
     if y.ndim not in ndims or y.shape[-1] != loop.n_vertices:
         raise ValueError(f"expected {loop.n_vertices} values per point, got shape {y.shape}")
+    if not y.size:
+        raise ValueError("the batch holds no points")
     if np.iscomplexobj(y) or not ((y > 0) & (y < np.inf)).all():
         raise ValueError("the loop is defined at positive points only")
     return y.astype(float)

@@ -5,7 +5,9 @@ The coupling exponents form one cached integer matrix G over the index set H
 picked by the ratio t_first/t_second. The Q-system (and so `y_from_q`) reads G,
 the Y-system reads its transpose: `READING` names this reading of the formula,
 the only one of its 16 under which the closed-form type-B/D solutions satisfy
-both systems (the tests search all 16). `newton_fixed_point` finds eta
+both systems (the tests search all 16). eta is read from the Y-solution through
+the quiver's phase signs: Y at a "+" vertex, 1/Y at every other, with two
+closed-form entries (B's node n - 1, C's q). `newton_fixed_point` finds eta
 independently of the Y-solution, in log coordinates, where the loop Jacobian
 stays bounded at every rank.
 """
@@ -21,9 +23,9 @@ import numpy as np
 
 from .errors import ConvergenceError, FixedPointError
 from .qsys import QTable, _g_matrix, _q_and_y, closed_form_qtable, index_set_H
-from .quiver import MutationLoop, build_mutation_loop
+from .quiver import LabeledQuiver, MutationLoop, build_mutation_loop
 from .rootsys import DynkinType, RootSystem
-from .yseed import log_cluster_transform, log_loop_jacobian
+from .yseed import _positive_points, log_cluster_transform, log_loop_jacobian
 
 
 @dataclass(frozen=True)
@@ -119,42 +121,19 @@ class EtaPoint:
     residual: float
 
 
-def _eta_components(dt: DynkinType, ys: YSolution) -> np.ndarray:
-    n = dt.rank
+def _eta_components(lq: LabeledQuiver, ys: YSolution) -> np.ndarray:
+    """eta_v = Y at v's (node, row) where v is "+", 1/Y elsewhere, with B's right-wing
+    node i read at its mirror 2n - i; B's node n - 1 and C's q are the closed forms
+    (Y_2^(n) + 1) / Y_1^(n-1) and (Y_2^(n-1) + 1) / Y_1^(n)."""
+    n = lq.type.rank
     Y = ys.value
-    if dt.family == "A":
-        vals = [Y(s, 1) if s % 2 == 0 else 1.0 / Y(s, 1) for s in range(1, n + 1)]
-        return np.array(vals)
-    if dt.family == "D":
-        vals = [Y(s, 1) if s % 2 == n % 2 else 1.0 / Y(s, 1) for s in range(1, n - 1)]
-        vals += [1.0 / Y(n - 1, 1), 1.0 / Y(n, 1)]
-        return np.array(vals)
-    if dt.family == "B":
-        vals = []
-        for s in range(1, n):
-            if s == n - 1:
-                vals.append((Y(n, 2) + 1.0) / Y(n - 1, 1))
-            elif s % 2 == n % 2:
-                vals.append(Y(s, 1))
-            else:
-                vals.append(1.0 / Y(s, 1))
-        vals += [Y(n, 1), 1.0 / Y(n, 2), Y(n, 3)]
-        right = {n + 1: Y(n - 1, 1)}
-        for j in range(n + 2, 2 * n):
-            right[j] = 1.0 / vals[(2 * n - j) - 1]
-        vals += [right[j] for j in range(n + 1, 2 * n)]
-        return np.array(vals)
-    # C
-    vals = []
-    for i in range(1, n):
-        for m in (1, 2, 3):
-            if (i + m - n) % 2 == 0:
-                vals.append(Y(i, m))
-            else:
-                vals.append(1.0 / Y(i, m))
-    vals.append(Y(n, 1))
-    vals.append((Y(n - 1, 2) + 1.0) / Y(n, 1))
-    return np.array(vals)
+    y = np.array([Y(min(i, 2 * n - i), m) for i, m in lq.hindex])
+    eta = np.where(np.array(lq.sign) == "+", y, 1.0 / y)
+    if lq.type.family == "B":
+        eta[lq.vertex_of(n - 1, 1)] = (Y(n, 2) + 1.0) / Y(n - 1, 1)
+    if lq.type.family == "C":
+        eta[lq.vertex_of(n + 1, 1)] = (Y(n - 1, 2) + 1.0) / Y(n, 1)
+    return eta
 
 
 def assemble_eta(dt: DynkinType, tol: float = 1e-9) -> EtaPoint:
@@ -166,7 +145,7 @@ def assemble_eta(dt: DynkinType, tol: float = 1e-9) -> EtaPoint:
     """
     loop = build_mutation_loop(dt)
     ys = y_solution(dt)
-    eta = _eta_components(dt, ys)
+    eta = _eta_components(loop.start, ys)
     x = np.log(eta)
     residuals = np.abs(np.expm1(log_cluster_transform(loop, x) - x))
     worst = float(np.max(residuals))
@@ -183,6 +162,9 @@ def newton_fixed_point(
 ) -> np.ndarray:
     """Newton solve of mu_gamma(y) = y in log coordinates, from a positive start (default all ones).
 
+    The start must be one positive, finite point of N values (`yseed._positive_points`),
+    else ValueError.
+
     Solves F(x) = log_cluster_transform(x) - x = 0 with the matrix L(x) - I, so
     every iterate y = e^x is positive. The step length t starts at 1 and is halved
     until |F(x + t step)| <= (1 - 1e-4 t) |F(x)|, which a non-finite F never meets
@@ -191,9 +173,7 @@ def newton_fixed_point(
     when t falls below machine epsilon or max_iter steps do not converge.
     """
     n = loop.n_vertices
-    y0 = np.ones(n) if start is None else np.asarray(start, dtype=float)
-    if (y0 <= 0).any():
-        raise ValueError("start must be strictly positive")
+    y0 = np.ones(n) if start is None else _positive_points(loop, start, ndims=(1,))
 
     def residual(x):
         return log_cluster_transform(loop, x) - x

@@ -866,6 +866,13 @@ def test_fixed_point_verdict_reads_the_assembled_residual(monkeypatch):
     assert checks["fixed_point"]["residual"] == 2e-9 and checks["fixed_point"]["pass"] is False
 
 
+def test_no_periodicity_points_fail_the_periodicity_check_alone():
+    checks = run_case(DynkinType("B", 4), samples=8, periodicity_points=0)["checks"]
+    assert checks["periodicity"] == {"residual": None, "pass": False,
+                                     "error": "ValueError: the batch holds no points"}
+    assert all(c["pass"] for name, c in checks.items() if name != "periodicity")
+
+
 @pytest.mark.parametrize("fam,n", [("C", 3), ("C", 4)])
 def test_c_exponents_match_template(fam, n):
     rep = build_case(DynkinType(fam, n)).report

@@ -403,6 +403,14 @@ def test_periodicity_needs_positive_points(bad):
         check_periodicity(loop, y, 8)
 
 
+@pytest.mark.parametrize("evaluate", [lambda loop, y: check_periodicity(loop, y, 8), cluster_transform],
+                         ids=["check_periodicity", "cluster_transform"])
+def test_an_empty_batch_is_rejected(evaluate):
+    loop = build_mutation_loop(DynkinType("A", 3))
+    with pytest.raises(ValueError, match="no points"):
+        evaluate(loop, np.empty((0, loop.n_vertices)))
+
+
 @pytest.mark.parametrize("dt", [DynkinType("B", 4), DynkinType("C", 3), DynkinType("D", 5), DynkinType("A", 2)], ids=str)
 def test_no_earlier_period_generically(dt):
     loop = build_mutation_loop(dt)

@@ -231,6 +231,18 @@ def test_eta_examples():
         assert d.eta[n - 1] == pytest.approx(1.0 / (n - 1), rel=1e-12)
 
 
+@pytest.mark.parametrize("n", range(2, 41))
+def test_b_right_wing_plus_entries_are_exact(n):
+    # eta is Y = s(s + 2) at a right-wing "+" vertex of mirror node s, read directly,
+    # not as 1 / (1 / Y)
+    ep = assemble_eta(DynkinType("B", n))
+    lq = ep.loop.start
+    for v, ((i, m), sign) in enumerate(zip(lq.hindex, lq.sign)):
+        if i > n and sign == "+":
+            s = 2 * n - i
+            assert ep.eta[v] == s * (s + 2)
+
+
 @pytest.mark.parametrize("dt", ALL_TYPES, ids=str)
 def test_eta_is_fixed_point(dt):
     ep = assemble_eta(dt)
@@ -272,6 +284,14 @@ def test_newton_converges_at_high_rank(dt):
     ep = assemble_eta(dt)
     newton = newton_fixed_point(build_mutation_loop(dt))
     assert np.max(np.abs(newton - ep.eta) / np.abs(ep.eta)) <= 1e-8
+
+
+@pytest.mark.parametrize("start,match", [([1.0, 1.0], "values per point"), ([1.0] * 4, "values per point"),
+                                         ([1.0, np.nan, 1.0], "positive"), ([1.0, 1.0, np.inf], "positive")],
+                         ids=["short", "long", "nan", "inf"])
+def test_newton_start_must_be_one_positive_point(start, match):
+    with pytest.raises(ValueError, match=match):
+        newton_fixed_point(build_mutation_loop(DynkinType("A", 3)), start=start)
 
 
 def test_newton_d4_from_ones():
