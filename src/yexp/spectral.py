@@ -60,11 +60,12 @@ def conjectured_charpoly(rs: RootSystem) -> Tuple[np.ndarray, np.ndarray]:
     whose t roots have the exponents <rho,alpha> + j(2 + h_dual), j < t.
     """
     t, h_dual, period = group_constants(rs.type)
-    num = np.nonzero(np.outer(t // np.array(rs.t_i), np.arange(period)) % period)[1]
+    nodes = np.bincount(t // np.array(rs.t_i), minlength=t + 1)  # nodes per ratio t/t_i, which is 1 or 2
+    num = nodes @ (np.outer(np.arange(t + 1), np.arange(period)) % period != 0)
     h = np.concatenate((rs.heights, -rs.heights))  # the positive roots and their negatives
     long = np.concatenate((rs.long, rs.long))
     den = np.concatenate((h[~long], np.add.outer(h[long] // t, (2 + h_dual) * np.arange(t)).ravel()))
-    return np.bincount(num, minlength=period), np.bincount(den % period, minlength=period)
+    return num, np.bincount(den % period, minlength=period)
 
 
 def _worst(*residuals) -> float:
@@ -253,11 +254,11 @@ def relation_residuals(case: Case) -> Dict[str, float]:
         rows = _relation_matrix_B(n) if dt.family == "B" else _relation_matrix_D(n)
         eta = case.point.eta
         r = np.array(sorted(rows))
-        predicted = np.zeros((len(r), len(eta)))
+        gap = case.jacobian[r - 1]  # a copy of the rows, less each closed-form entry below
         for k, row in enumerate(r):
             for c, v in rows[row].items():
-                predicted[k, c - 1] = v * eta[c - 1] / eta[row - 1]
-        return {"rows": float(np.max(np.abs(case.jacobian[r - 1] - predicted)))}
+                gap[k, c - 1] -= v * eta[c - 1] / eta[row - 1]
+        return {"rows": float(np.max(np.abs(gap, out=gap)))}
     if dt.family != "C":
         raise ValueError(f"no closed-form relation rows for family {dt.family}")
     return _c_relation_residuals(case)
@@ -278,93 +279,55 @@ def _c_relation_residuals(case: Case) -> Dict[str, float]:
     nu) in closed form, for every psi at once: psi = diag(eta), row k eta_k e_k, so
     psi' = diag(y') L_+ with y' = mu_+(eta) and psi'' = diag(y'') L_- L_+ with y''
     the loop's image before nu, where (L_- L_+)[v] = L[nu(v)]. Each residual is a
-    row's max|lhs - rhs| over the lhs row's scale: a gap on a row of L_+ or of L."""
+    row's max|lhs - rhs| over the lhs row's scale: a gap on a row of L_+ or of L.
+
+    Each phase maps the rows of its column vertices, (i, m) with i < n, from
+    src = psi or psi' to lhs = psi' or psi'': a vertex the phase mutates goes to
+    -src[v] / Y^2, every other to the neighbour sum of a mid (m = 2) or an outer
+    row. Top and bot rows both read Y(i, 1); p is the neighbour after node n - 1's
+    mid. Only p's and q's identities are written out."""
     n = case.type.rank
-    l = n // 2
     Y = case.point.ysol.value
     loop, x = case.point.loop, np.log(case.point.eta)
-    nu = list(loop.nu)
+    lq, nu = loop.start, list(loop.nu)
+    at = dict(zip(lq.hindex, range(lq.n_vertices)))
+    p, q = at[n, 1], at[n + 1, 1]
     x_plus, plus = log_plus_phase(loop, x)
     psi = _ScaledRows(case.point.eta, lambda k: np.eye(1, len(x), k)[0])
     psi_p = _ScaledRows(np.exp(x_plus), plus.__getitem__)
     psi_pp = _ScaledRows(np.exp(log_cluster_transform(loop, x))[nu], lambda k: case.jacobian[nu[k]])
-
-    def top(i):
-        return 3 * (i - 1)
-
-    def mid(i):
-        return 3 * (i - 1) + 1
-
-    def bot(i):
-        return 3 * (i - 1) + 2
-
-    p, q = 3 * n - 3, 3 * n - 2
     worst: Dict[str, float] = {}
 
     def record(name, rows, k, rhs):
         r = np.max(np.abs(rows[k] - rhs)) / rows.scale[k]
         worst[name] = _worst(worst.get(name, 0.0), r)
 
-    for k in range(1, l + 1):
-        for row in (top, bot):
-            record("plus_outer_odd", psi_p, row(2 * k - 1), -psi[row(2 * k - 1)] / Y(2 * k - 1, 1) ** 2)
-        record("minus_mid_odd", psi_pp, mid(2 * k - 1), -psi_p[mid(2 * k - 1)] / Y(2 * k - 1, 2) ** 2)
-    for k in range(1, l):
-        i = 2 * k - 1
-        rhs = Y(i, 2) * (
-            (psi[mid(i - 1)] / (Y(i - 1, 2) + 1) if i - 1 >= 1 else 0.0)
-            + (psi[top(i)] + psi[bot(i)]) / (Y(i, 1) * (Y(i, 1) + 1))
-            + Y(i, 2) * psi[mid(i)]
-            + psi[mid(i + 1)] / (Y(i + 1, 2) + 1)
-        )
-        record("plus_mid_odd", psi_p, mid(i), rhs)
-        i = 2 * k
-        for row in (top, bot):
-            rhs = Y(i, 1) * (
-                psi[row(i - 1)] / (Y(i - 1, 1) + 1)
-                + Y(i, 1) * psi[row(i)]
-                + psi[mid(i)] / (Y(i, 2) * (Y(i, 2) + 1))
-                + psi[row(i + 1)] / (Y(i + 1, 1) + 1)
-            )
-            record("plus_outer_even", psi_p, row(i), rhs)
-        record("plus_mid_even", psi_p, mid(i), -psi[mid(i)] / Y(i, 2) ** 2)
-        for row in (top, bot):
-            record("minus_outer_even", psi_pp, row(i), -psi_p[row(i)] / Y(i, 1) ** 2)
-        rhs = Y(i, 2) * (
-            psi_p[mid(i - 1)] / (Y(i - 1, 2) + 1)
-            + (psi_p[top(i)] + psi_p[bot(i)]) / (Y(i, 1) * (Y(i, 1) + 1))
-            + Y(i, 2) * psi_p[mid(i)]
-            + psi_p[mid(i + 1)] / (Y(i + 1, 2) + 1)
-        )
-        record("minus_mid_even", psi_pp, mid(i), rhs)
-        i = 2 * k - 1
-        for row in (top, bot):
-            rhs = Y(i, 1) * (
-                (psi_p[row(i - 1)] / (Y(i - 1, 1) + 1) if i - 1 >= 1 else 0.0)
-                + Y(i, 1) * psi_p[row(i)]
-                + psi_p[mid(i)] / (Y(i, 2) * (Y(i, 2) + 1))
-                + psi_p[row(i + 1)] / (Y(i + 1, 1) + 1)
-            )
-            record("minus_outer_odd", psi_pp, row(i), rhs)
-    i = 2 * l - 1
-    rhs = Y(i, 2) * (
-        (psi[mid(i - 1)] / (Y(i - 1, 2) + 1) if i - 1 >= 1 else 0.0)
-        + (psi[top(i)] + psi[bot(i)]) / (Y(i, 1) * (Y(i, 1) + 1))
-        + Y(i, 2) * psi[mid(i)]
-        + psi[p] / (Y(n, 1) + 1)
-    )
-    record("plus_mid_last", psi_p, mid(i), rhs)
-    for row in (top, bot):
-        rhs = Y(i, 1) * (
-            (psi_p[row(i - 1)] / (Y(i - 1, 1) + 1) if i - 1 >= 1 else 0.0)
-            + Y(i, 1) * psi_p[row(i)]
-            + psi_p[mid(i)] / (Y(i, 2) * (Y(i, 2) + 1))
-        )
-        record("minus_outer_last", psi_pp, row(i), rhs)
-    record("minus_white_plus", psi_pp, p, psi_p[mid(2 * l - 1)] / Y(n, 1) - (Y(n - 1, 2) + 1) * psi[p] / Y(n, 1) ** 2)
+    def mid_sum(src, i):
+        terms = [src[at[i - 1, 2]] / (Y(i - 1, 2) + 1)] if i > 1 else []
+        terms += [(src[at[i, 1]] + src[at[i, 3]]) / (Y(i, 1) * (Y(i, 1) + 1)), Y(i, 2) * src[at[i, 2]],
+                  src[at[i + 1, 2]] / (Y(i + 1, 2) + 1) if i < n - 1 else src[p] / (Y(n, 1) + 1)]
+        return Y(i, 2) * sum(terms)
+
+    def outer_sum(src, i, m):
+        terms = [src[at[i - 1, m]] / (Y(i - 1, 1) + 1)] if i > 1 else []
+        terms += [Y(i, 1) * src[at[i, m]], src[at[i, 2]] / (Y(i, 2) * (Y(i, 2) + 1))]
+        terms += [src[at[i + 1, m]] / (Y(i + 1, 1) + 1)] if i < n - 1 else []
+        return Y(i, 1) * sum(terms)
+
+    for phase, mutated, lhs, src in (("plus", "+", psi_p, psi), ("minus", "-", psi_pp, psi_p)):
+        for v in range(p):  # the column vertices; p and q come last
+            i, m = lq.hindex[v]
+            row, parity = "mid" if m == 2 else "outer", "odd" if i % 2 else "even"
+            if lq.sign[v] == mutated:
+                record(f"{phase}_{row}_{parity}", lhs, v, -src[v] / Y(i, 2 if m == 2 else 1) ** 2)
+            else:  # node n - 1's sums end at p (mid) or at its own column (outer)
+                rhs = mid_sum(src, i) if m == 2 else outer_sum(src, i, m)
+                record(f"{phase}_{row}_{'last' if i == n - 1 else parity}", lhs, v, rhs)
+    mid = at[n - 1, 2]
+    record("minus_white_plus", psi_pp, p, psi_p[mid] / Y(n, 1) - (Y(n - 1, 2) + 1) * psi[p] / Y(n, 1) ** 2)
     rhs = Y(n, 1) * (
-        psi_p[mid(2 * l - 1)] / (Y(n - 1, 2) + 1)
-        + (psi[top(2 * l - 1)] + psi[bot(2 * l - 1)]) / (Y(n - 1, 1) + 1)
+        psi_p[mid] / (Y(n - 1, 2) + 1)
+        + (psi[at[n - 1, 1]] + psi[at[n - 1, 3]]) / (Y(n - 1, 1) + 1)
         + Y(n, 1) * psi[q] / (Y(n - 1, 2) + 1)
     )
     record("minus_white_fixed", psi_pp, q, rhs)

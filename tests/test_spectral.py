@@ -260,6 +260,47 @@ def test_a_moved_entry_of_l_fails_relations():
     assert max(rel.values()) > Tolerances().relations
 
 
+C_RELATION_KEYS = {"plus_outer_odd", "minus_mid_odd", "plus_mid_last", "minus_outer_last",
+                   "minus_white_plus", "minus_white_fixed"}  # C2's; from C4 on, the interior nodes add six
+C_INTERIOR_KEYS = {"plus_mid_odd", "plus_outer_even", "plus_mid_even", "minus_outer_even", "minus_mid_even",
+                   "minus_outer_odd"}
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_every_c_relation_row_is_read(n, monkeypatch):
+    # one moved entry in any column vertex's row of L_+, or in any row of L, fails relations;
+    # p's and q's identities read psi, not their rows of L_+
+    case = build_case(DynkinType("C", n))
+    keys = C_RELATION_KEYS | (C_INTERIOR_KEYS if n > 2 else set())
+    assert set(relation_residuals(case)) == keys
+    tol = Tolerances().relations
+    log_plus_phase = spectral.log_plus_phase
+
+    def failing(rel):
+        assert set(rel) == keys and max(rel.values()) > tol
+        return {name for name, r in rel.items() if r > tol}
+
+    read_by_plus = set()
+    for v in range(3 * n - 3):
+        def moved(loop, x, v=v):
+            x_plus, plus = log_plus_phase(loop, x)
+            plus[v, np.flatnonzero(plus[v])[0]] += 1e-6
+            return x_plus, plus
+
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "log_plus_phase", moved)
+            read_by_plus |= failing(relation_residuals(case))
+    assert read_by_plus == keys
+    read_by_l = set()
+    for v in range(3 * n - 1):
+        jac = case.jacobian.copy()
+        jac[v, np.flatnonzero(jac[v])[0]] += 1e-6
+        names = failing(relation_residuals(spectral.Case(case.point, dataclasses.replace(case.report, jacobian=jac))))
+        assert len(names) == 1  # each row of L is read by one identity of the second phase
+        read_by_l |= names
+    assert read_by_l == {name for name in keys if name.startswith("minus")}
+
+
 def test_relation_residuals_odd_rank_rejected():
     with pytest.raises(ValueError):
         relation_residuals(build_case(DynkinType("B", 3)))
