@@ -45,11 +45,10 @@ def qdim(rs: RootSystem, level: int, weight):
     The q-dimension is prod over positive roots of
     sin(pi t<alpha, rho + lambda>/P) / sin(pi t<alpha, rho>/P) with
     P = t(level + h_dual) (Kac, Infinite-dimensional Lie algebras, ch. 13).
-    When the stack has at least 2|P| (weight, root) pairs, the sines of
-    pairings 0 <= a < 2|P| are read by integer pairing from one table of
-    `_sin_pi` values; a block with a pairing outside that range takes its
-    sines directly. The stack runs in blocks of about _QDIM_ENTRIES
-    (weight, root) pairs.
+    Each sine is read by its integer pairing mod 2|P| from one table of the
+    2|P| `_sin_pi` values, unless that table would outnumber the stack's
+    (weight, root) pairs (a large |level|); then every sine is taken directly.
+    The stack runs in blocks of about _QDIM_ENTRIES (weight, root) pairs.
     """
     n = rs.type.rank
     weight = np.asarray(weight)
@@ -63,16 +62,12 @@ def qdim(rs: RootSystem, level: int, weight):
     scale = t // np.array(rs.t_i)
     stack = weight.reshape(-1, n)
     size = 2 * abs(period)
-    # a table larger than the stack itself costs more than the sines it saves
     table = _sin_pi(np.arange(size), period) if size <= len(stack) * len(den) else None
     rows = max(1, _QDIM_ENTRIES // len(den))
     q = np.empty(len(stack))
     for lo in range(0, len(stack), rows):
         shifted = rs.pairings(scale * (1 + stack[lo:lo + rows]))
-        if table is not None and 0 <= shifted.min() and shifted.max() < size:
-            sines = table[shifted]
-        else:
-            sines = _sin_pi(shifted, period)
+        sines = _sin_pi(shifted, period) if table is None else table[shifted % size]
         q[lo:lo + rows] = np.prod(sines / den, axis=-1)
     q = q.reshape(weight.shape[:-1])
     return float(q) if weight.ndim == 1 else q

@@ -24,7 +24,7 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 from .qsys import _sin_pi
-from .quiver import MutationLoop
+from .quiver import LabeledQuiver, MutationLoop
 from .rootsys import DynkinType, RootSystem, build_root_system, group_constants
 from .yseed import (check_periodicity, finite_difference_jacobian, log_cluster_transform, log_loop_jacobian,
                     log_plus_phase)
@@ -62,10 +62,11 @@ def conjectured_charpoly(rs: RootSystem) -> Tuple[np.ndarray, np.ndarray]:
     t, h_dual, period = group_constants(rs.type)
     nodes = np.bincount(t // np.array(rs.t_i), minlength=t + 1)  # nodes per ratio t/t_i, which is 1 or 2
     num = nodes @ (np.outer(np.arange(t + 1), np.arange(period)) % period != 0)
-    h = np.concatenate((rs.heights, -rs.heights))  # the positive roots and their negatives
-    long = np.concatenate((rs.long, rs.long))
-    den = np.concatenate((h[~long], np.add.outer(h[long] // t, (2 + h_dual) * np.arange(t)).ravel()))
-    return num, np.bincount(den % period, minlength=period)
+    # one histogram per sign (the positive roots and their negatives) and per shift j of a long root
+    long = rs.heights[rs.long] // t
+    shifted = [(rs.heights[~rs.long], 0)] + [(long, j * (2 + h_dual)) for j in range(t)]
+    den = sum(np.bincount((sign * h + shift) % period, minlength=period) for h, shift in shifted for sign in (1, -1))
+    return num, den
 
 
 def _worst(*residuals) -> float:
@@ -244,13 +245,14 @@ def relation_residuals(case: Case) -> Dict[str, float]:
 
     Types B and D compare the rows of L with the closed-form rows of J carried
     into log coordinates, J[r, c] eta_c / eta_r; type C checks the phase-factor
-    identities on rows of L_+ and L (`_c_relation_residuals`). Even rank only.
+    identities on rows of L_+ and L (`_c_relation_residuals`) at every rank; B and D
+    have closed-form rows at even rank only.
     """
     dt = case.type
-    if dt.rank % 2:
-        raise ValueError("relation rows are available for even ranks only")
     if dt.family in ("B", "D"):
         n = dt.rank
+        if n % 2:
+            raise ValueError("relation rows of types B and D are available for even ranks only")
         rows = _relation_matrix_B(n) if dt.family == "B" else _relation_matrix_D(n)
         eta = case.point.eta
         r = np.array(sorted(rows))
@@ -285,7 +287,7 @@ def _c_relation_residuals(case: Case) -> Dict[str, float]:
     src = psi or psi' to lhs = psi' or psi'': a vertex the phase mutates goes to
     -src[v] / Y^2, every other to the neighbour sum of a mid (m = 2) or an outer
     row. Top and bot rows both read Y(i, 1); p is the neighbour after node n - 1's
-    mid. Only p's and q's identities are written out."""
+    mid. Only p's and q's identities are written out, on L_+'s rows and L's."""
     n = case.type.rank
     Y = case.point.ysol.value
     loop, x = case.point.loop, np.log(case.point.eta)
@@ -323,11 +325,14 @@ def _c_relation_residuals(case: Case) -> Dict[str, float]:
             else:  # node n - 1's sums end at p (mid) or at its own column (outer)
                 rhs = mid_sum(src, i) if m == 2 else outer_sum(src, i, m)
                 record(f"{phase}_{row}_{'last' if i == n - 1 else parity}", lhs, v, rhs)
-    mid = at[n - 1, 2]
+    mid, outer = at[n - 1, 2], psi[at[n - 1, 1]] + psi[at[n - 1, 3]]  # node n - 1's top + bot
+    record("plus_white_plus", psi_p, p, -psi[p] / Y(n, 1) ** 2)
+    rhs = (Y(n - 1, 1) + 1) ** 2 * psi[q] + (Y(n - 1, 2) + 1) * (Y(n - 1, 1) + 1) / Y(n, 1) * outer
+    record("plus_white_fixed", psi_p, q, rhs)
     record("minus_white_plus", psi_pp, p, psi_p[mid] / Y(n, 1) - (Y(n - 1, 2) + 1) * psi[p] / Y(n, 1) ** 2)
     rhs = Y(n, 1) * (
         psi_p[mid] / (Y(n - 1, 2) + 1)
-        + (psi[at[n - 1, 1]] + psi[at[n - 1, 3]]) / (Y(n - 1, 1) + 1)
+        + outer / (Y(n - 1, 1) + 1)
         + Y(n, 1) * psi[q] / (Y(n - 1, 2) + 1)
     )
     record("minus_white_fixed", psi_pp, q, rhs)
@@ -498,103 +503,64 @@ def _c_split(a: np.ndarray, n: int, w: float) -> np.ndarray:
     return out
 
 
-def _khat_reference(n: int, Y) -> np.ndarray:
-    d = n - 1
-    R1 = lambda i: Y(i, 1) * Y(i + 1, 1) / ((Y(i, 1) + 1) * (Y(i + 1, 1) + 1))
-    k = np.zeros((d, d))
-    for j in range(1, d + 1):
-        for i in range(max(1, j - 2), min(d, j + 2) + 1):  # the band |i - j| <= 2 holds every entry
-            if j % 2 == 0:
-                if i == j:
-                    k[i - 1, j - 1] = -1.0
-                elif abs(i - j) == 1:
-                    k[i - 1, j - 1] = Y(i, 1) * Y(j, 1) ** 2 / (Y(j, 1) + 1)
-            else:
-                if i == j:
-                    k[i - 1, j - 1] = -1.0 + (R1(j - 1) if j >= 2 else 0.0) + (0.0 if j == d else R1(j))
-                elif abs(i - j) == 1:
-                    k[i - 1, j - 1] = -1.0 / (Y(i, 1) * (Y(j, 1) + 1))
-                elif abs(i - j) == 2:
-                    mid = (i + j) // 2
-                    k[i - 1, j - 1] = Y(i, 1) * Y(mid, 1) / ((Y(j, 1) + 1) * (Y(mid, 1) + 1))
-    return k
+def _hat_reference(lq: LabeledQuiver, Y, rows: Tuple[int, ...]) -> np.ndarray:
+    """J's closed-form C_n block on the basis rows m in `rows` of each node i < n:
+    K-hat on (1,), whose column i is top - bot, and L-hat on (1, 2), whose columns
+    are top + bot (m = 1) and mid (m = 2) per node, then p and q.
 
-
-def _lhat_reference(n: int, Y) -> np.ndarray:
-    l = n // 2
-    d = 4 * l
+    Column (i, m) of a vertex the first phase mutates holds -1 + R(m, i - 1) + R(m, i)
+    and a product per neighbour and per second neighbour in row m; every other column
+    holds -1 and a product per neighbour. L-hat adds S(i) to the first diagonal and
+    the entries in the other row o = 3 - m, each carrying w = 3 - m. Only the entries
+    of p and q are written out."""
+    n = lq.type.rank
+    sign = dict(zip(lq.hindex, lq.sign))
+    cross = len(rows) == 2
+    at = lambda i, m: len(rows) * (i - 1) + rows.index(m)
     R = lambda m, i: Y(i, m) * Y(i + 1, m) / ((Y(i, m) + 1) * (Y(i + 1, m) + 1))
-    S = lambda i: 2.0 / ((Y(i, 1) + 1) * (Y(i, 2) + 1))
-    L = np.zeros((d, d))
-    for j in range(1, 4 * l - 1):
-        for i in range(max(1, j - 4), min(4 * l - 2, j + 4) + 1):  # the band |i - j| <= 4 holds every entry
-            v = 0.0
-            if j % 4 == 0:
-                jj = j // 2
-                if i == j:
-                    v = -1.0 + R(2, jj - 1) + (R(2, jj) if jj < 2 * l - 1 else 0.0) + S(jj)
-                elif i == j - 1:
-                    v = -1.0 / (Y(jj, 1) * Y(jj, 2) * (Y(jj, 2) + 1))
-                elif abs(i - j) == 2 and i % 2 == 0:
-                    v = -1.0 / (Y(i // 2, 2) * (Y(jj, 2) + 1))
-                elif abs(i + 1 - j) == 2 and i % 2 == 1:
-                    v = Y((i + 1) // 2, 1) / (Y(jj, 2) + 1) * (
-                        1.0 / (Y((i + 1) // 2, 2) + 1) + Y(jj, 1) / (Y(jj, 2) * (Y(jj, 1) + 1))
-                    )
-                elif abs(i - j) == 4 and i % 2 == 0:
-                    nb = jj + 1 if i > j else jj - 1
-                    v = Y(nb, 2) * Y(i // 2, 2) / ((Y(jj, 2) + 1) * (Y(nb, 2) + 1))
-            elif j % 4 == 1:
-                jj = (j + 1) // 2
-                if i == j:
-                    v = -1.0 + (R(1, jj - 1) if jj >= 2 else 0.0) + (0.0 if j == 4 * l - 3 else R(1, jj)) + S(jj)
-                elif i == j + 1:
-                    v = -2.0 / (Y(i // 2, 1) * Y(i // 2, 2) * (Y(i // 2, 1) + 1))
-                elif abs(i - j) == 2 and i % 2 == 1:
-                    v = -1.0 / (Y((i + 1) // 2, 1) * (Y(jj, 1) + 1))
-                elif abs(i - 1 - j) == 2 and i % 2 == 0:
-                    v = 2 * Y(i // 2, 2) / (Y(jj, 1) + 1) * (
-                        1.0 / (Y(i // 2, 1) + 1) + Y(jj, 2) / (Y(jj, 1) * (Y(jj, 2) + 1))
-                    )
-                elif abs(i - j) == 4 and i % 2 == 1:
-                    nb = jj + 1 if i > j else jj - 1
-                    v = Y(nb, 1) * Y((i + 1) // 2, 1) / ((Y(jj, 1) + 1) * (Y(nb, 1) + 1))
-            elif j % 4 == 2:
-                jj = j // 2
-                if i == j:
-                    v = -1.0
-                elif i == j - 1:
-                    v = Y(jj, 1) * Y(jj, 2) / (Y(jj, 2) + 1)
-                elif abs(i - j) == 2 and i % 2 == 0:
-                    v = Y(i // 2, 2) * Y(jj, 2) ** 2 / (Y(jj, 2) + 1)
+    h = np.zeros((2 * n, 2 * n) if cross else (n - 1, n - 1))
+    for i in range(1, n):
+        near = [r for r in (i - 1, i + 1) if 0 < r < n]
+        for m in rows:
+            o = w = 3 - m
+            c = at(i, m)
+            if sign[i, m] == "+":
+                h[c, c] = sum((R(m, r) for r in (i - 1, i) if 0 < r < n - 1), -1.0)
+                for r in near:
+                    h[at(r, m), c] = -1.0 / (Y(r, m) * (Y(i, m) + 1))
+                for r, mid in ((i - 2, i - 1), (i + 2, i + 1)):
+                    if 0 < r < n:
+                        h[at(r, m), c] = Y(r, m) * Y(mid, m) / ((Y(i, m) + 1) * (Y(mid, m) + 1))
+                if cross:
+                    h[c, c] += 2.0 / ((Y(i, 1) + 1) * (Y(i, 2) + 1))
+                    h[at(i, o), c] = -w / (Y(i, 1) * Y(i, 2) * (Y(i, m) + 1))
+                    for r in near:
+                        h[at(r, o), c] = w * Y(r, o) / (Y(i, m) + 1) * (
+                            1.0 / (Y(r, m) + 1) + Y(i, o) / (Y(i, m) * (Y(i, o) + 1)))
             else:
-                jj = (j + 1) // 2
-                if i == j:
-                    v = -1.0
-                elif i == j + 1:
-                    v = 2 * Y(i // 2, 1) * Y(i // 2, 2) / (Y(i // 2, 1) + 1)
-                elif abs(i - j) == 2 and i % 2 == 1:
-                    v = Y((i + 1) // 2, 1) * Y(jj, 1) ** 2 / (Y(jj, 1) + 1)
-            if v:
-                L[i - 1, j - 1] = v
-    m = 2 * l  # node index n
-    if l >= 2:
-        L[4 * l - 2, 4 * l - 5] = Y(m - 1, 2) * Y(m, 1) / ((Y(m - 2, 2) + 1) * (Y(m - 1, 2) + 1))
-        L[4 * l - 1, 4 * l - 5] = Y(m - 1, 2) / (Y(m, 1) * (Y(m - 2, 2) + 1))
-        L[4 * l - 5, 4 * l - 2] = Y(m - 2, 2) * Y(m - 1, 2) / ((Y(m - 1, 2) + 1) * (Y(m, 1) + 1))
-    L[4 * l - 2, 4 * l - 4] = 2 * Y(m, 1) / (Y(m - 1, 1) + 1) * (
-        1 + Y(m - 1, 2) / (Y(m - 1, 1) * (Y(m - 1, 2) + 1))
-    )
-    L[4 * l - 1, 4 * l - 4] = 2 * Y(m - 1, 2) / (Y(m - 1, 1) * Y(m, 1) * (Y(m - 1, 1) + 1))
-    L[4 * l - 2, 4 * l - 3] = Y(m - 1, 2) ** 2 * Y(m, 1) / (Y(m - 1, 2) + 1)
-    L[4 * l - 1, 4 * l - 3] = Y(m - 1, 2) ** 2 / Y(m, 1)
-    L[4 * l - 4, 4 * l - 2] = Y(m - 1, 1) / ((Y(m - 1, 2) + 1) * (Y(m, 1) + 1))
-    L[4 * l - 3, 4 * l - 2] = -1.0 / (Y(m - 1, 2) * (Y(m, 1) + 1))
-    L[4 * l - 2, 4 * l - 2] = Y(m - 1, 2) * Y(m, 1) / ((Y(m - 1, 2) + 1) * (Y(m, 1) + 1))
-    # Y(m-1,2)/(Y(m,1)(Y(m,1)+1)) - (Y(m-1,2)+1)/Y(m,1)^2, without its cancellation at high rank
-    L[4 * l - 1, 4 * l - 2] = -(Y(m - 1, 2) + Y(m, 1) + 1) / (Y(m, 1) ** 2 * (Y(m, 1) + 1))
-    L[4 * l - 2, 4 * l - 1] = Y(m, 1) ** 2 / (Y(m - 1, 2) + 1)
-    return L
+                h[c, c] = -1.0
+                for r in near:
+                    h[at(r, m), c] = Y(r, m) * Y(i, m) ** 2 / (Y(i, m) + 1)
+                if cross:
+                    h[at(i, o), c] = w * Y(i, 1) * Y(i, 2) / (Y(i, m) + 1)
+    if not cross:
+        return h
+    p, q, outer, mid = 2 * n - 2, 2 * n - 1, 2 * n - 4, 2 * n - 3  # the last two: node n - 1's
+    if n >= 3:  # node n - 2's mid
+        h[p, mid - 2] = Y(n - 1, 2) * Y(n, 1) / ((Y(n - 2, 2) + 1) * (Y(n - 1, 2) + 1))
+        h[q, mid - 2] = Y(n - 1, 2) / (Y(n, 1) * (Y(n - 2, 2) + 1))
+        h[mid - 2, p] = Y(n - 2, 2) * Y(n - 1, 2) / ((Y(n - 1, 2) + 1) * (Y(n, 1) + 1))
+    h[p, outer] = 2 * Y(n, 1) / (Y(n - 1, 1) + 1) * (1 + Y(n - 1, 2) / (Y(n - 1, 1) * (Y(n - 1, 2) + 1)))
+    h[q, outer] = 2 * Y(n - 1, 2) / (Y(n - 1, 1) * Y(n, 1) * (Y(n - 1, 1) + 1))
+    h[p, mid] = Y(n - 1, 2) ** 2 * Y(n, 1) / (Y(n - 1, 2) + 1)
+    h[q, mid] = Y(n - 1, 2) ** 2 / Y(n, 1)
+    h[outer, p] = Y(n - 1, 1) / ((Y(n - 1, 2) + 1) * (Y(n, 1) + 1))
+    h[mid, p] = -1.0 / (Y(n - 1, 2) * (Y(n, 1) + 1))
+    h[p, p] = Y(n - 1, 2) * Y(n, 1) / ((Y(n - 1, 2) + 1) * (Y(n, 1) + 1))
+    # Y(n-1,2)/(Y(n,1)(Y(n,1)+1)) - (Y(n-1,2)+1)/Y(n,1)^2, without its cancellation at high rank
+    h[q, p] = -(Y(n - 1, 2) + Y(n, 1) + 1) / (Y(n, 1) ** 2 * (Y(n, 1) + 1))
+    h[p, q] = Y(n, 1) ** 2 / (Y(n - 1, 2) + 1)
+    return h
 
 
 def _chain(y: np.ndarray) -> np.ndarray:
@@ -636,9 +602,9 @@ def _reduced_blocks(n: int, Y) -> Tuple[Callable[[complex], np.ndarray], Callabl
 def c_blocks(case: Case, block_tol: float = 1e-9) -> CBlockPair:
     """Block-diagonalize the C_n Jacobian L in the symmetric/antisymmetric basis.
 
-    Raises if the off-diagonal blocks exceed `block_tol`. For even rank the blocks
-    are compared with J's closed-form tables scaled by d_col / d_row, d being eta on
-    each basis vector (eta is equal on each folded pair), entry by entry: relative
+    Raises if the off-diagonal blocks exceed `block_tol`. The blocks are compared
+    with J's closed-form tables (`_hat_reference`) scaled by d_col / d_row, d being eta
+    on each basis vector (eta is equal on each folded pair), entry by entry: relative
     to |table entry| where it is nonzero, and to max(1, max|table|) where it is zero.
     The case's eigenvalues are handed on for the full determinant identity.
     """
@@ -656,17 +622,15 @@ def c_blocks(case: Case, block_tol: float = 1e-9) -> CBlockPair:
         )
     khat = m[:nk, :nk].copy()
     lhat = m[nk:, nk:].copy()
-    Y = case.point.ysol.value
+    Y, lq = case.point.ysol.value, case.point.loop.start
     residuals = {"offdiag": offdiag}
-    if n % 2 == 0:
-        v = np.arange(3 * n - 1)
-        d = case.point.eta[np.concatenate((v[:3 * n - 3:3], v[v % 3 != 2]))]  # at each column's first vertex
-        # per entry, since the entries of L-hat span many magnitudes at high rank
-        for name, block, ref, dd in (("khat_reference", khat, _khat_reference(n, Y), d[:nk]),
-                                     ("lhat_reference", lhat, _lhat_reference(n, Y), d[nk:])):
-            ref = ref * dd[None, :] / dd[:, None]
-            scale = np.where(ref != 0, np.abs(ref), max(1.0, float(np.max(np.abs(ref)))))
-            residuals[name] = float(np.max(np.abs(block - ref) / scale))
+    v = np.arange(3 * n - 1)
+    d = case.point.eta[np.concatenate((v[:3 * n - 3:3], v[v % 3 != 2]))]  # at each column's first vertex
+    # per entry, since the entries of L-hat span many magnitudes at high rank
+    for name, block, rows, dd in (("khat_reference", khat, (1,), d[:nk]), ("lhat_reference", lhat, (1, 2), d[nk:])):
+        ref = _hat_reference(lq, Y, rows) * dd[None, :] / dd[:, None]
+        scale = np.where(ref != 0, np.abs(ref), max(1.0, float(np.max(np.abs(ref)))))
+        residuals[name] = float(np.max(np.abs(block - ref) / scale))
     K, L = _reduced_blocks(n, Y)
     return CBlockPair(
         rank=n,
@@ -860,11 +824,12 @@ def run_case(
         "jacobian_fd": _guarded(lambda: check_jacobian_fd(case, tolerances.fd_jacobian)),
         "conjecture_38": _guarded(lambda: check_conjecture_38(rep, tolerances.charpoly)),
     }
-    if dt.family in ("B", "D") and dt.rank % 2 == 0:
+    even_bd = dt.family in ("B", "D") and dt.rank % 2 == 0
+    if even_bd:
         checks["lemma_vectors"] = _guarded(lemma_vectors)
     if dt.family == "C":
         checks.update(c_checks(case, tolerances, samples))
-    if dt.family != "A" and dt.rank % 2 == 0:
+    if even_bd or dt.family == "C":
         checks["relations"] = _guarded(relations)
 
     return {

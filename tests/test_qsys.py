@@ -260,8 +260,8 @@ def test_kr_qtable_calls_qdim_once_and_matches_kr_qchar(dt, monkeypatch):
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 4), ("C", 5), ("D", 5)])
 def test_qdim_sine_table_matches_the_direct_sines(family, rank):
-    # blocks whose pairings lie in [0, 2P) read the table, blocks with one below zero or
-    # past it the direct sines; the last stack mixes both kinds of block
+    # the table is read at each pairing mod 2P, so pairings below zero or past 2P read it
+    # too; the last stack mixes blocks of both kinds
     rs = build_root_system(DynkinType(family, rank))
     period = rs.t_group * (2 + rs.h_dual)
     rows = _QDIM_ENTRIES // len(rs.heights)

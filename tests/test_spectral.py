@@ -7,6 +7,7 @@ import pytest
 
 from yexp import spectral, ysys
 from yexp.qsys import _sin_pi
+from yexp.quiver import build_dynkin_quiver
 from yexp.rootsys import DynkinType, build_root_system, group_constants
 from yexp.spectral import (ExponentSequence, Tolerances, build_case, c_blocks,
                            case_passed, check_conjecture_38, check_jacobian_fd,
@@ -260,19 +261,23 @@ def test_a_moved_entry_of_l_fails_relations():
     assert max(rel.values()) > Tolerances().relations
 
 
+# C2's relation names; from C4 on, the interior nodes add six
 C_RELATION_KEYS = {"plus_outer_odd", "minus_mid_odd", "plus_mid_last", "minus_outer_last",
-                   "minus_white_plus", "minus_white_fixed"}  # C2's; from C4 on, the interior nodes add six
+                   "plus_white_plus", "plus_white_fixed", "minus_white_plus", "minus_white_fixed"}
 C_INTERIOR_KEYS = {"plus_mid_odd", "plus_outer_even", "plus_mid_even", "minus_outer_even", "minus_mid_even",
                    "minus_outer_odd"}
 
 
-@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_every_c_relation_row_is_read(n, monkeypatch):
-    # one moved entry in any column vertex's row of L_+, or in any row of L, fails relations;
-    # p's and q's identities read psi, not their rows of L_+
+    # one moved entry in any row of L_+ or of L fails relations: the column vertices' rows
+    # and p's and q's, which plus_white_plus and plus_white_fixed read. At odd rank the
+    # parities of the names shift with the signs: 12 names at C3 and 14 from C5 on
     case = build_case(DynkinType("C", n))
-    keys = C_RELATION_KEYS | (C_INTERIOR_KEYS if n > 2 else set())
-    assert set(relation_residuals(case)) == keys
+    keys = set(relation_residuals(case))
+    if n % 2 == 0:
+        assert keys == C_RELATION_KEYS | (C_INTERIOR_KEYS if n > 2 else set())
+    assert len(keys) == {2: 8, 3: 12}.get(n, 14)
     tol = Tolerances().relations
     log_plus_phase = spectral.log_plus_phase
 
@@ -281,7 +286,7 @@ def test_every_c_relation_row_is_read(n, monkeypatch):
         return {name for name, r in rel.items() if r > tol}
 
     read_by_plus = set()
-    for v in range(3 * n - 3):
+    for v in range(3 * n - 1):
         def moved(loop, x, v=v):
             x_plus, plus = log_plus_phase(loop, x)
             plus[v, np.flatnonzero(plus[v])[0]] += 1e-6
@@ -530,17 +535,41 @@ def test_c50_block_reference_residuals_are_relative():
     assert spectral.c_checks(case)["c_reduction"]["pass"]
 
 
-def test_c50_block_reference_residuals_are_per_entry(monkeypatch):
-    # a 1e-4 relative error in one small entry of the L-hat table is 1e-13 of max|L-hat|
-    original = spectral._lhat_reference
+@pytest.mark.parametrize("n", range(3, 42, 2))
+def test_odd_rank_c_checks_read_the_phase_signs(n):
+    # the block tables and the relations follow the quiver's signs, which odd rank shifts by one node
+    case = build_case(DynkinType("C", n))
+    residuals = c_blocks(case).residuals
+    assert max(residuals["khat_reference"], residuals["lhat_reference"]) <= 1e-12
+    assert spectral.c_checks(case)["c_reduction"]["pass"]
+    assert max(relation_residuals(case).values()) <= 1e-12
 
-    def perturbed(n, Y):
-        table = original(n, Y)
-        table[2, 3] *= 1 + 1e-4  # i = j - 1 = 3, j = 4
+
+def _move_one_lhat_table_entry(monkeypatch):
+    # a 1e-4 relative error in L-hat's table entry (2, 3): node 2's top + bot row, mid column
+    original = spectral._hat_reference
+
+    def perturbed(lq, Y, rows):
+        table = original(lq, Y, rows)
+        if rows == (1, 2):
+            table[2, 3] *= 1 + 1e-4
         return table
 
-    monkeypatch.setattr(spectral, "_lhat_reference", perturbed)
+    monkeypatch.setattr(spectral, "_hat_reference", perturbed)
+
+
+def test_c50_block_reference_residuals_are_per_entry(monkeypatch):
+    # a 1e-4 relative error in one small entry of the L-hat table is 1e-13 of max|L-hat|
+    _move_one_lhat_table_entry(monkeypatch)
     assert not spectral.c_checks(build_case(DynkinType("C", 50)))["c_reduction"]["pass"]
+
+
+def test_c51_block_reference_residuals_are_per_entry(monkeypatch):
+    # at odd rank node 2's mid column is one the first phase leaves, so the moved entry is another rule's
+    case = build_case(DynkinType("C", 51))
+    assert spectral.c_checks(case)["c_reduction"]["pass"]
+    _move_one_lhat_table_entry(monkeypatch)
+    assert not spectral.c_checks(case)["c_reduction"]["pass"]
 
 
 def k_reduced_oracle(n, Y, lam):
@@ -812,9 +841,10 @@ def lhat_reference_oracle(n: int, Y) -> np.ndarray:
 
 @pytest.mark.parametrize("n", [*range(2, 65, 2), 256])
 def test_banded_tables_match_the_full_loop_oracle_bitwise(n):
-    Y = y_solution(DynkinType("C", n)).value
-    for got, want in ((spectral._khat_reference(n, Y), khat_reference_oracle(n, Y)),
-                      (spectral._lhat_reference(n, Y), lhat_reference_oracle(n, Y))):
+    dt = DynkinType("C", n)
+    Y, lq = y_solution(dt).value, build_dynkin_quiver(dt)
+    for got, want in ((spectral._hat_reference(lq, Y, (1,)), khat_reference_oracle(n, Y)),
+                      (spectral._hat_reference(lq, Y, (1, 2)), lhat_reference_oracle(n, Y))):
         assert got.tobytes() == want.tobytes()
 
 
