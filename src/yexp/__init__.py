@@ -13,8 +13,8 @@ from .quiver import (LabeledQuiver, MutationLoop, Quiver, build_dynkin_quiver,
 from .qsys import (QTable, check_qsol_properties, check_restricted_qsystem,
                    closed_form_qtable, index_set_H, kr_qchar, kr_qtable, qdim, qtable_csv)
 from .rootsys import DynkinType, RootSystem, build_root_system, group_constants
-from .spectral import (Case, CBlockPair, ExponentSequence, SpectralReport, Tolerances,
-                       build_case, c_blocks, c_checks, case_passed, check_conjecture_38,
+from .spectral import (Case, CBlockPair, CDeterminants, ExponentSequence, SpectralReport, Tolerances,
+                       build_case, c_blocks, c_checks, c_determinants, case_passed, check_conjecture_38,
                        check_jacobian_fd, conjectured_charpoly, exponents_csv,
                        lemma_eigenvector, lemma_summary, relation_residuals, run_case,
                        special_eigenvector, spectrum, verify_c_reduction,

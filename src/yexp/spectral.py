@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -480,14 +480,15 @@ def lemma_summary(case: Case) -> Dict[str, float]:
 @dataclass
 class CBlockPair:
     """The C_n block split of L: the hat blocks, the reduced blocks K(lambda) and
-    L(lambda), and L's eigenvalues, which fix det(zI - L) = det(zI - J) since L^P = I."""
+    L(lambda) on their bands (at one lambda or an array of them), and L's eigenvalues,
+    which fix det(zI - L) = det(zI - J) since L^P = I."""
 
     rank: int
     eigenvalues: np.ndarray
     Khat: np.ndarray
     Lhat: np.ndarray
-    K: Callable[[complex], np.ndarray]
-    L: Callable[[complex], np.ndarray]
+    K: Callable[[np.ndarray], np.ndarray]
+    L: Callable[[np.ndarray], np.ndarray]
     residuals: Dict[str, float]
 
 
@@ -563,38 +564,50 @@ def _hat_reference(lq: LabeledQuiver, Y, rows: Tuple[int, ...]) -> np.ndarray:
     return h
 
 
-def _chain(y: np.ndarray) -> np.ndarray:
-    """Zero-diagonal tridiagonal M with M[i, i +- 1] = y_i / (y_{i +- 1} + 1)."""
-    return np.diag(y[:-1] / (y[1:] + 1), 1) + np.diag(y[1:] / (y[:-1] + 1), -1)
+def _plus_diagonal(band: np.ndarray, shift) -> np.ndarray:
+    """The bands of a + s I, one per entry s of `shift`, from the band of a."""
+    width = band.shape[-1]
+    return band + np.asarray(shift)[..., None, None] * (np.arange(width) == width // 2)
 
 
-def _reduced_blocks(n: int, Y) -> Tuple[Callable[[complex], np.ndarray], Callable[[complex], np.ndarray]]:
-    """K(lambda) and L(lambda) of the C_n reduction: the lambda-free entries are built
-    once, and each call adds (lambda + 1/lambda) I and the three entries in lambda^{+-1}."""
+def _reduced_blocks(n: int, Y) -> Tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+    """K(lambda) and L(lambda) of the C_n reduction on their bands, at one lambda or an
+    array of them: row i holds columns i - h .. i + h, h = 1 for K and 2 for L. The
+    lambda-free entries are built once; each call adds lambda + 1/lambda on the diagonal
+    and L's three entries in lambda^{+-1}."""
     y1 = np.array([Y(i, 1) for i in range(1, n)])
     y2 = np.array([Y(i, 2) for i in range(1, n)])
     yn = Y(n, 1)
-    k0 = _chain(y1)
-    l0 = np.zeros((2 * n, 2 * n))
-    l0[0:2 * n - 2:2, 0:2 * n - 2:2] = k0
-    l0[1:2 * n - 2:2, 1:2 * n - 2:2] = _chain(y2)
-    r = np.arange(n - 1)
-    l0[2 * r, 2 * r + 1] = y1 / (y2 * (y2 + 1))
-    l0[2 * r + 1, 2 * r] = 2 * y2 / (y1 * (y1 + 1))
-    l0[2 * n - 2, 2 * n - 3] = 2 * yn / (y2[-1] + 1)
-    l0[2 * n - 3, 2 * n - 2] = y2[-1] / (yn + 1)
-    l0[2 * n - 1, 2 * n - 2] = y2[-1] + 1
-    l0[2 * n - 2, 2 * n - 1] = 2.0 / (y2[-1] + 1)
 
-    def K(lam):
-        return k0 + (lam + 1 / lam) * np.eye(n - 1)
+    def chain(y):  # M[i, i - 1] and M[i, i + 1] of the chain M[i, i +- 1] = y_i / (y_{i +- 1} + 1)
+        c = np.zeros((len(y), 2))
+        c[1:, 0] = y[1:] / (y[:-1] + 1)
+        c[:-1, 1] = y[:-1] / (y[1:] + 1)
+        return c
 
-    def L(lam):
-        m = l0 + (lam + 1 / lam) * np.eye(2 * n)
-        m[2 * n - 2, 2 * n - 4] = -2 / lam * yn / (y1[-1] + 1)
-        m[2 * n - 1, 2 * n - 3] = lam * yn
-        m[2 * n - 3, 2 * n - 1] = y2[-1] / (lam * (y2[-1] + 1) * (yn + 1))
-        return m
+    k0 = np.zeros((n - 1, 3))
+    k0[:, ::2] = chain(y1)
+    l0 = np.zeros((2 * n, 5))  # L's entry (i, j) at [i, j - i + 2]
+    l0[0:2 * n - 2:2, ::4] = chain(y1)
+    l0[1:2 * n - 2:2, ::4] = chain(y2)
+    l0[0:2 * n - 2:2, 3] = y1 / (y2 * (y2 + 1))
+    l0[1:2 * n - 2:2, 1] = 2 * y2 / (y1 * (y1 + 1))
+    l0[2 * n - 2, 1] = 2 * yn / (y2[-1] + 1)
+    l0[2 * n - 3, 3] = y2[-1] / (yn + 1)
+    l0[2 * n - 1, 1] = y2[-1] + 1
+    l0[2 * n - 2, 3] = 2.0 / (y2[-1] + 1)
+
+    def K(lams):
+        lam = np.asarray(lams, dtype=complex)
+        return _plus_diagonal(k0, lam + 1 / lam)
+
+    def L(lams):
+        lam = np.asarray(lams, dtype=complex)
+        band = _plus_diagonal(l0, lam + 1 / lam)
+        band[..., 2 * n - 2, 0] = -2 / lam * yn / (y1[-1] + 1)
+        band[..., 2 * n - 1, 0] = lam * yn
+        band[..., 2 * n - 3, 4] = y2[-1] / (lam * (y2[-1] + 1) * (yn + 1))
+        return band
 
     return K, L
 
@@ -647,40 +660,120 @@ def _unit_circle_samples(count: int) -> np.ndarray:
     return np.exp(1j * np.linspace(0.11, np.pi - 0.11, count))
 
 
-def _dets(block: Callable[[complex], np.ndarray], lams: np.ndarray) -> np.ndarray:
-    """det block(lambda) by LU, one sample at a time: stacked over 32 samples, the
-    2n x 2n L(lambda) of C512 would hold 537 MB."""
-    return np.array([np.linalg.det(block(lam)) for lam in lams])
+def _band(a: np.ndarray) -> np.ndarray:
+    """The square matrix a on its band: row i holds columns i - h .. i + h, zero outside a,
+    with h the largest |i - j| over a's nonzero entries (a nan among them), so no entry is dropped."""
+    rows, cols = np.nonzero(a)
+    h = int(np.max(np.abs(rows - cols), initial=0))
+    i = np.arange(len(a))[:, None]
+    j = i + np.arange(-h, h + 1)
+    return np.where((j >= 0) & (j < len(a)), a[i, j % len(a)], 0)
+
+
+def _banded_dets(*stacks: np.ndarray) -> List[np.ndarray]:
+    """det of every matrix in each stack, by one LU with partial pivoting on the band of them all.
+
+    A stack is (count, size, 2h + 1), row i of a matrix holding its columns i - h .. i + h
+    (zero outside the matrix). Every matrix is padded to the largest size with identity rows
+    and to the largest h. Step k pivots in rows k .. k + h, the only ones with a nonzero in
+    column k, and the pivot row reaches column k + 2h at most; so each step reads a window of
+    h + 1 rows, row r at slot r mod (h + 1), over columns k .. k + 2h, and then takes in row
+    k + h + 1 at the slot of row k. The pivot product is taken in log form; a member with a
+    zero pivot has det exactly 0 and one holding a nan has det nan, as with np.linalg.det."""
+    size = max(s.shape[1] for s in stacks)
+    h = max(s.shape[2] // 2 for s in stacks)
+    width = 2 * h + 1
+    total = sum(map(len, stacks))
+    rows = np.zeros((size + h + 1, width, total), dtype=complex)  # then h + 1 zero rows to take in
+    first = 0
+    for s in stacks:
+        m, hs = s.shape[1], s.shape[2] // 2
+        rows[:m, h - hs:h + hs + 1, first:first + len(s)] = s.transpose(1, 2, 0)
+        rows[m:size, h, first:first + len(s)] = 1.0
+        first += len(s)
+    # slot s of the window holds column c of its row at [c + h, s]; step k reads [k + h : k + h + width],
+    # whose entry (c, s, member) is flat[(k + h + c) * stride + s * total + member]
+    window = np.zeros((size + 3 * h + 1, h + 1, total), dtype=complex)
+    for r in range(h + 1):
+        window[r:r + width, r] = rows[r]
+    flat, stride = window.reshape(-1), (h + 1) * total
+    row_at = np.arange(width)[:, None] * stride + np.arange(total)
+    pivots = np.empty((size, total), dtype=complex)
+    chosen = np.empty((size, total), dtype=int)
+    with np.errstate(divide="ignore", invalid="ignore"):  # past a zero pivot a member's pivots are not read
+        for k in range(size):
+            s, w = k % (h + 1), window[k + h:k + h + width]
+            chosen[k] = p = np.abs(w[0]).argmax(axis=0)
+            at = row_at + ((k + h) * stride + total * p)  # the pivot row
+            pivot_row = flat[at]
+            flat[at] = w[:, s]  # row k moves to the pivot's slot
+            pivots[k] = pivot_row[0]
+            w[1:] -= (w[0] * (1 / pivots[k])) * pivot_row[1:, None]
+            window[k + h + 1:k + h + width + 1, s] = rows[k + h + 1]
+        det = _product(pivots.T)
+    swaps = (chosen != (np.arange(size) % (h + 1))[:, None]).sum(axis=0)
+    det *= np.where(swaps % 2, -1, 1)
+    det[(pivots == 0).any(axis=0)] = 0
+    det[np.isnan(rows).any(axis=(0, 1))] = np.nan
+    return np.split(det, np.cumsum([len(s) for s in stacks])[:-1])
+
+
+@dataclass(frozen=True)
+class CDeterminants:
+    """det K(lambda) and det L(lambda) on one grid of the upper unit half-circle, and
+    det(K-hat - lambda^2 I) and det(L-hat - lambda^2 I) at every other point of it,
+    all from one banded LU, with the half-bandwidth of each matrix."""
+
+    lams: np.ndarray
+    k: np.ndarray
+    l: np.ndarray
+    khat: np.ndarray
+    lhat: np.ndarray
+    half_bandwidths: Dict[str, int]
+
+
+def c_determinants(blocks: CBlockPair, samples: int = 32) -> CDeterminants:
+    """The determinants of the C_n reduction on 2m - 1 points, m = max(16, samples // 2 + 1):
+    `csol` reads all of them, at least `samples`, and `c_reduction` every other one, which
+    are the m points `_unit_circle_samples(m)`."""
+    lams = _unit_circle_samples(2 * max(16, samples // 2 + 1) - 1)
+    z = lams[::2] ** 2
+    bands = {"K": blocks.K(lams), "L": blocks.L(lams),
+             "Khat": _plus_diagonal(_band(blocks.Khat), -z), "Lhat": _plus_diagonal(_band(blocks.Lhat), -z)}
+    return CDeterminants(lams, *_banded_dets(*bands.values()),
+                         half_bandwidths={name: band.shape[2] // 2 for name, band in bands.items()})
 
 
 def _product(factors: np.ndarray) -> np.ndarray:
     """prod(factors) along the last axis as exp(sum log|f|) prod(f / |f|): a running
     product of thousands of factors can over- and underflow (to inf * 0 = nan) where
-    the product is modest, and summed angles near +-pi round away tiny phases."""
+    the product is modest, and summed angles near +-pi round away tiny phases. A zero
+    factor makes the product 0 (log 0 = -inf), a nan factor makes it nan."""
     factors = np.asarray(factors, dtype=complex)
     modulus = np.abs(factors)
-    return np.exp(np.sum(np.log(modulus), axis=-1)) * np.prod(factors / modulus, axis=-1)
+    nonzero = modulus != 0
+    log_modulus = np.log(modulus, out=np.full(modulus.shape, -np.inf), where=nonzero)
+    phase = np.divide(factors, modulus, out=np.ones_like(factors), where=nonzero)
+    return np.exp(np.sum(log_modulus, axis=-1)) * np.prod(phase, axis=-1)
 
 
 def _relative_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))))
 
 
-def verify_c_reduction(blocks: CBlockPair, samples: int = 16) -> Dict[str, float]:
+def verify_c_reduction(blocks: CBlockPair, dets: CDeterminants) -> Dict[str, float]:
     """Residuals of the determinant identities linking the hat blocks to K, L,
-    and of the full factorization det(zI - J) = z^{(3n-1)/2} det K det L.
+    and of the full factorization det(zI - J) = z^{(3n-1)/2} det K det L, at every
+    other point of the grid of `dets`.
 
-    det K, det L and the hat-block determinants are LU determinants per sample;
     det(zI - J) is prod_i (z - lambda_i) over the case's eigenvalues, in log form.
     """
     n = blocks.rank
-    lams = _unit_circle_samples(samples)
-    z = lams ** 2
-    eye_k, eye_l = np.eye(n - 1), np.eye(2 * n)
-    det_k, det_l = _dets(blocks.K, lams), _dets(blocks.L, lams)
-    lhs_k = (-lams) ** (-(n - 1)) * _dets(lambda lam: blocks.Khat - lam ** 2 * eye_k, lams)
-    lhs_l = lams ** (-2 * n) * _dets(lambda lam: blocks.Lhat - lam ** 2 * eye_l, lams)
-    lhs_f = _product(z[:, None] - blocks.eigenvalues[None, :])
+    lams = dets.lams[::2]
+    det_k, det_l = dets.k[::2], dets.l[::2]
+    lhs_k = (-lams) ** (-(n - 1)) * dets.khat
+    lhs_l = lams ** (-2 * n) * dets.lhat
+    lhs_f = _product(lams[:, None] ** 2 - blocks.eigenvalues[None, :])
     return {
         "k_reduction": _relative_gap(lhs_k, det_k),
         "l_reduction": _relative_gap(lhs_l, det_l),
@@ -700,12 +793,12 @@ def csol_products(n: int, lam):
     return prod_k, prod_l
 
 
-def verify_conjecture_csol(blocks: CBlockPair, samples: int = 32) -> Dict[str, float]:
-    """Numerical evidence for the open determinant conjecture (clearly labeled as such)."""
-    lams = _unit_circle_samples(samples)
-    prod_k, prod_l = csol_products(blocks.rank, lams)
-    return {"csol_k": _relative_gap(_dets(blocks.K, lams), prod_k),
-            "csol_l": _relative_gap(_dets(blocks.L, lams), prod_l),
+def verify_conjecture_csol(blocks: CBlockPair, dets: CDeterminants) -> Dict[str, float]:
+    """Numerical evidence for the open determinant conjecture (clearly labeled as such),
+    at every point of the grid of `dets`."""
+    prod_k, prod_l = csol_products(blocks.rank, dets.lams)
+    return {"csol_k": _relative_gap(dets.k, prod_k),
+            "csol_l": _relative_gap(dets.l, prod_l),
             "conjecture_status": "open; numerical evidence only"}
 
 
@@ -763,23 +856,31 @@ def periodicity_verdict(loop: MutationLoop, period: int, seed: int, points: int,
 def c_checks(case: Case, tolerances: Tolerances = Tolerances(), samples: int = 32) -> Dict[str, Dict]:
     """The type-C checks of C_n: the block reduction and the (open) Csol conjecture.
 
-    Both read one block split, made under the off-diagonal bound `block_diag`,
-    and gate on `c_identities`. If the split raises, both fail with its error.
+    Both read one block split, made under the off-diagonal bound `block_diag`, and
+    one set of banded LU determinants (`c_determinants`), and gate on `c_identities`.
+    If the split or the determinants raise, both fail with the error.
     """
     try:
         blocks = c_blocks(case, tolerances.block_diag)
+        dets = c_determinants(blocks, samples)
     except Exception as exc:  # recorded like any raising check
         return {"c_reduction": _failed(exc), "csol": _failed(exc)}
 
+    def method(*names, points):
+        return {"method": "banded LU", "points": points,
+                "half_bandwidths": {name: dets.half_bandwidths[name] for name in names}}
+
     def reduction():
-        red = verify_c_reduction(blocks, samples=max(16, samples // 2))
+        red = verify_c_reduction(blocks, dets)
         return _verdict(_worst(*(v for k, v in red.items() if k != "offdiag")),
-                        tolerances.c_identities, **red)
+                        tolerances.c_identities, **red,
+                        **method("K", "L", "Khat", "Lhat", points=len(dets.khat)))
 
     def csol():
-        cs = verify_conjecture_csol(blocks, samples=samples)
+        cs = verify_conjecture_csol(blocks, dets)
         return _verdict(_worst(cs["csol_k"], cs["csol_l"]), tolerances.c_identities,
-                        csol_k=cs["csol_k"], csol_l=cs["csol_l"], status=cs["conjecture_status"])
+                        csol_k=cs["csol_k"], csol_l=cs["csol_l"], status=cs["conjecture_status"],
+                        **method("K", "L", points=len(dets.lams)))
 
     return {"c_reduction": _guarded(reduction), "csol": _guarded(csol)}
 

@@ -12,7 +12,7 @@ import yexp
 from yexp import DynkinType
 from yexp.quiver import Quiver, build_mutation_loop, mutate_quiver, permute_quiver
 from yexp.rootsys import build_root_system, group_constants
-from yexp.spectral import (Tolerances, build_case, c_blocks, check_conjecture_38,
+from yexp.spectral import (Tolerances, build_case, c_blocks, c_determinants, check_conjecture_38,
                            conjectured_charpoly, lemma_summary, relation_residuals,
                            verify_c_reduction, verify_conjecture_csol)
 from yexp.yseed import (YSeed, check_periodicity, cluster_transform,
@@ -205,11 +205,12 @@ def test_criterion_10_type_c():
     worst_blk = worst_red = worst_csol = worst_full = 0.0
     for n in range(3, 11):
         blocks = c_blocks(build_case(DynkinType("C", n)))
-        red = verify_c_reduction(blocks, samples=16)
+        dets = c_determinants(blocks)
+        red = verify_c_reduction(blocks, dets)
         worst_blk = max(worst_blk, red["offdiag"])
         worst_red = max(worst_red, red["k_reduction"], red["l_reduction"])
         worst_full = max(worst_full, red["full_det"])
-        cs = verify_conjecture_csol(blocks, samples=32)
+        cs = verify_conjecture_csol(blocks, dets)
         worst_csol = max(worst_csol, cs["csol_k"], cs["csol_l"])
     ok_exps = True
     for n in (3, 4):

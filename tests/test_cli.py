@@ -77,6 +77,21 @@ def test_conjecture_c(capsys):
     assert csol["csol_l"] <= 1e-7
 
 
+@pytest.mark.parametrize("samples,csol,reduction", [(["--samples", "8"], 31, 16), ([], 33, 17),
+                                                     (["--samples", "64"], 65, 33)])
+def test_conjecture_c_reports_the_points_each_check_reads(capsys, samples, csol, reduction):
+    # before the shared grid csol read `samples` points and the reduction max(16, samples // 2)
+    code, out, _ = run(capsys, "conjecture-c", "--rank", "4", *samples)
+    assert code == 0
+    checks = json.loads(out)["cases"][0]["checks"]
+    assert checks["csol"]["points"] == csol and checks["c_reduction"]["points"] == reduction
+    given = int(samples[1]) if samples else 32
+    assert csol >= given and reduction >= max(16, given // 2)
+    assert checks["csol"]["method"] == checks["c_reduction"]["method"] == "banded LU"
+    assert checks["csol"]["half_bandwidths"] == {"K": 1, "L": 2}
+    assert checks["c_reduction"]["half_bandwidths"] == {"K": 1, "L": 2, "Khat": 2, "Lhat": 4}
+
+
 def test_conjecture_c_rejects_charpoly_tolerance(capsys):
     code, out, err = run(capsys, "conjecture-c", "--rank", "5", "--tol-charpoly", "1e-30")
     assert code == 2 and out == ""

@@ -9,7 +9,7 @@ from yexp import spectral, ysys
 from yexp.qsys import _sin_pi
 from yexp.quiver import build_dynkin_quiver
 from yexp.rootsys import DynkinType, build_root_system, group_constants
-from yexp.spectral import (ExponentSequence, Tolerances, build_case, c_blocks,
+from yexp.spectral import (ExponentSequence, Tolerances, build_case, c_blocks, c_determinants,
                            case_passed, check_conjecture_38, check_jacobian_fd,
                            conjectured_charpoly, csol_products, lemma_boundary_value,
                            lemma_eigenvector, lemma_summary, relation_residuals, run_case,
@@ -21,6 +21,28 @@ from test_quiver import imported_names
 
 def c_case_blocks(n):
     return c_blocks(build_case(DynkinType("C", n)))
+
+
+def dense_of_band(band):
+    """The square matrix of a band whose row i holds columns i - h .. i + h (oracle)."""
+    size, h = band.shape[0], band.shape[1] // 2
+    a = np.zeros((size, size), dtype=band.dtype)
+    for i in range(size):
+        for d in range(2 * h + 1):
+            if 0 <= i - h + d < size:
+                a[i, i - h + d] = band[i, d]
+    return a
+
+
+def band_of_dense(a, h):
+    """The band of half-bandwidth h of a square a, entries outside it dropped (oracle)."""
+    size = len(a)
+    band = np.zeros((size, 2 * h + 1), dtype=a.dtype)
+    for i in range(size):
+        for d in range(2 * h + 1):
+            if 0 <= i - h + d < size:
+                band[i, d] = a[i, i - h + d]
+    return band
 
 
 def c_basis(n):
@@ -513,11 +535,11 @@ def test_c_blocks_structure():
     assert blocks.Lhat.shape == (6, 6)
     Y = y_solution(DynkinType("C", 3)).value
     lam = np.exp(0.41j)
-    k = blocks.K(lam)
+    k = dense_of_band(blocks.K(lam))
     assert k[0, 1] == pytest.approx(Y(1, 1) / (Y(2, 1) + 1))
     assert k[1, 0] == pytest.approx(Y(2, 1) / (Y(1, 1) + 1))
     assert k[0, 0] == pytest.approx(lam + 1 / lam)
-    ell = blocks.L(lam)
+    ell = dense_of_band(blocks.L(lam))
     assert ell[5, 4] == pytest.approx(Y(2, 2) + 1)  # L_{2n,2n-1}
     blocks4 = c_case_blocks(4)
     assert blocks4.Khat.shape == (3, 3)
@@ -618,15 +640,17 @@ def l_reduced_oracle(n, Y, lam):
 def test_reduced_blocks_match_the_entrywise_oracle(n):
     blocks = c_case_blocks(n)
     Y = y_solution(DynkinType("C", n)).value
-    for lam in spectral._unit_circle_samples(16):
-        for got, want in ((blocks.K(lam), k_reduced_oracle(n, Y, lam)),
-                          (blocks.L(lam), l_reduced_oracle(n, Y, lam))):
+    lams = c_determinants(blocks).lams
+    for lam, k_band, l_band in zip(lams, blocks.K(lams), blocks.L(lams)):
+        for got, want in ((dense_of_band(k_band), k_reduced_oracle(n, Y, lam)),
+                          (dense_of_band(l_band), l_reduced_oracle(n, Y, lam))):
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_c_reduction_identities(n):
-    res = verify_c_reduction(c_case_blocks(n), samples=16)
+    blocks = c_case_blocks(n)
+    res = verify_c_reduction(blocks, c_determinants(blocks))
     assert res["offdiag"] <= 1e-9
     assert res["k_reduction"] <= 1e-7
     assert res["l_reduction"] <= 1e-7
@@ -637,13 +661,14 @@ def test_c_reduction_at_lambda_i():
     blocks = c_case_blocks(3)
     lam = 1j
     lhs = (-lam) ** (-2) * np.linalg.det(blocks.Khat - lam ** 2 * np.eye(2))
-    rhs = np.linalg.det(blocks.K(lam))
+    rhs = np.linalg.det(dense_of_band(blocks.K(lam)))
     assert abs(lhs - rhs) <= 1e-9
 
 
 @pytest.mark.parametrize("n", range(3, 11))
 def test_conjecture_csol(n):
-    res = verify_conjecture_csol(c_case_blocks(n), samples=32)
+    blocks = c_case_blocks(n)
+    res = verify_conjecture_csol(blocks, c_determinants(blocks))
     assert res["csol_k"] <= 1e-7
     assert res["csol_l"] <= 1e-7
     assert "open" in res["conjecture_status"]
@@ -673,14 +698,14 @@ def csol_products_oracle(n, lam):
     return prod_k, prod_l
 
 
-def c_reduction_oracle(blocks, jacobian, samples):
+def c_reduction_oracle(blocks, jacobian, lams):
     """The identities of `verify_c_reduction` by dense determinants, sample by sample,
     det(zI - J) among them, taken of the case's full Jacobian."""
     n = blocks.rank
     out = {"k_reduction": 0.0, "l_reduction": 0.0, "full_det": 0.0}
-    for lam in spectral._unit_circle_samples(samples):
-        det_k = np.linalg.det(blocks.K(lam))
-        det_l = np.linalg.det(blocks.L(lam))
+    for lam in lams:
+        det_k = np.linalg.det(dense_of_band(blocks.K(lam)))
+        det_l = np.linalg.det(dense_of_band(blocks.L(lam)))
         lhs_k = (-lam) ** (-(n - 1)) * np.linalg.det(blocks.Khat - lam ** 2 * np.eye(n - 1))
         out["k_reduction"] = max(out["k_reduction"], abs(lhs_k - det_k) / max(1.0, abs(det_k)))
         lhs_l = lam ** (-2 * n) * np.linalg.det(blocks.Lhat - lam ** 2 * np.eye(2 * n))
@@ -691,25 +716,26 @@ def c_reduction_oracle(blocks, jacobian, samples):
     return out
 
 
-def csol_oracle(blocks, samples):
+def csol_oracle(blocks, lams):
     out = {"csol_k": 0.0, "csol_l": 0.0}
-    for lam in spectral._unit_circle_samples(samples):
+    for lam in lams:
         prod_k, prod_l = csol_products_oracle(blocks.rank, lam)
-        det_k = np.linalg.det(blocks.K(lam))
-        det_l = np.linalg.det(blocks.L(lam))
+        det_k = np.linalg.det(dense_of_band(blocks.K(lam)))
+        det_l = np.linalg.det(dense_of_band(blocks.L(lam)))
         out["csol_k"] = max(out["csol_k"], abs(det_k - prod_k) / max(1.0, abs(prod_k)))
         out["csol_l"] = max(out["csol_l"], abs(det_l - prod_l) / max(1.0, abs(prod_l)))
     return out
 
 
-@pytest.mark.parametrize("n", range(2, 41))
+@pytest.mark.parametrize("n", [*range(2, 41), 64, 128])
 def test_c_identities_match_the_dense_determinant_oracle(n):
     case = build_case(DynkinType("C", n))
     blocks = c_blocks(case)
     assert_split_is_the_dense_change_of_basis(case, blocks)
     tol = Tolerances().c_identities
-    for got, want in ((verify_c_reduction(blocks, samples=16), c_reduction_oracle(blocks, case.jacobian, 16)),
-                      (verify_conjecture_csol(blocks, samples=32), csol_oracle(blocks, 32))):
+    dets = c_determinants(blocks)  # the reduction reads every other point of the grid, csol every point
+    for got, want in ((verify_c_reduction(blocks, dets), c_reduction_oracle(blocks, case.jacobian, dets.lams[::2])),
+                      (verify_conjecture_csol(blocks, dets), csol_oracle(blocks, dets.lams))):
         for name, value in want.items():
             assert abs(got[name] - value) <= 1e-9, name
         assert (max(got[name] for name in want) <= tol) == (max(want.values()) <= tol)
@@ -718,10 +744,11 @@ def test_c_identities_match_the_dense_determinant_oracle(n):
 @pytest.mark.parametrize("n", [6, 20, 40])
 def test_full_det_catches_one_moved_eigenvalue(n):
     blocks = c_case_blocks(n)
-    assert verify_c_reduction(blocks)["full_det"] <= Tolerances().c_identities
+    dets = c_determinants(blocks)
+    assert verify_c_reduction(blocks, dets)["full_det"] <= Tolerances().c_identities
     moved = blocks.eigenvalues.copy()
     moved[0] += 1e-6
-    res = verify_c_reduction(dataclasses.replace(blocks, eigenvalues=moved))
+    res = verify_c_reduction(dataclasses.replace(blocks, eigenvalues=moved), dets)
     assert res["full_det"] > Tolerances().c_identities
 
 
@@ -729,15 +756,91 @@ def test_full_det_catches_one_moved_eigenvalue(n):
 def test_k_checks_catch_one_scaled_entry_of_k(n):
     blocks = c_case_blocks(n)
 
-    def scaled(lam):
-        k = blocks.K(lam)
-        k[0, 1] *= 1 + 1e-5  # y_1 / (y_2 + 1), free of lambda
+    def scaled(lams):
+        k = blocks.K(lams)
+        k[..., 0, 2] *= 1 + 1e-5  # K[0, 1] = y_1 / (y_2 + 1), free of lambda
         return k
 
     scaled_blocks = dataclasses.replace(blocks, K=scaled)
+    dets = c_determinants(scaled_blocks)
     tol = Tolerances().c_identities
-    assert verify_c_reduction(scaled_blocks)["k_reduction"] > tol
-    assert verify_conjecture_csol(scaled_blocks)["csol_k"] > tol
+    assert verify_c_reduction(scaled_blocks, dets)["k_reduction"] > tol
+    assert verify_conjecture_csol(scaled_blocks, dets)["csol_k"] > tol
+
+
+@pytest.mark.parametrize("n", [6, 20, 40])
+def test_l_checks_catch_one_scaled_entry_of_l(n):
+    blocks = c_case_blocks(n)
+
+    def scaled(lams):
+        ell = blocks.L(lams)
+        ell[..., 0, 3] *= 1 + 1e-5  # L[0, 1] = y_1 / (y_2 (y_2 + 1)), free of lambda
+        return ell
+
+    scaled_blocks = dataclasses.replace(blocks, L=scaled)
+    dets = c_determinants(scaled_blocks)
+    tol = Tolerances().c_identities
+    assert verify_c_reduction(blocks, c_determinants(blocks))["l_reduction"] <= tol
+    assert verify_c_reduction(scaled_blocks, dets)["l_reduction"] > tol
+    assert verify_conjecture_csol(scaled_blocks, dets)["csol_l"] > tol
+
+
+@pytest.mark.parametrize("n", [6, 20, 40])
+def test_l_reduction_catches_one_scaled_entry_of_lhat(n):
+    blocks = c_case_blocks(n)
+    lhat = blocks.Lhat.copy()
+    lhat[2, 3] *= 1 + 1e-5  # node 2's top + bot row, mid column: inside the band
+    scaled = dataclasses.replace(blocks, Lhat=lhat)
+    dets = c_determinants(scaled)
+    assert dets.half_bandwidths["Lhat"] == 4
+    assert verify_c_reduction(scaled, dets)["l_reduction"] > Tolerances().c_identities
+
+
+@pytest.mark.parametrize("n", [6, 20, 40])
+def test_an_entry_outside_the_khat_band_is_read(n):
+    blocks = c_case_blocks(n)
+    assert c_determinants(blocks).half_bandwidths == {"K": 1, "L": 2, "Khat": 2, "Lhat": 4}
+    khat = blocks.Khat.copy()
+    khat[0, 4] = 0.5  # four columns right of the diagonal, where K-hat holds 0
+    planted = dataclasses.replace(blocks, Khat=khat)
+    dets = c_determinants(planted)
+    assert dets.half_bandwidths["Khat"] == 4
+    assert verify_c_reduction(planted, dets)["k_reduction"] > Tolerances().c_identities
+
+
+@pytest.mark.parametrize("h", range(5))
+def test_banded_dets_match_numpy_det(h):
+    # random complex bands, one stack per size beside a stack of another size and half-bandwidth,
+    # so every call pads; member 1 has a small diagonal, so its steps swap rows, member 2 an
+    # all-zero column, member 3 a nan
+    rng = np.random.default_rng(h)
+    for m in range(1, 49):
+        dense = [rng.standard_normal((4, size, size)) + 1j * rng.standard_normal((4, size, size))
+                 for size in (m, int(rng.integers(1, 49)))]
+        halves = (h, int(rng.integers(0, 5)))
+        for a, hs in zip(dense, halves):
+            i, j = np.indices(a.shape[1:])
+            a[:, abs(i - j) > hs] = 0
+            a[1, i == j] *= 1e-3
+            a[2, :, len(i) // 2] = 0
+            a[3, len(i) // 3, len(i) // 3] = np.nan
+        got = spectral._banded_dets(*(np.array([band_of_dense(x, hs) for x in a]) for a, hs in zip(dense, halves)))
+        for a, g in zip(dense, got):
+            with np.errstate(invalid="ignore"):
+                want = np.linalg.det(a)
+            assert np.all(np.abs(g[:2] - want[:2]) <= 1e-12 * np.abs(want[:2])), (m, h)
+            assert g[2] == 0 and want[2] == 0
+            assert np.isnan(g[3])  # np.linalg.det reads 0 when its first pivot is the nan
+
+
+def test_band_reads_the_half_bandwidth_of_the_nonzero_pattern():
+    a = np.zeros((7, 7))
+    assert spectral._band(a).shape == (7, 1)
+    a[6, 3] = 2.0
+    a[1, 2] = np.nan
+    band = spectral._band(a)
+    assert band.shape == (7, 7)
+    np.testing.assert_array_equal(dense_of_band(band), a)
 
 
 def khat_reference_oracle(n: int, Y) -> np.ndarray:
@@ -897,7 +1000,7 @@ def test_worst_residual_keeps_a_nan():
 
 
 def test_csol_fails_on_a_nan_component(monkeypatch):
-    def nan_l(blocks, samples=32):
+    def nan_l(blocks, dets):
         return {"csol_k": 7.6e-13, "csol_l": math.nan, "conjecture_status": "open; numerical evidence only"}
 
     monkeypatch.setattr(spectral, "verify_conjecture_csol", nan_l)
