@@ -679,7 +679,7 @@ def _banded_dets(*stacks: np.ndarray) -> List[np.ndarray]:
     column k, and the pivot row reaches column k + 2h at most; so each step reads a window of
     h + 1 rows, row r at slot r mod (h + 1), over columns k .. k + 2h, and then takes in row
     k + h + 1 at the slot of row k. The pivot product is taken in log form; a member with a
-    zero pivot has det exactly 0 and one holding a nan has det nan, as with np.linalg.det."""
+    zero pivot has det exactly 0 and one holding a nan has det nan."""
     size = max(s.shape[1] for s in stacks)
     h = max(s.shape[2] // 2 for s in stacks)
     width = 2 * h + 1
