@@ -266,14 +266,7 @@ def relation_residuals(case: Case) -> Dict[str, float]:
     return _c_relation_residuals(case)
 
 
-class _ScaledRows:
-    """Row k of diag(scale) M, built on demand from M's row `row(k)`."""
-
-    def __init__(self, scale: np.ndarray, row: Callable[[int], np.ndarray]):
-        self.scale, self.row = scale, row
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        return self.scale[k] * self.row(k)
+_C_NODES = 32  # nodes per block of the type-C relation rows: a block holds a few of L's rows per node
 
 
 def _c_relation_residuals(case: Case) -> Dict[str, float]:
@@ -287,56 +280,72 @@ def _c_relation_residuals(case: Case) -> Dict[str, float]:
     src = psi or psi' to lhs = psi' or psi'': a vertex the phase mutates goes to
     -src[v] / Y^2, every other to the neighbour sum of a mid (m = 2) or an outer
     row. Top and bot rows both read Y(i, 1); p is the neighbour after node n - 1's
-    mid. Only p's and q's identities are written out, on L_+'s rows and L's."""
+    mid. The rules run on node vectors, _C_NODES nodes at a time, both phases at once:
+    src holds psi and psi' on the rows (node, m) of a block's nodes and one node on each
+    side, so a neighbour is a shifted slice, and on the columns where those rows of L_+
+    can be nonzero (the first phase's identities check every column of them); off those
+    columns rhs is 0. Each identity keeps its worst row. Only p's and q's identities are
+    written out, on L_+'s rows and L's."""
     n = case.type.rank
-    Y = case.point.ysol.value
-    loop, x = case.point.loop, np.log(case.point.eta)
-    lq, nu = loop.start, list(loop.nu)
-    at = dict(zip(lq.hindex, range(lq.n_vertices)))
-    p, q = at[n, 1], at[n + 1, 1]
+    Y, eta, jac = case.point.ysol.value, case.point.eta, case.jacobian
+    loop, x, nu = case.point.loop, np.log(eta), np.array(case.point.loop.nu)
+    p, q = 3 * n - 3, 3 * n - 2
     x_plus, plus = log_plus_phase(loop, x)
-    psi = _ScaledRows(case.point.eta, lambda k: np.eye(1, len(x), k)[0])
-    psi_p = _ScaledRows(np.exp(x_plus), plus.__getitem__)
-    psi_pp = _ScaledRows(np.exp(log_cluster_transform(loop, x))[nu], lambda k: case.jacobian[nu[k]])
-    worst: Dict[str, float] = {}
-
-    def record(name, rows, k, rhs):
-        r = np.max(np.abs(rows[k] - rhs)) / rows.scale[k]
-        worst[name] = _worst(worst.get(name, 0.0), r)
-
-    def mid_sum(src, i):
-        terms = [src[at[i - 1, 2]] / (Y(i - 1, 2) + 1)] if i > 1 else []
-        terms += [(src[at[i, 1]] + src[at[i, 3]]) / (Y(i, 1) * (Y(i, 1) + 1)), Y(i, 2) * src[at[i, 2]],
-                  src[at[i + 1, 2]] / (Y(i + 1, 2) + 1) if i < n - 1 else src[p] / (Y(n, 1) + 1)]
-        return Y(i, 2) * sum(terms)
-
-    def outer_sum(src, i, m):
-        terms = [src[at[i - 1, m]] / (Y(i - 1, 1) + 1)] if i > 1 else []
-        terms += [Y(i, 1) * src[at[i, m]], src[at[i, 2]] / (Y(i, 2) * (Y(i, 2) + 1))]
-        terms += [src[at[i + 1, m]] / (Y(i + 1, 1) + 1)] if i < n - 1 else []
-        return Y(i, 1) * sum(terms)
-
-    for phase, mutated, lhs, src in (("plus", "+", psi_p, psi), ("minus", "-", psi_pp, psi_p)):
-        for v in range(p):  # the column vertices; p and q come last
-            i, m = lq.hindex[v]
-            row, parity = "mid" if m == 2 else "outer", "odd" if i % 2 else "even"
-            if lq.sign[v] == mutated:
-                record(f"{phase}_{row}_{parity}", lhs, v, -src[v] / Y(i, 2 if m == 2 else 1) ** 2)
-            else:  # node n - 1's sums end at p (mid) or at its own column (outer)
-                rhs = mid_sum(src, i) if m == 2 else outer_sum(src, i, m)
-                record(f"{phase}_{row}_{'last' if i == n - 1 else parity}", lhs, v, rhs)
-    mid, outer = at[n - 1, 2], psi[at[n - 1, 1]] + psi[at[n - 1, 3]]  # node n - 1's top + bot
-    record("plus_white_plus", psi_p, p, -psi[p] / Y(n, 1) ** 2)
-    rhs = (Y(n - 1, 1) + 1) ** 2 * psi[q] + (Y(n - 1, 2) + 1) * (Y(n - 1, 1) + 1) / Y(n, 1) * outer
-    record("plus_white_fixed", psi_p, q, rhs)
-    record("minus_white_plus", psi_pp, p, psi_p[mid] / Y(n, 1) - (Y(n - 1, 2) + 1) * psi[p] / Y(n, 1) ** 2)
-    rhs = Y(n, 1) * (
-        psi_p[mid] / (Y(n - 1, 2) + 1)
-        + outer / (Y(n - 1, 1) + 1)
-        + Y(n, 1) * psi[q] / (Y(n - 1, 2) + 1)
-    )
-    record("minus_white_fixed", psi_pp, q, rhs)
-    return worst
+    y_plus, y_minus = np.exp(x_plus), np.exp(log_cluster_transform(loop, x))[nu]
+    # by node i = 0..n and row m: Y(i, 1), Y(i, 2), Y(i, 1); 0 at node 0, and Y(n, 1) at node n
+    y = np.array([(0.0, 0.0, 0.0)] + [(Y(i, 1), Y(i, 2), Y(i, 1)) for i in range(1, n)] + [(Y(n, 1),) * 3])[..., None]
+    y_1, y_y1, minus_square = y + 1, y * (y + 1), -y ** 2  # Y + 1, Y(Y + 1) and -Y^2
+    # the vertex of row (i, m), -1 where there is none: node 0 has no rows, node n only p, its mid
+    vertex = np.concatenate(([[-1, -1, -1]], np.arange(p).reshape(n - 1, 3), [[-1, p, -1]]))
+    mutated = np.array(loop.start.sign[:p]).reshape(n - 1, 3) == np.array(["+", "-"])[:, None, None]
+    gaps = np.empty((2, n - 1, 3))  # by phase, node and m
+    for a in range(1, n, _C_NODES):
+        b = min(a + _C_NODES, n)  # the nodes a..b - 1, whose rules read nodes a - 1..b
+        held = vertex[a - 1:b + 1] >= 0
+        v = vertex[a - 1:b + 1][held]
+        # the columns of nodes a - 2..b + 1, then p and q, off which src's rows of L_+ are 0
+        lo, hi = max(0, 3 * a - 9), min(p, 3 * b + 3)
+        cols = np.concatenate((np.arange(lo, hi), [p, q]))
+        src = np.zeros((2,) + held.shape + cols.shape)  # psi and psi' on cols, by phase, node and m
+        src[0][held, np.searchsorted(cols, v)] = eta[v]
+        src[1][held] = y_plus[v, None] * plus[v[:, None], cols]
+        k, before, after = slice(a, b), slice(a - 1, b - 1), slice(a + 1, b + 1)
+        y1, y2 = y[k, :1], y[k, 1:2]
+        outer, mid = src[:, :, ::2], src[:, :, 1:2]
+        rhs = np.empty((2, b - a) + src.shape[2:])
+        rhs[:, :, ::2] = y1 * (outer[:, :-2] / y_1[before, ::2] + y1 * outer[:, 1:-1]  # the outer rule
+                               + mid[:, 1:-1] / y_y1[k, 1:2] + outer[:, 2:] / y_1[after, ::2])
+        rhs[:, :, 1:2] = y2 * (mid[:, :-2] / y_1[before, 1:2] + (src[:, 1:-1, :1] + src[:, 1:-1, 2:]) / y_y1[k, :1]
+                               + y2 * mid[:, 1:-1] + mid[:, 2:] / y_1[after, 1:2])  # the mid rule
+        np.copyto(rhs, src[:, 1:-1] / minus_square[k], where=mutated[:, before, :, None])  # a mutated row's rule
+        rows = slice(3 * a - 3, 3 * b - 3)
+        for phase, scale, lhs in ((0, y_plus[rows], plus[rows]), (1, y_minus[rows], jac[nu[rows]])):
+            gap = np.abs(scale[:, None] * lhs[:, cols] - rhs[phase].reshape(len(scale), -1)).max(axis=-1)
+            for off in (slice(0, lo), slice(hi, p)) if lo or hi < p else ():  # max|lhs| off cols, where rhs is 0
+                gap = np.maximum(gap, scale * np.abs(lhs[:, off]).max(axis=-1, initial=0.0))
+            gaps[phase, before] = (gap / scale).reshape(b - a, 3)
+    # each row's identity: the phase, outer or mid, then odd, even or last, the rows that the phase
+    # leaves at node n - 1, whose sums end at p (mid) or at its own column (outer)
+    node = np.arange(1, n)[:, None]
+    code = (np.where(~mutated & (node == n - 1), 2, node % 2 == 0) + [[[0, 3, 0]], [[6, 9, 6]]]).ravel()
+    worst = np.full(12, -np.inf)
+    with np.errstate(invalid="ignore"):  # a nan row makes its identity's worst nan
+        np.maximum.at(worst, code, gaps.ravel())
+    names = [f"{phase}_{row}_{kind}" for phase in ("plus", "minus") for row in ("outer", "mid")
+             for kind in ("odd", "even", "last")]
+    residuals = {names[c]: float(worst[c]) for c in dict.fromkeys(code.tolist())}
+    psi = eta * (np.arange(len(x)) == np.array([p - 3, p - 1, p, q])[:, None])  # rows top and bot of node n - 1, p, q
+    outer, psi_p_mid = psi[0] + psi[1], y_plus[p - 2] * plus[p - 2]  # node n - 1's top + bot, and psi'[mid]
+    rhs = {"plus_white_plus": -psi[2] / Y(n, 1) ** 2,
+           "plus_white_fixed": (Y(n - 1, 1) + 1) ** 2 * psi[3]
+                               + (Y(n - 1, 2) + 1) * (Y(n - 1, 1) + 1) / Y(n, 1) * outer,
+           "minus_white_plus": psi_p_mid / Y(n, 1) - (Y(n - 1, 2) + 1) * psi[2] / Y(n, 1) ** 2,
+           "minus_white_fixed": Y(n, 1) * (psi_p_mid / (Y(n - 1, 2) + 1) + outer / (Y(n - 1, 1) + 1)
+                                           + Y(n, 1) * psi[3] / (Y(n - 1, 2) + 1))}
+    lhs, scale = np.concatenate((plus[p:], jac[nu[p:]])), np.concatenate((y_plus[p:], y_minus[p:]))  # rows p, q
+    white = np.abs(scale[:, None] * lhs - np.array(list(rhs.values()))).max(axis=-1) / scale
+    residuals.update(zip(rhs, white.tolist()))
+    return residuals
 
 
 # ------------------------------------------------------- eigenvector lemmas
@@ -512,55 +521,57 @@ def _hat_reference(lq: LabeledQuiver, Y, rows: Tuple[int, ...]) -> np.ndarray:
     Column (i, m) of a vertex the first phase mutates holds -1 + R(m, i - 1) + R(m, i)
     and a product per neighbour and per second neighbour in row m; every other column
     holds -1 and a product per neighbour. L-hat adds S(i) to the first diagonal and
-    the entries in the other row o = 3 - m, each carrying w = 3 - m. Only the entries
-    of p and q are written out."""
+    the entries in the other row o = 3 - m, each carrying w = 3 - m. Y and R are read
+    once per node. Only the entries of p and q are written out."""
     n = lq.type.rank
-    sign = dict(zip(lq.hindex, lq.sign))
     cross = len(rows) == 2
-    at = lambda i, m: len(rows) * (i - 1) + rows.index(m)
-    R = lambda m, i: Y(i, m) * Y(i + 1, m) / ((Y(i, m) + 1) * (Y(i + 1, m) + 1))
+    k = len(rows)  # rows is (1,) or (1, 2): column (i, m) is k(i - 1) + m - 1, row (r, m') k(r - i) + m' - m on
+    y = {m: [0.0] + [Y(i, m) for i in range(1, n + 2 - m)] for m in (1, 2)}  # Y(i, m) at y[m][i], Y(n, 1) too
+    R = {m: [0.0] + [y[m][r] * y[m][r + 1] / ((y[m][r] + 1) * (y[m][r + 1] + 1)) for r in range(1, n - 1)] + [0.0]
+         for m in rows}  # R(m, r) at R[m][r], 0 unless 0 < r < n - 1
     h = np.zeros((2 * n, 2 * n) if cross else (n - 1, n - 1))
     for i in range(1, n):
         near = [r for r in (i - 1, i + 1) if 0 < r < n]
         for m in rows:
             o = w = 3 - m
-            c = at(i, m)
-            if sign[i, m] == "+":
-                h[c, c] = sum((R(m, r) for r in (i - 1, i) if 0 < r < n - 1), -1.0)
+            ym, yo = y[m], y[o]
+            c = k * (i - 1) + m - 1
+            if lq.sign[3 * i + m - 4] == "+":  # vertex (i, m)'s sign
+                h[c, c] = -1.0 + R[m][i - 1] + R[m][i]
                 for r in near:
-                    h[at(r, m), c] = -1.0 / (Y(r, m) * (Y(i, m) + 1))
+                    h[c + k * (r - i), c] = -1.0 / (ym[r] * (ym[i] + 1))
                 for r, mid in ((i - 2, i - 1), (i + 2, i + 1)):
                     if 0 < r < n:
-                        h[at(r, m), c] = Y(r, m) * Y(mid, m) / ((Y(i, m) + 1) * (Y(mid, m) + 1))
+                        h[c + k * (r - i), c] = ym[r] * ym[mid] / ((ym[i] + 1) * (ym[mid] + 1))
                 if cross:
-                    h[c, c] += 2.0 / ((Y(i, 1) + 1) * (Y(i, 2) + 1))
-                    h[at(i, o), c] = -w / (Y(i, 1) * Y(i, 2) * (Y(i, m) + 1))
+                    h[c, c] += 2.0 / ((y[1][i] + 1) * (y[2][i] + 1))
+                    h[c + o - m, c] = -w / (y[1][i] * y[2][i] * (ym[i] + 1))
                     for r in near:
-                        h[at(r, o), c] = w * Y(r, o) / (Y(i, m) + 1) * (
-                            1.0 / (Y(r, m) + 1) + Y(i, o) / (Y(i, m) * (Y(i, o) + 1)))
+                        h[c + k * (r - i) + o - m, c] = w * yo[r] / (ym[i] + 1) * (
+                            1.0 / (ym[r] + 1) + yo[i] / (ym[i] * (yo[i] + 1)))
             else:
                 h[c, c] = -1.0
                 for r in near:
-                    h[at(r, m), c] = Y(r, m) * Y(i, m) ** 2 / (Y(i, m) + 1)
+                    h[c + k * (r - i), c] = ym[r] * ym[i] ** 2 / (ym[i] + 1)
                 if cross:
-                    h[at(i, o), c] = w * Y(i, 1) * Y(i, 2) / (Y(i, m) + 1)
+                    h[c + o - m, c] = w * y[1][i] * y[2][i] / (ym[i] + 1)
     if not cross:
         return h
     p, q, outer, mid = 2 * n - 2, 2 * n - 1, 2 * n - 4, 2 * n - 3  # the last two: node n - 1's
     if n >= 3:  # node n - 2's mid
-        h[p, mid - 2] = Y(n - 1, 2) * Y(n, 1) / ((Y(n - 2, 2) + 1) * (Y(n - 1, 2) + 1))
-        h[q, mid - 2] = Y(n - 1, 2) / (Y(n, 1) * (Y(n - 2, 2) + 1))
-        h[mid - 2, p] = Y(n - 2, 2) * Y(n - 1, 2) / ((Y(n - 1, 2) + 1) * (Y(n, 1) + 1))
-    h[p, outer] = 2 * Y(n, 1) / (Y(n - 1, 1) + 1) * (1 + Y(n - 1, 2) / (Y(n - 1, 1) * (Y(n - 1, 2) + 1)))
-    h[q, outer] = 2 * Y(n - 1, 2) / (Y(n - 1, 1) * Y(n, 1) * (Y(n - 1, 1) + 1))
-    h[p, mid] = Y(n - 1, 2) ** 2 * Y(n, 1) / (Y(n - 1, 2) + 1)
-    h[q, mid] = Y(n - 1, 2) ** 2 / Y(n, 1)
-    h[outer, p] = Y(n - 1, 1) / ((Y(n - 1, 2) + 1) * (Y(n, 1) + 1))
-    h[mid, p] = -1.0 / (Y(n - 1, 2) * (Y(n, 1) + 1))
-    h[p, p] = Y(n - 1, 2) * Y(n, 1) / ((Y(n - 1, 2) + 1) * (Y(n, 1) + 1))
+        h[p, mid - 2] = y[2][n - 1] * y[1][n] / ((y[2][n - 2] + 1) * (y[2][n - 1] + 1))
+        h[q, mid - 2] = y[2][n - 1] / (y[1][n] * (y[2][n - 2] + 1))
+        h[mid - 2, p] = y[2][n - 2] * y[2][n - 1] / ((y[2][n - 1] + 1) * (y[1][n] + 1))
+    h[p, outer] = 2 * y[1][n] / (y[1][n - 1] + 1) * (1 + y[2][n - 1] / (y[1][n - 1] * (y[2][n - 1] + 1)))
+    h[q, outer] = 2 * y[2][n - 1] / (y[1][n - 1] * y[1][n] * (y[1][n - 1] + 1))
+    h[p, mid] = y[2][n - 1] ** 2 * y[1][n] / (y[2][n - 1] + 1)
+    h[q, mid] = y[2][n - 1] ** 2 / y[1][n]
+    h[outer, p] = y[1][n - 1] / ((y[2][n - 1] + 1) * (y[1][n] + 1))
+    h[mid, p] = -1.0 / (y[2][n - 1] * (y[1][n] + 1))
+    h[p, p] = y[2][n - 1] * y[1][n] / ((y[2][n - 1] + 1) * (y[1][n] + 1))
     # Y(n-1,2)/(Y(n,1)(Y(n,1)+1)) - (Y(n-1,2)+1)/Y(n,1)^2, without its cancellation at high rank
-    h[q, p] = -(Y(n - 1, 2) + Y(n, 1) + 1) / (Y(n, 1) ** 2 * (Y(n, 1) + 1))
-    h[p, q] = Y(n, 1) ** 2 / (Y(n - 1, 2) + 1)
+    h[q, p] = -(y[2][n - 1] + y[1][n] + 1) / (y[1][n] ** 2 * (y[1][n] + 1))
+    h[p, q] = y[1][n] ** 2 / (y[2][n - 1] + 1)
     return h
 
 
@@ -916,7 +927,8 @@ def run_case(
                                summary["exponent_multiset_match"]), tolerances.lemma)
 
     def relations():
-        return _verdict(_worst(*relation_residuals(case).values()), tolerances.relations)
+        rel = relation_residuals(case)
+        return _verdict(_worst(*rel.values()), tolerances.relations, **rel)
 
     checks: Dict[str, Dict] = {
         "fixed_point": _guarded(fixed_point),

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import os
@@ -6,6 +7,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import yexp
@@ -399,3 +401,25 @@ def test_raising_check_is_recorded_not_fatal(capsys, monkeypatch):
     rest = {name: c["pass"] for name, c in checks.items() if name != "fixed_point"}
     assert rest == {"periodicity": True, "jacobian_fd": True, "conjecture_38": True,
                     "lemma_vectors": True, "relations": True}
+
+
+def test_verify_report_names_the_failing_relation(tmp_path, capsys, monkeypatch):
+    # one entry of L moved in row top(n - 1), which minus_outer_last alone reads
+    build_case = spectral.build_case
+
+    def moved(dt, tol):
+        case = build_case(dt, tol)
+        jac = case.jacobian.copy()
+        row = 3 * (dt.rank - 2)
+        jac[row, np.flatnonzero(jac[row])[0]] += 1e-8
+        return spectral.Case(case.point, dataclasses.replace(case.report, jacobian=jac))
+
+    monkeypatch.setattr(spectral, "build_case", moved)
+    path = tmp_path / "out.json"
+    code, _, _ = run(capsys, "verify", "--family", "C", "--rank", "6", "--json", str(path))
+    assert code == 1
+    relations = json.loads(path.read_text())["checks"]["relations"]
+    identities = {name: r for name, r in relations.items() if name not in ("residual", "pass")}
+    assert len(identities) == 14 and relations["pass"] is False
+    assert {name for name, r in identities.items() if r > spectral.Tolerances().relations} == {"minus_outer_last"}
+    assert relations["residual"] == identities["minus_outer_last"]

@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import tracemalloc
 from collections import Counter
+from typing import Callable, Dict
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from yexp.spectral import (ExponentSequence, Tolerances, build_case, c_blocks, c
                            conjectured_charpoly, csol_products, lemma_boundary_value,
                            lemma_eigenvector, lemma_summary, relation_residuals, run_case,
                            special_eigenvector, verify_c_reduction, verify_conjecture_csol)
+from yexp.yseed import log_cluster_transform, log_plus_phase
 from yexp.ysys import y_solution
 
 from test_quiver import imported_names
@@ -290,7 +293,7 @@ C_INTERIOR_KEYS = {"plus_mid_odd", "plus_outer_even", "plus_mid_even", "minus_ou
                    "minus_outer_odd"}
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 34])
 def test_every_c_relation_row_is_read(n, monkeypatch):
     # one moved entry in any row of L_+ or of L fails relations: the column vertices' rows
     # and p's and q's, which plus_white_plus and plus_white_fixed read. At odd rank the
@@ -326,6 +329,122 @@ def test_every_c_relation_row_is_read(n, monkeypatch):
         assert len(names) == 1  # each row of L is read by one identity of the second phase
         read_by_l |= names
     assert read_by_l == {name for name in keys if name.startswith("minus")}
+
+
+class _ScaledRows:
+    """Row k of diag(scale) M, built on demand from M's row `row(k)`."""
+
+    def __init__(self, scale: np.ndarray, row: Callable[[int], np.ndarray]):
+        self.scale, self.row = scale, row
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        return self.scale[k] * self.row(k)
+
+
+def c_relation_residuals_oracle(case: spectral.Case) -> Dict[str, float]:
+    """The C_n phase-factor identities psi' = J_+ psi, psi'' = J_- psi' (J_- before
+    nu) in closed form, for every psi at once: psi = diag(eta), row k eta_k e_k, so
+    psi' = diag(y') L_+ with y' = mu_+(eta) and psi'' = diag(y'') L_- L_+ with y''
+    the loop's image before nu, where (L_- L_+)[v] = L[nu(v)]. Each residual is a
+    row's max|lhs - rhs| over the lhs row's scale: a gap on a row of L_+ or of L.
+
+    Each phase maps the rows of its column vertices, (i, m) with i < n, from
+    src = psi or psi' to lhs = psi' or psi'': a vertex the phase mutates goes to
+    -src[v] / Y^2, every other to the neighbour sum of a mid (m = 2) or an outer
+    row. Top and bot rows both read Y(i, 1); p is the neighbour after node n - 1's
+    mid. Only p's and q's identities are written out, on L_+'s rows and L's."""
+    n = case.type.rank
+    Y = case.point.ysol.value
+    loop, x = case.point.loop, np.log(case.point.eta)
+    lq, nu = loop.start, list(loop.nu)
+    at = dict(zip(lq.hindex, range(lq.n_vertices)))
+    p, q = at[n, 1], at[n + 1, 1]
+    x_plus, plus = log_plus_phase(loop, x)
+    psi = _ScaledRows(case.point.eta, lambda k: np.eye(1, len(x), k)[0])
+    psi_p = _ScaledRows(np.exp(x_plus), plus.__getitem__)
+    psi_pp = _ScaledRows(np.exp(log_cluster_transform(loop, x))[nu], lambda k: case.jacobian[nu[k]])
+    worst: Dict[str, float] = {}
+
+    def record(name, rows, k, rhs):
+        r = np.max(np.abs(rows[k] - rhs)) / rows.scale[k]
+        worst[name] = spectral._worst(worst.get(name, 0.0), r)
+
+    def mid_sum(src, i):
+        terms = [src[at[i - 1, 2]] / (Y(i - 1, 2) + 1)] if i > 1 else []
+        terms += [(src[at[i, 1]] + src[at[i, 3]]) / (Y(i, 1) * (Y(i, 1) + 1)), Y(i, 2) * src[at[i, 2]],
+                  src[at[i + 1, 2]] / (Y(i + 1, 2) + 1) if i < n - 1 else src[p] / (Y(n, 1) + 1)]
+        return Y(i, 2) * sum(terms)
+
+    def outer_sum(src, i, m):
+        terms = [src[at[i - 1, m]] / (Y(i - 1, 1) + 1)] if i > 1 else []
+        terms += [Y(i, 1) * src[at[i, m]], src[at[i, 2]] / (Y(i, 2) * (Y(i, 2) + 1))]
+        terms += [src[at[i + 1, m]] / (Y(i + 1, 1) + 1)] if i < n - 1 else []
+        return Y(i, 1) * sum(terms)
+
+    for phase, mutated, lhs, src in (("plus", "+", psi_p, psi), ("minus", "-", psi_pp, psi_p)):
+        for v in range(p):  # the column vertices; p and q come last
+            i, m = lq.hindex[v]
+            row, parity = "mid" if m == 2 else "outer", "odd" if i % 2 else "even"
+            if lq.sign[v] == mutated:
+                record(f"{phase}_{row}_{parity}", lhs, v, -src[v] / Y(i, 2 if m == 2 else 1) ** 2)
+            else:  # node n - 1's sums end at p (mid) or at its own column (outer)
+                rhs = mid_sum(src, i) if m == 2 else outer_sum(src, i, m)
+                record(f"{phase}_{row}_{'last' if i == n - 1 else parity}", lhs, v, rhs)
+    mid, outer = at[n - 1, 2], psi[at[n - 1, 1]] + psi[at[n - 1, 3]]  # node n - 1's top + bot
+    record("plus_white_plus", psi_p, p, -psi[p] / Y(n, 1) ** 2)
+    rhs = (Y(n - 1, 1) + 1) ** 2 * psi[q] + (Y(n - 1, 2) + 1) * (Y(n - 1, 1) + 1) / Y(n, 1) * outer
+    record("plus_white_fixed", psi_p, q, rhs)
+    record("minus_white_plus", psi_pp, p, psi_p[mid] / Y(n, 1) - (Y(n - 1, 2) + 1) * psi[p] / Y(n, 1) ** 2)
+    rhs = Y(n, 1) * (
+        psi_p[mid] / (Y(n - 1, 2) + 1)
+        + outer / (Y(n - 1, 1) + 1)
+        + Y(n, 1) * psi[q] / (Y(n - 1, 2) + 1)
+    )
+    record("minus_white_fixed", psi_pp, q, rhs)
+    return worst
+
+
+@pytest.mark.parametrize("n", [*range(2, 42), 64, 128])
+def test_c_relation_residuals_match_the_per_row_oracle(n):
+    case = build_case(DynkinType("C", n))
+    got, want = relation_residuals(case), c_relation_residuals_oracle(case)
+    assert list(got) == list(want)
+    for name in want:
+        assert abs(got[name] - want[name]) <= 1e-15, name
+
+
+def test_c_relation_residuals_hold_no_n_by_n_temporary():
+    # beyond the L_+ that log_plus_phase returns, the node blocks hold a few rows at a time
+    case = build_case(DynkinType("C", 256))
+    size = len(case.jacobian)
+    tracemalloc.start()
+    try:
+        relation_residuals(case)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * size * size * 8
+
+
+@pytest.mark.parametrize("row,col", [(0, 110), (100, 0)])
+def test_an_entry_off_a_block_window_fails_relations(row, col, monkeypatch):
+    # C40's two node blocks compute their rules on the columns of their nodes, two more nodes
+    # on each side, p and q; an entry of L or of L_+ off them, in either block, still fails relations
+    case = build_case(DynkinType("C", 40))
+    tol = Tolerances().relations
+    jac = case.jacobian.copy()
+    jac[row, col] += 1e-6
+    broken = spectral.Case(case.point, dataclasses.replace(case.report, jacobian=jac))
+    assert max(relation_residuals(broken).values()) > tol
+    log_plus_phase = spectral.log_plus_phase
+
+    def moved(loop, x):
+        x_plus, plus = log_plus_phase(loop, x)
+        plus[row, col] += 1e-6
+        return x_plus, plus
+
+    monkeypatch.setattr(spectral, "log_plus_phase", moved)
+    assert max(relation_residuals(case).values()) > tol
 
 
 def test_relation_residuals_odd_rank_rejected():
