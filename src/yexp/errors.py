@@ -1,14 +1,6 @@
 """Exception types shared across the package."""
 
 
-class MutationDomainError(ArithmeticError):
-    """A Y-seed mutation hit a pole (Y_k = 0 or a factor 1 + Y_k^{-1} = 0)."""
-
-    def __init__(self, vertex, message=None):
-        self.vertex = vertex
-        super().__init__(message or f"mutation at vertex {vertex} hit a pole")
-
-
 class LoopPropertyError(RuntimeError):
     """The mutated quiver did not return to its start under nu."""
 

@@ -164,11 +164,6 @@ class QTable:
             return 1.0
         return self.values[(i, m)]
 
-    def interior_items(self):
-        for i in range(1, self.rank + 1):
-            for m in range(1, self.t_i[i - 1] * self.level):
-                yield (i, m), self.value(i, m)
-
 
 def index_set_H(dt: DynkinType, level: int = 2) -> Tuple[Tuple[int, int], ...]:
     """All (i, m) with 1 <= i <= rank and 1 <= m <= t_i * level - 1."""
@@ -270,38 +265,6 @@ def check_restricted_qsystem(qt: QTable) -> float:
     product; one array expression over H."""
     _, q, ends, y = _q_and_y(qt)
     return float(np.max(np.abs(q * q - ends * (1.0 + y)) / (q * q)))
-
-
-def check_qsol_properties(dt: DynkinType, level: int = 2, vanish_terms: int = None) -> Dict[str, float]:
-    """Residuals for the three structural properties of the KR solution.
-
-    symmetry:  Q_m = Q_{t_i*level - m} across each node's table;
-    growth:    strict increase on the first half (reported as the worst
-               margin violation, 0.0 when strictly increasing);
-    vanishing: |Q_{t_i*level + j}| for 1 <= j <= t_i*h_dual - 1 (capped at
-               `vanish_terms` values per node to keep enumeration small).
-    """
-    rs = build_root_system(dt)
-    qt = kr_qtable(dt, level)
-    sym = 0.0
-    growth = 0.0
-    for i in range(1, dt.rank + 1):
-        top = rs.t_i[i - 1] * level
-        for m in range(0, top + 1):
-            sym = max(sym, abs(qt.value(i, m) - qt.value(i, top - m)))
-        for m in range(0, top // 2):
-            margin = qt.value(i, m + 1) - qt.value(i, m)
-            if margin <= 0:
-                growth = max(growth, -margin + 1e-300)
-    cells = []
-    for i in range(1, dt.rank + 1):
-        top = rs.t_i[i - 1] * level
-        jmax = rs.t_i[i - 1] * rs.h_dual - 1
-        if vanish_terms is not None:
-            jmax = min(jmax, vanish_terms)
-        cells += [(i, top + j) for j in range(1, jmax + 1)]
-    vanish = float(np.max(np.abs(_kr_values(rs, level, cells)), initial=0.0))
-    return {"symmetry": sym, "growth": growth, "vanishing": vanish}
 
 
 def qtable_csv(qt: QTable) -> str:

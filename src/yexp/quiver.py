@@ -82,16 +82,6 @@ def mutate_quiver(q: Quiver, k: int) -> Quiver:
     return Quiver(b)
 
 
-def permute_quiver(q: Quiver, nu: Sequence[int]) -> Quiver:
-    """Relabel vertices: nu(Q)_{i,j} = Q_{nu^-1(i), nu^-1(j)}."""
-    nu = list(nu)
-    if sorted(nu) != list(range(q.n_vertices)):
-        raise ValueError("nu is not a bijection on the vertex set")
-    b = np.zeros_like(q.arrows)
-    b[np.ix_(nu, nu)] = q.arrows
-    return Quiver(b)
-
-
 @dataclass(frozen=True)
 class LabeledQuiver:
     """Dynkin quiver with vertex colors, phase signs, folding nu, and coordinates.
@@ -214,10 +204,6 @@ class MutationLoop:
     minus_set: Tuple[int, ...]
     nu: Tuple[int, ...]
     programs: Tuple[LogProgram, ...] = field(compare=False, repr=False)
-
-    @property
-    def sequence(self):
-        return self.plus_set + self.minus_set
 
     @property
     def n_vertices(self):

@@ -37,7 +37,7 @@ class ExponentSequence:
     exponents: Tuple[int, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectralReport:
     type: DynkinType
     jacobian: np.ndarray
@@ -91,11 +91,8 @@ def spectrum(loop: MutationLoop, eta) -> SpectralReport:
     eigs = np.linalg.eigvals(jac)
     exps, snap = snap_exponents(eigs, period)
     residuals = {
-        "unit_circle": float(np.max(np.abs(np.abs(eigs) - 1.0))),
-        "exponent_snap": float(snap),
-        "power_identity": float(
-            np.max(np.abs(np.linalg.matrix_power(jac, period) - np.eye(len(jac))))
-        ),
+        "exponent_snap": snap,
+        "power_identity": float(np.max(np.abs(np.linalg.matrix_power(jac, period) - np.eye(len(jac))))),
     }
     return SpectralReport(
         type=dt,
@@ -110,17 +107,20 @@ def check_conjecture_38(rep: SpectralReport, tol: float) -> Dict:
     """Verdict on det(zI - L) = N/D for the Jacobian L of a spectrum report.
 
     Passes when D is contained in N, N - D equals the snapped spectrum exactly,
-    and max(snap error, |L^P - I|_max) is within `tol`. With L^P = I the minimal
-    polynomial of L divides the separable z^P - 1, so L is diagonalizable and
-    its eigenvalue multiset fixes det(zI - L), which is det(zI - J).
+    and max(snap error, |L^P - I|_max) is within `tol`; the verdict carries both,
+    `exponent_snap` and `power_identity`. With L^P = I the minimal polynomial of L
+    divides the separable z^P - 1, so L is diagonalizable and its eigenvalue
+    multiset fixes det(zI - L), which is det(zI - J). The snap error also bounds
+    every ||lambda| - 1|.
     """
     num, den = conjectured_charpoly(build_root_system(rep.type))
-    residual = _worst(rep.residuals["exponent_snap"], rep.residuals["power_identity"])
+    snap, power = rep.residuals["exponent_snap"], rep.residuals["power_identity"]
     division_exact = bool((den <= num).all())
     quotient_matches = np.array_equal(np.maximum(num - den, 0),
                                       np.bincount(rep.exponents.exponents, minlength=len(num)))
-    return _verdict(residual, tol, division_exact and quotient_matches,
-                    division_exact=division_exact, quotient_matches_spectrum=quotient_matches)
+    return _verdict(_worst(snap, power), tol, division_exact and quotient_matches, exponent_snap=snap,
+                    power_identity=power, division_exact=division_exact,
+                    quotient_matches_spectrum=quotient_matches)
 
 
 @dataclass(frozen=True)
@@ -430,15 +430,6 @@ def _lemma_vectors(case: Case, a: np.ndarray):
     return lam, phi, residuals
 
 
-def lemma_eigenvector(case: Case, a: int):
-    """Closed-form eigenvector phi of J at lambda = zeta^a; returns (lambda, phi, residual on L)."""
-    amax = lemma_parameters(case.type)
-    if not 1 <= a <= amax:
-        raise ValueError(f"a = {a} out of range 1..{amax}")
-    lam, phi, residuals = _lemma_vectors(case, np.array([a]))
-    return lam[0], phi[:, 0], float(residuals[0])
-
-
 def special_eigenvector(case: Case):
     """The lambda = -1 vector supported on the two symmetric vertices. eta is equal
     there, so it is an eigenvector of L as of J."""
@@ -486,7 +477,7 @@ def lemma_summary(case: Case) -> Dict[str, float]:
 
 # ------------------------------------------------------------- type-C blocks
 
-@dataclass
+@dataclass(frozen=True)
 class CBlockPair:
     """The C_n block split of L: the hat blocks, the reduced blocks K(lambda) and
     L(lambda) on their bands (at one lambda or an array of them), and L's eigenvalues,

@@ -7,9 +7,7 @@ gather, a softplus, a gather, a multiply and a row sum, on one point or a batch.
 There orbits stay finite and the Jacobian L = diag(1/y') J diag(y) stays within
 the arrow multiplicities at every rank. This module runs the programs and is the
 one engine: the y-space `cluster_transform` and `loop_jacobian` are views of it,
-defined at positive points only (anything else raises ValueError). The
-single-mutation rule `mutate_yseed` is the reference that the programs are
-tested against.
+defined at positive points only (anything else raises ValueError).
 """
 
 from __future__ import annotations
@@ -19,16 +17,10 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import MutationDomainError
-from .quiver import LogProgram, MutationLoop, Quiver, mutate_quiver
+from .quiver import LogProgram, MutationLoop
 
 _FD_COLUMNS = 64  # columns per finite-difference batch
-
-
-@dataclass(frozen=True)
-class YSeed:
-    quiver: Quiver
-    values: Tuple
+_FD_STEP = 1e-6  # the central-difference step in x = log y
 
 
 @dataclass(frozen=True)
@@ -37,35 +29,6 @@ class LoopJacobian:
     and L the log-coordinate Jacobian."""
 
     matrix: np.ndarray
-
-
-def _mutate_values(arrows: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
-    """The Y-seed value rule at k, applied to a copy of y."""
-    yk = y[k]
-    if yk == 0:
-        raise MutationDomainError(k)
-    out = y.copy()
-    out[k] = 1.0 / yk
-    for i in np.flatnonzero(arrows[k] + arrows[:, k]):  # the neighbours of k; no other value changes
-        a = arrows[k, i]
-        b = arrows[i, k]
-        if a > 0:
-            base = 1.0 / yk + 1.0
-            if base == 0:
-                raise MutationDomainError(k)
-            out[i] = y[i] * base ** (-a)
-        elif b > 0:
-            out[i] = y[i] * (yk + 1.0) ** b
-    if not np.isfinite(out).all():
-        raise MutationDomainError(k, f"mutation at vertex {k} produced a non-finite value")
-    return out
-
-
-def mutate_yseed(seed: YSeed, k: int) -> YSeed:
-    """Single Y-seed mutation at vertex k."""
-    y = np.asarray(seed.values, dtype=complex if any(isinstance(v, complex) for v in seed.values) else float)
-    out = _mutate_values(seed.quiver.arrows, y, k)
-    return YSeed(mutate_quiver(seed.quiver, k), tuple(out))
 
 
 def _softplus(t: np.ndarray) -> np.ndarray:
@@ -188,8 +151,8 @@ def loop_jacobian(loop: MutationLoop, y) -> LoopJacobian:
     return LoopJacobian(log_loop_jacobian(loop, x) * np.exp(log_cluster_transform(loop, x))[:, None] / y)
 
 
-def finite_difference_jacobian(loop: MutationLoop, y, h: float = 1e-6) -> np.ndarray:
-    """Central-difference `log_loop_jacobian` at x = log y, for one positive y (test oracle).
+def finite_difference_jacobian(loop: MutationLoop, y) -> np.ndarray:
+    """Central-difference `log_loop_jacobian` at x = log y, step _FD_STEP, for one positive y.
 
     The shifted points run through `log_cluster_transform` in batches of
     _FD_COLUMNS columns (2 _FD_COLUMNS points), so the batch's temporaries stay
@@ -201,7 +164,7 @@ def finite_difference_jacobian(loop: MutationLoop, y, h: float = 1e-6) -> np.nda
     for lo in range(0, n, _FD_COLUMNS):
         m = min(_FD_COLUMNS, n - lo)
         step = np.zeros((m, n))
-        step[np.arange(m), lo + np.arange(m)] = h
+        step[np.arange(m), lo + np.arange(m)] = _FD_STEP
         images = log_cluster_transform(loop, (x + np.vstack((step, -step))).T)
-        jac[:, lo:lo + m] = (images[:, :m] - images[:, m:]) / (2 * h)
+        jac[:, lo:lo + m] = (images[:, :m] - images[:, m:]) / (2 * _FD_STEP)
     return jac

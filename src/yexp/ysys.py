@@ -24,8 +24,10 @@ import numpy as np
 from .errors import ConvergenceError, FixedPointError
 from .qsys import QTable, _g_matrix, _q_and_y, closed_form_qtable, index_set_H
 from .quiver import LabeledQuiver, MutationLoop, build_mutation_loop
-from .rootsys import DynkinType, RootSystem
+from .rootsys import DynkinType
 from .yseed import _positive_points, log_cluster_transform, log_loop_jacobian
+
+_NEWTON_TOL = 1e-12  # Newton stops once max|mu_gamma(y) - y| / |y| is within this
 
 
 @dataclass(frozen=True)
@@ -47,13 +49,6 @@ class GReading:
 
 
 READING = GReading("row", "first/second", "swapped", "direct")
-
-
-def g_coefficient(rs: RootSystem, i: int, m: int, j: int, k: int) -> int:
-    """Coupling exponent G[(i, m), (j, k)] attached to (j, k) in the Q-system relation at (i, m)."""
-    level = max(2, m // rs.t_i[i - 1] + 1, k // rs.t_i[j - 1] + 1)  # least level whose H holds both
-    H = index_set_H(rs.type, level)
-    return int(_g_matrix(rs.type, level)[H.index((i, m)), H.index((j, k))])
 
 
 @dataclass(frozen=True)
@@ -154,12 +149,7 @@ def assemble_eta(dt: DynkinType, tol: float = 1e-9) -> EtaPoint:
     return EtaPoint(loop, eta, ys, worst)
 
 
-def newton_fixed_point(
-    loop: MutationLoop,
-    start=None,
-    tol: float = 1e-12,
-    max_iter: int = 60,
-) -> np.ndarray:
+def newton_fixed_point(loop: MutationLoop, start=None, max_iter: int = 60) -> np.ndarray:
     """Newton solve of mu_gamma(y) = y in log coordinates, from a positive start (default all ones).
 
     The start must be one positive, finite point of N values (`yseed._positive_points`),
@@ -169,7 +159,7 @@ def newton_fixed_point(
     every iterate y = e^x is positive. The step length t starts at 1 and is halved
     until |F(x + t step)| <= (1 - 1e-4 t) |F(x)|, which a non-finite F never meets
     (Armijo backtracking; Dennis and Schnabel 1983, sec. 6.3). Converged when
-    max|expm1(F)| = max|mu_gamma(y) - y| / |y| <= tol; raises ConvergenceError
+    max|expm1(F)| = max|mu_gamma(y) - y| / |y| <= _NEWTON_TOL; raises ConvergenceError
     when t falls below machine epsilon or max_iter steps do not converge.
     """
     n = loop.n_vertices
@@ -183,7 +173,7 @@ def newton_fixed_point(
     last = math.inf
     for _ in range(max_iter):
         last = float(np.max(np.abs(np.expm1(f))))
-        if last <= tol:
+        if last <= _NEWTON_TOL:
             return np.exp(x)
         step = np.linalg.solve(log_loop_jacobian(loop, x) - np.eye(n), -f)
         t = 1.0

@@ -10,17 +10,17 @@ import pytest
 
 import yexp
 from yexp import DynkinType
-from yexp.quiver import Quiver, build_mutation_loop, mutate_quiver, permute_quiver
+from yexp.quiver import Quiver, build_mutation_loop, mutate_quiver
 from yexp.rootsys import build_root_system, group_constants
 from yexp.spectral import (Tolerances, build_case, c_blocks, c_determinants, check_conjecture_38,
                            conjectured_charpoly, lemma_summary, relation_residuals,
                            verify_c_reduction, verify_conjecture_csol)
-from yexp.yseed import (YSeed, check_periodicity, cluster_transform,
-                        finite_difference_jacobian, log_loop_jacobian, mutate_yseed)
+from yexp.yseed import check_periodicity, cluster_transform, finite_difference_jacobian, log_loop_jacobian
 from yexp.ysys import (assemble_eta, calibrate_reading, check_ysystem,
                        closed_form_y_exact, newton_fixed_point, y_from_q, y_solution)
-from yexp.qsys import (check_qsol_properties, check_restricted_qsystem,
-                       closed_form_qtable, kr_qtable)
+from yexp.qsys import check_restricted_qsystem, closed_form_qtable, kr_qtable
+
+from oracles import check_qsol_properties, mutate_values, permute_quiver
 
 
 def report(num: int, description: str, passed: bool, detail: str = ""):
@@ -72,7 +72,7 @@ def test_criterion_02_yseed_engine():
     worst = 0.0
     for _ in range(100):
         y = rng.uniform(0.2, 3.0, 4)
-        got = np.array(mutate_yseed(YSeed(q, tuple(y)), 1).values)
+        got = mutate_values(q.arrows, y, 1)
         want = np.array([
             y[0] * (y[1] + 1),
             1 / y[1],
@@ -80,8 +80,8 @@ def test_criterion_02_yseed_engine():
             y[3] * (1 / y[1] + 1) ** -1,
         ])
         worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
-        back = mutate_yseed(mutate_yseed(YSeed(q, tuple(y)), 1), 1)
-        worst = max(worst, float(np.max(np.abs(np.array(back.values) - y) / y)))
+        back = mutate_values(mutate_quiver(q, 1).arrows, got, 1)
+        worst = max(worst, float(np.max(np.abs(back - y) / y)))
     report(2, "Y-seed engine: worked example at 100 random points + involution",
            worst <= 1e-12, f"worst {worst:.2e}")
 
@@ -92,7 +92,7 @@ def test_criterion_03_mutation_loop_validity():
     for dt in FAMILY_RANKS(10):
         loop = build_mutation_loop(dt)  # raises if Q != nu(Q'') already
         q_ref = loop.start.quiver
-        for k in loop.sequence:
+        for k in loop.plus_set + loop.minus_set:
             q_ref = mutate_quiver(q_ref, k)
         ok = ok and permute_quiver(q_ref, loop.nu) == loop.start.quiver
         for _ in range(3):
@@ -148,7 +148,7 @@ def test_criterion_06_jacobian():
         ep = assemble_eta(dt)
         _, _, period = group_constants(dt)
         jac = log_loop_jacobian(ep.loop, np.log(ep.eta))
-        fd = finite_difference_jacobian(ep.loop, ep.eta, h=1e-6)
+        fd = finite_difference_jacobian(ep.loop, ep.eta)
         worst_fd = max(worst_fd, float(np.max(np.abs(jac - fd))))
         power = np.linalg.matrix_power(jac, period)
         worst_pow = max(worst_pow, float(np.max(np.abs(power - np.eye(len(jac))))))

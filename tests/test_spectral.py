@@ -13,9 +13,9 @@ from yexp.quiver import build_dynkin_quiver
 from yexp.rootsys import DynkinType, build_root_system, group_constants
 from yexp.spectral import (ExponentSequence, Tolerances, build_case, c_blocks, c_determinants,
                            case_passed, check_conjecture_38, check_jacobian_fd,
-                           conjectured_charpoly, csol_products, lemma_boundary_value,
-                           lemma_eigenvector, lemma_summary, relation_residuals, run_case,
-                           special_eigenvector, verify_c_reduction, verify_conjecture_csol)
+                           conjectured_charpoly, csol_products, lemma_boundary_value, lemma_summary,
+                           relation_residuals, run_case, special_eigenvector, verify_c_reduction,
+                           verify_conjecture_csol)
 from yexp.yseed import log_cluster_transform, log_plus_phase
 from yexp.ysys import y_solution
 
@@ -129,8 +129,7 @@ def test_spectrum_b2():
     rep = build_case(DynkinType("B", 2)).report
     assert rep.exponents.period == 10
     assert rep.exponents.exponents == (2, 4, 5, 6, 8)
-    assert rep.residuals["unit_circle"] <= 1e-8
-    assert rep.residuals["exponent_snap"] <= 1e-6
+    assert rep.residuals["exponent_snap"] <= 1e-8
     assert rep.residuals["power_identity"] <= 1e-7
 
 
@@ -157,7 +156,7 @@ def test_exponent_symmetry_and_charpoly(dt):
     exps = list(rep.exponents.exponents)
     mirrored = sorted((period - m) % period for m in exps)
     assert mirrored == exps
-    assert rep.residuals["unit_circle"] <= 1e-7
+    assert rep.residuals["exponent_snap"] <= 1e-7
     assert np.array_equal(quotient_exponents(dt), histogram(rep.exponents.exponents, period))
 
 
@@ -238,6 +237,22 @@ def test_quotient_closed_form_c(n):
     assert np.array_equal(quotient_exponents(dt), histogram(exponents_from_poly(poly_c(n), period), period))
 
 
+@pytest.mark.parametrize("dt", [DynkinType("A", 5), DynkinType("B", 6), DynkinType("C", 5), DynkinType("D", 8)],
+                         ids=str)
+def test_conjecture_38_reports_its_two_residuals(dt):
+    case = build_case(dt)
+    verdict = check_conjecture_38(case.report, Tolerances().charpoly)
+    assert case.report.residuals.keys() == {"exponent_snap", "power_identity"}
+    assert {k: verdict[k] for k in case.report.residuals} == case.report.residuals
+    assert verdict["residual"] == max(case.report.residuals.values())
+    assert run_case(dt)["checks"]["conjecture_38"] == verdict
+    # a nan in either residual is the verdict's residual, and fails it
+    for name in case.report.residuals:
+        rep = dataclasses.replace(case.report, residuals={**case.report.residuals, name: math.nan})
+        verdict = check_conjecture_38(rep, Tolerances().charpoly)
+        assert math.isnan(verdict["residual"]) and math.isnan(verdict[name]) and verdict["pass"] is False
+
+
 @pytest.mark.parametrize("dt", [DynkinType("B", 6), DynkinType("D", 8), DynkinType("A", 4)], ids=str)
 def test_verify_conjecture_examples(dt):
     verdict = check_conjecture_38(build_case(dt).report, Tolerances().charpoly)
@@ -249,7 +264,7 @@ def test_conjecture_38_rejects_a_wrong_spectrum():
     rep = build_case(DynkinType("B", 6)).report
     assert check_conjecture_38(rep, Tolerances().charpoly)["pass"] is True
     exps = rep.exponents.exponents
-    rep.exponents = ExponentSequence(rep.exponents.period, (exps[0] + 1,) + exps[1:])
+    rep = dataclasses.replace(rep, exponents=ExponentSequence(rep.exponents.period, (exps[0] + 1,) + exps[1:]))
     verdict = check_conjecture_38(rep, 1e-7)
     assert verdict["division_exact"] is True
     assert verdict["quotient_matches_spectrum"] is False
@@ -468,19 +483,12 @@ def test_lemma_eigenvectors(fam, n):
 
 def test_lemma_single_vector_b4():
     case = build_case(DynkinType("B", 4))
-    lam, psi, res = lemma_eigenvector(case, 3)
-    assert abs(lam - np.exp(2j * np.pi * 3 / 9)) <= 1e-12
-    assert res <= 1e-8
+    lams, _, res = spectral._lemma_vectors(case, np.array([3]))
+    assert abs(lams[0] - np.exp(2j * np.pi * 3 / 9)) <= 1e-12
+    assert res[0] <= 1e-8
     lam, psi, res = special_eigenvector(case)
     assert lam == -1.0 and res <= 1e-8
     assert psi[3] == 1.0 and psi[5] == -1.0
-
-
-def test_lemma_a_out_of_range():
-    with pytest.raises(ValueError):
-        lemma_eigenvector(build_case(DynkinType("B", 4)), 9)
-    with pytest.raises(ValueError):
-        lemma_eigenvector(build_case(DynkinType("D", 4)), 4)
 
 
 def test_lemma_boundary_values():
@@ -621,9 +629,10 @@ def test_lemma_summary_matches_the_per_a_loop(dt):
 @pytest.mark.parametrize("dt", [DynkinType("B", 6), DynkinType("D", 8)], ids=str)
 def test_lemma_eigenvector_is_a_column_of_the_batch(dt):
     case = build_case(dt)
-    for a in range(1, spectral.lemma_parameters(dt) + 1):
-        lam, phi, res = lemma_eigenvector(case, a)
-        want_lam, want_phi, want_res = oracle_eigenvector(case, a)
+    a_all = np.arange(1, spectral.lemma_parameters(dt) + 1)
+    lams, phis, residuals = spectral._lemma_vectors(case, a_all)
+    for a, lam, phi, res in zip(a_all, lams, phis.T, residuals, strict=True):
+        want_lam, want_phi, want_res = oracle_eigenvector(case, int(a))
         assert lam == want_lam
         np.testing.assert_allclose(phi, want_phi, rtol=1e-14, atol=0)
         assert abs(res - want_res) <= 1e-12
