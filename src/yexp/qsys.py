@@ -3,8 +3,10 @@
 The q-dimension of an irreducible character is a product of sine ratios
 over positive roots; KR characters at level ell are finite sums of such
 terms. At level 2 the sums collapse to closed forms, which this module
-also provides directly. The restricted Q-system couples the table through the
-integer matrix G over the index set H (`_g_matrix`), which `ysys` reads too.
+also provides directly. A q-table lists the KR terms of all of its cells in one
+pass (`_kr_terms`) and evaluates them in one stacked `qdim` call. The restricted
+Q-system couples the table through the integer matrix G over the index set H,
+kept as its O(rank) nonzero entries (`_g_entries`), which `ysys` reads too.
 """
 
 from __future__ import annotations
@@ -12,12 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import accumulate
 from typing import Dict, Tuple
 
 import numpy as np
 
-from .rootsys import DynkinType, RootSystem, build_root_system
+from .rootsys import DynkinType, RootSystem, build_root_system, cartan_entries
 
 _QDIM_ENTRIES = 1 << 14  # (weight, root) pairs per qdim block
 
@@ -73,44 +75,53 @@ def qdim(rs: RootSystem, level: int, weight):
     return float(q) if weight.ndim == 1 else q
 
 
-def _kr_terms(dt: DynkinType, t_i, i: int, m: int):
-    """Weight tuples (fundamental coordinates) of the KR character sum."""
+def _kr_terms(dt: DynkinType, t_i, cells):
+    """Weight tuples (fundamental coordinates) of the KR character sums, one list per
+    cell (i, m) of `cells`, in its sum's order.
+
+    Type C below node n takes k_1 + ... + k_i <= m with k_j = m*delta_{i,j} (mod 2),
+    in lexicographic order, for all of its cells in one pass over the nodes: the even
+    prefixes (k_1, ..., k_{i-1}) with their sums s grow one coordinate at a time under
+    the largest budget, and each cell at node i appends k_i = m % 2, m % 2 + 2, ..., m - s
+    to each of them, none where s > m.
+    """
     n = dt.rank
-    if m == 0:
-        return [tuple([0] * n)]
+    out = [None] * len(cells)
+    pending = {}  # type-C node -> [(cell index, m)]
+    for c, (i, m) in enumerate(cells):
+        if m == 0 or dt.family == "A" or (dt.family == "C" and i == n) or (dt.family == "D" and i >= n - 1):
+            out[c] = [(0,) * (i - 1) + (m,) + (0,) * (n - i)]
+        elif dt.family in ("B", "D"):
+            out[c] = _chain_terms(n, t_i[i - 1], i, m)
+        else:
+            pending.setdefault(i, []).append((c, m))
+    if pending:
+        budget = max(m for node in pending.values() for _, m in node)
+        prefixes = [((), 0)]
+        for i in range(1, max(pending) + 1):
+            if i > 1:
+                prefixes = [(p + (k,), s + k) for p, s in prefixes for k in range(0, budget - s + 1, 2)]
+            tail = (0,) * (n - i)
+            for c, m in pending.get(i, ()):
+                out[c] = [p + (k,) + tail for p, s in prefixes for k in range(m % 2, m - s + 1, 2)]
+    return out
+
+
+def _chain_terms(n, ti, i, m):
+    """B/D chain k_{i'}, k_{i'+2}, ..., k_{i-2}, k_i with t_i * (k_{i'} + ... + k_{i-2}) + k_i = m;
+    node 0 contributes no weight."""
+    ip = i % 2
+    interior = list(range(ip, i - 1, 2))
     terms = []
-    if dt.family == "A" or (dt.family == "C" and i == n) or (dt.family == "D" and i >= n - 1):
-        w = [0] * n
-        w[i - 1] = m
-        return [tuple(w)]
-    if dt.family in ("B", "D"):
-        # chain k_{i'}, k_{i'+2}, ..., k_{i-2}, k_i with
-        # t_i * (k_{i'} + ... + k_{i-2}) + k_i = m; node 0 contributes no weight
-        ip = i % 2
-        interior = list(range(ip, i - 1, 2))
-        ti = t_i[i - 1]
-        for s in range(m // ti + 1):
-            ki = m - ti * s
-            for combo in _compositions(s, len(interior)):
-                w = [0] * n
-                for node, c in zip(interior, combo):
-                    if node > 0:
-                        w[node - 1] = c
-                w[i - 1] += ki
-                terms.append(tuple(w))
-        return terms
-    # C, 1 <= i <= n-1: k_1 + ... + k_i <= m with k_j = m*delta_{i,j} (mod 2),
-    # in lexicographic order, each coordinate bounded by what the sum leaves
-    tail = (0,) * (n - i)
-
-    def extend(prefix, budget):
-        if len(prefix) == i - 1:
-            terms.extend(prefix + (k,) + tail for k in range(m % 2, budget + 1, 2))
-            return
-        for k in range(0, budget + 1, 2):
-            extend(prefix + (k,), budget - k)
-
-    extend((), m)
+    for s in range(m // ti + 1):
+        ki = m - ti * s
+        for combo in _compositions(s, len(interior)):
+            w = [0] * n
+            for node, c in zip(interior, combo):
+                if node > 0:
+                    w[node - 1] = c
+            w[i - 1] += ki
+            terms.append(tuple(w))
     return terms
 
 
@@ -127,9 +138,10 @@ def _compositions(total, parts):
 
 
 def _kr_values(rs: RootSystem, level: int, cells) -> np.ndarray:
-    """Q_m^{(i)} for each (i, m) in `cells`: every cell's terms stacked into one
-    `qdim` call, each cell's q-dimensions summed in term order by one bincount."""
-    terms = [_kr_terms(rs.type, rs.t_i, i, m) for i, m in cells]
+    """Q_m^{(i)} for each (i, m) in `cells`: every cell's terms, listed in one `_kr_terms`
+    pass, stacked into one `qdim` call, each cell's q-dimensions summed in term order by
+    one bincount."""
+    terms = _kr_terms(rs.type, rs.t_i, cells)
     stack = np.array([w for cell in terms for w in cell], dtype=np.int64).reshape(-1, rs.type.rank)
     owner = np.repeat(np.arange(len(terms)), [len(cell) for cell in terms])
     return np.bincount(owner, weights=qdim(rs, level, stack), minlength=len(terms))
@@ -175,41 +187,50 @@ def index_set_H(dt: DynkinType, level: int = 2) -> Tuple[Tuple[int, int], ...]:
     )
 
 
-def _g_formula(t_i, cartan: np.ndarray, a: int, bm: int, c: int, dk: int) -> int:
-    """Coupling formula on first pair (a, bm), second pair (c, dk); the case is picked by
-    t_a / t_c, which is 1, 2 or 1/2 for the classical types (every t_i is 1 or 2)."""
-    ta, tc = t_i[a - 1], t_i[c - 1]
-    if ta == 2 * tc:
-        coef = -cartan[c - 1, a - 1]
-        return coef * ((bm == 2 * dk - 1) + 2 * (bm == 2 * dk) + (bm == 2 * dk + 1))
-    return -cartan[a - 1, c - 1] * (tc * bm == ta * dk)
-
-
 @lru_cache(maxsize=None)
-def _g_matrix(dt: DynkinType, level: int) -> np.ndarray:
-    """Read-only integer G[p, q] = `_g_formula` on pairs H[p], H[q] of H = index_set_H(dt, level)
-    with the row Cartan matrix; it vanishes unless the Cartan matrix couples the two nodes, so
-    only those node pairs are visited."""
-    rs = build_root_system(dt)
-    cartan = np.array(rs.cartan)
-    H = index_set_H(dt, level)
-    pos = {h: p for p, h in enumerate(H)}
-    g = np.zeros((len(H), len(H)), dtype=np.int64)
-    for a, c in np.argwhere((cartan != 0) | (cartan.T != 0)) + 1:
-        for bm, dk in iproduct(range(1, rs.t_i[a - 1] * level), range(1, rs.t_i[c - 1] * level)):
-            g[pos[(a, bm)], pos[(c, dk)]] = _g_formula(rs.t_i, cartan, a, bm, c, dk)
-    g.setflags(write=False)
-    return g
+def _g_entries(dt: DynkinType, level: int):
+    """G's nonzero entries over H = index_set_H(dt, level) as read-only (rows, cols, values)
+    integer arrays, sorted row-major.
+
+    G[(a, b), (c, d)] vanishes unless the row Cartan matrix C couples nodes a and c. The case
+    is picked by t_a / t_c (every t_i is 1 or 2): -C_ac at t_c b = t_a d, except that
+    t_a = 2 t_c gives -C_ca times 1, 2, 1 at b = 2d - 1, 2d, 2d + 1. So each coupled pair
+    runs over s = 1 .. min(t_a, t_c) level - 1 with (b, d) = (t_a, t_c) s / min(t_a, t_c),
+    and b - 1, b + 1 too in the last case.
+    """
+    t = np.array(build_root_system(dt).t_i)
+    a, c, cac = cartan_entries(dt)
+    cca = cac[np.lexsort((a, c))]  # the coupled pairs are closed under transposition
+    conv = t[a] == 2 * t[c]
+    low = np.minimum(t[a], t[c])
+    sizes = t * level - 1  # H holds (i, 1), ..., (i, t_i * level - 1)
+    first = np.cumsum(sizes) - sizes  # H's position of (i, 1)
+    count = low * level - 1
+    pair = np.repeat(np.arange(len(a)), count)
+    s = np.arange(1, len(pair) + 1) - np.repeat(np.cumsum(count) - count, count)
+    pair, s = pair[:, None], s[:, None]
+    weight = np.where(conv[pair], [1, 2, 1], [0, 1, 0])
+    rows = first[a][pair] + (t[a] // low)[pair] * s + [-2, -1, 0]  # H's position of (a, b + delta), delta = -1, 0, 1
+    cols = np.broadcast_to(first[c][pair] + (t[c] // low)[pair] * s - 1, weight.shape)
+    values = -np.where(conv, cca, cac)[pair] * weight
+    keep = values != 0
+    rows, cols, values = rows[keep], cols[keep], values[keep]
+    order = np.lexsort((cols, rows))
+    entries = rows[order], cols[order], values[order]
+    for e in entries:
+        e.setflags(write=False)
+    return entries
 
 
 def _q_and_y(qt: QTable):
     """(H, Q_m, Q_{m-1} Q_{m+1}, Y_m) over H = index_set_H, the last three as arrays,
-    with Y = Q_m^2 prod Q^G / (Q_{m-1} Q_{m+1})."""
+    with Y = Q_m^2 prod Q^G / (Q_{m-1} Q_{m+1}); G log Q is one bincount over G's entries."""
     H = index_set_H(qt.type, qt.level)
     q = np.array([qt.value(i, m) for i, m in H])
     ends = np.array([qt.value(i, m - 1) * qt.value(i, m + 1) for i, m in H])
-    g = _g_matrix(qt.type, qt.level)
-    return H, q, ends, q * q * np.exp(g @ np.log(q)) / ends
+    rows, cols, g = _g_entries(qt.type, qt.level)
+    g_log_q = np.bincount(rows, weights=g * np.log(q)[cols], minlength=len(H))
+    return H, q, ends, q * q * np.exp(g_log_q) / ends
 
 
 def kr_qtable(dt: DynkinType, level: int = 2) -> QTable:
@@ -248,11 +269,10 @@ def closed_form_qtable(dt: DynkinType) -> QTable:
         sh = _sin_pi(np.arange(n + 4), 2 * (n + 3)).tolist()  # s at half-integer arguments
         for i in range(1, n + 1):
             vals[(i, 1)] = sh[i + 1] * sh[i + 3] * s[i + 2] / (sh[1] * sh[3] * s[2])
+        # running sums of s[j] s[j + 1] s[j + 2] from j = 0, added left to right
+        partial = list(accumulate(s[j] * s[j + 1] * s[j + 2] for j in range(n)))
         for i in range(1, n):
-            vals[(i, 2)] = (
-                2 * sum(s[j] * s[j + 1] * s[j + 2] for j in range(0, i + 1))
-                + s[i + 1] * s[i + 2] * s[i + 3]
-            ) / (s[1] * s[2] * s[3])
+            vals[(i, 2)] = (2 * partial[i] + s[i + 1] * s[i + 2] * s[i + 3]) / (s[1] * s[2] * s[3])
             vals[(i, 3)] = vals[(i, 1)]
     for i in range(1, n + 1):
         vals[(i, 0)] = vals[(i, rs.t_i[i - 1] * 2)] = 1.0

@@ -69,20 +69,25 @@ def _pairings(ends, w):
     return prefix[..., hi1] - prefix[..., lo1] + prefix[..., hi2] - prefix[..., lo2]
 
 
-def _cartan(dt: DynkinType):
-    """Row convention C_ij = 2<alpha_i, alpha_j>/<alpha_i, alpha_i>."""
+def cartan_entries(dt: DynkinType):
+    """The nonzero entries of the row Cartan matrix C_ij = 2<alpha_i, alpha_j>/<alpha_i, alpha_i>
+    as (rows, cols, values) integer arrays, 0-based and row-major: 2 on the diagonal and -1 at
+    both ends of each bond of the Dynkin diagram, but -2 in the short node's row of B's and
+    C's double bond."""
     n = dt.rank
-    c = 2 * np.eye(n, dtype=np.int64)
-    for i in range(n - 1):
-        c[i, i + 1] = c[i + 1, i] = -1
+    a = np.arange(n - 1)
+    b = a + 1
+    if dt.family == "D":  # the fork: n - 3 bonds to n - 1 in place of n - 2
+        a[-1] = n - 3
+    ab, ba = np.full(n - 1, -1), np.full(n - 1, -1)
     if dt.family == "B":
-        c[n - 1, n - 2] = -2
+        ba[-1] = -2
     elif dt.family == "C":
-        c[n - 2, n - 1] = -2
-    elif dt.family == "D":
-        c[n - 2, n - 1] = c[n - 1, n - 2] = 0
-        c[n - 3, n - 1] = c[n - 1, n - 3] = -1
-    return c
+        ab[-1] = -2
+    diag = np.arange(n)
+    rows, cols = np.concatenate((diag, a, b)), np.concatenate((diag, b, a))
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], np.concatenate((np.full(n, 2), ab, ba))[order]
 
 
 def _interval_ends(dt: DynkinType):
@@ -121,12 +126,15 @@ def build_root_system(dt: DynkinType) -> RootSystem:
     if fam in ("B", "C"):
         long[-dt.rank:] = fam == "C"  # B's e_i are short, C's 2 e_i long
     heights = _pairings(ends, t_group // t_i)
+    rows, cols, values = cartan_entries(dt)
+    cartan = np.zeros((dt.rank, dt.rank), dtype=np.int64)
+    cartan[rows, cols] = values
     assert not np.any(heights[long] % t_group), dt
     for a in (ends, long, heights):
         a.setflags(write=False)
     return RootSystem(
         type=dt,
-        cartan=tuple(map(tuple, _cartan(dt).tolist())),
+        cartan=tuple(map(tuple, cartan.tolist())),
         t_i=tuple(t_i.tolist()),
         t_group=t_group,
         h_dual=1 + int(heights[long].max()) // t_group,

@@ -1,11 +1,12 @@
 """Level-restricted constant Y-systems and the positive fixed point eta.
 
-The coupling exponents form one cached integer matrix G over the index set H
-(`qsys._g_matrix`), built from the row Cartan matrix with the convolution case
-picked by the ratio t_first/t_second. The Q-system (and so `y_from_q`) reads G,
-the Y-system reads its transpose: `READING` names this reading of the formula,
-the only one of its 16 under which the closed-form type-B/D solutions satisfy
-both systems (the tests search all 16). eta is read from the Y-solution through
+The coupling exponents form one integer matrix G over the index set H, cached
+as its nonzero entries (`qsys._g_entries`) and built from the row Cartan matrix
+with the convolution case picked by the ratio t_first/t_second. The Q-system
+(and so `y_from_q`) reads G, the Y-system reads its transpose, each as one sum
+over the entries: `READING` names this reading of the formula, the only one
+of its 16 under which the closed-form type-B/D solutions satisfy both systems
+(the tests search all 16). eta is read from the Y-solution through
 the quiver's phase signs: Y at a "+" vertex, 1/Y at every other, with two
 closed-form entries (B's node n - 1, C's q). `newton_fixed_point` finds eta
 independently of the Y-solution, in log coordinates, where the loop Jacobian
@@ -22,7 +23,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .errors import ConvergenceError, FixedPointError
-from .qsys import QTable, _g_matrix, _q_and_y, closed_form_qtable, index_set_H
+from .qsys import QTable, _g_entries, _q_and_y, closed_form_qtable, index_set_H
 from .quiver import LabeledQuiver, MutationLoop, build_mutation_loop
 from .rootsys import DynkinType
 from .yseed import _positive_points, log_cluster_transform, log_loop_jacobian
@@ -89,8 +90,9 @@ def check_ysystem(ys: YSolution) -> float:
     y = np.array([ys.values[h] for h in H])
     inv = {h: 1.0 + 1.0 / v for h, v in ys.values.items()}
     den = np.array([inv.get((i, m - 1), 1.0) * inv.get((i, m + 1), 1.0) for i, m in H])
-    g = _g_matrix(ys.type, ys.level).T
-    rhs = (1.0 + y) ** 2 * np.exp(g @ np.log1p(y)) / den
+    rows, cols, g = _g_entries(ys.type, ys.level)
+    gt_log = np.bincount(cols, weights=g * np.log1p(y)[rows], minlength=len(H))  # G^T log(1 + Y)
+    rhs = (1.0 + y) ** 2 * np.exp(gt_log) / den
     return float(np.max(np.abs(y * y - rhs) / (y * y)))
 
 

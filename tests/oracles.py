@@ -1,16 +1,16 @@
 """Reference implementations that only the tests call.
 
 The package's fast paths are compared with these: the textbook Y-seed value
-rule at one vertex and the relabelling of a quiver, one entry of the coupling
-matrix G, the structural properties of the KR solution, and a q-table's
-interior cells.
+rule at one vertex and the relabelling of a quiver, the coupling matrix G as a
+dense array and one entry of it, the structural properties of the KR solution,
+and a q-table's interior cells.
 """
 
 from typing import Dict, Sequence
 
 import numpy as np
 
-from yexp.qsys import QTable, _g_matrix, _kr_values, index_set_H, kr_qtable
+from yexp.qsys import QTable, _g_entries, _kr_values, index_set_H, kr_qtable
 from yexp.quiver import Quiver
 from yexp.rootsys import DynkinType, RootSystem, build_root_system
 
@@ -55,11 +55,20 @@ def permute_quiver(q: Quiver, nu: Sequence[int]) -> Quiver:
     return Quiver(b)
 
 
+def dense_g(dt: DynkinType, level: int) -> np.ndarray:
+    """G as a dense H x H integer array over H = index_set_H(dt, level), scattered from its entries."""
+    rows, cols, values = _g_entries(dt, level)
+    size = len(index_set_H(dt, level))
+    g = np.zeros((size, size), dtype=np.int64)
+    g[rows, cols] = values
+    return g
+
+
 def g_coefficient(rs: RootSystem, i: int, m: int, j: int, k: int) -> int:
     """Coupling exponent G[(i, m), (j, k)] attached to (j, k) in the Q-system relation at (i, m)."""
     level = max(2, m // rs.t_i[i - 1] + 1, k // rs.t_i[j - 1] + 1)  # least level whose H holds both
     H = index_set_H(rs.type, level)
-    return int(_g_matrix(rs.type, level)[H.index((i, m)), H.index((j, k))])
+    return int(dense_g(rs.type, level)[H.index((i, m)), H.index((j, k))])
 
 
 def interior_items(qt: QTable):

@@ -191,7 +191,7 @@ def _product_kr_terms(dt, t_i, i, m):
     term or a chain, which `_kr_terms` lists directly."""
     n = dt.rank
     if dt.family != "C" or i == n or m == 0:
-        return _kr_terms(dt, t_i, i, m)
+        return _kr_terms(dt, t_i, [(i, m)])[0]
     ranges = [range(m % 2 if j == i else 0, m + 1, 2) for j in range(1, i + 1)]
     return [combo + (0,) * (n - i) for combo in product(*ranges) if sum(combo) <= m]
 
@@ -226,7 +226,7 @@ def test_kr_qtable_is_the_per_cell_sum_bit_for_bit(dt, level):
 def test_kr_qtable_over_several_qdim_blocks(dt):
     rs = build_root_system(dt)
     qt = kr_qtable(dt)
-    stacked = sum(len(_kr_terms(dt, rs.t_i, i, m)) for i, m in qt.values)
+    stacked = sum(map(len, _kr_terms(dt, rs.t_i, list(qt.values))))
     assert stacked > 2 * (_QDIM_ENTRIES // len(rs.heights))
     for (i, m), v in qt.values.items():
         assert v.hex() == _per_cell_qchar(rs, 2, i, m).hex(), (i, m)
@@ -234,11 +234,32 @@ def test_kr_qtable_over_several_qdim_blocks(dt):
 
 @pytest.mark.parametrize("rank", range(2, 7))
 def test_c_terms_are_the_filtered_product_in_its_order(rank):
+    # cells past the level-3 table too, as the vanishing check asks for, all in one call
+    # and listed from the last node down
     dt = DynkinType("C", rank)
     rs = build_root_system(dt)
-    for i in range(1, rank + 1):
-        for m in range(2 * rs.t_i[i - 1] * 3 + 5):
-            assert _kr_terms(dt, rs.t_i, i, m) == _product_kr_terms(dt, rs.t_i, i, m), (i, m)
+    cells = [(i, m) for i in range(rank, 0, -1) for m in range(2 * rs.t_i[i - 1] * 3 + 5)]
+    for (i, m), terms in zip(cells, _kr_terms(dt, rs.t_i, cells), strict=True):
+        assert terms == _product_kr_terms(dt, rs.t_i, i, m), (i, m)
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("dt", [dt for dt in FLOOR_TO_12 if dt.family == "C"], ids=str)
+def test_c_table_terms_are_the_filtered_product(dt, level):
+    rs = build_root_system(dt)
+    cells = [(i, m) for i in range(1, dt.rank + 1) for m in range(rs.t_i[i - 1] * level + 1)]
+    for (i, m), terms in zip(cells, _kr_terms(dt, rs.t_i, cells), strict=True):
+        assert terms == _product_kr_terms(dt, rs.t_i, i, m), (i, m)
+
+
+def test_c_closed_form_is_the_per_node_sum():
+    for n in range(2, 65):
+        s = _sin_pi(np.arange(n + 4), n + 3).tolist()
+        qt = closed_form_qtable(DynkinType("C", n))
+        for i in range(1, n):
+            want = (2 * sum(s[j] * s[j + 1] * s[j + 2] for j in range(0, i + 1))
+                    + s[i + 1] * s[i + 2] * s[i + 3]) / (s[1] * s[2] * s[3])
+            assert qt.value(i, 2).hex() == want.hex(), (n, i)
 
 
 @pytest.mark.parametrize("dt", [DynkinType("A", 4), DynkinType("B", 5), DynkinType("C", 6),

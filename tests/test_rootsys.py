@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from yexp.qsys import qdim
-from yexp.rootsys import DynkinType, build_root_system, group_constants
+from yexp.rootsys import DynkinType, build_root_system, cartan_entries, group_constants
 
 
 POSITIVE_COUNTS = {
@@ -209,6 +209,19 @@ def test_periods():
 def test_invalid_types_rejected(family, rank):
     with pytest.raises(ValueError):
         DynkinType(family, rank)
+
+
+@pytest.mark.parametrize("family,lo", [("A", 1), ("B", 2), ("C", 2), ("D", 4)])
+def test_cartan_entries_are_the_nonzeros_of_the_cartan_matrix(family, lo):
+    for rank in list(range(lo, 13)) + [40]:
+        rs = build_root_system(DynkinType(family, rank))
+        cartan = np.array(rs.cartan)
+        rows, cols = np.nonzero(cartan)  # row-major
+        entries = cartan_entries(rs.type)
+        assert [e.tolist() for e in entries] == [rows.tolist(), cols.tolist(), cartan[rows, cols].tolist()]
+        # symmetrized by the squared root lengths, proportional to 1 / t_i
+        scaled = cartan / np.array(rs.t_i)[:, None]
+        assert np.array_equal(scaled, scaled.T)
 
 
 def test_cartan_convention_b():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -16,7 +17,7 @@ from yexp.ysys import (GReading, YSolution, assemble_eta, calibrate_reading, che
                        closed_form_y_exact, eta_csv, index_set_H, newton_fixed_point, y_from_q,
                        y_solution, ytable_csv)
 
-from oracles import g_coefficient, interior_items
+from oracles import dense_g, g_coefficient, interior_items
 
 
 def test_index_set_examples():
@@ -149,16 +150,43 @@ ORACLE_TYPES = [DynkinType(f, r) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D
                 for r in range(lo, 13)]
 
 
+@lru_cache(maxsize=None)
+def oracle_dense_g(dt, level, order):
+    """The scalar oracle over H x H under the calibrated reading, as nested lists."""
+    rs, reading, H = build_root_system(dt), calibrate_reading(), index_set_H(dt, level)
+    return [[oracle_g(rs, i, m, j, k, reading, order) for j, k in H] for i, m in H]
+
+
+@pytest.mark.parametrize("dt", ORACLE_TYPES, ids=str)
+def test_g_entries_are_the_nonzeros_of_the_oracle(dt):
+    for level in (2, 3, 4):
+        entries = ysys._g_entries(dt, level)
+        want = np.array(oracle_dense_g(dt, level, calibrate_reading().qy_order))
+        rows, cols = np.nonzero(want)  # row-major
+        assert [e.tolist() for e in entries] == [rows.tolist(), cols.tolist(), want[rows, cols].tolist()]
+        assert all(e.dtype == np.int64 and not e.flags.writeable for e in entries)
+
+
+def test_y_solution_forms_no_h_by_h_array():
+    # C1024's H has 3,070 pairs: a dense G would be 72 MiB, its float cast as much again
+    dt = DynkinType("C", 1024)
+    build_root_system(dt)  # cached, and not part of the Y-solution's own cost
+    tracemalloc.start()
+    try:
+        y_solution(dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
 @pytest.mark.parametrize("dt", ORACLE_TYPES, ids=str)
 def test_coupling_arrays_match_the_scalar_oracle(dt):
-    rs = build_root_system(dt)
     reading = calibrate_reading()
     for level in (2, 3, 4):
-        H = index_set_H(dt, level)
-        g = ysys._g_matrix(dt, level)
+        g = dense_g(dt, level)
         for got, order in ((g, reading.qy_order), (g.T, reading.ysys_order)):
-            assert got.tolist() == [[oracle_g(rs, i, m, j, k, reading, order) for j, k in H]
-                                    for i, m in H]
+            assert got.tolist() == oracle_dense_g(dt, level, order)
     qt = closed_form_qtable(dt)
     ys = y_solution(dt)
     rebuilt = y_from_q(qt).values
