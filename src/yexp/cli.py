@@ -131,6 +131,10 @@ def _dispatch(args) -> int:
         _emit("".join(map(_TEXT[cmd], types)), args.csv)
         return 0
     tol = _tolerances(args)
+    if getattr(args, "samples", 1) <= 0:
+        raise ValueError("samples must be positive")
+    if getattr(args, "seed", 0) < 0:
+        raise ValueError("seed must be nonnegative")
     if cmd == "periodicity":
         lines, ok = ["family,rank,period,max_residual"], True
         for dt in types:
@@ -140,8 +144,6 @@ def _dispatch(args) -> int:
             lines.append(f"{dt.family},{dt.rank},{period},{v['residual']!r}")
         _emit("\n".join(lines) + "\n", args.csv)
         return 0 if ok else 1
-    if args.samples <= 0:
-        raise ValueError("samples must be positive")
     if cmd == "conjecture-c":
         cases = [{"rank": dt.rank, "checks": spectral.c_checks(spectral.build_case(dt), tol, args.samples)}
                  for dt in types]

@@ -3,10 +3,11 @@
 The q-dimension of an irreducible character is a product of sine ratios
 over positive roots; KR characters at level ell are finite sums of such
 terms. At level 2 the sums collapse to closed forms, which this module
-also provides directly. A q-table lists the KR terms of all of its cells in one
-pass (`_kr_terms`) and evaluates them in one stacked `qdim` call. The restricted
-Q-system couples the table through the integer matrix G over the index set H,
-kept as its O(rank) nonzero entries (`_g_entries`), which `ysys` reads too.
+also provides directly. A q-table lists the KR terms of all of its cells by one
+chain rule for every family, in one pass over the nodes (`_kr_terms`), and
+evaluates them in one stacked `qdim` call. The restricted Q-system couples the
+table through the integer matrix G over the index set H, kept as its O(rank)
+nonzero entries (`_g_entries`), which `ysys` reads too.
 """
 
 from __future__ import annotations
@@ -77,63 +78,38 @@ def qdim(rs: RootSystem, level: int, weight):
 
 def _kr_terms(dt: DynkinType, t_i, cells):
     """Weight tuples (fundamental coordinates) of the KR character sums, one list per
-    cell (i, m) of `cells`, in its sum's order.
+    cell (i, m) of `cells`, in its sum's order: lexicographic in (k_1, ..., k_i).
 
-    Type C below node n takes k_1 + ... + k_i <= m with k_j = m*delta_{i,j} (mod 2),
-    in lexicographic order, for all of its cells in one pass over the nodes: the even
-    prefixes (k_1, ..., k_{i-1}) with their sums s grow one coordinate at a time under
-    the largest budget, and each cell at node i appends k_i = m % 2, m % 2 + 2, ..., m - s
-    to each of them, none where s > m.
+    Cell (i, m) reads the chain i - g, i - 2g, ... down to node 0 or 1, with g = 1 for type C
+    and 2 for B and D, and takes k_i + p (the chain's coordinate sum) = m, each coordinate a
+    multiple of u: (u, p) = (2, 1) for C and (1, t_i) for B and D. Node 0 carries no weight
+    and absorbs the slack, so where it is on the chain (i = 0 mod g) k_i runs over
+    m - p sum, m - p sum - up, ... down to its least nonnegative value. Type A, C's node n and
+    D's fork nodes have an empty chain and no slack: one term, k_i = m. All cells take one pass
+    over the nodes: for each class of nodes mod g, the prefixes (k_1, ..., k_{i-1}) free at that
+    class and 0 elsewhere grow one coordinate at a time under the largest budget, and each cell
+    at node i appends its k_i to the prefixes of i's class.
     """
-    n = dt.rank
+    n, fam = dt.rank, dt.family
+    g, u, p = (1, 2, (1,) * n) if fam == "C" else (2, 1, t_i)
     out = [None] * len(cells)
-    pending = {}  # type-C node -> [(cell index, m)]
+    pending = {}  # chained node -> [(cell index, m)]
     for c, (i, m) in enumerate(cells):
-        if m == 0 or dt.family == "A" or (dt.family == "C" and i == n) or (dt.family == "D" and i >= n - 1):
+        if fam == "A" or (fam == "C" and i == n) or (fam == "D" and i >= n - 1):
             out[c] = [(0,) * (i - 1) + (m,) + (0,) * (n - i)]
-        elif dt.family in ("B", "D"):
-            out[c] = _chain_terms(n, t_i[i - 1], i, m)
         else:
             pending.setdefault(i, []).append((c, m))
-    if pending:
-        budget = max(m for node in pending.values() for _, m in node)
-        prefixes = [((), 0)]
-        for i in range(1, max(pending) + 1):
-            if i > 1:
-                prefixes = [(p + (k,), s + k) for p, s in prefixes for k in range(0, budget - s + 1, 2)]
-            tail = (0,) * (n - i)
-            for c, m in pending.get(i, ()):
-                out[c] = [p + (k,) + tail for p, s in prefixes for k in range(m % 2, m - s + 1, 2)]
-    return out
-
-
-def _chain_terms(n, ti, i, m):
-    """B/D chain k_{i'}, k_{i'+2}, ..., k_{i-2}, k_i with t_i * (k_{i'} + ... + k_{i-2}) + k_i = m;
-    node 0 contributes no weight."""
-    ip = i % 2
-    interior = list(range(ip, i - 1, 2))
-    terms = []
-    for s in range(m // ti + 1):
-        ki = m - ti * s
-        for combo in _compositions(s, len(interior)):
-            w = [0] * n
-            for node, c in zip(interior, combo):
-                if node > 0:
-                    w[node - 1] = c
-            w[i - 1] += ki
-            terms.append(tuple(w))
-    return terms
-
-
-def _compositions(total, parts):
-    if parts == 0:
-        return [()] if total == 0 else []
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
+    budget = max((m // p[i - 1] for i, node in pending.items() for _, m in node), default=0)
+    prefixes = [[((), 0)]] * g  # prefixes[r]: (k_1, ..., k_{i-1}) and its sum, free at nodes = r mod g
+    for i in range(1, max(pending, default=0) + 1):
+        if i > 1:
+            prefixes = [[(q + (k,), s + k) for q, s in prefixes[r]
+                         for k in (range(0, budget - s + 1, u) if (i - 1) % g == r else (0,))] for r in range(g)]
+        tail, w, step = (0,) * (n - i), p[i - 1], u * p[i - 1]
+        for c, m in pending.get(i, ()):
+            tops = [(q, m - w * s) for q, s in prefixes[i % g] if w * s <= m]
+            out[c] = [q + (k,) + tail for q, top in tops
+                      for k in range(top % step if i % g == 0 else top, top + 1, step)]
     return out
 
 
@@ -250,12 +226,8 @@ def closed_form_qtable(dt: DynkinType) -> QTable:
     s = _sin_pi(np.arange(n + 4), n + 3).tolist()
 
     if dt.family == "A":
-        # the product over k of s(j + k) / s(j + k - 1) telescopes
-        for i in range(1, n + 1):
-            q = 1.0
-            for j in range(1, i + 1):
-                q *= s[j + n + 1 - i] / s[j]
-            vals[(i, 1)] = q
+        # prod over j <= i, k <= n + 1 - i of s(j + k) / s(j + k - 1) telescopes, by s(n + 3 - k) = s(k)
+        vals.update({(i, 1): s[i + 1] / s[1] for i in range(1, n + 1)})
     elif dt.family == "B":
         for i in range(1, n):
             vals[(i, 1)] = float(i + 1)

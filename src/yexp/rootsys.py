@@ -38,7 +38,7 @@ class DynkinType:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Cartan data plus the positive roots as read-only arrays.
+    """Lie data (t_i, t, dual Coxeter number) plus the positive roots as read-only arrays.
 
     Root r is the sum of alpha_k over lo1 <= k < hi1 and over lo2 <= k < hi2
     (k 0-based), with (lo1, hi1, lo2, hi2) = `ends[r]`; `long[r]` says whether
@@ -47,7 +47,6 @@ class RootSystem:
     """
 
     type: DynkinType
-    cartan: Tuple[Tuple[int, ...], ...]
     t_i: Tuple[int, ...]
     t_group: int
     h_dual: int
@@ -113,7 +112,7 @@ def _interval_ends(dt: DynkinType):
 
 @lru_cache(maxsize=None)
 def build_root_system(dt: DynkinType) -> RootSystem:
-    """Construct the positive roots and Cartan data on the integer lattice."""
+    """Construct the positive roots and their Lie data on the integer lattice."""
     fam = dt.family
     t_group = 2 if fam in ("B", "C") else 1
     t_i = np.ones(dt.rank, dtype=np.int64)  # t_i = t for short simple roots
@@ -126,15 +125,11 @@ def build_root_system(dt: DynkinType) -> RootSystem:
     if fam in ("B", "C"):
         long[-dt.rank:] = fam == "C"  # B's e_i are short, C's 2 e_i long
     heights = _pairings(ends, t_group // t_i)
-    rows, cols, values = cartan_entries(dt)
-    cartan = np.zeros((dt.rank, dt.rank), dtype=np.int64)
-    cartan[rows, cols] = values
     assert not np.any(heights[long] % t_group), dt
     for a in (ends, long, heights):
         a.setflags(write=False)
     return RootSystem(
         type=dt,
-        cartan=tuple(map(tuple, cartan.tolist())),
         t_i=tuple(t_i.tolist()),
         t_group=t_group,
         h_dual=1 + int(heights[long].max()) // t_group,

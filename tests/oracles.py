@@ -1,9 +1,9 @@
 """Reference implementations that only the tests call.
 
 The package's fast paths are compared with these: the textbook Y-seed value
-rule at one vertex and the relabelling of a quiver, the coupling matrix G as a
-dense array and one entry of it, the structural properties of the KR solution,
-and a q-table's interior cells.
+rule at one vertex and the relabelling of a quiver, the Cartan matrix and the
+coupling matrix G as dense arrays and one entry of G, the structural properties
+of the KR solution, and a q-table's interior cells.
 """
 
 from typing import Dict, Sequence
@@ -12,7 +12,7 @@ import numpy as np
 
 from yexp.qsys import QTable, _g_entries, _kr_values, index_set_H, kr_qtable
 from yexp.quiver import Quiver
-from yexp.rootsys import DynkinType, RootSystem, build_root_system
+from yexp.rootsys import DynkinType, RootSystem, build_root_system, cartan_entries
 
 
 class MutationDomainError(ArithmeticError):
@@ -53,6 +53,14 @@ def permute_quiver(q: Quiver, nu: Sequence[int]) -> Quiver:
     b = np.zeros_like(q.arrows)
     b[np.ix_(nu, nu)] = q.arrows
     return Quiver(b)
+
+
+def dense_cartan(dt: DynkinType) -> np.ndarray:
+    """The row Cartan matrix as a dense n x n integer array, scattered from its entries."""
+    rows, cols, values = cartan_entries(dt)
+    cartan = np.zeros((dt.rank, dt.rank), dtype=np.int64)
+    cartan[rows, cols] = values
+    return cartan
 
 
 def dense_g(dt: DynkinType, level: int) -> np.ndarray:

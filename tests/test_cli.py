@@ -224,8 +224,14 @@ def test_verify_checks_periodicity_at_the_command_points(capsys):
     assert json.loads(out)["checks"]["periodicity"]["residual"] == rows[5]
 
 
-def test_negative_seed_is_a_usage_error(capsys):
-    code, _, err = run(capsys, "periodicity", "--family", "A", "--rank", "2", "--seed", "-1")
+@pytest.mark.parametrize("argv", [("periodicity", "--family", "A", "--rank", "2"),
+                                  ("verify", "--family", "A", "--rank", "3"),
+                                  ("sweep", "--rank-max", "2")], ids=lambda argv: argv[0])
+def test_negative_seed_is_a_usage_error(capsys, argv, monkeypatch):
+    # rejected before any case runs
+    monkeypatch.setattr(spectral, "run_case", None)
+    monkeypatch.setattr(spectral, "periodicity_verdict", None)
+    code, _, err = run(capsys, *argv, "--seed", "-1")
     assert code == 2 and "seed" in err
 
 

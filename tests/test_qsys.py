@@ -186,14 +186,25 @@ def test_qtable_csv_roundtrip():
 
 
 def _product_kr_terms(dt, t_i, i, m):
-    """Reference terms: type C below node n filters the full product of parity ranges
-    (k_j even for j < i, k_i = m mod 2) down to sum <= m; the other cases are one
-    term or a chain, which `_kr_terms` lists directly."""
-    n = dt.rank
-    if dt.family != "C" or i == n or m == 0:
-        return _kr_terms(dt, t_i, [(i, m)])[0]
-    ranges = [range(m % 2 if j == i else 0, m + 1, 2) for j in range(1, i + 1)]
-    return [combo + (0,) * (n - i) for combo in product(*ranges) if sum(combo) <= m]
+    """Reference terms of cell (i, m), from the textbook rule: the full product of the
+    coordinates' ranges, filtered, in the product's (lexicographic) order.
+
+    C below node n: k_1, ..., k_{i-1} even, k_i = m mod 2 and k_1 + ... + k_i <= m.
+    B and D below the fork: k_j = 0 unless j = i mod 2, k_i = m mod t_i, and
+    k_i + t_i (k_{i-2} + k_{i-4} + ...) = m, or <= m at even i, where omega_0 = 0 takes the rest.
+    A, C's node n and D's fork nodes: m omega_i alone.
+    """
+    n, fam = dt.rank, dt.family
+    if fam == "A" or (fam == "C" and i == n) or (fam == "D" and i >= n - 1):
+        return [(0,) * (i - 1) + (m,) + (0,) * (n - i)]
+    if fam == "C":
+        ti, ranges = 1, [range(0, m + 1, 2)] * (i - 1) + [range(m % 2, m + 1, 2)]
+    else:
+        ti = t_i[i - 1]
+        ranges = [range(m // ti + 1) if j % 2 == i % 2 else range(1) for j in range(1, i)]
+        ranges.append(range(m % ti, m + 1, ti))
+    fits = (lambda total: total == m) if fam != "C" and i % 2 else (lambda total: total <= m)
+    return [combo + (0,) * (n - i) for combo in product(*ranges) if fits(combo[-1] + ti * sum(combo[:-1]))]
 
 
 def _per_cell_qchar(rs, level, i, m):
@@ -248,6 +259,27 @@ def test_c_terms_are_the_filtered_product_in_its_order(rank):
 def test_c_table_terms_are_the_filtered_product(dt, level):
     rs = build_root_system(dt)
     cells = [(i, m) for i in range(1, dt.rank + 1) for m in range(rs.t_i[i - 1] * level + 1)]
+    for (i, m), terms in zip(cells, _kr_terms(dt, rs.t_i, cells), strict=True):
+        assert terms == _product_kr_terms(dt, rs.t_i, i, m), (i, m)
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("dt", [dt for dt in FLOOR_TO_12 if dt.family != "C"], ids=str)
+def test_table_terms_are_the_filtered_product(dt, level):
+    # C's are test_c_table_terms_are_the_filtered_product
+    rs = build_root_system(dt)
+    cells = [(i, m) for i in range(1, dt.rank + 1) for m in range(rs.t_i[i - 1] * level + 1)]
+    for (i, m), terms in zip(cells, _kr_terms(dt, rs.t_i, cells), strict=True):
+        assert terms == _product_kr_terms(dt, rs.t_i, i, m), (i, m)
+
+
+@pytest.mark.parametrize("dt", [DynkinType(f, r) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
+                                for r in range(lo, 7)], ids=str)
+def test_terms_past_the_table_are_the_filtered_product(dt):
+    # the level-2 table and the cells (i, 2 t_i + j), 1 <= j <= t_i h_dual - 1, that the
+    # vanishing check asks for, all in one call and listed from the last node down
+    rs = build_root_system(dt)
+    cells = [(i, m) for i in range(dt.rank, 0, -1) for m in range(rs.t_i[i - 1] * (2 + rs.h_dual))]
     for (i, m), terms in zip(cells, _kr_terms(dt, rs.t_i, cells), strict=True):
         assert terms == _product_kr_terms(dt, rs.t_i, i, m), (i, m)
 

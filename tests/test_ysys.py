@@ -17,7 +17,7 @@ from yexp.ysys import (GReading, YSolution, assemble_eta, calibrate_reading, che
                        closed_form_y_exact, eta_csv, index_set_H, newton_fixed_point, y_from_q,
                        y_solution, ytable_csv)
 
-from oracles import dense_g, g_coefficient, interior_items
+from oracles import dense_cartan, dense_g, g_coefficient, interior_items
 
 
 def test_index_set_examples():
@@ -49,7 +49,7 @@ ALL_READINGS = [GReading(*r) for r in product(("row", "col"), ("first/second", "
 
 @lru_cache(maxsize=None)
 def oracle_cartan(rs, convention):
-    cartan = np.array(rs.cartan)
+    cartan = dense_cartan(rs.type)
     return cartan if convention == "row" else cartan.T
 
 
