@@ -14,8 +14,8 @@ from .qsys import (QTable, check_restricted_qsystem, closed_form_qtable, index_s
 from .rootsys import DynkinType, RootSystem, build_root_system, group_constants
 from .spectral import (Case, CBlockPair, CDeterminants, ExponentSequence, SpectralReport, Tolerances,
                        build_case, c_blocks, c_checks, c_determinants, case_passed, check_conjecture_38,
-                       check_jacobian_fd, conjectured_charpoly, exponents_csv, lemma_summary,
-                       relation_residuals, run_case, special_eigenvector, spectrum, verify_c_reduction,
+                       check_jacobian_fd, conjectured_charpoly, exponents_csv, lemma_basis,
+                       lemma_summary, relation_residuals, run_case, spectrum, verify_c_reduction,
                        verify_conjecture_csol)
 from .yseed import (LoopJacobian, check_periodicity, cluster_transform, finite_difference_jacobian,
                     loop_jacobian)

@@ -417,62 +417,37 @@ def _lemma_powers(dt: DynkinType, a) -> Callable[[int], np.ndarray]:
     return lambda j: roots[np.multiply.outer(a, j) % order]
 
 
-def _lemma_vectors(case: Case, a: np.ndarray):
-    """Closed-form eigenvectors Phi of J at lambda = zeta^a for an array of a: returns
-    lambda (A,), Phi (N, A) and the residual of each column, all from one L @ Psi,
-    with Psi = Phi / eta the same eigenvectors for L = diag(1/eta) J diag(eta)."""
+def lemma_basis(case: Case) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All of L's closed-form eigenvectors at even B/D, as one basis Psi (N x N).
+
+    Column a - 1 (a = 1 ... order - 1) is the lemma's Phi at lambda = zeta^a, and the
+    last column the special vector e_i - e_j at lambda = -1, on the two symmetric
+    vertices where Phi is (1, 1). Each Phi is an eigenvector of J, so Phi / eta is
+    one of L = diag(1/eta) J diag(eta). The order divides the period P, so the
+    exponents are exact integers: m = a P / order, and P / 2 for the special column.
+    Returns the exponents, Psi and each column's max|L psi - lambda psi| / max|psi|,
+    all from one L @ Psi.
+    """
     dt = case.type
+    order, period = lemma_parameters(dt) + 1, case.report.exponents.period
+    a = np.arange(1, order)
     power = _lemma_powers(dt, a)
     phi = _lemma_phi_B(dt.rank, power) if dt.family == "B" else _lemma_phi_D(dt.rank, power)
-    lam = power(1)
-    psi = phi / case.point.eta[:, None]
+    i, j = (dt.rank - 1, dt.rank + 1) if dt.family == "B" else (dt.rank - 2, dt.rank - 1)
+    special = np.zeros(len(phi))
+    special[i], special[j] = 1.0, -1.0
+    psi = np.column_stack((phi, special)) / case.point.eta[:, None]
+    lam = np.append(power(1), -1.0)
     residuals = np.max(np.abs(case.jacobian @ psi - lam * psi), axis=0) / np.max(np.abs(psi), axis=0)
-    return lam, phi, residuals
-
-
-def special_eigenvector(case: Case):
-    """The lambda = -1 vector supported on the two symmetric vertices. eta is equal
-    there, so it is an eigenvector of L as of J."""
-    dt = case.type
-    n = dt.rank
-    if dt.family == "B":
-        psi = np.zeros(2 * n + 1)
-        psi[n - 1] = 1.0
-        psi[n + 1] = -1.0
-    elif dt.family == "D":
-        psi = np.zeros(n)
-        psi[n - 2] = 1.0
-        psi[n - 1] = -1.0
-    else:
-        raise ValueError(f"no special vector for family {dt.family}")
-    residual = float(np.max(np.abs(case.jacobian @ psi + psi)) / np.max(np.abs(psi)))
-    return -1.0, psi, residual
-
-
-def lemma_boundary_value(dt: DynkinType, a):
-    """|phi_0| from the continued closed form (one a or an array); vanishes at lambda = zeta^a."""
-    power = _lemma_powers(dt, a)
-    l = dt.rank // 2
-    if dt.family == "B":
-        val = (2 * (2 * l + 1) ** 2 / (4 * l + 1)) * power(-2 * l) * power(np.arange(4 * l + 1)).sum(axis=-1)
-    else:
-        val = (2 * (2 * l - 1) ** 2 / (2 * l)) * power(-(l - 1)) * power(np.arange(2 * l)).sum(axis=-1)
-    return abs(val)
+    return np.append(a * (period // order), period // 2), psi, residuals
 
 
 def lemma_summary(case: Case) -> Dict[str, float]:
-    """Worst residuals over all admissible a, the special vector, and phi_0, plus
-    the exponent multiset comparison against the direct spectrum."""
-    a = np.arange(1, lemma_parameters(case.type) + 1)
-    lams, _, residuals = _lemma_vectors(case, a)
-    special_lam, _, special_res = special_eigenvector(case)
-    exps = case.report.exponents
-    lemma_exps, _ = snap_exponents(np.append(lams, special_lam), exps.period)
-    return {
-        "vectors": _worst(np.max(residuals), special_res),
-        "boundary": float(np.max(lemma_boundary_value(case.type, a))),
-        "exponent_multiset_match": 0.0 if lemma_exps == exps.exponents else 1.0,
-    }
+    """The worst column residual of `lemma_basis`, and whether its exponents equal the
+    snapped spectrum's as an integer multiset (0.0 if they do, else 1.0)."""
+    exps, _, residuals = lemma_basis(case)
+    match = tuple(np.sort(exps).tolist()) == case.report.exponents.exponents
+    return {"vectors": float(np.max(residuals)), "exponent_multiset_match": 0.0 if match else 1.0}
 
 
 # ------------------------------------------------------------- type-C blocks
@@ -614,10 +589,11 @@ def _reduced_blocks(n: int, Y) -> Tuple[Callable[[np.ndarray], np.ndarray], Call
     return K, L
 
 
-def c_blocks(case: Case, block_tol: float = 1e-9) -> CBlockPair:
+def c_blocks(case: Case) -> CBlockPair:
     """Block-diagonalize the C_n Jacobian L in the symmetric/antisymmetric basis.
 
-    Raises if the off-diagonal blocks exceed `block_tol`. The blocks are compared
+    The largest entry of the off-diagonal blocks is reported as `offdiag`, for the
+    caller to gate; the split is taken whatever it reads. The diagonal blocks are compared
     with J's closed-form tables (`_hat_reference`) scaled by d_col / d_row, d being eta
     on each basis vector (eta is equal on each folded pair), entry by entry: relative
     to |table entry| where it is nonzero, and to max(1, max|table|) where it is zero.
@@ -631,10 +607,6 @@ def c_blocks(case: Case, block_tol: float = 1e-9) -> CBlockPair:
     m = _c_split(_c_split(case.jacobian.T, n, 1.0).T, n, 0.5)
     nk = n - 1
     offdiag = _worst(np.max(np.abs(m[:nk, nk:])), np.max(np.abs(m[nk:, :nk])))
-    if not offdiag <= block_tol:
-        raise RuntimeError(
-            f"C_{n}: subspace invariance fails (off-diagonal block {offdiag:.3e})"
-        )
     khat = m[:nk, :nk].copy()
     lhat = m[nk:, nk:].copy()
     Y, lq = case.point.ysol.value, case.point.loop.start
@@ -858,12 +830,14 @@ def periodicity_verdict(loop: MutationLoop, period: int, seed: int, points: int,
 def c_checks(case: Case, tolerances: Tolerances = Tolerances(), samples: int = 32) -> Dict[str, Dict]:
     """The type-C checks of C_n: the block reduction and the (open) Csol conjecture.
 
-    Both read one block split, made under the off-diagonal bound `block_diag`, and
-    one set of banded LU determinants (`c_determinants`), and gate on `c_identities`.
-    If the split or the determinants raise, both fail with the error.
+    Both read one block split and one set of banded LU determinants
+    (`c_determinants`), and gate on `c_identities`. `c_reduction` also fails when the
+    split's `offdiag` exceeds `block_diag`, and still reports its other components;
+    `csol` reads only K(lambda) and L(lambda), built from Y, so the bound does not
+    gate it. If the split or the determinants raise, both fail with the error.
     """
     try:
-        blocks = c_blocks(case, tolerances.block_diag)
+        blocks = c_blocks(case)
         dets = c_determinants(blocks, samples)
     except Exception as exc:  # recorded like any raising check
         return {"c_reduction": _failed(exc), "csol": _failed(exc)}
@@ -874,8 +848,8 @@ def c_checks(case: Case, tolerances: Tolerances = Tolerances(), samples: int = 3
 
     def reduction():
         red = verify_c_reduction(blocks, dets)
-        return _verdict(_worst(*(v for k, v in red.items() if k != "offdiag")),
-                        tolerances.c_identities, **red,
+        return _verdict(_worst(*(v for k, v in red.items() if k != "offdiag")), tolerances.c_identities,
+                        red["offdiag"] <= tolerances.block_diag, **red,
                         **method("K", "L", "Khat", "Lhat", points=len(dets.khat)))
 
     def csol():
@@ -913,9 +887,7 @@ def run_case(
                         newton_res <= tolerances.newton_agreement, newton_agreement=newton_res)
 
     def lemma_vectors():
-        summary = lemma_summary(case)
-        return _verdict(_worst(summary["vectors"], summary["boundary"],
-                               summary["exponent_multiset_match"]), tolerances.lemma)
+        return _verdict(_worst(*lemma_summary(case).values()), tolerances.lemma)
 
     def relations():
         rel = relation_residuals(case)

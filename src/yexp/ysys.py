@@ -28,7 +28,7 @@ from .quiver import LabeledQuiver, MutationLoop, build_mutation_loop
 from .rootsys import DynkinType
 from .yseed import _positive_points, log_cluster_transform, log_loop_jacobian
 
-_NEWTON_TOL = 1e-12  # Newton stops once max|mu_gamma(y) - y| / |y| is within this
+_NEWTON_TOL = 1e-12  # Newton takes its last step once max|mu_gamma(y) - y| / |y| is within this
 
 
 @dataclass(frozen=True)
@@ -160,9 +160,11 @@ def newton_fixed_point(loop: MutationLoop, start=None, max_iter: int = 60) -> np
     Solves F(x) = log_cluster_transform(x) - x = 0 with the matrix L(x) - I, so
     every iterate y = e^x is positive. The step length t starts at 1 and is halved
     until |F(x + t step)| <= (1 - 1e-4 t) |F(x)|, which a non-finite F never meets
-    (Armijo backtracking; Dennis and Schnabel 1983, sec. 6.3). Converged when
-    max|expm1(F)| = max|mu_gamma(y) - y| / |y| <= _NEWTON_TOL; raises ConvergenceError
-    when t falls below machine epsilon or max_iter steps do not converge.
+    (Armijo backtracking; Dennis and Schnabel 1983, sec. 6.3). Once
+    max|expm1(F)| = max|mu_gamma(y) - y| / |y| <= _NEWTON_TOL it takes one more full
+    step and returns, so that where the test happens to pass does not set how close
+    the result lies to the fixed point. Raises ConvergenceError when t falls below machine
+    epsilon or max_iter steps do not converge.
     """
     n = loop.n_vertices
     y0 = np.ones(n) if start is None else _positive_points(loop, start, ndims=(1,))
@@ -175,9 +177,9 @@ def newton_fixed_point(loop: MutationLoop, start=None, max_iter: int = 60) -> np
     last = math.inf
     for _ in range(max_iter):
         last = float(np.max(np.abs(np.expm1(f))))
-        if last <= _NEWTON_TOL:
-            return np.exp(x)
         step = np.linalg.solve(log_loop_jacobian(loop, x) - np.eye(n), -f)
+        if last <= _NEWTON_TOL:
+            return np.exp(x + step)
         t = 1.0
         while not np.linalg.norm(trial := residual(x + t * step)) <= (1 - 1e-4 * t) * np.linalg.norm(f):
             t /= 2

@@ -232,8 +232,7 @@ def test_criterion_11_eigenvector_lemmas():
         for n in (4, 6, 8):
             case = build_case(DynkinType(fam, n))
             summary = lemma_summary(case)
-            worst_vec = max(worst_vec, summary["vectors"], summary["boundary"],
-                            summary["exponent_multiset_match"])
+            worst_vec = max(worst_vec, summary["vectors"], summary["exponent_multiset_match"])
             rel = relation_residuals(case)
             worst_rel = max(worst_rel, max(rel.values()))
     for n in (4, 6, 8):

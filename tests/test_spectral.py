@@ -13,9 +13,8 @@ from yexp.quiver import build_dynkin_quiver
 from yexp.rootsys import DynkinType, build_root_system, group_constants
 from yexp.spectral import (ExponentSequence, Tolerances, build_case, c_blocks, c_determinants,
                            case_passed, check_conjecture_38, check_jacobian_fd,
-                           conjectured_charpoly, csol_products, lemma_boundary_value, lemma_summary,
-                           relation_residuals, run_case, special_eigenvector, verify_c_reduction,
-                           verify_conjecture_csol)
+                           conjectured_charpoly, csol_products, lemma_basis, lemma_summary,
+                           relation_residuals, run_case, verify_c_reduction, verify_conjecture_csol)
 from yexp.yseed import log_cluster_transform, log_plus_phase
 from yexp.ysys import y_solution
 
@@ -477,30 +476,40 @@ def test_lemma_eigenvectors(fam, n):
     dt = DynkinType(fam, n)
     summary = lemma_summary(build_case(dt))
     assert summary["vectors"] <= 1e-8
-    assert summary["boundary"] <= 1e-10
     assert summary["exponent_multiset_match"] == 0.0
 
 
 def test_lemma_single_vector_b4():
     case = build_case(DynkinType("B", 4))
-    lams, _, res = spectral._lemma_vectors(case, np.array([3]))
-    assert abs(lams[0] - np.exp(2j * np.pi * 3 / 9)) <= 1e-12
-    assert res[0] <= 1e-8
-    lam, psi, res = special_eigenvector(case)
-    assert lam == -1.0 and res <= 1e-8
-    assert psi[3] == 1.0 and psi[5] == -1.0
+    exps, psi, res = lemma_basis(case)
+    assert psi.shape == (9, 9)
+    assert exps[2] == 6 and res[2] <= 1e-8  # a = 3: lambda = zeta_9^3 = e^{2 pi i 6 / 18}
+    assert exps[-1] == 9 and res[-1] <= 1e-8  # the special column, at lambda = -1
+    eta = case.point.eta
+    assert np.count_nonzero(psi[:, -1]) == 2 and psi[3, -1] == 1 / eta[3] and psi[5, -1] == -1 / eta[5]
 
 
-def test_lemma_boundary_values():
-    for a in range(1, 9):
-        assert lemma_boundary_value(DynkinType("B", 4), a) <= 1e-10
-    for a in range(1, 4):
-        assert lemma_boundary_value(DynkinType("D", 4), a) <= 1e-10
-    # lambda^j is read from a table of roots of unity, so the boundary sum
-    # stays at rounding size where float powers of lambda drift (1.2e-8 at B130)
-    for dt in (DynkinType("B", 130), DynkinType("D", 168), DynkinType("B", 512), DynkinType("D", 512)):
-        order = 4 * (dt.rank // 2) + 1 if dt.family == "B" else dt.rank
-        assert max(lemma_boundary_value(dt, a) for a in range(1, order)) <= 1e-9
+def test_lemma_roots_of_unity_table():
+    # every lambda^j of the lemma is read from this table, and a skew of 1e-9 in one
+    # root moves the D8 eigen-residual only to 2.6e-9, inside the lemma's 1e-8
+    for dt in [DynkinType("B", n) for n in range(2, 513, 2)] + [DynkinType("D", n) for n in range(4, 513, 2)]:
+        order = spectral.lemma_parameters(dt) + 1
+        k = np.arange(order)
+        assert np.max(np.abs(spectral._lemma_powers(dt, k)(1) - np.exp(2j * np.pi * k / order))) <= 1e-14, dt
+
+
+@pytest.mark.parametrize("dt", [DynkinType("B", 6), DynkinType("D", 8)], ids=str)
+def test_lemma_vectors_fails_on_one_moved_exponent(dt, monkeypatch):
+    case = build_case(dt)
+    period, exps = case.report.exponents.period, list(case.report.exponents.exponents)
+    exps[0] += 1
+    broken = spectral.Case(case.point, dataclasses.replace(
+        case.report, exponents=ExponentSequence(period, tuple(sorted(exps)))))
+    summary = lemma_summary(broken)
+    assert summary["exponent_multiset_match"] == 1.0 and summary["vectors"] <= Tolerances().lemma
+    monkeypatch.setattr(spectral, "build_case", lambda dt, tol: broken)
+    verdict = run_case(dt)["checks"]["lemma_vectors"]
+    assert not verdict["pass"] and verdict["residual"] == 1.0
 
 
 def test_seeded_points_are_drawn_row_by_row():
@@ -511,7 +520,8 @@ def test_seeded_points_are_drawn_row_by_row():
 
 
 # The per-a reference: one scalar phi per admissible a, with lambda^j read
-# from the same table of roots of unity, and the boundary value one a at a time.
+# from the same table of roots of unity, the special vector written out, and
+# the exponents snapped from the eigenvalues one at a time.
 
 def oracle_powers(dt, a):
     order = spectral.lemma_parameters(dt) + 1
@@ -583,12 +593,15 @@ def oracle_eigenvector(case, a):
     return lam, phi, float(np.max(np.abs(case.jacobian @ psi - lam * psi)) / np.max(np.abs(psi)))
 
 
-def oracle_boundary_value(dt, a):
-    power = oracle_powers(dt, a)
-    l = dt.rank // 2
-    if dt.family == "B":
-        return abs((2 * (2 * l + 1) ** 2 / (4 * l + 1)) * power(-2 * l) * power(np.arange(4 * l + 1)).sum())
-    return abs((2 * (2 * l - 1) ** 2 / (2 * l)) * power(-(l - 1)) * power(np.arange(2 * l)).sum())
+def oracle_special_vector(case):
+    n = case.type.rank
+    phi = np.zeros(len(case.point.eta))
+    if case.type.family == "B":
+        phi[n - 1], phi[n + 1] = 1.0, -1.0
+    else:
+        phi[n - 2], phi[n - 1] = 1.0, -1.0
+    psi = phi / case.point.eta
+    return -1.0, phi, float(np.max(np.abs(case.jacobian @ psi + psi)) / np.max(np.abs(psi)))
 
 
 def oracle_snap(eigenvalues, period):
@@ -601,15 +614,15 @@ def oracle_snap(eigenvalues, period):
 
 
 def oracle_lemma_summary(case):
+    """lemma_summary's entries and the sorted lemma exponents, snapped from each lambda."""
     a_all = range(1, spectral.lemma_parameters(case.type) + 1)
-    vectors = [oracle_eigenvector(case, a) for a in a_all] + [special_eigenvector(case)]
+    vectors = [oracle_eigenvector(case, a) for a in a_all] + [oracle_special_vector(case)]
     exps = case.report.exponents
     lemma_exps, _ = oracle_snap(np.array([lam for lam, _, _ in vectors]), exps.period)
     return {
         "vectors": max(res for _, _, res in vectors),
-        "boundary": max(oracle_boundary_value(case.type, a) for a in a_all),
         "exponent_multiset_match": 0.0 if lemma_exps == exps.exponents else 1.0,
-    }
+    }, lemma_exps
 
 
 ORACLE_LEMMA_TYPES = ([DynkinType("B", n) for n in range(2, 41, 2)]
@@ -620,31 +633,25 @@ ORACLE_LEMMA_TYPES = ([DynkinType("B", n) for n in range(2, 41, 2)]
 @pytest.mark.parametrize("dt", ORACLE_LEMMA_TYPES, ids=str)
 def test_lemma_summary_matches_the_per_a_loop(dt):
     case = build_case(dt)
-    got, want = lemma_summary(case), oracle_lemma_summary(case)
+    got, (want, want_exps) = lemma_summary(case), oracle_lemma_summary(case)
     assert got.keys() == want.keys()
     for key in want:
         assert abs(got[key] - want[key]) <= 1e-12 * max(1.0, want[key]), key
+    assert tuple(sorted(lemma_basis(case)[0].tolist())) == want_exps
 
 
 @pytest.mark.parametrize("dt", [DynkinType("B", 6), DynkinType("D", 8)], ids=str)
 def test_lemma_eigenvector_is_a_column_of_the_batch(dt):
     case = build_case(dt)
-    a_all = np.arange(1, spectral.lemma_parameters(dt) + 1)
-    lams, phis, residuals = spectral._lemma_vectors(case, a_all)
-    for a, lam, phi, res in zip(a_all, lams, phis.T, residuals, strict=True):
-        want_lam, want_phi, want_res = oracle_eigenvector(case, int(a))
-        assert lam == want_lam
-        np.testing.assert_allclose(phi, want_phi, rtol=1e-14, atol=0)
+    exps, psi, residuals = lemma_basis(case)
+    order, period = spectral.lemma_parameters(dt) + 1, case.report.exponents.period
+    assert psi.shape == (len(case.point.eta),) * 2 and np.linalg.matrix_rank(psi) == len(psi)
+    wants = [oracle_eigenvector(case, a) for a in range(1, order)] + [oracle_special_vector(case)]
+    for m, column, res, (want_lam, want_phi, want_res) in zip(exps, psi.T, residuals, wants, strict=True):
+        assert abs(want_lam - np.exp(2j * np.pi * m / period)) <= 1e-14
+        np.testing.assert_allclose(column, want_phi / case.point.eta, rtol=1e-14, atol=0)
         assert abs(res - want_res) <= 1e-12
-
-
-@pytest.mark.parametrize("dt", [DynkinType("B", 16), DynkinType("D", 16), DynkinType("B", 130)], ids=str)
-def test_lemma_boundary_value_on_an_array_of_a(dt):
-    a = np.arange(1, spectral.lemma_parameters(dt) + 1)
-    values = lemma_boundary_value(dt, a)
-    assert values.shape == a.shape
-    want = [oracle_boundary_value(dt, int(x)) for x in a]
-    np.testing.assert_allclose(values, want, rtol=1e-12, atol=0)
+    assert exps.dtype.kind == "i" and exps[-1] * 2 == period
 
 
 @pytest.mark.parametrize("dt", [DynkinType("A", 7), DynkinType("B", 9), DynkinType("C", 10),
@@ -1221,7 +1228,12 @@ def test_block_diag_catches_a_small_off_diagonal_entry():
                                                                case.report.exponents))
     assert spectral.c_checks(case)["c_reduction"]["pass"]
     checks = spectral.c_checks(broken)
-    assert not checks["c_reduction"]["pass"] and "off-diagonal" in checks["c_reduction"]["error"]
+    reduction = checks["c_reduction"]
+    # the split is still taken: the verdict fails on offdiag and reports every other component
+    assert not reduction["pass"] and reduction["offdiag"] > Tolerances().block_diag
+    assert reduction["residual"] <= Tolerances().c_identities
+    assert {"k_reduction", "l_reduction", "full_det", "khat_reference", "lhat_reference"} <= reduction.keys()
+    assert checks["csol"]["pass"]  # csol reads K(lambda) and L(lambda), built from Y alone
 
 
 BUILDERS = ("assemble_eta", "y_solution", "build_mutation_loop", "spectrum", "c_blocks")

@@ -315,6 +315,12 @@ def test_newton_converges_at_high_rank(dt):
     assert np.max(np.abs(newton - ep.eta) / np.abs(ep.eta)) <= 1e-8
 
 
+def test_newton_steps_once_past_its_stopping_test():
+    # stopping as soon as the residual passed left C256 at 5.1e-10 from eta
+    ep = assemble_eta(DynkinType("C", 256))
+    assert np.max(np.abs(newton_fixed_point(ep.loop) - ep.eta) / ep.eta) <= 1e-11
+
+
 @pytest.mark.parametrize("start,match", [([1.0, 1.0], "values per point"), ([1.0] * 4, "values per point"),
                                          ([1.0, np.nan, 1.0], "positive"), ([1.0, 1.0, np.inf], "positive")],
                          ids=["short", "long", "nan", "inf"])
