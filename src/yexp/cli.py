@@ -6,8 +6,8 @@ YEXP_TOL_SCALE multiplies every tolerance of the commands that gate on one:
 periodicity, verify, conjecture-c and sweep. `periodicity` runs each orbit in
 log coordinates, at positive points.
 
-Exit codes: 0 all checks passed, 1 a verification check failed,
-2 usage or domain error.
+Exit codes: 0 all checks passed, 1 a verification check failed (out of memory
+in a check too), 2 usage or domain error, or out of memory outside a check.
 """
 
 from __future__ import annotations
@@ -110,6 +110,7 @@ def _tolerances(args) -> spectral.Tolerances:
 
 
 def main(argv=None) -> int:
+    """Run one command; return its exit code (see the module docstring)."""
     argv = sys.argv[1:] if argv is None else list(argv)
     # only the named command's subparser; help, no command or an unknown one need them all
     commands = argv[:1] if argv[:1] and argv[0] in COMMANDS else COMMANDS
@@ -119,8 +120,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _dispatch(args)
-    except (ValueError, KeyError, OSError, RuntimeError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, KeyError, OSError, RuntimeError, ArithmeticError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -58,7 +58,7 @@ def qdim(rs: RootSystem, level: int, weight):
     if weight.shape[-1:] != (n,):
         raise ValueError(f"weight needs {n} fundamental coordinates")
     t = rs.t_group
-    period = t * (level + rs.h_dual)
+    period = np.int64(t * (level + rs.h_dual))  # so that the int32 heights mod 2|P| are taken in int64
     if period == 0 or not np.all(rs.heights % period):
         raise ZeroDivisionError(f"q-dimension denominator vanishes: P = {period} divides a root height")
     den = _sin_pi(rs.heights, period)

@@ -42,8 +42,8 @@ class RootSystem:
 
     Root r is the sum of alpha_k over lo1 <= k < hi1 and over lo2 <= k < hi2
     (k 0-based), with (lo1, hi1, lo2, hi2) = `ends[r]`; `long[r]` says whether
-    it is long and `heights[r]` = t<rho, alpha_r>. The arrays follow from
-    `type` and take no part in equality.
+    it is long and `heights[r]` = t<rho, alpha_r>. `ends` and `heights` are
+    int32. The arrays follow from `type` and take no part in equality.
     """
 
     type: DynkinType
@@ -95,7 +95,7 @@ def _interval_ends(dt: DynkinType):
     e_i - e_j is the interval alpha_i + ... + alpha_{j-1}. For B/C/D, e_i + e_j
     is alpha_i + ... + alpha_n plus alpha_j + ... + alpha_tail, with tail n, n-1
     or n-2 for B, C or D (D's e_i + e_n drops alpha_{n-1} instead), and B/C add
-    e_i and 2 e_i. The array holds the 0-based half-open ends.
+    e_i and 2 e_i. The int32 array holds the 0-based half-open ends, each at most n.
     """
     n, fam = dt.rank, dt.family
     i, j = np.triu_indices(n + (fam == "A"), 1)
@@ -107,7 +107,7 @@ def _interval_ends(dt: DynkinType):
         blocks.append((i, n, j, n if fam == "B" else n - 1))
         k = np.arange(n)
         blocks.append((k, n, 0, 0) if fam == "B" else (k, n, k, n - 1))
-    return np.concatenate([np.stack(np.broadcast_arrays(*b), axis=1) for b in blocks])
+    return np.concatenate([np.stack(np.broadcast_arrays(*b), axis=1, dtype=np.int32) for b in blocks])
 
 
 @lru_cache(maxsize=None)
@@ -124,7 +124,7 @@ def build_root_system(dt: DynkinType) -> RootSystem:
     long = np.full(len(ends), fam != "C")
     if fam in ("B", "C"):
         long[-dt.rank:] = fam == "C"  # B's e_i are short, C's 2 e_i long
-    heights = _pairings(ends, t_group // t_i)
+    heights = _pairings(ends, t_group // t_i).astype(np.int32)  # each below 2 t h_dual
     assert not np.any(heights[long] % t_group), dt
     for a in (ends, long, heights):
         a.setflags(write=False)

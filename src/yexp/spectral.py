@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
@@ -39,11 +39,13 @@ class ExponentSequence:
 
 @dataclass(frozen=True)
 class SpectralReport:
+    """What several checks read: L at eta, its eigenvalues, their exponents and the worst snap error."""
+
     type: DynkinType
     jacobian: np.ndarray
     eigenvalues: np.ndarray
     exponents: ExponentSequence
-    residuals: Dict[str, float] = field(default_factory=dict)
+    exponent_snap: float
 
 
 # ------------------------------------------------------ conjectured N/D
@@ -84,43 +86,34 @@ def snap_exponents(eigenvalues: np.ndarray, period: int) -> Tuple[Tuple[int, ...
 
 
 def spectrum(loop: MutationLoop, eta) -> SpectralReport:
-    """Eigen-decomposition of the log-coordinate loop Jacobian L at a verified fixed point."""
+    """The log-coordinate loop Jacobian L at a verified fixed point, its eigenvalues and their
+    snapped exponents with the worst snap error; L^P is left to `check_conjecture_38`."""
     dt = loop.start.type
     _, _, period = group_constants(dt)
     jac = log_loop_jacobian(loop, np.log(eta))
     eigs = np.linalg.eigvals(jac)
     exps, snap = snap_exponents(eigs, period)
-    residuals = {
-        "exponent_snap": snap,
-        "power_identity": float(np.max(np.abs(np.linalg.matrix_power(jac, period) - np.eye(len(jac))))),
-    }
-    return SpectralReport(
-        type=dt,
-        jacobian=jac,
-        eigenvalues=eigs,
-        exponents=ExponentSequence(period, exps),
-        residuals=residuals,
-    )
+    return SpectralReport(dt, jac, eigs, ExponentSequence(period, exps), snap)
 
 
 def check_conjecture_38(rep: SpectralReport, tol: float) -> Dict:
     """Verdict on det(zI - L) = N/D for the Jacobian L of a spectrum report.
 
     Passes when D is contained in N, N - D equals the snapped spectrum exactly,
-    and max(snap error, |L^P - I|_max) is within `tol`; the verdict carries both,
-    `exponent_snap` and `power_identity`. With L^P = I the minimal polynomial of L
-    divides the separable z^P - 1, so L is diagonalizable and its eigenvalue
-    multiset fixes det(zI - L), which is det(zI - J). The snap error also bounds
-    every ||lambda| - 1|.
+    and max(snap error, |L^P - I|_max) is within `tol`; the verdict carries both, the
+    report's `exponent_snap` and `power_identity`, computed here. With L^P = I the minimal
+    polynomial of L divides the separable z^P - 1, so L is diagonalizable and its eigenvalue
+    multiset fixes det(zI - L), which is det(zI - J). The snap error also bounds every ||lambda| - 1|.
     """
     num, den = conjectured_charpoly(build_root_system(rep.type))
-    snap, power = rep.residuals["exponent_snap"], rep.residuals["power_identity"]
+    jac, period = rep.jacobian, rep.exponents.period
+    power = float(np.max(np.abs(np.linalg.matrix_power(jac, period) - np.eye(len(jac)))))
     division_exact = bool((den <= num).all())
     quotient_matches = np.array_equal(np.maximum(num - den, 0),
                                       np.bincount(rep.exponents.exponents, minlength=len(num)))
-    return _verdict(_worst(snap, power), tol, division_exact and quotient_matches, exponent_snap=snap,
-                    power_identity=power, division_exact=division_exact,
-                    quotient_matches_spectrum=quotient_matches)
+    return _named_verdict({"exponent_snap": rep.exponent_snap, "power_identity": power}, tol,
+                          division_exact and quotient_matches, division_exact=division_exact,
+                          quotient_matches_spectrum=quotient_matches)
 
 
 @dataclass(frozen=True)
@@ -801,6 +794,11 @@ def _verdict(residual: float, tol: float, holds: bool = True, **details) -> Dict
     return {"residual": float(residual), "pass": bool(holds and residual <= tol), **details}
 
 
+def _named_verdict(components: Dict[str, float], tol: float, holds: bool = True, **details) -> Dict:
+    """A multi-part check's entry: the worst of its named components (nan if any is), and each one."""
+    return _verdict(_worst(*components.values()), tol, holds, **components, **details)
+
+
 def _failed(exc: Exception) -> Dict:
     return {"residual": None, "pass": False, "error": f"{type(exc).__name__}: {exc}"}
 
@@ -848,15 +846,14 @@ def c_checks(case: Case, tolerances: Tolerances = Tolerances(), samples: int = 3
 
     def reduction():
         red = verify_c_reduction(blocks, dets)
-        return _verdict(_worst(*(v for k, v in red.items() if k != "offdiag")), tolerances.c_identities,
-                        red["offdiag"] <= tolerances.block_diag, **red,
-                        **method("K", "L", "Khat", "Lhat", points=len(dets.khat)))
+        offdiag = red.pop("offdiag")
+        return _named_verdict(red, tolerances.c_identities, offdiag <= tolerances.block_diag, offdiag=offdiag,
+                              **method("K", "L", "Khat", "Lhat", points=len(dets.khat)))
 
     def csol():
         cs = verify_conjecture_csol(blocks, dets)
-        return _verdict(_worst(cs["csol_k"], cs["csol_l"]), tolerances.c_identities,
-                        csol_k=cs["csol_k"], csol_l=cs["csol_l"], status=cs["conjecture_status"],
-                        **method("K", "L", points=len(dets.lams)))
+        status = cs.pop("conjecture_status")
+        return _named_verdict(cs, tolerances.c_identities, status=status, **method("K", "L", points=len(dets.lams)))
 
     return {"c_reduction": _guarded(reduction), "csol": _guarded(csol)}
 
@@ -870,43 +867,35 @@ def run_case(
 ) -> Dict:
     """Full verification suite for one (family, rank) case, built once.
 
-    Never aborts mid-suite: every check runs and reports a residual with its
-    pass flag, and a check whose call raises reports its error instead of a
-    residual; the caller decides what a failure means.
+    Building the case (eta and the spectrum) can raise; past that the suite never aborts: each
+    check computes its own evidence (`conjecture_38` its L^P) and reports its residual, pass flag
+    and named components, or its error if its call raises (out of memory too).
     """
     # assemble under a coarse guard so an over-tight configured tolerance is
     # reported as a failing check instead of aborting the suite
     case = build_case(dt, tol=max(tolerances.fixed_point, 1e-6))
     loop, eta = case.point.loop, case.point.eta
-    rep = case.report
-    period = rep.exponents.period
+    period = case.report.exponents.period
 
     def fixed_point():
         newton_res = float(np.max(np.abs(newton_fixed_point(loop) - eta) / np.abs(eta)))
         return _verdict(case.point.residual, tolerances.fixed_point,
                         newton_res <= tolerances.newton_agreement, newton_agreement=newton_res)
 
-    def lemma_vectors():
-        return _verdict(_worst(*lemma_summary(case).values()), tolerances.lemma)
-
-    def relations():
-        rel = relation_residuals(case)
-        return _verdict(_worst(*rel.values()), tolerances.relations, **rel)
-
     checks: Dict[str, Dict] = {
         "fixed_point": _guarded(fixed_point),
         "periodicity": _guarded(lambda: periodicity_verdict(loop, period, seed, periodicity_points,
                                                              tolerances.periodicity)),
         "jacobian_fd": _guarded(lambda: check_jacobian_fd(case, tolerances.fd_jacobian)),
-        "conjecture_38": _guarded(lambda: check_conjecture_38(rep, tolerances.charpoly)),
+        "conjecture_38": _guarded(lambda: check_conjecture_38(case.report, tolerances.charpoly)),
     }
     even_bd = dt.family in ("B", "D") and dt.rank % 2 == 0
     if even_bd:
-        checks["lemma_vectors"] = _guarded(lemma_vectors)
+        checks["lemma_vectors"] = _guarded(lambda: _named_verdict(lemma_summary(case), tolerances.lemma))
     if dt.family == "C":
         checks.update(c_checks(case, tolerances, samples))
     if even_bd or dt.family == "C":
-        checks["relations"] = _guarded(relations)
+        checks["relations"] = _guarded(lambda: _named_verdict(relation_residuals(case), tolerances.relations))
 
     return {
         "type": dt.family,
@@ -914,7 +903,7 @@ def run_case(
         "level": 2,
         "period": period,
         "n_vertices": loop.n_vertices,
-        "exponents": list(rep.exponents.exponents),
+        "exponents": list(case.report.exponents.exponents),
         "seed": seed,
         "calibration": asdict(calibrate_reading()),
         "checks": checks,

@@ -409,6 +409,16 @@ def test_raising_check_is_recorded_not_fatal(capsys, monkeypatch):
                     "lemma_vectors": True, "relations": True}
 
 
+@pytest.mark.parametrize("argv", [("verify", "--family", "C", "--rank", "4"), ("sweep", "--rank-max", "4")],
+                         ids=lambda argv: argv[0])
+def test_out_of_memory_while_building_a_case_exits_two(argv, capsys, monkeypatch):
+    def no_memory(loop, eta):
+        raise MemoryError()
+
+    monkeypatch.setattr(spectral, "spectrum", no_memory)
+    assert run(capsys, *argv) == (2, "", "error: MemoryError\n")
+
+
 def test_verify_report_names_the_failing_relation(tmp_path, capsys, monkeypatch):
     # one entry of L moved in row top(n - 1), which minus_outer_last alone reads
     build_case = spectral.build_case

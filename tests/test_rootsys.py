@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from yexp.qsys import qdim
-from yexp.rootsys import DynkinType, build_root_system, cartan_entries, group_constants
+from yexp.rootsys import DynkinType, _pairings, build_root_system, cartan_entries, group_constants
 
 from oracles import dense_cartan
 
@@ -152,6 +152,17 @@ def test_pairings_match_rows(dt):
     assert rs.pairings(w[0]).tolist() == (rows @ w[0]).tolist()
 
 
+def test_root_arrays_are_int32_and_pair_as_int64():
+    rs = build_root_system(DynkinType("C", 512))
+    assert rs.ends.dtype == rs.heights.dtype == np.int32
+    wide = rs.ends.astype(np.int64)
+    # weights this large give pairings far past the int32 range
+    w = np.random.default_rng(512).integers(-10 ** 12, 10 ** 12, (4, 512))
+    got = rs.pairings(w)
+    assert got.dtype == np.int64 and np.array_equal(got, _pairings(wide, w))
+    assert np.array_equal(rs.heights, _pairings(wide, rs.t_group // np.array(rs.t_i)))
+
+
 @pytest.mark.parametrize("dt", [DynkinType("B", 256), DynkinType("D", 256)], ids=str)
 def test_root_arrays_are_linear_in_the_root_count(dt):
     # the dense R x n rows would be 2 KB per root at rank 256
@@ -181,7 +192,8 @@ def test_fundamental_weight_duality(dt):
     rs = build_root_system(dt)
     for i, dim in enumerate(_fundamental_dims(dt)):
         weight = tuple(int(i == j) for j in range(dt.rank))
-        assert qdim(rs, 10 ** 8, weight) == pytest.approx(dim, rel=1e-9)
+        for level in (10 ** 8, 10 ** 10):  # 2P is past the int32 range of the heights at 10^10
+            assert qdim(rs, level, weight) == pytest.approx(dim, rel=1e-9)
 
 
 @pytest.mark.parametrize("dt", ALL_TYPES, ids=str)

@@ -128,8 +128,8 @@ def test_spectrum_b2():
     rep = build_case(DynkinType("B", 2)).report
     assert rep.exponents.period == 10
     assert rep.exponents.exponents == (2, 4, 5, 6, 8)
-    assert rep.residuals["exponent_snap"] <= 1e-8
-    assert rep.residuals["power_identity"] <= 1e-7
+    assert rep.exponent_snap <= 1e-8
+    assert check_conjecture_38(rep, Tolerances().charpoly)["power_identity"] <= 1e-7
 
 
 def test_spectrum_d4():
@@ -155,7 +155,7 @@ def test_exponent_symmetry_and_charpoly(dt):
     exps = list(rep.exponents.exponents)
     mirrored = sorted((period - m) % period for m in exps)
     assert mirrored == exps
-    assert rep.residuals["exponent_snap"] <= 1e-7
+    assert rep.exponent_snap <= 1e-7
     assert np.array_equal(quotient_exponents(dt), histogram(rep.exponents.exponents, period))
 
 
@@ -238,18 +238,51 @@ def test_quotient_closed_form_c(n):
 
 @pytest.mark.parametrize("dt", [DynkinType("A", 5), DynkinType("B", 6), DynkinType("C", 5), DynkinType("D", 8)],
                          ids=str)
-def test_conjecture_38_reports_its_two_residuals(dt):
+def test_conjecture_38_reports_its_two_residuals(dt, monkeypatch):
     case = build_case(dt)
+    jac, period = case.jacobian, case.report.exponents.period
     verdict = check_conjecture_38(case.report, Tolerances().charpoly)
-    assert case.report.residuals.keys() == {"exponent_snap", "power_identity"}
-    assert {k: verdict[k] for k in case.report.residuals} == case.report.residuals
-    assert verdict["residual"] == max(case.report.residuals.values())
+    assert verdict["exponent_snap"] == case.report.exponent_snap
+    assert verdict["power_identity"] == float(np.max(np.abs(np.linalg.matrix_power(jac, period) - np.eye(len(jac)))))
+    assert verdict["residual"] == max(verdict["exponent_snap"], verdict["power_identity"])
     assert run_case(dt)["checks"]["conjecture_38"] == verdict
-    # a nan in either residual is the verdict's residual, and fails it
-    for name in case.report.residuals:
-        rep = dataclasses.replace(case.report, residuals={**case.report.residuals, name: math.nan})
-        verdict = check_conjecture_38(rep, Tolerances().charpoly)
-        assert math.isnan(verdict["residual"]) and math.isnan(verdict[name]) and verdict["pass"] is False
+    # a nan entry of L is a nan power_identity, and fails the verdict
+    broken = jac.copy()
+    broken[0, 0] = math.nan
+    verdict = check_conjecture_38(dataclasses.replace(case.report, jacobian=broken), Tolerances().charpoly)
+    assert math.isnan(verdict["residual"]) and math.isnan(verdict["power_identity"]) and verdict["pass"] is False
+    # a nan eigenvalue is a nan exponent_snap, and fails the verdict
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.append(eigvals(a)[1:], math.nan))
+    with np.errstate(invalid="ignore"):  # the nan's phase cast to an integer
+        rep = build_case(dt).report
+    verdict = check_conjecture_38(rep, Tolerances().charpoly)
+    assert math.isnan(rep.exponent_snap) and math.isnan(verdict["exponent_snap"])
+    assert math.isnan(verdict["residual"]) and verdict["pass"] is False
+
+
+def test_build_case_takes_no_matrix_power(monkeypatch):
+    calls = Counter()
+    matrix_power = np.linalg.matrix_power
+
+    def counted(a, n):
+        calls["matrix_power"] += 1
+        return matrix_power(a, n)
+
+    monkeypatch.setattr(np.linalg, "matrix_power", counted)
+    case = build_case(DynkinType("C", 6))
+    assert not calls
+    assert check_conjecture_38(case.report, Tolerances().charpoly)["pass"] and calls["matrix_power"] == 1
+
+
+def test_a_raising_power_fails_conjecture_38_alone(monkeypatch):
+    def no_memory(a, n):
+        raise MemoryError("Unable to allocate L^P")
+
+    monkeypatch.setattr(np.linalg, "matrix_power", no_memory)
+    checks = run_case(DynkinType("C", 6), samples=8, periodicity_points=2)["checks"]
+    assert checks["conjecture_38"] == {"residual": None, "pass": False, "error": "MemoryError: Unable to allocate L^P"}
+    assert all(c["pass"] for name, c in checks.items() if name != "conjecture_38")
 
 
 @pytest.mark.parametrize("dt", [DynkinType("B", 6), DynkinType("D", 8), DynkinType("A", 4)], ids=str)
@@ -510,6 +543,7 @@ def test_lemma_vectors_fails_on_one_moved_exponent(dt, monkeypatch):
     monkeypatch.setattr(spectral, "build_case", lambda dt, tol: broken)
     verdict = run_case(dt)["checks"]["lemma_vectors"]
     assert not verdict["pass"] and verdict["residual"] == 1.0
+    assert verdict["exponent_multiset_match"] == 1.0 and verdict["vectors"] <= Tolerances().lemma
 
 
 def test_seeded_points_are_drawn_row_by_row():
@@ -1205,8 +1239,7 @@ def test_jacobian_fd_catches_one_scaled_column():
     case = build_case(DynkinType("C", 34))
     jac = case.jacobian.copy()
     jac[:, 5] *= 1 + 1e-4
-    broken = spectral.Case(case.point, spectral.SpectralReport(case.type, jac, case.report.eigenvalues,
-                                                               case.report.exponents))
+    broken = spectral.Case(case.point, dataclasses.replace(case.report, jacobian=jac))
     assert not check_jacobian_fd(broken, Tolerances().fd_jacobian)["pass"]
 
 
@@ -1224,8 +1257,7 @@ def test_block_diag_catches_a_small_off_diagonal_entry():
     bump = np.zeros_like(case.jacobian)
     bump[0, 63] = 1e-8  # row of the K-hat block, column of the L-hat block
     jac = case.jacobian + u @ bump @ np.linalg.inv(u)
-    broken = spectral.Case(case.point, spectral.SpectralReport(case.type, jac, case.report.eigenvalues,
-                                                               case.report.exponents))
+    broken = spectral.Case(case.point, dataclasses.replace(case.report, jacobian=jac))
     assert spectral.c_checks(case)["c_reduction"]["pass"]
     checks = spectral.c_checks(broken)
     reduction = checks["c_reduction"]
