@@ -44,7 +44,7 @@ _TEXT = {  # the text each table command writes for one case
     "ytable": lambda dt: ysys.ytable_csv(ysys.y_solution(dt)),
     "eta": lambda dt: ysys.eta_csv(ysys.assemble_eta(dt)),
     "exponents": lambda dt: spectral.exponents_csv(
-        [{"type": dt.family, "rank": dt.rank, **asdict(spectral.build_case(dt).report.exponents)}]),
+        [{"type": dt.family, "rank": dt.rank, **asdict(spectral.build_case(dt).exponents)}]),
 }
 
 

@@ -11,6 +11,7 @@ fundamental-weight coordinates c.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Tuple
@@ -29,8 +30,13 @@ class DynkinType:
         if self.family not in _MIN_RANK:
             raise ValueError(f"unknown family {self.family!r}: expected one of A, B, C, D")
         lo = _MIN_RANK[self.family]
-        if not isinstance(self.rank, int) or self.rank < lo:
+        try:  # any integer but a bool, numpy's too, kept as a Python int
+            rank = -1 if isinstance(self.rank, bool) else operator.index(self.rank)
+        except TypeError:
+            rank = -1
+        if rank < lo:
             raise ValueError(f"rank {self.rank!r} invalid for family {self.family}: need an integer >= {lo}")
+        object.__setattr__(self, "rank", rank)
 
     def __str__(self):
         return f"{self.family}{self.rank}"
@@ -110,7 +116,7 @@ def _interval_ends(dt: DynkinType):
     return np.concatenate([np.stack(np.broadcast_arrays(*b), axis=1, dtype=np.int32) for b in blocks])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)  # a few recent types: a sweep builds each once, and a large one holds MiBs
 def build_root_system(dt: DynkinType) -> RootSystem:
     """Construct the positive roots and their Lie data on the integer lattice."""
     fam = dt.family

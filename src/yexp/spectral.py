@@ -7,8 +7,8 @@ exponents, histograms of length P whose entry m counts the root e^{2 pi i m / P}
 The conjecture det(zI - J) = N/D is then decided on integers: D is contained in
 N, and N - D equals the exponent multiset of the snapped spectrum of J.
 
-Each (family, rank) case is built once, as a frozen `Case`: the fixed point
-eta with its Y-solution, and the spectrum of the log-coordinate Jacobian
+Each (family, rank) case is built once, as one frozen `Case`: the fixed point
+eta with its loop and Y-solution, and the spectrum of the log-coordinate Jacobian
 L = diag(1/eta) J diag(eta) there. L is similar to J and stays bounded at every
 rank, so every check reads L, unscaled, with J's closed forms carried over; the
 type-C relations read L's plus factor L_+ beside it.
@@ -79,10 +79,12 @@ def _worst(*residuals) -> float:
 # ------------------------------------------------------------------- spectrum
 
 def snap_exponents(eigenvalues: np.ndarray, period: int) -> Tuple[Tuple[int, ...], float]:
-    """Round eigenvalue phases to integers modulo the period; return worst snap error."""
-    m = np.rint(np.angle(eigenvalues) / (2 * np.pi) * period).astype(int) % period
-    worst = np.max(np.abs(eigenvalues - np.exp(2j * np.pi * m / period)), initial=0.0)
-    return tuple(sorted(m.tolist())), float(worst)
+    """Round eigenvalue phases to integers modulo the period; return worst snap error.
+    A non-finite eigenvalue gets no exponent and makes the error nan."""
+    finite = eigenvalues[np.isfinite(eigenvalues)]
+    m = np.rint(np.angle(finite) / (2 * np.pi) * period).astype(int) % period
+    worst = np.max(np.abs(finite - np.exp(2j * np.pi * m / period)), initial=0.0)
+    return tuple(sorted(m.tolist())), float(worst) if len(finite) == len(eigenvalues) else math.nan
 
 
 def spectrum(loop: MutationLoop, eta) -> SpectralReport:
@@ -117,26 +119,16 @@ def check_conjecture_38(rep: SpectralReport, tol: float) -> Dict:
 
 
 @dataclass(frozen=True)
-class Case:
-    """One (family, rank) case: eta with its Y-solution, and the spectrum of
-    the loop Jacobian at eta, which holds the case's only Jacobian, L."""
-
-    point: EtaPoint
-    report: SpectralReport
-
-    @property
-    def type(self) -> DynkinType:
-        return self.report.type
-
-    @property
-    def jacobian(self) -> np.ndarray:
-        return self.report.jacobian
+class Case(SpectralReport, EtaPoint):
+    """One (family, rank) case, whose fields every check reads directly: the fixed point
+    `eta` with its `loop`, `ysol` and `residual` (an `EtaPoint`), and the spectrum of the
+    loop Jacobian at eta (a `SpectralReport`), whose `jacobian` is the case's only one, L."""
 
 
 def build_case(dt: DynkinType, tol: float = 1e-9) -> Case:
-    """Assemble eta (fixed-point residual within `tol`) and take its spectrum."""
+    """Assemble eta (fixed-point residual within `tol`) and take its spectrum, as one `Case`."""
     point = assemble_eta(dt, tol=tol)
-    return Case(point, spectrum(point.loop, point.eta))
+    return Case(**vars(point), **vars(spectrum(point.loop, point.eta)))
 
 
 def _seeded_uniform(seed: int, shape: Tuple[int, int]) -> np.ndarray:
@@ -247,7 +239,7 @@ def relation_residuals(case: Case) -> Dict[str, float]:
         if n % 2:
             raise ValueError("relation rows of types B and D are available for even ranks only")
         rows = _relation_matrix_B(n) if dt.family == "B" else _relation_matrix_D(n)
-        eta = case.point.eta
+        eta = case.eta
         r = np.array(sorted(rows))
         gap = case.jacobian[r - 1]  # a copy of the rows, less each closed-form entry below
         for k, row in enumerate(r):
@@ -280,8 +272,8 @@ def _c_relation_residuals(case: Case) -> Dict[str, float]:
     columns rhs is 0. Each identity keeps its worst row. Only p's and q's identities are
     written out, on L_+'s rows and L's."""
     n = case.type.rank
-    Y, eta, jac = case.point.ysol.value, case.point.eta, case.jacobian
-    loop, x, nu = case.point.loop, np.log(eta), np.array(case.point.loop.nu)
+    Y, eta, jac = case.ysol.value, case.eta, case.jacobian
+    loop, x, nu = case.loop, np.log(eta), np.array(case.loop.nu)
     p, q = 3 * n - 3, 3 * n - 2
     x_plus, plus = log_plus_phase(loop, x)
     y_plus, y_minus = np.exp(x_plus), np.exp(log_cluster_transform(loop, x))[nu]
@@ -422,14 +414,14 @@ def lemma_basis(case: Case) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     all from one L @ Psi.
     """
     dt = case.type
-    order, period = lemma_parameters(dt) + 1, case.report.exponents.period
+    order, period = lemma_parameters(dt) + 1, case.exponents.period
     a = np.arange(1, order)
     power = _lemma_powers(dt, a)
     phi = _lemma_phi_B(dt.rank, power) if dt.family == "B" else _lemma_phi_D(dt.rank, power)
     i, j = (dt.rank - 1, dt.rank + 1) if dt.family == "B" else (dt.rank - 2, dt.rank - 1)
     special = np.zeros(len(phi))
     special[i], special[j] = 1.0, -1.0
-    psi = np.column_stack((phi, special)) / case.point.eta[:, None]
+    psi = np.column_stack((phi, special)) / case.eta[:, None]
     lam = np.append(power(1), -1.0)
     residuals = np.max(np.abs(case.jacobian @ psi - lam * psi), axis=0) / np.max(np.abs(psi), axis=0)
     return np.append(a * (period // order), period // 2), psi, residuals
@@ -439,7 +431,7 @@ def lemma_summary(case: Case) -> Dict[str, float]:
     """The worst column residual of `lemma_basis`, and whether its exponents equal the
     snapped spectrum's as an integer multiset (0.0 if they do, else 1.0)."""
     exps, _, residuals = lemma_basis(case)
-    match = tuple(np.sort(exps).tolist()) == case.report.exponents.exponents
+    match = tuple(np.sort(exps).tolist()) == case.exponents.exponents
     return {"vectors": float(np.max(residuals)), "exponent_multiset_match": 0.0 if match else 1.0}
 
 
@@ -447,17 +439,14 @@ def lemma_summary(case: Case) -> Dict[str, float]:
 
 @dataclass(frozen=True)
 class CBlockPair:
-    """The C_n block split of L: the hat blocks, the reduced blocks K(lambda) and
-    L(lambda) on their bands (at one lambda or an array of them), and L's eigenvalues,
-    which fix det(zI - L) = det(zI - J) since L^P = I."""
+    """What the C_n block split of a case's L computes: the diagonal blocks K-hat and L-hat,
+    their residuals against J's closed-form tables (`khat_reference`, `lhat_reference`) and
+    the largest entry of the off-diagonal blocks, `offdiag`; the rest is read from the case."""
 
-    rank: int
-    eigenvalues: np.ndarray
     Khat: np.ndarray
     Lhat: np.ndarray
-    K: Callable[[np.ndarray], np.ndarray]
-    L: Callable[[np.ndarray], np.ndarray]
     residuals: Dict[str, float]
+    offdiag: float
 
 
 def _c_split(a: np.ndarray, n: int, w: float) -> np.ndarray:
@@ -540,11 +529,11 @@ def _plus_diagonal(band: np.ndarray, shift) -> np.ndarray:
     return band + np.asarray(shift)[..., None, None] * (np.arange(width) == width // 2)
 
 
-def _reduced_blocks(n: int, Y) -> Tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+def _reduced_blocks(n: int, Y, lams) -> Tuple[np.ndarray, np.ndarray]:
     """K(lambda) and L(lambda) of the C_n reduction on their bands, at one lambda or an
     array of them: row i holds columns i - h .. i + h, h = 1 for K and 2 for L. The
-    lambda-free entries are built once; each call adds lambda + 1/lambda on the diagonal
-    and L's three entries in lambda^{+-1}."""
+    lambda-free entries are built first, then lambda + 1/lambda is added on the diagonal
+    and L's three entries in lambda^{+-1} are set."""
     y1 = np.array([Y(i, 1) for i in range(1, n)])
     y2 = np.array([Y(i, 2) for i in range(1, n)])
     yn = Y(n, 1)
@@ -566,31 +555,22 @@ def _reduced_blocks(n: int, Y) -> Tuple[Callable[[np.ndarray], np.ndarray], Call
     l0[2 * n - 3, 3] = y2[-1] / (yn + 1)
     l0[2 * n - 1, 1] = y2[-1] + 1
     l0[2 * n - 2, 3] = 2.0 / (y2[-1] + 1)
-
-    def K(lams):
-        lam = np.asarray(lams, dtype=complex)
-        return _plus_diagonal(k0, lam + 1 / lam)
-
-    def L(lams):
-        lam = np.asarray(lams, dtype=complex)
-        band = _plus_diagonal(l0, lam + 1 / lam)
-        band[..., 2 * n - 2, 0] = -2 / lam * yn / (y1[-1] + 1)
-        band[..., 2 * n - 1, 0] = lam * yn
-        band[..., 2 * n - 3, 4] = y2[-1] / (lam * (y2[-1] + 1) * (yn + 1))
-        return band
-
-    return K, L
+    lam = np.asarray(lams, dtype=complex)
+    band = _plus_diagonal(l0, lam + 1 / lam)
+    band[..., 2 * n - 2, 0] = -2 / lam * yn / (y1[-1] + 1)
+    band[..., 2 * n - 1, 0] = lam * yn
+    band[..., 2 * n - 3, 4] = y2[-1] / (lam * (y2[-1] + 1) * (yn + 1))
+    return _plus_diagonal(k0, lam + 1 / lam), band
 
 
 def c_blocks(case: Case) -> CBlockPair:
-    """Block-diagonalize the C_n Jacobian L in the symmetric/antisymmetric basis.
+    """Block-diagonalize the case's C_n Jacobian L in the symmetric/antisymmetric basis.
 
-    The largest entry of the off-diagonal blocks is reported as `offdiag`, for the
-    caller to gate; the split is taken whatever it reads. The diagonal blocks are compared
-    with J's closed-form tables (`_hat_reference`) scaled by d_col / d_row, d being eta
-    on each basis vector (eta is equal on each folded pair), entry by entry: relative
+    The largest entry of the off-diagonal blocks is reported as `offdiag`, for
+    `c_checks` to gate; the split is taken whatever it reads. The diagonal blocks are
+    compared with J's closed-form tables (`_hat_reference`) scaled by d_col / d_row, d being
+    eta on each basis vector (eta is equal on each folded pair), entry by entry: relative
     to |table entry| where it is nonzero, and to max(1, max|table|) where it is zero.
-    The case's eigenvalues are handed on for the full determinant identity.
     """
     if case.type.family != "C":
         raise ValueError(f"the block reduction is for type C, not {case.type.family}")
@@ -599,28 +579,17 @@ def c_blocks(case: Case) -> CBlockPair:
     # two +-1 entries each): the columns combined as u's, the rows as u^-1's, which halves them
     m = _c_split(_c_split(case.jacobian.T, n, 1.0).T, n, 0.5)
     nk = n - 1
-    offdiag = _worst(np.max(np.abs(m[:nk, nk:])), np.max(np.abs(m[nk:, :nk])))
-    khat = m[:nk, :nk].copy()
-    lhat = m[nk:, nk:].copy()
-    Y, lq = case.point.ysol.value, case.point.loop.start
-    residuals = {"offdiag": offdiag}
+    khat, lhat = m[:nk, :nk].copy(), m[nk:, nk:].copy()
+    Y, lq = case.ysol.value, case.loop.start
+    residuals = {}
     v = np.arange(3 * n - 1)
-    d = case.point.eta[np.concatenate((v[:3 * n - 3:3], v[v % 3 != 2]))]  # at each column's first vertex
+    d = case.eta[np.concatenate((v[:3 * n - 3:3], v[v % 3 != 2]))]  # at each column's first vertex
     # per entry, since the entries of L-hat span many magnitudes at high rank
     for name, block, rows, dd in (("khat_reference", khat, (1,), d[:nk]), ("lhat_reference", lhat, (1, 2), d[nk:])):
         ref = _hat_reference(lq, Y, rows) * dd[None, :] / dd[:, None]
         scale = np.where(ref != 0, np.abs(ref), max(1.0, float(np.max(np.abs(ref)))))
         residuals[name] = float(np.max(np.abs(block - ref) / scale))
-    K, L = _reduced_blocks(n, Y)
-    return CBlockPair(
-        rank=n,
-        eigenvalues=case.report.eigenvalues,
-        Khat=khat,
-        Lhat=lhat,
-        K=K,
-        L=L,
-        residuals=residuals,
-    )
+    return CBlockPair(khat, lhat, residuals, _worst(np.max(np.abs(m[:nk, nk:])), np.max(np.abs(m[nk:, :nk]))))
 
 
 def _unit_circle_samples(count: int) -> np.ndarray:
@@ -699,13 +668,15 @@ class CDeterminants:
     half_bandwidths: Dict[str, int]
 
 
-def c_determinants(blocks: CBlockPair, samples: int = 32) -> CDeterminants:
+def c_determinants(case: Case, blocks: CBlockPair, samples: int = 32) -> CDeterminants:
     """The determinants of the C_n reduction on 2m - 1 points, m = max(16, samples // 2 + 1):
     `csol` reads all of them, at least `samples`, and `c_reduction` every other one, which
-    are the m points `_unit_circle_samples(m)`."""
+    are the m points `_unit_circle_samples(m)`. K(lambda) and L(lambda) are built from the
+    case's Y, the hat blocks read from `blocks`."""
     lams = _unit_circle_samples(2 * max(16, samples // 2 + 1) - 1)
     z = lams[::2] ** 2
-    bands = {"K": blocks.K(lams), "L": blocks.L(lams),
+    k, l = _reduced_blocks(case.type.rank, case.ysol.value, lams)
+    bands = {"K": k, "L": l,
              "Khat": _plus_diagonal(_band(blocks.Khat), -z), "Lhat": _plus_diagonal(_band(blocks.Lhat), -z)}
     return CDeterminants(lams, *_banded_dets(*bands.values()),
                          half_bandwidths={name: band.shape[2] // 2 for name, band in bands.items()})
@@ -728,19 +699,17 @@ def _relative_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))))
 
 
-def verify_c_reduction(blocks: CBlockPair, dets: CDeterminants) -> Dict[str, float]:
-    """Residuals of the determinant identities linking the hat blocks to K, L,
-    and of the full factorization det(zI - J) = z^{(3n-1)/2} det K det L, at every
-    other point of the grid of `dets`.
-
-    det(zI - J) is prod_i (z - lambda_i) over the case's eigenvalues, in log form.
-    """
-    n = blocks.rank
+def verify_c_reduction(case: Case, blocks: CBlockPair, dets: CDeterminants) -> Dict[str, float]:
+    """Residuals of the determinant identities linking the hat blocks to K, L, and of the
+    full factorization det(zI - J) = z^{(3n-1)/2} det K det L, at every other point of the
+    grid of `dets`, then the split's table residuals. det(zI - J) is prod_i (z - lambda_i),
+    in log form, over the case's eigenvalues, which fix it since L^P = I."""
+    n = case.type.rank
     lams = dets.lams[::2]
     det_k, det_l = dets.k[::2], dets.l[::2]
     lhs_k = (-lams) ** (-(n - 1)) * dets.khat
     lhs_l = lams ** (-2 * n) * dets.lhat
-    lhs_f = _product(lams[:, None] ** 2 - blocks.eigenvalues[None, :])
+    lhs_f = _product(lams[:, None] ** 2 - case.eigenvalues[None, :])
     return {
         "k_reduction": _relative_gap(lhs_k, det_k),
         "l_reduction": _relative_gap(lhs_l, det_l),
@@ -760,13 +729,11 @@ def csol_products(n: int, lam):
     return prod_k, prod_l
 
 
-def verify_conjecture_csol(blocks: CBlockPair, dets: CDeterminants) -> Dict[str, float]:
-    """Numerical evidence for the open determinant conjecture (clearly labeled as such),
-    at every point of the grid of `dets`."""
-    prod_k, prod_l = csol_products(blocks.rank, dets.lams)
-    return {"csol_k": _relative_gap(dets.k, prod_k),
-            "csol_l": _relative_gap(dets.l, prod_l),
-            "conjecture_status": "open; numerical evidence only"}
+def verify_conjecture_csol(case: Case, dets: CDeterminants) -> Dict[str, float]:
+    """Residuals of the open determinant conjecture at every point of the grid of `dets`:
+    numerical evidence only, which `c_checks` labels in the verdict's `status`."""
+    prod_k, prod_l = csol_products(case.type.rank, dets.lams)
+    return {"csol_k": _relative_gap(dets.k, prod_k), "csol_l": _relative_gap(dets.l, prod_l)}
 
 
 # ---------------------------------------------------------- case verification
@@ -815,7 +782,7 @@ def check_jacobian_fd(case: Case, tol: float) -> Dict:
     """Verdict on the analytic L against central differences of the log-coordinate
     loop: the residual is max|L - L_fd|, where |L| is at most the largest arrow
     multiplicity at every rank."""
-    fd = finite_difference_jacobian(case.point.loop, case.point.eta)
+    fd = finite_difference_jacobian(case.loop, case.eta)
     return _verdict(np.max(np.abs(case.jacobian - fd)), tol)
 
 
@@ -828,15 +795,16 @@ def periodicity_verdict(loop: MutationLoop, period: int, seed: int, points: int,
 def c_checks(case: Case, tolerances: Tolerances = Tolerances(), samples: int = 32) -> Dict[str, Dict]:
     """The type-C checks of C_n: the block reduction and the (open) Csol conjecture.
 
-    Both read one block split and one set of banded LU determinants
+    Both read the case, one block split and one set of banded LU determinants
     (`c_determinants`), and gate on `c_identities`. `c_reduction` also fails when the
     split's `offdiag` exceeds `block_diag`, and still reports its other components;
     `csol` reads only K(lambda) and L(lambda), built from Y, so the bound does not
-    gate it. If the split or the determinants raise, both fail with the error.
+    gate it, and its `status` labels it as evidence for an open conjecture. If the
+    split or the determinants raise, both fail with the error.
     """
     try:
         blocks = c_blocks(case)
-        dets = c_determinants(blocks, samples)
+        dets = c_determinants(case, blocks, samples)
     except Exception as exc:  # recorded like any raising check
         return {"c_reduction": _failed(exc), "csol": _failed(exc)}
 
@@ -845,15 +813,13 @@ def c_checks(case: Case, tolerances: Tolerances = Tolerances(), samples: int = 3
                 "half_bandwidths": {name: dets.half_bandwidths[name] for name in names}}
 
     def reduction():
-        red = verify_c_reduction(blocks, dets)
-        offdiag = red.pop("offdiag")
-        return _named_verdict(red, tolerances.c_identities, offdiag <= tolerances.block_diag, offdiag=offdiag,
+        return _named_verdict(verify_c_reduction(case, blocks, dets), tolerances.c_identities,
+                              blocks.offdiag <= tolerances.block_diag, offdiag=blocks.offdiag,
                               **method("K", "L", "Khat", "Lhat", points=len(dets.khat)))
 
     def csol():
-        cs = verify_conjecture_csol(blocks, dets)
-        status = cs.pop("conjecture_status")
-        return _named_verdict(cs, tolerances.c_identities, status=status, **method("K", "L", points=len(dets.lams)))
+        return _named_verdict(verify_conjecture_csol(case, dets), tolerances.c_identities,
+                              status="open; numerical evidence only", **method("K", "L", points=len(dets.lams)))
 
     return {"c_reduction": _guarded(reduction), "csol": _guarded(csol)}
 
@@ -874,12 +840,12 @@ def run_case(
     # assemble under a coarse guard so an over-tight configured tolerance is
     # reported as a failing check instead of aborting the suite
     case = build_case(dt, tol=max(tolerances.fixed_point, 1e-6))
-    loop, eta = case.point.loop, case.point.eta
-    period = case.report.exponents.period
+    loop, eta = case.loop, case.eta
+    period = case.exponents.period
 
     def fixed_point():
         newton_res = float(np.max(np.abs(newton_fixed_point(loop) - eta) / np.abs(eta)))
-        return _verdict(case.point.residual, tolerances.fixed_point,
+        return _verdict(case.residual, tolerances.fixed_point,
                         newton_res <= tolerances.newton_agreement, newton_agreement=newton_res)
 
     checks: Dict[str, Dict] = {
@@ -887,7 +853,7 @@ def run_case(
         "periodicity": _guarded(lambda: periodicity_verdict(loop, period, seed, periodicity_points,
                                                              tolerances.periodicity)),
         "jacobian_fd": _guarded(lambda: check_jacobian_fd(case, tolerances.fd_jacobian)),
-        "conjecture_38": _guarded(lambda: check_conjecture_38(case.report, tolerances.charpoly)),
+        "conjecture_38": _guarded(lambda: check_conjecture_38(case, tolerances.charpoly)),
     }
     even_bd = dt.family in ("B", "D") and dt.rank % 2 == 0
     if even_bd:
@@ -903,7 +869,7 @@ def run_case(
         "level": 2,
         "period": period,
         "n_vertices": loop.n_vertices,
-        "exponents": list(case.report.exponents.exponents),
+        "exponents": list(case.exponents.exponents),
         "seed": seed,
         "calibration": asdict(calibrate_reading()),
         "checks": checks,

@@ -169,7 +169,7 @@ def test_criterion_07_type_b_charpoly():
     ok = True
     for n in range(2, 9):
         dt = DynkinType("B", n)
-        rep = build_case(dt).report
+        rep = build_case(dt)
         expected = tuple(sorted(list(range(2, 4 * n + 1, 2)) + [2 * n + 1]))
         ok = (ok and rep.exponents.exponents == expected and rep.exponents.period == 4 * n + 2
               and np.array_equal(quotient_exponents(dt), histogram(expected, 4 * n + 2))
@@ -181,7 +181,7 @@ def test_criterion_08_type_d_charpoly():
     ok = True
     for n in range(4, 11):
         dt = DynkinType("D", n)
-        rep = build_case(dt).report
+        rep = build_case(dt)
         expected = tuple(sorted([k for k in range(2, 2 * n, 2)] + [n]))
         ok = (ok and rep.exponents.exponents == expected and rep.exponents.period == 2 * n
               and np.array_equal(quotient_exponents(dt), histogram(expected, 2 * n))
@@ -193,7 +193,7 @@ def test_criterion_09_conjecture_rhs():
     failed = []
     for dt in FAMILY_RANKS(10):
         num, den = conjectured_charpoly(build_root_system(dt))
-        rep = build_case(dt).report
+        rep = build_case(dt)
         if (den > num).any() or not np.array_equal(num - den, histogram(rep.exponents.exponents, len(num))):
             failed.append(str(dt))
     report(9, "conjectured N/D: D contained in N and N - D = exponents of J (ranks <= 10)",
@@ -204,17 +204,18 @@ def test_criterion_10_type_c():
     start = time.perf_counter()
     worst_blk = worst_red = worst_csol = worst_full = 0.0
     for n in range(3, 11):
-        blocks = c_blocks(build_case(DynkinType("C", n)))
-        dets = c_determinants(blocks)
-        red = verify_c_reduction(blocks, dets)
-        worst_blk = max(worst_blk, red["offdiag"])
+        case = build_case(DynkinType("C", n))
+        blocks = c_blocks(case)
+        dets = c_determinants(case, blocks)
+        red = verify_c_reduction(case, blocks, dets)
+        worst_blk = max(worst_blk, blocks.offdiag)
         worst_red = max(worst_red, red["k_reduction"], red["l_reduction"])
         worst_full = max(worst_full, red["full_det"])
-        cs = verify_conjecture_csol(blocks, dets)
+        cs = verify_conjecture_csol(case, dets)
         worst_csol = max(worst_csol, cs["csol_k"], cs["csol_l"])
     ok_exps = True
     for n in (3, 4):
-        rep = build_case(DynkinType("C", n)).report
+        rep = build_case(DynkinType("C", n))
         expected = tuple(sorted([2 * j for j in range(1, n + 3)] + list(range(5, 2 * n + 2))))
         ok_exps = ok_exps and rep.exponents.exponents == expected
     elapsed = time.perf_counter() - start

@@ -219,10 +219,28 @@ def test_periods():
     assert group_constants(DynkinType("A", 2))[2] == 5
 
 
-@pytest.mark.parametrize("family,rank", [("A", 0), ("B", 1), ("C", 1), ("D", 3), ("E", 6)])
+@pytest.mark.parametrize("family,rank", [("A", 0), ("B", 1), ("C", 1), ("D", 3), ("E", 6), ("A", True), ("C", 4.0),
+                                         ("C", "4"), ("C", np.int64(1)), ("C", np.True_)])
 def test_invalid_types_rejected(family, rank):
     with pytest.raises(ValueError):
         DynkinType(family, rank)
+
+
+@pytest.mark.parametrize("rank", [np.int64(4), np.int32(4), np.uint8(4)], ids=repr)
+def test_a_numpy_integer_rank_is_a_python_int(rank):
+    dt = DynkinType("C", rank)
+    assert dt == DynkinType("C", 4) and hash(dt) == hash(DynkinType("C", 4))
+    assert type(dt.rank) is int and str(dt) == "C4"
+    assert build_root_system(dt) is build_root_system(DynkinType("C", 4))  # one cache entry
+
+
+def test_root_system_cache_is_bounded():
+    bound = build_root_system.cache_info().maxsize
+    assert bound is not None
+    for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4)):
+        for rank in range(lo, 65):
+            build_root_system(DynkinType(family, rank))
+            assert build_root_system.cache_info().currsize <= bound
 
 
 @pytest.mark.parametrize("family,lo", [("A", 1), ("B", 2), ("C", 2), ("D", 4)])
