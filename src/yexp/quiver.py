@@ -177,6 +177,25 @@ def _compile_phase(b: np.ndarray, vertices: Tuple[int, ...], order: np.ndarray, 
     return LogProgram(*parts)
 
 
+def _stacked(first: LogProgram, second: LogProgram, read: np.ndarray, row: np.ndarray) -> LogProgram:
+    """One LogProgram on 2N rows: `first` on rows 0..N-1 of the stacked point, and on rows
+    N..2N-1 `second`, reading its vertex v at N + read[v] and writing its row i to N + row[i].
+    Every entry keeps its weight, and each row its entries in order."""
+    n = len(read)
+    soft = len(first.reads) - n, len(second.reads) - n
+    # where each program's z = [x; softplus(x_S)] sits in the stacked z
+    first_z = np.concatenate((np.arange(n), 2 * n + np.arange(soft[0])))
+    second_z = np.concatenate((n + read, 2 * n + soft[0] + np.arange(soft[1])))
+    by = np.argsort(row[second.rows], kind="stable")
+    parts = (np.concatenate((np.arange(2 * n), first.reads[n:], n + read[second.reads[n:]])),
+             np.concatenate((first_z[first.index], second_z[second.index[by]])),
+             np.concatenate((first.weights, second.weights[by])),
+             np.concatenate((first.rows, n + row[second.rows[by]])))
+    for part in parts:
+        part.setflags(write=False)
+    return LogProgram(*parts)
+
+
 def _pairs(keys: np.ndarray, sorted_keys: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
     """(p, r): every pair of positions with keys[p] == sorted_keys[r], for keys in [0, n);
     the pairs of one p run through its r in order."""
@@ -196,7 +215,9 @@ class MutationLoop:
     build_mutation_loop fills it by `_compile_loop`. It takes no part in
     equality or hashing, since the start quiver, the vertex sets and nu
     determine it: a loop made with another of those (say by `dataclasses.replace`)
-    needs programs compiled for it by `_compile_loop`.
+    needs programs compiled for it by `_compile_loop`. The inverse loop is read off the
+    same programs, P1 and P2 (nu folded in), by y -> 1/y duality,
+    gamma^-1(x) = -P1(nu^-1(P2(nu^-1(-x)))), and `half_orbit_programs` stacks it beside the loop.
     """
 
     start: LabeledQuiver
@@ -219,6 +240,22 @@ class MutationLoop:
         n = self.n_vertices
         a, b = _pairs(minus.reads[minus.index], plus.rows, n)
         return a, b, minus.rows[a] * n + plus.reads[plus.index[b]]
+
+    @cached_property
+    def half_orbit_programs(self) -> Tuple[LogProgram, LogProgram]:
+        """Two LogPrograms on the 2N rows of a stacked point [x; u] whose run, one after the
+        other, takes x to gamma(x) and u = -x' to -gamma^-1(x'), with gamma = nu . mu_- . mu_+
+        the loop on x = log y; made once per loop from `programs`, with no compile.
+
+        Mutation at S reads only the arrows between S and the rest and negates them, and
+        x -> -x (y -> 1/y) conjugates mu_S on b to mu_S on -b, so mu_S on mu_S(b) is
+        x -> -mu_S(-x) on b, and gamma^-1(x) = -P1(nu^-1(P2(nu^-1(-x)))) with P1, P2 the
+        two `programs` and (nu^-1 z)_j = z[nu[j]]. The first block program is P1 on the
+        first N rows and nu^-1 . P2 . nu^-1 on the last N; the second is P2 and P1."""
+        plus, minus = self.programs
+        nu = np.asarray(self.nu)
+        same = np.arange(len(nu))
+        return _stacked(plus, minus, nu, np.argsort(nu)), _stacked(minus, plus, same, same)
 
 
 def _path(arrows: np.ndarray, vertices: Sequence[int], sign: Sequence[str]) -> None:

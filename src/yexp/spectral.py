@@ -37,7 +37,7 @@ class ExponentSequence:
     exponents: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralReport:
     """What several checks read: L at eta, its eigenvalues, their exponents and the worst snap error."""
 
@@ -118,7 +118,7 @@ def check_conjecture_38(rep: SpectralReport, tol: float) -> Dict:
                           quotient_matches_spectrum=quotient_matches)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Case(SpectralReport, EtaPoint):
     """One (family, rank) case, whose fields every check reads directly: the fixed point
     `eta` with its `loop`, `ysol` and `residual` (an `EtaPoint`), and the spectrum of the
@@ -437,7 +437,7 @@ def lemma_summary(case: Case) -> Dict[str, float]:
 
 # ------------------------------------------------------------- type-C blocks
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CBlockPair:
     """What the C_n block split of a case's L computes: the diagonal blocks K-hat and L-hat,
     their residuals against J's closed-form tables (`khat_reference`, `lhat_reference`) and
@@ -654,7 +654,7 @@ def _banded_dets(*stacks: np.ndarray) -> List[np.ndarray]:
     return np.split(det, np.cumsum([len(s) for s in stacks])[:-1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CDeterminants:
     """det K(lambda) and det L(lambda) on one grid of the upper unit half-circle, and
     det(K-hat - lambda^2 I) and det(L-hat - lambda^2 I) at every other point of it,
@@ -787,9 +787,10 @@ def check_jacobian_fd(case: Case, tol: float) -> Dict:
 
 
 def periodicity_verdict(loop: MutationLoop, period: int, seed: int, points: int, tol: float) -> Dict:
-    """Verdict on mu_gamma^period = id at `points` seeded points drawn from [0.5, 2)."""
+    """Verdict on mu_gamma^period = id at `points` seeded points drawn from [0.5, 2), checked
+    as gamma^ceil(period/2)(y) = gamma^-floor(period/2)(y) by `check_periodicity`, the "half-orbits" method."""
     y = _seeded_uniform(seed, (points, loop.n_vertices))
-    return _verdict(check_periodicity(loop, y, period), tol)
+    return _verdict(check_periodicity(loop, y, period), tol, method="half-orbits")
 
 
 def c_checks(case: Case, tolerances: Tolerances = Tolerances(), samples: int = 32) -> Dict[str, Dict]:

@@ -8,10 +8,16 @@ There orbits stay finite and the Jacobian L = diag(1/y') J diag(y) stays within
 the arrow multiplicities at every rank. This module runs the programs and is the
 one engine: the y-space `cluster_transform` and `loop_jacobian` are views of it,
 defined at positive points only (anything else raises ValueError).
+
+The inverse loop needs no programs of its own: y -> 1/y (x -> -x) conjugates mutation
+on b to mutation on -b, so gamma^-1(x) = -P1(nu^-1(P2(nu^-1(-x)))) with P1, P2 the
+loop's programs, and `check_periodicity` runs half an orbit each way in one batch
+(`MutationLoop.half_orbit_programs`).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -23,7 +29,7 @@ _FD_COLUMNS = 64  # columns per finite-difference batch
 _FD_STEP = 1e-6  # the central-difference step in x = log y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoopJacobian:
     """Loop Jacobian J = diag(y') L diag(1/y) at a positive point y, y' its image
     and L the log-coordinate Jacobian."""
@@ -131,16 +137,30 @@ def cluster_transform(loop: MutationLoop, y) -> np.ndarray:
 
 
 def check_periodicity(loop: MutationLoop, y, period: int) -> float:
-    """Max relative residual |mu_gamma^period(y) - y| / |y| over one positive point or a batch.
+    """Max relative gap |gamma^a(y) / gamma^-b(y) - 1| over one positive point or a batch,
+    with a = ceil(period / 2) and b = floor(period / 2): gamma being a bijection of the positive
+    orthant, gamma^a(y) = gamma^-b(y) exactly when mu_gamma^period(y) = y.
 
-    The orbit runs on x = log y, which stays finite where y overflows (max|log y|
-    grows like twice the rank), one `log_cluster_transform` (two LogPrograms) per
-    step for the whole batch; the residual is |expm1(x_period - x_0)|.
+    Both half-orbits run on x = log y, which stays finite where y overflows (max|log y| grows
+    like twice the rank), as one stacked batch [x; -x] through the loop's two block programs
+    (`MutationLoop.half_orbit_programs`): b steps, after one `log_cluster_transform` of x when
+    the period is odd. The inverse is read off the loop's own programs by y -> 1/y duality,
+    gamma^-1(x) = -P1(nu^-1(P2(nu^-1(-x)))), so the backward half holds -gamma^-k(x) and the
+    gap is |expm1(x_fwd + u_bwd)|. A period that is not an integer >= 1 raises ValueError.
     """
-    x = x0 = np.log(_positive_points(loop, y)).T
-    for _ in range(period):
-        x = log_cluster_transform(loop, x)
-    return float(np.max(np.abs(np.expm1(x - x0)), initial=0.0))
+    try:
+        steps = -1 if isinstance(period, bool) else operator.index(period)
+    except TypeError:
+        steps = -1
+    if steps < 1:
+        raise ValueError(f"period {period!r} invalid: need an integer >= 1")
+    x = np.log(_positive_points(loop, y)).T
+    first, second = loop.half_orbit_programs
+    u = np.concatenate((log_cluster_transform(loop, x) if steps % 2 else x, -x))
+    for _ in range(steps // 2):
+        u = _run(second, _run(first, u))
+    n = loop.n_vertices
+    return float(np.max(np.abs(np.expm1(u[:n] + u[n:])), initial=0.0))
 
 
 def loop_jacobian(loop: MutationLoop, y) -> LoopJacobian:

@@ -108,7 +108,7 @@ def y_solution(dt: DynkinType) -> YSolution:
     return y_from_q(closed_form_qtable(dt))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EtaPoint:
     """The fixed point eta of a loop, its Y-solution and its residual max|mu_gamma(eta) - eta| / eta."""
 

@@ -1,9 +1,10 @@
 """Reference implementations that only the tests call.
 
 The package's fast paths are compared with these: the textbook Y-seed value
-rule at one vertex and the relabelling of a quiver, the Cartan matrix and the
-coupling matrix G as dense arrays and one entry of G, the structural properties
-of the KR solution, and a q-table's interior cells.
+rule at one vertex and the relabelling of a quiver, the plain forward orbit of a
+periodicity check and the inverse loop compiled on its own exchange matrices,
+the Cartan matrix and the coupling matrix G as dense arrays and one entry of G,
+the structural properties of the KR solution, and a q-table's interior cells.
 """
 
 from typing import Dict, Sequence
@@ -11,8 +12,9 @@ from typing import Dict, Sequence
 import numpy as np
 
 from yexp.qsys import QTable, _g_entries, _kr_values, index_set_H, kr_qtable
-from yexp.quiver import Quiver
+from yexp.quiver import MutationLoop, Quiver, _compile_loop
 from yexp.rootsys import DynkinType, RootSystem, build_root_system, cartan_entries
+from yexp.yseed import _run, log_cluster_transform
 
 
 class MutationDomainError(ArithmeticError):
@@ -53,6 +55,29 @@ def permute_quiver(q: Quiver, nu: Sequence[int]) -> Quiver:
     b = np.zeros_like(q.arrows)
     b[np.ix_(nu, nu)] = q.arrows
     return Quiver(b)
+
+
+def periodicity_residual(loop: MutationLoop, y: np.ndarray, period: int) -> float:
+    """max |mu_gamma^period(y) - y| / |y| over the points y (k, N), by `period` forward steps on x = log y."""
+    x = x0 = np.log(y).T
+    for _ in range(period):
+        x = log_cluster_transform(loop, x)
+    return float(np.max(np.abs(np.expm1(x - x0))))
+
+
+def inverse_log_transform(loop: MutationLoop, x: np.ndarray) -> np.ndarray:
+    """gamma^-1 on x = log y, compiled as a loop of its own: gamma^-1 = nu^-1 . mu_nu(S+) . mu_nu(S-)
+    on nu(b''), b'' the exchange matrix that gamma's two phases leave (nu(b'') is b itself when the
+    quiver returns), as nu conjugates mu_S on b to mu_nu(S) on nu(b)."""
+    a = loop.start.quiver.arrows
+    b = a - a.T
+    _compile_loop(b, loop.plus_set, loop.minus_set, loop.nu, "gamma")
+    nu = np.asarray(loop.nu)
+    start = np.empty_like(b)
+    start[np.ix_(nu, nu)] = b
+    first, second = _compile_loop(start, tuple(nu[list(loop.minus_set)]), tuple(nu[list(loop.plus_set)]),
+                                  tuple(np.argsort(nu)), "gamma^-1")
+    return _run(second, _run(first, x))
 
 
 def dense_cartan(dt: DynkinType) -> np.ndarray:

@@ -15,7 +15,7 @@ from yexp.spectral import (ExponentSequence, Tolerances, build_case, c_blocks, c
                            case_passed, check_conjecture_38, check_jacobian_fd,
                            conjectured_charpoly, csol_products, lemma_basis, lemma_summary,
                            relation_residuals, run_case, verify_c_reduction, verify_conjecture_csol)
-from yexp.yseed import log_cluster_transform, log_plus_phase
+from yexp.yseed import log_cluster_transform, log_plus_phase, loop_jacobian
 from yexp.ysys import y_solution
 
 from test_quiver import imported_names
@@ -286,6 +286,20 @@ def test_a_case_is_its_eta_point_and_its_spectrum():
         f.name for record in (spectral.SpectralReport, ysys.EtaPoint) for f in dataclasses.fields(record)}
     tol = Tolerances().charpoly
     assert check_conjecture_38(case, tol) == check_conjecture_38(spectral.spectrum(case.loop, case.eta), tol)
+
+
+def test_records_holding_arrays_compare_by_identity():
+    # a dataclass __eq__ over array fields raised on two equal builds, and frozen records did not hash
+    first, second = build_case(DynkinType("C", 3)), build_case(DynkinType("C", 3))
+    assert (first == second) is False and first != second
+    assert first == first and {first: 1}[first] == 1
+    blocks = c_blocks(first)
+    records = [(ysys.assemble_eta(first.type), ysys.assemble_eta(first.type)),
+               (spectral.spectrum(first.loop, first.eta), spectral.spectrum(second.loop, second.eta)),
+               (blocks, c_blocks(second)), (c_determinants(first, blocks), c_determinants(second, blocks)),
+               (loop_jacobian(first.loop, first.eta), loop_jacobian(second.loop, second.eta))]
+    for one, other in records:
+        assert one != other and one == one and {one: 1}[one] == 1
 
 
 def test_build_case_takes_no_matrix_power(monkeypatch):

@@ -12,7 +12,7 @@ from yexp.yseed import (_FD_COLUMNS, _run, _softplus, check_periodicity, cluster
                         log_plus_phase, loop_jacobian)
 from yexp.ysys import assemble_eta
 
-from oracles import MutationDomainError, mutate_values
+from oracles import MutationDomainError, inverse_log_transform, mutate_values, periodicity_residual
 from test_quiver import vertex_chain
 
 
@@ -430,6 +430,87 @@ def test_even_rank_d_has_exact_half_period(n):
     assert check_periodicity(loop, y, n // 2) > 1e-3
 
 
+@pytest.mark.parametrize("dt", BATCH_TYPES, ids=str)
+def test_half_orbits_agree_with_the_forward_orbit(dt):
+    # gamma^ceil(P/2)(y) = gamma^-floor(P/2)(y) exactly when gamma^P(y) = y, odd P (A2, A4) included:
+    # both checks pass at P and at its known multiples of a shorter period, and both fail at P - 1 and
+    # every other divisor. A1's loop is y -> 1/y, of order 2; on D_n, n even, mu_gamma^n is the identity.
+    loop = build_mutation_loop(dt)
+    _, _, period = group_constants(dt)
+    least = {"A1": 2}.get(str(dt), period // 2 if dt.family == "D" and dt.rank % 2 == 0 else period)
+    y = np.random.default_rng(dt.rank).uniform(0.5, 2.0, (3, loop.n_vertices))
+    for steps in {d for d in range(1, period + 1) if period % d == 0} | {period - 1}:
+        got, want = check_periodicity(loop, y, steps), periodicity_residual(loop, y, steps)
+        if steps % least == 0:
+            assert got <= 1e-12 and want <= 1e-12, steps
+        else:
+            assert got > 1e-3 and want > 1e-3, steps
+
+
+def _shifted_nu_loop(dt):
+    """The loop of dt relabelled by a cyclic shift, whose inverse differs from it (every classical
+    nu is an involution), with programs compiled for it as build_mutation_loop compiles them."""
+    loop = build_mutation_loop(dt)
+    nu = tuple(np.roll(np.arange(loop.n_vertices), 1))
+    a = loop.start.quiver.arrows
+    programs = quiver._compile_loop(a - a.T, loop.plus_set, loop.minus_set, nu, f"{dt}, shifted")
+    return dataclasses.replace(loop, nu=nu, programs=programs)
+
+
+def _half_orbit_step(loop, x, u):
+    """One run of the two block programs on the stacked point [x; u]: (gamma(x), -gamma^-1(-u))."""
+    first, second = loop.half_orbit_programs
+    out = _run(second, _run(first, np.concatenate((x, u))))
+    return out[:len(x)], out[len(x):]
+
+
+def _assert_duality_inverse(loop, x):
+    # the forward half is gamma's own step, bit for bit; the backward half, read off the same
+    # programs by y -> 1/y duality, is gamma^-1 on both sides and the compiled inverse loop
+    step = log_cluster_transform(loop, x)
+    forward, back = _half_orbit_step(loop, x, -x)
+    _same_bits(forward, step)
+    inverse = -back
+    assert np.max(np.abs(log_cluster_transform(loop, inverse) - x)) <= 1e-13
+    assert np.max(np.abs(_half_orbit_step(loop, x, -step)[1] + x)) <= 1e-13
+    assert np.max(np.abs(inverse - inverse_log_transform(loop, x))) <= 1e-13
+
+
+@pytest.mark.parametrize("dt", BATCH_TYPES + [DynkinType(f, 100) for f in "BCD"], ids=str)
+def test_duality_inverse_undoes_the_loop(dt):
+    loop = build_mutation_loop(dt)
+    _assert_duality_inverse(loop, _log_points(loop, dt.rank))
+    n = loop.n_vertices
+    assert loop.half_orbit_programs is loop.half_orbit_programs
+    for program in loop.half_orbit_programs:
+        # a LogProgram on the 2N stacked rows: sorted by row, every row covered, read-only
+        assert np.array_equal(program.reads[:2 * n], np.arange(2 * n))
+        assert (np.diff(program.rows) >= 0).all() and np.array_equal(np.unique(program.rows), np.arange(2 * n))
+        assert not any(part.flags.writeable for part in (program.reads, program.index, program.weights, program.rows))
+
+
+@pytest.mark.parametrize("dt", [DynkinType("B", 3), DynkinType("C", 5), DynkinType("B", 8), DynkinType("C", 9)],
+                         ids=str)
+def test_duality_inverse_reads_nu_inverse(dt):
+    shifted = _shifted_nu_loop(dt)
+    assert not np.array_equal(np.argsort(shifted.nu), shifted.nu)
+    _assert_duality_inverse(shifted, _log_points(shifted, 67))
+
+
+@pytest.mark.parametrize("period", [0, -3, 2.0, "18", None, True, np.float64(18)], ids=repr)
+def test_a_period_that_is_not_an_integer_above_zero_is_rejected(period):
+    loop = build_mutation_loop(DynkinType("B", 4))
+    with pytest.raises(ValueError, match="period"):
+        check_periodicity(loop, np.ones(loop.n_vertices), period)
+
+
+def test_a_numpy_integer_period_is_the_period():
+    loop = build_mutation_loop(DynkinType("B", 4))
+    y = np.random.default_rng(71).uniform(0.5, 2.0, (3, loop.n_vertices))
+    for period in (17, 18):
+        assert check_periodicity(loop, y, np.int64(period)) == check_periodicity(loop, y, period)
+
+
 def test_single_vertex_jacobian():
     dt = DynkinType("A", 1)
     loop = build_mutation_loop(dt)
@@ -581,14 +662,10 @@ def test_log_programs_match_the_phase_oracle(dt):
 @pytest.mark.parametrize("dt", [DynkinType("B", 3), DynkinType("C", 5), DynkinType("B", 8), DynkinType("C", 9)],
                          ids=str)
 def test_log_programs_fold_nu_inverse(dt):
-    # every classical nu is an involution; relabel by a cyclic shift, whose inverse differs, to tell nu from nu^-1
+    # a shifted nu, to tell nu from nu^-1
+    shifted = _shifted_nu_loop(dt)
     loop = build_mutation_loop(dt)
-    nu = tuple(np.roll(np.arange(loop.n_vertices), 1))
-    # the programs compiled for the shifted nu as build_mutation_loop compiles them
-    a = loop.start.quiver.arrows
-    programs = quiver._compile_loop(a - a.T, loop.plus_set, loop.minus_set, nu, f"{dt}, shifted")
-    shifted = dataclasses.replace(loop, nu=nu, programs=programs)
-    assert not np.array_equal(np.argsort(nu), nu)
+    assert not np.array_equal(np.argsort(shifted.nu), shifted.nu)
     _assert_program_is_the_oracle(shifted, _log_points(loop, 59))
     y = np.random.default_rng(61).uniform(0.5, 2.0, loop.n_vertices)
     np.testing.assert_allclose(log_cluster_transform(shifted, np.log(y)), np.log(_sequential_transform(shifted, y)),
