@@ -20,7 +20,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .rootsys import DynkinType, RootSystem, build_root_system, cartan_entries
+from .rootsys import DynkinType, RootSystem, build_root_system, cartan_entries, lie_constants
 
 _QDIM_ENTRIES = 1 << 14  # (weight, root) pairs per qdim block
 
@@ -155,11 +155,11 @@ class QTable:
 
 def index_set_H(dt: DynkinType, level: int = 2) -> Tuple[Tuple[int, int], ...]:
     """All (i, m) with 1 <= i <= rank and 1 <= m <= t_i * level - 1."""
-    rs = build_root_system(dt)
+    t_i = lie_constants(dt)[0]
     return tuple(
         (i, m)
         for i in range(1, dt.rank + 1)
-        for m in range(1, rs.t_i[i - 1] * level)
+        for m in range(1, t_i[i - 1] * level)
     )
 
 
@@ -174,7 +174,7 @@ def _g_entries(dt: DynkinType, level: int):
     runs over s = 1 .. min(t_a, t_c) level - 1 with (b, d) = (t_a, t_c) s / min(t_a, t_c),
     and b - 1, b + 1 too in the last case.
     """
-    t = np.array(build_root_system(dt).t_i)
+    t = np.array(lie_constants(dt)[0])
     a, c, cac = cartan_entries(dt)
     cca = cac[np.lexsort((a, c))]  # the coupled pairs are closed under transposition
     conv = t[a] == 2 * t[c]
@@ -219,7 +219,7 @@ def kr_qtable(dt: DynkinType, level: int = 2) -> QTable:
 
 def closed_form_qtable(dt: DynkinType) -> QTable:
     """Level-2 closed forms of the restricted table for the classical families."""
-    rs = build_root_system(dt)
+    t_i = lie_constants(dt)[0]
     n = dt.rank
     vals: Dict[Tuple[int, int], float] = {}
 
@@ -247,8 +247,8 @@ def closed_form_qtable(dt: DynkinType) -> QTable:
             vals[(i, 2)] = (2 * partial[i] + s[i + 1] * s[i + 2] * s[i + 3]) / (s[1] * s[2] * s[3])
             vals[(i, 3)] = vals[(i, 1)]
     for i in range(1, n + 1):
-        vals[(i, 0)] = vals[(i, rs.t_i[i - 1] * 2)] = 1.0
-    return QTable(dt, 2, rs.t_i, vals)
+        vals[(i, 0)] = vals[(i, t_i[i - 1] * 2)] = 1.0
+    return QTable(dt, 2, t_i, vals)
 
 
 def check_restricted_qsystem(qt: QTable) -> float:

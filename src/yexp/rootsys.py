@@ -6,7 +6,8 @@ pairing sum_j k_j w_j with an integer vector w is a difference of prefix sums
 of w. Inner products are normalized so that long roots have squared length 2.
 Scaled by t = t_group every pairing the package needs is an integer:
 t<alpha, rho + lambda> = sum_j k_j (t/t_j)(1 + c_j) for a weight lambda with
-fundamental-weight coordinates c.
+fundamental-weight coordinates c. The Lie constants and the counts of roots per
+height are closed forms; the roots themselves are built only for the q-dimensions.
 """
 
 from __future__ import annotations
@@ -116,36 +117,58 @@ def _interval_ends(dt: DynkinType):
     return np.concatenate([np.stack(np.broadcast_arrays(*b), axis=1, dtype=np.int32) for b in blocks])
 
 
+def lie_constants(dt: DynkinType):
+    """(t_i, t, h_dual) in closed form (Bourbaki, ch. VI, plates I-IV): t_i = t for a short
+    simple root (B's alpha_n, C's alpha_1 .. alpha_{n-1}) and 1 for a long one, t = 2 for B
+    and C and 1 for A and D, and h_dual = n + 1, 2n - 1, n + 1, 2n - 2 for A, B, C, D."""
+    n, fam = dt.rank, dt.family
+    t_i = {"B": (1,) * (n - 1) + (2,), "C": (2,) * (n - 1) + (1,)}.get(fam, (1,) * n)
+    return t_i, 2 if fam in ("B", "C") else 1, {"A": n + 1, "B": 2 * n - 1, "C": n + 1, "D": 2 * n - 2}[fam]
+
+
+def height_histograms(dt: DynkinType) -> np.ndarray:
+    """Rows (short, long): how many positive roots of each length have each height t<rho, alpha>,
+    as int64 counts over the heights 0 .. t(h_dual - 1), the highest root's, in O(n).
+
+    rho's epsilon-coordinates, times t, run down the arithmetic progression q_k = a + s k, k < m:
+    n .. 0 for A (m = n + 1), 2n - 1, 2n - 3 .. 1 for B, n .. 1 for C and n - 1 .. 0 for D. So
+    e_i - e_j has height s d, m - d times for d = 1 .. m - 1; e_i + e_j has 2a + s u, with
+    ceil(u / 2) - max(0, u - m + 1) pairs k < l of sum u = 1 .. 2m - 3; B's short e_i has q_k and
+    C's long 2 e_i 2 q_k. The e_i -+ e_j are short in C and long elsewhere.
+    """
+    _, t, h_dual = lie_constants(dt)
+    n, fam = dt.rank, dt.family
+    m, a, s = (n + 1, 0, 1) if fam == "A" else (n, int(fam != "D"), 1 + (fam == "B"))
+    hist = np.zeros((2, t * (h_dual - 1) + 1), dtype=np.int64)
+    pairs, d, u, k = int(fam != "C"), np.arange(1, m), np.arange(1, 2 * m - 2), np.arange(m)
+    hist[pairs, s * d] += m - d  # each += writes distinct heights: a fancy += drops repeats
+    if fam != "A":
+        hist[pairs, 2 * a + s * u] += (u + 1) // 2 - np.maximum(0, u - m + 1)
+    if fam in ("B", "C"):
+        hist[int(fam == "C"), (1 + (fam == "C")) * (a + s * k)] += 1
+    return hist
+
+
 @lru_cache(maxsize=8)  # a few recent types: a sweep builds each once, and a large one holds MiBs
 def build_root_system(dt: DynkinType) -> RootSystem:
-    """Construct the positive roots and their Lie data on the integer lattice."""
+    """Construct the positive roots on the integer lattice, for the q-dimensions; the roots
+    are asserted to give `lie_constants`' t (short roots exactly when t = 2) and h_dual, and
+    long heights divisible by t."""
     fam = dt.family
-    t_group = 2 if fam in ("B", "C") else 1
-    t_i = np.ones(dt.rank, dtype=np.int64)  # t_i = t for short simple roots
-    if fam == "B":
-        t_i[-1] = 2
-    elif fam == "C":
-        t_i[:-1] = 2
+    t_i, t_group, h_dual = lie_constants(dt)
     ends = _interval_ends(dt)
     long = np.full(len(ends), fam != "C")
     if fam in ("B", "C"):
         long[-dt.rank:] = fam == "C"  # B's e_i are short, C's 2 e_i long
-    heights = _pairings(ends, t_group // t_i).astype(np.int32)  # each below 2 t h_dual
-    assert not np.any(heights[long] % t_group), dt
+    heights = _pairings(ends, t_group // np.array(t_i)).astype(np.int32)  # each below 2 t h_dual
+    assert long.all() == (t_group == 1) and not np.any(heights[long] % t_group), dt
+    assert h_dual == 1 + int(heights[long].max()) // t_group, dt
     for a in (ends, long, heights):
         a.setflags(write=False)
-    return RootSystem(
-        type=dt,
-        t_i=tuple(t_i.tolist()),
-        t_group=t_group,
-        h_dual=1 + int(heights[long].max()) // t_group,
-        ends=ends,
-        long=long,
-        heights=heights,
-    )
+    return RootSystem(type=dt, t_i=t_i, t_group=t_group, h_dual=h_dual, ends=ends, long=long, heights=heights)
 
 
 def group_constants(dt: DynkinType):
-    """Return (t, h_dual, period) with period = t * (2 + h_dual) at level 2."""
-    rs = build_root_system(dt)
-    return rs.t_group, rs.h_dual, rs.t_group * (2 + rs.h_dual)
+    """Return (t, h_dual, period) with period = t * (2 + h_dual) at level 2, in closed form."""
+    _, t, h_dual = lie_constants(dt)
+    return t, h_dual, t * (2 + h_dual)

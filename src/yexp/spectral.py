@@ -25,7 +25,7 @@ import numpy as np
 
 from .qsys import _sin_pi
 from .quiver import LabeledQuiver, MutationLoop
-from .rootsys import DynkinType, RootSystem, build_root_system, group_constants
+from .rootsys import DynkinType, group_constants, height_histograms, lie_constants
 from .yseed import (check_periodicity, finite_difference_jacobian, log_cluster_transform, log_loop_jacobian,
                     log_plus_phase)
 from .ysys import EtaPoint, assemble_eta, calibrate_reading, newton_fixed_point
@@ -50,7 +50,7 @@ class SpectralReport:
 
 # ------------------------------------------------------ conjectured N/D
 
-def conjectured_charpoly(rs: RootSystem) -> Tuple[np.ndarray, np.ndarray]:
+def conjectured_charpoly(dt: DynkinType) -> Tuple[np.ndarray, np.ndarray]:
     """Numerator and denominator of the conjectured det(zI - J) as exponent multisets,
     each a histogram of length P: entry m counts the roots e^{2 pi i m / P}.
 
@@ -59,15 +59,22 @@ def conjectured_charpoly(rs: RootSystem) -> Tuple[np.ndarray, np.ndarray]:
     k t/t_i != 0 mod P, once per simple root i. A short root alpha contributes
     the denominator factor z - e^{2 pi i <rho,alpha>/(2 + h_dual)}, exponent
     t<rho,alpha>; a long root contributes z^t - e^{2 pi i <rho,alpha>/(2 + h_dual)},
-    whose t roots have the exponents <rho,alpha> + j(2 + h_dual), j < t.
+    whose t roots have the exponents <rho,alpha> + j(2 + h_dual), j < t. The roots are
+    read only through their closed-form height counts, `height_histograms`.
     """
-    t, h_dual, period = group_constants(rs.type)
-    nodes = np.bincount(t // np.array(rs.t_i), minlength=t + 1)  # nodes per ratio t/t_i, which is 1 or 2
+    t_i = lie_constants(dt)[0]
+    t, h_dual, period = group_constants(dt)
+    nodes = np.bincount(t // np.array(t_i), minlength=t + 1)  # nodes per ratio t/t_i, which is 1 or 2
     num = nodes @ (np.outer(np.arange(t + 1), np.arange(period)) % period != 0)
-    # one histogram per sign (the positive roots and their negatives) and per shift j of a long root
-    long = rs.heights[rs.long] // t
-    shifted = [(rs.heights[~rs.long], 0)] + [(long, j * (2 + h_dual)) for j in range(t)]
-    den = sum(np.bincount((sign * h + shift) % period, minlength=period) for h, shift in shifted for sign in (1, -1))
+    short, long = height_histograms(dt)
+    long = long[::t]  # by <rho,alpha>: a long root's height is a multiple of t
+    den = np.zeros(period, dtype=np.int64)
+    # per sign (the positive roots and their negatives) and per shift j of a long root; every
+    # height is below P, so each += writes distinct exponents
+    for sign in (1, -1):
+        den[sign * np.arange(len(short)) % period] += short
+        for j in range(t):
+            den[(sign * np.arange(len(long)) + j * (2 + h_dual)) % period] += long
     return num, den
 
 
@@ -106,8 +113,9 @@ def check_conjecture_38(rep: SpectralReport, tol: float) -> Dict:
     report's `exponent_snap` and `power_identity`, computed here. With L^P = I the minimal
     polynomial of L divides the separable z^P - 1, so L is diagonalizable and its eigenvalue
     multiset fixes det(zI - L), which is det(zI - J). The snap error also bounds every ||lambda| - 1|.
+    Its `method` names the three sources: the spectrum, the power and N/D.
     """
-    num, den = conjectured_charpoly(build_root_system(rep.type))
+    num, den = conjectured_charpoly(rep.type)
     jac, period = rep.jacobian, rep.exponents.period
     power = float(np.max(np.abs(np.linalg.matrix_power(jac, period) - np.eye(len(jac)))))
     division_exact = bool((den <= num).all())
@@ -115,7 +123,8 @@ def check_conjecture_38(rep: SpectralReport, tol: float) -> Dict:
                                       np.bincount(rep.exponents.exponents, minlength=len(num)))
     return _named_verdict({"exponent_snap": rep.exponent_snap, "power_identity": power}, tol,
                           division_exact and quotient_matches, division_exact=division_exact,
-                          quotient_matches_spectrum=quotient_matches)
+                          quotient_matches_spectrum=quotient_matches,
+                          method="dense eigvals, dense L^P, closed-form root heights")
 
 
 @dataclass(frozen=True, eq=False)

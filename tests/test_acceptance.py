@@ -11,7 +11,7 @@ import pytest
 import yexp
 from yexp import DynkinType
 from yexp.quiver import Quiver, build_mutation_loop, mutate_quiver
-from yexp.rootsys import build_root_system, group_constants
+from yexp.rootsys import group_constants
 from yexp.spectral import (Tolerances, build_case, c_blocks, c_determinants, check_conjecture_38,
                            conjectured_charpoly, lemma_summary, relation_residuals,
                            verify_c_reduction, verify_conjecture_csol)
@@ -157,7 +157,7 @@ def test_criterion_06_jacobian():
 
 
 def quotient_exponents(dt):
-    num, den = conjectured_charpoly(build_root_system(dt))
+    num, den = conjectured_charpoly(dt)
     return num - den
 
 
@@ -192,7 +192,7 @@ def test_criterion_08_type_d_charpoly():
 def test_criterion_09_conjecture_rhs():
     failed = []
     for dt in FAMILY_RANKS(10):
-        num, den = conjectured_charpoly(build_root_system(dt))
+        num, den = conjectured_charpoly(dt)
         rep = build_case(dt)
         if (den > num).any() or not np.array_equal(num - den, histogram(rep.exponents.exponents, len(num))):
             failed.append(str(dt))

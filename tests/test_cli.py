@@ -63,6 +63,15 @@ def test_the_benchmark_tracer_finds_every_function_it_wraps(capsys):
     assert json.loads(out)["calibration"] == asdict(yexp.calibrate_reading())
 
 
+def test_the_distribution_is_named_yexp():
+    # pip registers the distribution by this name, so `pip show yexp` finds it
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    project = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())["project"]
+    assert project["name"] == "yexp"
+    assert project["version"] == yexp.__version__
+    assert project["scripts"]["yexp"] == "yexp.cli:main"
+
+
 def test_verify_d19_passes(capsys):
     code, out, _ = run(capsys, "verify", "--family", "D", "--rank", "19")
     assert code == 0

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from yexp.qsys import qdim
-from yexp.rootsys import DynkinType, _pairings, build_root_system, cartan_entries, group_constants
+from yexp.rootsys import (DynkinType, _pairings, build_root_system, cartan_entries, group_constants,
+                          height_histograms, lie_constants)
 
 from oracles import dense_cartan
 
@@ -208,6 +209,30 @@ def test_group_constants(dt):
     for i, ti in enumerate(rs.t_i):
         simple = tuple(int(i == j) for j in range(n))
         assert heights[simple] == rs.t_group // ti
+
+
+@pytest.mark.parametrize("dt", [DynkinType(f, r) for f, lo in FLOOR for r in [*range(lo, 65), 128, 256, 1024]],
+                         ids=str)
+def test_closed_forms_match_the_roots(dt):
+    # uncached: the large ranks would fill the cache with MiBs of roots
+    rs = build_root_system.__wrapped__(dt)
+    t_i, t, h_dual = lie_constants(dt)
+    assert t == (1 if rs.long.all() else 2)
+    # the simple roots are the one-node intervals; a long one has t_i = 1, a short one t_i = t
+    lo1, hi1, lo2, hi2 = rs.ends.T.astype(np.int64)
+    simple = (hi1 - lo1) + (hi2 - lo2) == 1
+    node = np.where(hi1 > lo1, lo1, lo2)[simple]
+    assert sorted(node.tolist()) == list(range(dt.rank))
+    from_roots = np.empty(dt.rank, dtype=np.int64)
+    from_roots[node] = np.where(rs.long[simple], 1, t)
+    assert t_i == tuple(from_roots.tolist())
+    heights = rs.pairings(t // from_roots)
+    assert np.array_equal(heights, rs.heights)
+    assert h_dual == 1 + heights[rs.long].max() // t
+    hist = height_histograms(dt)
+    assert hist.dtype == np.int64 and hist.shape == (2, t * (h_dual - 1) + 1)
+    for row, long in zip(hist, (False, True)):
+        assert np.array_equal(row, np.bincount(heights[rs.long == long], minlength=hist.shape[1]))
 
 
 def test_periods():

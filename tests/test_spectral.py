@@ -7,15 +7,15 @@ from typing import Callable, Dict
 import numpy as np
 import pytest
 
-from yexp import spectral, ysys
+from yexp import cli, spectral, ysys
 from yexp.qsys import _sin_pi
-from yexp.quiver import build_dynkin_quiver
+from yexp.quiver import build_dynkin_quiver, build_mutation_loop
 from yexp.rootsys import DynkinType, build_root_system, group_constants
 from yexp.spectral import (ExponentSequence, Tolerances, build_case, c_blocks, c_determinants,
                            case_passed, check_conjecture_38, check_jacobian_fd,
                            conjectured_charpoly, csol_products, lemma_basis, lemma_summary,
                            relation_residuals, run_case, verify_c_reduction, verify_conjecture_csol)
-from yexp.yseed import log_cluster_transform, log_plus_phase, loop_jacobian
+from yexp.yseed import check_periodicity, log_cluster_transform, log_plus_phase, loop_jacobian
 from yexp.ysys import y_solution
 
 from test_quiver import imported_names
@@ -167,7 +167,7 @@ def test_exponent_symmetry_and_charpoly(dt):
 
 @pytest.mark.parametrize("dt", ALL_TYPES, ids=str)
 def test_division_exact(dt):
-    num, den = conjectured_charpoly(build_root_system(dt))
+    num, den = conjectured_charpoly(dt)
     n_vertices = {"A": dt.rank, "B": 2 * dt.rank + 1,
                   "C": 3 * dt.rank - 1, "D": dt.rank}[dt.family]
     assert (den <= num).all()
@@ -177,12 +177,26 @@ def test_division_exact(dt):
 def test_conjecture_38_fails_when_d_is_not_contained_in_n(monkeypatch):
     # one more denominator root at m = 0, where N and D both have none: N - D keeps its positive part
     rep = build_case(DynkinType("B", 3))
-    num, den = conjectured_charpoly(build_root_system(rep.type))
+    num, den = conjectured_charpoly(rep.type)
     assert num[0] == den[0] == 0
-    monkeypatch.setattr(spectral, "conjectured_charpoly", lambda rs: (num, den + np.eye(len(den), dtype=int)[0]))
+    monkeypatch.setattr(spectral, "conjectured_charpoly", lambda dt: (num, den + np.eye(len(den), dtype=int)[0]))
     verdict = check_conjecture_38(rep, Tolerances().charpoly)
     assert verdict["division_exact"] is False and verdict["quotient_matches_spectrum"] is True
     assert verdict["pass"] is False
+
+
+@pytest.mark.parametrize("name,row", [("A5", 1), ("B6", 0), ("B6", 1), ("C5", 0), ("C5", 1), ("D8", 1)])
+def test_conjecture_38_fails_when_one_height_count_moves(name, row, monkeypatch):
+    # row 0 counts short roots and row 1 long ones; A and D have long roots only
+    dt = DynkinType(name[0], int(name[1:]))
+    case = build_case(dt)
+    assert check_conjecture_38(case, Tolerances().charpoly)["pass"]
+    hist = spectral.height_histograms(dt)
+    h = int(np.flatnonzero(hist[row])[0])  # one root of the lowest height moves up by one
+    hist[row, h] -= 1
+    hist[row, h + 1] += 1
+    monkeypatch.setattr(spectral, "height_histograms", lambda _: hist)
+    assert check_conjecture_38(case, Tolerances().charpoly)["pass"] is False
 
 
 def _charpoly_loop(rs):
@@ -202,10 +216,10 @@ def _charpoly_loop(rs):
 
 
 @pytest.mark.parametrize("dt", [DynkinType(f, r) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
-                                for r in [*range(lo, 41), 128]], ids=str)
+                                for r in [*range(lo, 41), 128, 512]], ids=str)
 def test_charpoly_matches_the_root_loop(dt):
     period = group_constants(dt)[2]
-    got = conjectured_charpoly(build_root_system(dt))
+    got = conjectured_charpoly(dt)
     want = _charpoly_loop(build_root_system(dt))
     for hist, multiset in zip(got, want, strict=True):
         assert np.array_equal(hist, histogram(multiset.elements(), period))
@@ -217,7 +231,7 @@ def histogram(exponents, period):
 
 
 def quotient_exponents(dt):
-    num, den = conjectured_charpoly(build_root_system(dt))
+    num, den = conjectured_charpoly(dt)
     return num - den
 
 
@@ -251,6 +265,7 @@ def test_conjecture_38_reports_its_two_residuals(dt, monkeypatch):
     assert verdict["exponent_snap"] == case.exponent_snap
     assert verdict["power_identity"] == float(np.max(np.abs(np.linalg.matrix_power(jac, period) - np.eye(len(jac)))))
     assert verdict["residual"] == max(verdict["exponent_snap"], verdict["power_identity"])
+    assert verdict["method"] == "dense eigvals, dense L^P, closed-form root heights"
     assert run_case(dt)["checks"]["conjecture_38"] == verdict
     # a nan entry of L is a nan power_identity, and fails the verdict
     broken = jac.copy()
@@ -1332,11 +1347,25 @@ def test_block_diag_catches_a_small_off_diagonal_entry():
 
 @pytest.mark.parametrize("dt", [DynkinType("C", 4), DynkinType("B", 6), DynkinType("A", 5), DynkinType("D", 6)],
                          ids=str)
-def test_run_case_builds_its_root_system_once(dt):
+def test_run_case_builds_no_root_system(dt):
     build_root_system.cache_clear()
     assert case_passed(run_case(dt, samples=8, periodicity_points=2))
     info = build_root_system.cache_info()
-    assert info.misses == 1 and info.currsize == 1
+    assert info.misses == 0 and info.currsize == 0
+
+
+@pytest.mark.parametrize("dt", [DynkinType("A", 8), DynkinType("B", 8), DynkinType("C", 8), DynkinType("D", 8)],
+                         ids=str)
+def test_the_loop_and_periodicity_build_no_root_system(dt, capsys):
+    build_root_system.cache_clear()
+    loop = build_mutation_loop(dt)
+    _, _, period = group_constants(dt)
+    y = np.linspace(0.5, 2.0, loop.n_vertices)
+    assert check_periodicity(loop, y, period) <= 1e-10
+    assert np.isfinite(loop_jacobian(loop, y).matrix).all()
+    assert cli.main(["periodicity", "--family", dt.family, "--rank", str(dt.rank)]) == 0
+    assert f"{dt.family},{dt.rank},{period}," in capsys.readouterr().out
+    assert build_root_system.cache_info().misses == 0
 
 
 BUILDERS = ("assemble_eta", "y_solution", "build_mutation_loop", "spectrum", "c_blocks")
