@@ -11,7 +11,8 @@ from .quiver import (LabeledQuiver, MutationLoop, Quiver, build_dynkin_quiver,
                      build_mutation_loop, dump_quiver, mutate_quiver)
 from .qsys import (QTable, check_restricted_qsystem, closed_form_qtable, index_set_H, kr_qchar,
                    kr_qtable, qdim, qtable_csv)
-from .rootsys import DynkinType, RootSystem, build_root_system, group_constants, height_histograms, lie_constants
+from .rootsys import (DynkinType, RootSystem, build_root_system, group_constants, height_histograms, lie_constants,
+                      root_pairings)
 from .spectral import (Case, CBlockPair, CDeterminants, ExponentSequence, SpectralReport, Tolerances,
                        build_case, c_blocks, c_checks, c_determinants, case_passed, check_conjecture_38,
                        check_jacobian_fd, conjectured_charpoly, exponents_csv, lemma_basis,

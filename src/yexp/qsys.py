@@ -1,13 +1,14 @@
 """Kirillov-Reshetikhin character sums specialized to the root of unity.
 
 The q-dimension of an irreducible character is a product of sine ratios
-over positive roots; KR characters at level ell are finite sums of such
-terms. At level 2 the sums collapse to closed forms, which this module
-also provides directly. A q-table lists the KR terms of all of its cells by one
-chain rule for every family, in one pass over the nodes (`_kr_terms`), and
-evaluates them in one stacked `qdim` call. The restricted Q-system couples the
-table through the integer matrix G over the index set H, kept as its O(rank)
-nonzero entries (`_g_entries`), which `ysys` reads too.
+over positive roots, read from epsilon-coordinates with no root system built;
+KR characters at level ell are finite sums of such terms. At level 2 the sums
+collapse to closed forms, which this module also provides directly. A q-table
+lists the KR terms of all of its cells by one chain rule for every family, in
+one pass over the nodes (`_kr_terms`), and evaluates them in one stacked `qdim`
+call. The restricted Q-system couples the table through the integer matrix G
+over the index set H, kept as its O(rank) nonzero entries (`_g_entries`), which
+`ysys` reads too.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Dict, Tuple
 
 import numpy as np
 
-from .rootsys import DynkinType, RootSystem, build_root_system, cartan_entries, lie_constants
+from .rootsys import DynkinType, cartan_entries, lie_constants, root_pairings
 
 _QDIM_ENTRIES = 1 << 14  # (weight, root) pairs per qdim block
 
@@ -40,38 +41,39 @@ def _sin_pi(a, p: int):
     return sign * np.sin(np.pi * (r / p))
 
 
-def qdim(rs: RootSystem, level: int, weight):
+def qdim(dt: DynkinType, level: int, weight):
     """Specialized dimension of the irreducible with the given dominant weight.
 
-    `weight` lists nonnegative coefficients in the fundamental-weight basis:
+    `weight` lists integer coefficients in the fundamental-weight basis:
     one weight gives a float, a (W, n) stack of weights an array of W values.
     The q-dimension is prod over positive roots of
     sin(pi t<alpha, rho + lambda>/P) / sin(pi t<alpha, rho>/P) with
-    P = t(level + h_dual) (Kac, Infinite-dimensional Lie algebras, ch. 13).
+    P = t(level + h_dual) (Kac, Infinite-dimensional Lie algebras, ch. 13),
+    every pairing read from epsilon-coordinates by `root_pairings`.
     Each sine is read by its integer pairing mod 2|P| from one table of the
     2|P| `_sin_pi` values, unless that table would outnumber the stack's
     (weight, root) pairs (a large |level|); then every sine is taken directly.
     The stack runs in blocks of about _QDIM_ENTRIES (weight, root) pairs.
     """
-    n = rs.type.rank
+    n = dt.rank
     weight = np.asarray(weight)
-    if weight.shape[-1:] != (n,):
-        raise ValueError(f"weight needs {n} fundamental coordinates")
-    t = rs.t_group
-    period = np.int64(t * (level + rs.h_dual))  # so that the int32 heights mod 2|P| are taken in int64
-    if period == 0 or not np.all(rs.heights % period):
+    if weight.shape[-1:] != (n,) or weight.dtype.kind not in "iu":
+        raise ValueError(f"weight needs {n} integer fundamental coordinates, got dtype {weight.dtype}")
+    _, t, h_dual = lie_constants(dt)
+    heights = root_pairings(dt, np.ones(n, dtype=np.int64))
+    period = t * (level + h_dual)
+    if period == 0 or not np.all(heights % period):
         raise ZeroDivisionError(f"q-dimension denominator vanishes: P = {period} divides a root height")
-    den = _sin_pi(rs.heights, period)
-    scale = t // np.array(rs.t_i)
-    stack = weight.reshape(-1, n)
+    stack = weight.reshape(-1, n).astype(np.int64, copy=False)
     size = 2 * abs(period)
-    table = _sin_pi(np.arange(size), period) if size <= len(stack) * len(den) else None
+    table = _sin_pi(np.arange(size), period) if size <= len(stack) * len(heights) else None
+    den = _sin_pi(heights, period) if table is None else table[heights % size]
     rows = max(1, _QDIM_ENTRIES // len(den))
     q = np.empty(len(stack))
     for lo in range(0, len(stack), rows):
-        shifted = rs.pairings(scale * (1 + stack[lo:lo + rows]))
-        sines = _sin_pi(shifted, period) if table is None else table[shifted % size]
-        q[lo:lo + rows] = np.prod(sines / den, axis=-1)
+        shifted = root_pairings(dt, 1 + stack[lo:lo + rows])
+        sines = _sin_pi(shifted, period) if table is None else table[np.remainder(shifted, size, out=shifted)]
+        q[lo:lo + rows] = np.prod(np.divide(sines, den, out=sines), axis=-1)
     q = q.reshape(weight.shape[:-1])
     return float(q) if weight.ndim == 1 else q
 
@@ -113,24 +115,25 @@ def _kr_terms(dt: DynkinType, t_i, cells):
     return out
 
 
-def _kr_values(rs: RootSystem, level: int, cells) -> np.ndarray:
+def _kr_values(dt: DynkinType, level: int, cells) -> np.ndarray:
     """Q_m^{(i)} for each (i, m) in `cells`: every cell's terms, listed in one `_kr_terms`
     pass, stacked into one `qdim` call, each cell's q-dimensions summed in term order by
     one bincount."""
-    terms = _kr_terms(rs.type, rs.t_i, cells)
-    stack = np.array([w for cell in terms for w in cell], dtype=np.int64).reshape(-1, rs.type.rank)
-    owner = np.repeat(np.arange(len(terms)), [len(cell) for cell in terms])
-    return np.bincount(owner, weights=qdim(rs, level, stack), minlength=len(terms))
+    terms = _kr_terms(dt, lie_constants(dt)[0], cells)
+    sizes = [len(cell) for cell in terms]
+    stack = np.fromiter(chain.from_iterable(chain.from_iterable(terms)), np.int64, sum(sizes) * dt.rank)
+    owner = np.repeat(np.arange(len(terms)), sizes)
+    return np.bincount(owner, weights=qdim(dt, level, stack.reshape(-1, dt.rank)), minlength=len(terms))
 
 
-def kr_qchar(rs: RootSystem, level: int, i: int, m: int) -> float:
+def kr_qchar(dt: DynkinType, level: int, i: int, m: int) -> float:
     """KR character value Q_m^{(i)} as a sum of specialized q-dimensions."""
-    n = rs.type.rank
+    n = dt.rank
     if not 1 <= i <= n:
         raise ValueError(f"node index {i} out of range 1..{n}")
     if m < 0:
         raise ValueError(f"negative m = {m}")
-    return float(_kr_values(rs, level, [(i, m)])[0])
+    return float(_kr_values(dt, level, [(i, m)])[0])
 
 
 @dataclass(frozen=True)
@@ -212,9 +215,9 @@ def _q_and_y(qt: QTable):
 def kr_qtable(dt: DynkinType, level: int = 2) -> QTable:
     """Fill the restricted table by evaluating the KR character sums, all of
     its cells in one stacked pass (`_kr_values`)."""
-    rs = build_root_system(dt)
-    cells = [(i, m) for i in range(1, dt.rank + 1) for m in range(0, rs.t_i[i - 1] * level + 1)]
-    return QTable(dt, level, rs.t_i, dict(zip(cells, _kr_values(rs, level, cells).tolist())))
+    t_i = lie_constants(dt)[0]
+    cells = [(i, m) for i in range(1, dt.rank + 1) for m in range(0, t_i[i - 1] * level + 1)]
+    return QTable(dt, level, t_i, dict(zip(cells, _kr_values(dt, level, cells).tolist())))
 
 
 def closed_form_qtable(dt: DynkinType) -> QTable:

@@ -1,13 +1,10 @@
-"""Root-system data for the classical families A/B/C/D.
+"""Root-system data for the classical families A/B/C/D, in closed form.
 
-Everything lives on the integer simple-root lattice. Every positive root
-alpha = sum_j k_j alpha_j is the sum of two intervals of simple roots, so its
-pairing sum_j k_j w_j with an integer vector w is a difference of prefix sums
-of w. Inner products are normalized so that long roots have squared length 2.
-Scaled by t = t_group every pairing the package needs is an integer:
-t<alpha, rho + lambda> = sum_j k_j (t/t_j)(1 + c_j) for a weight lambda with
-fundamental-weight coordinates c. The Lie constants and the counts of roots per
-height are closed forms; the roots themselves are built only for the q-dimensions.
+Inner products are normalized so that long roots have squared length 2. Scaled by t = t_group,
+t<alpha, lambda> for a positive root alpha and a weight lambda with integer fundamental-weight
+coordinates is an integer, a difference or a sum of lambda's epsilon-coordinates or one of them
+(`root_pairings`). So no computation builds the roots; `build_root_system` lists them, each the
+sum of two intervals of simple roots, for the tests' oracles.
 """
 
 from __future__ import annotations
@@ -61,19 +58,6 @@ class RootSystem:
     long: np.ndarray = field(compare=False)
     heights: np.ndarray = field(compare=False)
 
-    def pairings(self, w):
-        """sum_k c_k w_k for every root sum_k c_k alpha_k; see `_pairings`."""
-        return _pairings(self.ends, w)
-
-
-def _pairings(ends, w):
-    """Prefix-sum differences of `w`, one (n,) vector or a (W, n) stack, at the
-    interval ends; the result is (R,) or (W, R)."""
-    w = np.asarray(w)
-    prefix = np.concatenate((np.zeros_like(w[..., :1]), np.cumsum(w, axis=-1)), axis=-1)
-    lo1, hi1, lo2, hi2 = ends.T
-    return prefix[..., hi1] - prefix[..., lo1] + prefix[..., hi2] - prefix[..., lo2]
-
 
 def cartan_entries(dt: DynkinType):
     """The nonzero entries of the row Cartan matrix C_ij = 2<alpha_i, alpha_j>/<alpha_i, alpha_i>
@@ -117,6 +101,41 @@ def _interval_ends(dt: DynkinType):
     return np.concatenate([np.stack(np.broadcast_arrays(*b), axis=1, dtype=np.int32) for b in blocks])
 
 
+@lru_cache(maxsize=4)  # the pairs of a few recent ranks; rank 2048's hold 32 MiB
+def _pairs(m: int):
+    """Every (i, j) with i < j < m, row-major as np.triu_indices(m, 1) lists them, read-only."""
+    pairs = np.nonzero(np.arange(m)[:, None] < np.arange(m))
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
+
+
+def root_pairings(dt: DynkinType, weights) -> np.ndarray:
+    """t<alpha, lambda> for every positive root alpha, in `_interval_ends`' order, and every weight
+    lambda of an integer (n,) vector or (W, n) stack in fundamental coordinates; (R,) or (W, R) int64.
+
+    lambda's epsilon-coordinates are reverse cumulative sums of its coordinates (Bourbaki, ch. VI,
+    plates I-IV), taken in 2 epsilon for B and D, where omega_n (B) and omega_{n-1}, omega_n (D)
+    contribute halves: twice the sums less c_n (B) or c_{n-1} + c_n (D), which also gives D's e_n
+    c_n - c_{n-1}. Scaled by t, e_i -+ e_j pair to differences and sums of them, halved exactly in
+    D; B's short e_i to the coordinate and C's long 2 e_i to twice it.
+    """
+    fam = dt.family
+    c = np.asarray(weights)
+    eps = np.cumsum(c[..., ::-1], axis=-1)[..., ::-1]
+    if fam == "A":  # e_{n+1} pairs to 0
+        eps = np.concatenate((eps, np.zeros_like(c[..., :1])), axis=-1)
+    elif fam in ("B", "D"):
+        eps = 2 * eps - (c[..., -1:] if fam == "B" else c[..., -2:-1] + c[..., -1:])
+    i, j = _pairs(eps.shape[-1])
+    left, right = eps[..., i], eps[..., j]
+    single = (eps,) if fam == "B" else (2 * eps,) if fam == "C" else ()
+    out = np.concatenate((left - right, *(() if fam == "A" else (left + right,)), *single), axis=-1)
+    if fam == "D":
+        out >>= 1  # every e_i -+ e_j pairs to an even sum in 2 epsilon
+    return out
+
+
 def lie_constants(dt: DynkinType):
     """(t_i, t, h_dual) in closed form (Bourbaki, ch. VI, plates I-IV): t_i = t for a short
     simple root (B's alpha_n, C's alpha_1 .. alpha_{n-1}) and 1 for a long one, t = 2 for B
@@ -151,7 +170,7 @@ def height_histograms(dt: DynkinType) -> np.ndarray:
 
 @lru_cache(maxsize=8)  # a few recent types: a sweep builds each once, and a large one holds MiBs
 def build_root_system(dt: DynkinType) -> RootSystem:
-    """Construct the positive roots on the integer lattice, for the q-dimensions; the roots
+    """Construct the positive roots on the integer lattice, for the tests' oracles; the roots
     are asserted to give `lie_constants`' t (short roots exactly when t = 2) and h_dual, and
     long heights divisible by t."""
     fam = dt.family
@@ -160,7 +179,7 @@ def build_root_system(dt: DynkinType) -> RootSystem:
     long = np.full(len(ends), fam != "C")
     if fam in ("B", "C"):
         long[-dt.rank:] = fam == "C"  # B's e_i are short, C's 2 e_i long
-    heights = _pairings(ends, t_group // np.array(t_i)).astype(np.int32)  # each below 2 t h_dual
+    heights = root_pairings(dt, np.ones(dt.rank, dtype=np.int64)).astype(np.int32)  # each below 2 t h_dual
     assert long.all() == (t_group == 1) and not np.any(heights[long] % t_group), dt
     assert h_dual == 1 + int(heights[long].max()) // t_group, dt
     for a in (ends, long, heights):

@@ -142,7 +142,7 @@ def build_case(dt: DynkinType, tol: float = 1e-9) -> Case:
 
 def _seeded_uniform(seed: int, shape: Tuple[int, int]) -> np.ndarray:
     """Uniform draws on [0.5, 2) from random.Random(seed), row by row, so a shorter
-    draw is the first rows of a longer one. `import numpy` has loaded `random` already."""
+    draw is the first rows of a longer one. `random` is this module's own import: numpy does not load it."""
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = random.Random(seed)

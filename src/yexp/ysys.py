@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Tuple
 
 import numpy as np
@@ -62,17 +61,18 @@ class YSolution:
         return self.values[(i, m)]
 
 
-def closed_form_y_exact(dt: DynkinType) -> Dict[Tuple[int, int], Fraction]:
-    """Closed-form level-2 solutions for types B and D, as exact rationals."""
+def closed_form_y_exact(dt: DynkinType) -> Dict[Tuple[int, int], Tuple[int, int]]:
+    """Closed-form level-2 solutions for types B and D, each an exact rational as a
+    (numerator, denominator) int pair in lowest terms."""
     n = dt.rank
     if dt.family == "B":
-        vals = {(i, 1): Fraction(i * (i + 2)) for i in range(1, n)}
-        vals[(n, 1)] = vals[(n, 3)] = Fraction(n, n + 1)
-        vals[(n, 2)] = Fraction(n * n, 2 * n + 1)
+        vals = {(i, 1): (i * (i + 2), 1) for i in range(1, n)}
+        vals[(n, 1)] = vals[(n, 3)] = (n, n + 1)
+        vals[(n, 2)] = (n * n, 2 * n + 1)
         return vals
     if dt.family == "D":
-        vals = {(i, 1): Fraction(i * (i + 2)) for i in range(1, n - 1)}
-        vals[(n - 1, 1)] = vals[(n, 1)] = Fraction(n - 1)
+        vals = {(i, 1): (i * (i + 2), 1) for i in range(1, n - 1)}
+        vals[(n - 1, 1)] = vals[(n, 1)] = (n - 1, 1)
         return vals
     raise ValueError(f"closed-form Y values cover types B and D, not {dt.family}")
 
@@ -104,7 +104,7 @@ def calibrate_reading() -> GReading:
 def y_solution(dt: DynkinType) -> YSolution:
     """Positive solution of the level-2 Y-system for any classical type."""
     if dt.family in ("B", "D"):
-        return YSolution(dt, 2, {k: float(v) for k, v in closed_form_y_exact(dt).items()})
+        return YSolution(dt, 2, {k: p / q for k, (p, q) in closed_form_y_exact(dt).items()})  # rounded once
     return y_from_q(closed_form_qtable(dt))
 
 

@@ -4,16 +4,17 @@ The package's fast paths are compared with these: the textbook Y-seed value
 rule at one vertex and the relabelling of a quiver, the plain forward orbit of a
 periodicity check and the inverse loop compiled on its own exchange matrices,
 the Cartan matrix and the coupling matrix G as dense arrays and one entry of G,
-the structural properties of the KR solution, and a q-table's interior cells.
+the roots' pairings as interval-prefix differences and the q-dimension read from
+them, the structural properties of the KR solution, and a q-table's interior cells.
 """
 
 from typing import Dict, Sequence
 
 import numpy as np
 
-from yexp.qsys import QTable, _g_entries, _kr_values, index_set_H, kr_qtable
+from yexp.qsys import _QDIM_ENTRIES, QTable, _g_entries, _kr_values, _sin_pi, index_set_H, kr_qtable
 from yexp.quiver import MutationLoop, Quiver, _compile_loop
-from yexp.rootsys import DynkinType, RootSystem, build_root_system, cartan_entries
+from yexp.rootsys import DynkinType, RootSystem, cartan_entries, lie_constants
 from yexp.yseed import _run, log_cluster_transform
 
 
@@ -104,6 +105,42 @@ def g_coefficient(rs: RootSystem, i: int, m: int, j: int, k: int) -> int:
     return int(dense_g(rs.type, level)[H.index((i, m)), H.index((j, k))])
 
 
+def interval_pairings(ends: np.ndarray, w) -> np.ndarray:
+    """sum_k c_k w_k for every root sum_k c_k alpha_k listed by its interval `ends` (as
+    `RootSystem.ends`), for one (n,) vector or a (W, n) stack `w`: prefix-sum differences
+    of w at the ends; the result is (R,) or (W, R)."""
+    w = np.asarray(w)
+    prefix = np.concatenate((np.zeros_like(w[..., :1]), np.cumsum(w, axis=-1)), axis=-1)
+    lo1, hi1, lo2, hi2 = ends.T
+    return prefix[..., hi1] - prefix[..., lo1] + prefix[..., hi2] - prefix[..., lo2]
+
+
+def root_qdim(rs: RootSystem, level: int, weight):
+    """`qsys.qdim` read from the root arrays: pairings t<alpha, rho + lambda> as interval-prefix
+    differences of (t / t_j)(1 + c_j), the heights from `rs.heights`; the same sine table and blocks."""
+    n = rs.type.rank
+    weight = np.asarray(weight)
+    if weight.shape[-1:] != (n,):
+        raise ValueError(f"weight needs {n} fundamental coordinates")
+    t = rs.t_group
+    period = np.int64(t * (level + rs.h_dual))  # so that the int32 heights mod 2|P| are taken in int64
+    if period == 0 or not np.all(rs.heights % period):
+        raise ZeroDivisionError(f"q-dimension denominator vanishes: P = {period} divides a root height")
+    den = _sin_pi(rs.heights, period)
+    scale = t // np.array(rs.t_i)
+    stack = weight.reshape(-1, n)
+    size = 2 * abs(period)
+    table = _sin_pi(np.arange(size), period) if size <= len(stack) * len(den) else None
+    rows = max(1, _QDIM_ENTRIES // len(den))
+    q = np.empty(len(stack))
+    for lo in range(0, len(stack), rows):
+        shifted = interval_pairings(rs.ends, scale * (1 + stack[lo:lo + rows]))
+        sines = _sin_pi(shifted, period) if table is None else table[shifted % size]
+        q[lo:lo + rows] = np.prod(sines / den, axis=-1)
+    q = q.reshape(weight.shape[:-1])
+    return float(q) if weight.ndim == 1 else q
+
+
 def interior_items(qt: QTable):
     """((i, m), Q_m^{(i)}) for every node i and 0 < m < t_i * level."""
     for i in range(1, qt.rank + 1):
@@ -120,12 +157,12 @@ def check_qsol_properties(dt: DynkinType, level: int = 2, vanish_terms: int = No
     vanishing: |Q_{t_i*level + j}| for 1 <= j <= t_i*h_dual - 1 (capped at
                `vanish_terms` values per node to keep enumeration small).
     """
-    rs = build_root_system(dt)
+    t_i, _, h_dual = lie_constants(dt)
     qt = kr_qtable(dt, level)
     sym = 0.0
     growth = 0.0
     for i in range(1, dt.rank + 1):
-        top = rs.t_i[i - 1] * level
+        top = t_i[i - 1] * level
         for m in range(0, top + 1):
             sym = max(sym, abs(qt.value(i, m) - qt.value(i, top - m)))
         for m in range(0, top // 2):
@@ -134,10 +171,10 @@ def check_qsol_properties(dt: DynkinType, level: int = 2, vanish_terms: int = No
                 growth = max(growth, -margin + 1e-300)
     cells = []
     for i in range(1, dt.rank + 1):
-        top = rs.t_i[i - 1] * level
-        jmax = rs.t_i[i - 1] * rs.h_dual - 1
+        top = t_i[i - 1] * level
+        jmax = t_i[i - 1] * h_dual - 1
         if vanish_terms is not None:
             jmax = min(jmax, vanish_terms)
         cells += [(i, top + j) for j in range(1, jmax + 1)]
-    vanish = float(np.max(np.abs(_kr_values(rs, level, cells)), initial=0.0))
+    vanish = float(np.max(np.abs(_kr_values(dt, level, cells)), initial=0.0))
     return {"symmetry": sym, "growth": growth, "vanishing": vanish}

@@ -133,8 +133,8 @@ def test_criterion_05_fixed_point():
         worst_newton = max(worst_newton, float(np.max(np.abs(newton - ep.eta) / np.abs(ep.eta))))
     for dt in [DynkinType("B", n) for n in range(2, 9)] + [DynkinType("D", n) for n in range(4, 9)]:
         ys = y_from_q(closed_form_qtable(dt))
-        for key, frac in closed_form_y_exact(dt).items():
-            v = float(frac)
+        for key, (p, q) in closed_form_y_exact(dt).items():
+            v = p / q
             worst_printed = max(worst_printed, abs(ys.value(*key) - v) / max(1.0, v))
     report(5, "fixed point: eta residual <= 1e-9, Newton agreement <= 1e-8, printed B/D values <= 1e-12",
            worst_fp <= 1e-9 and worst_newton <= 1e-8 and worst_printed <= 1e-12,

@@ -255,11 +255,21 @@ def test_cli_runs_never_import_numpy_random():
         "             main(['periodicity', '--family', 'B', '--rank', '4', '--rank-max', '6'])]\n"
         "print(codes, 'numpy.random' in sys.modules, 'numpy.ma' in sys.modules)\n"
     )
+    assert _fresh_interpreter(script) == "[0, 0] False False"
+
+
+def test_importing_yexp_loads_neither_fractions_nor_decimal():
+    # the B/D closed forms are int pairs; fractions would bring decimal, 2 ms of every process's start
+    script = "import sys, yexp, yexp.cli\nprint('fractions' in sys.modules, 'decimal' in sys.modules)\n"
+    assert _fresh_interpreter(script) == "False False"
+
+
+def _fresh_interpreter(script: str) -> str:
+    """The stripped stdout of `script` run by a new interpreter that imports yexp from src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
-                         timeout=120, check=True).stdout
-    assert out.strip() == "[0, 0] False False"
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120, check=True).stdout.strip()
 
 
 def test_usage_errors(capsys):

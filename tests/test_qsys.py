@@ -9,7 +9,7 @@ from yexp.qsys import (_QDIM_ENTRIES, _kr_terms, _sin_pi, check_restricted_qsyst
                        kr_qchar, kr_qtable, qdim, qtable_csv)
 from yexp.rootsys import DynkinType, build_root_system
 
-from oracles import check_qsol_properties, interior_items
+from oracles import check_qsol_properties, interior_items, interval_pairings, root_qdim
 from test_quiver import imported_names
 from test_rootsys import _rows
 
@@ -20,15 +20,30 @@ def test_qsys_never_imports_ysys():
 
 
 def test_qdim_trivial_weight():
-    rs = build_root_system(DynkinType("C", 3))
-    assert qdim(rs, 2, (0, 0, 0)) == pytest.approx(1.0)
+    assert qdim(DynkinType("C", 3), 2, (0, 0, 0)) == pytest.approx(1.0)
 
 
 def test_qdim_examples():
-    b2 = build_root_system(DynkinType("B", 2))
-    assert qdim(b2, 2, (1, 0)) == pytest.approx(2.0, abs=1e-12)
-    d4 = build_root_system(DynkinType("D", 4))
-    assert qdim(d4, 2, (0, 0, 0, 1)) == pytest.approx(2.0, abs=1e-12)  # sqrt(4)
+    assert qdim(DynkinType("B", 2), 2, (1, 0)) == pytest.approx(2.0, abs=1e-12)
+    assert qdim(DynkinType("D", 4), 2, (0, 0, 0, 1)) == pytest.approx(2.0, abs=1e-12)  # sqrt(4)
+
+
+@pytest.mark.parametrize("weight", [(1.5, 0), (1.0, 0.0), np.array([1.0, 0.0]), (1 + 0j, 0), (True, False),
+                                    np.array([1, 0], dtype=object), np.array([[1, 0], [0, 1]], dtype=float)],
+                         ids=repr)
+def test_qdim_rejects_weights_without_an_integer_dtype(weight):
+    # a fractional coordinate names no weight, and the epsilon-pairings would floor it
+    with pytest.raises(ValueError, match="integer"):
+        qdim(DynkinType("B", 2), 2, weight)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint8, np.uint16])
+def test_qdim_takes_every_integer_dtype(dtype):
+    dt = DynkinType("D", 5)
+    weights = np.random.default_rng(5).integers(0, 3, (6, 5))
+    want = [q.hex() for q in qdim(dt, 2, weights).tolist()]
+    assert [q.hex() for q in qdim(dt, 2, weights.astype(dtype)).tolist()] == want
+    assert qdim(dt, 2, (-1, 0, 2, 0, 0)) == root_qdim(build_root_system(dt), 2, (-1, 0, 2, 0, 0))
 
 
 def test_qdim_positive_in_level_window():
@@ -42,17 +57,17 @@ def test_qdim_positive_in_level_window():
                    for row in _rows(rs).tolist()]
         if all(a < period for a in shifted):
             inside += 1
-            assert qdim(rs, 2, w) > 0
+            assert qdim(rs.type, 2, w) > 0
     assert inside == 5  # (0, 2, 0) lies outside the level-2 alcove
 
 
 @pytest.mark.parametrize("family,rank", [("A", 5), ("B", 4), ("C", 6), ("D", 7)])
 def test_qdim_on_a_stack_matches_single_weights(family, rank):
-    rs = build_root_system(DynkinType(family, rank))
+    dt = DynkinType(family, rank)
     weights = np.random.default_rng(rank).integers(0, 4, (9, rank))
-    stacked = qdim(rs, 2, weights)
+    stacked = qdim(dt, 2, weights)
     assert stacked.shape == (9,)
-    assert [q.hex() for q in stacked.tolist()] == [qdim(rs, 2, tuple(w)).hex() for w in weights.tolist()]
+    assert [q.hex() for q in stacked.tolist()] == [qdim(dt, 2, tuple(w)).hex() for w in weights.tolist()]
 
 
 def test_sin_pi_vanishes_exactly_at_multiples():
@@ -75,30 +90,26 @@ def test_sin_pi_matches_float_sine(p):
 @pytest.mark.parametrize("level", [-1, -3, -4, -5])
 def test_qdim_vanishing_denominator_raises(level):
     # A2, heights 1, 1, 2: P = level + 3 is 2, 0, -1 and -2, and each divides a height
-    rs = build_root_system(DynkinType("A", 2))
     with pytest.raises(ZeroDivisionError):
-        qdim(rs, level, (0, 0))
+        qdim(DynkinType("A", 2), level, (0, 0))
 
 
 def test_kr_examples():
-    b4 = build_root_system(DynkinType("B", 4))
-    assert kr_qchar(b4, 2, 4, 2) == pytest.approx(5.0, abs=1e-9)
-    c3 = build_root_system(DynkinType("C", 3))
+    assert kr_qchar(DynkinType("B", 4), 2, 4, 2) == pytest.approx(5.0, abs=1e-9)
     s = lambda x: math.sin(math.pi * x / 6)
     expected = s(1) * s(2) * s(3) / (s(0.5) * s(1.5) * s(2))
-    assert kr_qchar(c3, 2, 1, 1) == pytest.approx(expected, abs=1e-9)
-    a2 = build_root_system(DynkinType("A", 2))
+    assert kr_qchar(DynkinType("C", 3), 2, 1, 1) == pytest.approx(expected, abs=1e-9)
     s5 = lambda x: math.sin(math.pi * x / 5)
     expected = s5(2) / s5(1) * s5(3) / s5(2)
-    assert kr_qchar(a2, 2, 1, 1) == pytest.approx(expected, abs=1e-9)
+    assert kr_qchar(DynkinType("A", 2), 2, 1, 1) == pytest.approx(expected, abs=1e-9)
 
 
 def test_kr_out_of_range():
-    rs = build_root_system(DynkinType("B", 3))
+    dt = DynkinType("B", 3)
     with pytest.raises(ValueError):
-        kr_qchar(rs, 2, 0, 1)
+        kr_qchar(dt, 2, 0, 1)
     with pytest.raises(ValueError):
-        kr_qchar(rs, 2, 4, 1)
+        kr_qchar(dt, 2, 4, 1)
 
 
 ALL_TYPES = [DynkinType(f, r) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
@@ -169,9 +180,8 @@ def test_qsol_properties(dt):
 
 def test_vanishing_example_b3():
     # Q_{2+j}^{(1)} = 0 for j = 1..4 (t_1 h_dual - 1 = 4)
-    rs = build_root_system(DynkinType("B", 3))
     for j in range(1, 5):
-        assert abs(kr_qchar(rs, 2, 1, 2 + j)) <= 1e-9
+        assert abs(kr_qchar(DynkinType("B", 3), 2, 1, 2 + j)) <= 1e-9
 
 
 def test_qtable_csv_roundtrip():
@@ -211,7 +221,7 @@ def _per_cell_qchar(rs, level, i, m):
     """Reference KR value: the cell's own sines and quotients, summed one term at a time."""
     period = rs.t_group * (level + rs.h_dual)
     weights = np.array(_product_kr_terms(rs.type, rs.t_i, i, m))
-    shifted = rs.pairings((rs.t_group // np.array(rs.t_i)) * (1 + weights))
+    shifted = interval_pairings(rs.ends, (rs.t_group // np.array(rs.t_i)) * (1 + weights))
     total = 0
     for q in np.prod(_sin_pi(shifted, period) / _sin_pi(rs.heights, period), axis=-1).tolist():
         total += q
@@ -306,9 +316,8 @@ def test_kr_qtable_calls_qdim_once_and_matches_kr_qchar(dt, monkeypatch):
     monkeypatch.setattr(qsys, "qdim", counted)
     qt = kr_qtable(dt, 3)
     assert len(calls) == 1
-    rs = build_root_system(dt)
     for (i, m), v in qt.values.items():
-        assert kr_qchar(rs, 3, i, m).hex() == v.hex(), (i, m)
+        assert kr_qchar(dt, 3, i, m).hex() == v.hex(), (i, m)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 4), ("C", 5), ("D", 5)])
@@ -322,9 +331,9 @@ def test_qdim_sine_table_matches_the_direct_sines(family, rank):
     mixed = np.concatenate((rng.integers(0, 2, (rows, rank)), rng.integers(0, 3 * period, (40, rank))))
     for weights in (rng.integers(0, 3, (40, rank)), rng.integers(0, 3 * period, (40, rank)),
                     rng.integers(-3 * period, period, (40, rank)), mixed):
-        shifted = rs.pairings((rs.t_group // np.array(rs.t_i)) * (1 + weights))
+        shifted = interval_pairings(rs.ends, (rs.t_group // np.array(rs.t_i)) * (1 + weights))
         want = np.prod(_sin_pi(shifted, period) / _sin_pi(rs.heights, period), axis=-1)
-        assert [q.hex() for q in qdim(rs, 2, weights).tolist()] == [q.hex() for q in want.tolist()]
+        assert [q.hex() for q in qdim(rs.type, 2, weights).tolist()] == [q.hex() for q in want.tolist()]
 
 
 @pytest.mark.parametrize("dt", [DynkinType("B", 6), DynkinType("C", 6), DynkinType("D", 6)], ids=str)
@@ -333,3 +342,13 @@ def test_qsol_properties_without_a_vanishing_cap(dt):
     assert rep["symmetry"] <= 1e-9
     assert rep["growth"] == 0.0
     assert rep["vanishing"] <= 1e-9
+
+
+@pytest.mark.parametrize("dt", [DynkinType(f, r) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
+                                for r in range(lo, 17)], ids=str)
+def test_kr_qtable_is_the_root_based_qdim_bit_for_bit(dt, monkeypatch):
+    # the same KR stack through the oracle, which pairs the roots' interval ends
+    want = {k: v.hex() for k, v in kr_qtable(dt).values.items()}
+    rs = build_root_system(dt)
+    monkeypatch.setattr(qsys, "qdim", lambda _, level, weight: root_qdim(rs, level, weight))
+    assert {k: v.hex() for k, v in kr_qtable(dt).values.items()} == want

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from yexp.qsys import qdim
-from yexp.rootsys import (DynkinType, _pairings, build_root_system, cartan_entries, group_constants,
-                          height_histograms, lie_constants)
+from yexp.rootsys import (DynkinType, build_root_system, cartan_entries, group_constants, height_histograms,
+                          lie_constants, root_pairings)
 
-from oracles import dense_cartan
+from oracles import dense_cartan, interval_pairings
 
 
 POSITIVE_COUNTS = {
@@ -118,7 +118,7 @@ def test_pairing_examples():
     b2 = build_root_system(DynkinType("B", 2))
     assert _gram(b2).tolist() == [[4, -2], [-2, 2]]
     with pytest.raises(ValueError):
-        qdim(b2, 2, (1,))
+        qdim(b2.type, 2, (1,))
 
 
 def test_rho_half_sum_oracle_b2():
@@ -149,8 +149,8 @@ def test_pairings_match_rows(dt):
     rs = build_root_system(dt)
     rows = _rows(rs)
     w = np.random.default_rng(dt.rank).integers(-1000, 1000, (5, dt.rank))
-    assert rs.pairings(w).tolist() == (w @ rows.T).tolist()
-    assert rs.pairings(w[0]).tolist() == (rows @ w[0]).tolist()
+    assert interval_pairings(rs.ends, w).tolist() == (w @ rows.T).tolist()
+    assert interval_pairings(rs.ends, w[0]).tolist() == (rows @ w[0]).tolist()
 
 
 def test_root_arrays_are_int32_and_pair_as_int64():
@@ -159,9 +159,9 @@ def test_root_arrays_are_int32_and_pair_as_int64():
     wide = rs.ends.astype(np.int64)
     # weights this large give pairings far past the int32 range
     w = np.random.default_rng(512).integers(-10 ** 12, 10 ** 12, (4, 512))
-    got = rs.pairings(w)
-    assert got.dtype == np.int64 and np.array_equal(got, _pairings(wide, w))
-    assert np.array_equal(rs.heights, _pairings(wide, rs.t_group // np.array(rs.t_i)))
+    got = interval_pairings(rs.ends, w)
+    assert got.dtype == np.int64 and np.array_equal(got, interval_pairings(wide, w))
+    assert np.array_equal(rs.heights, interval_pairings(wide, rs.t_group // np.array(rs.t_i)))
 
 
 @pytest.mark.parametrize("dt", [DynkinType("B", 256), DynkinType("D", 256)], ids=str)
@@ -190,11 +190,10 @@ def test_fundamental_weight_duality(dt):
     # the fundamental-weight coordinates that qdim pairs with the roots are dual
     # to the simple coroots: at a large level the q-dimension of each
     # fundamental weight tends to the Weyl dimension of that representation
-    rs = build_root_system(dt)
     for i, dim in enumerate(_fundamental_dims(dt)):
         weight = tuple(int(i == j) for j in range(dt.rank))
         for level in (10 ** 8, 10 ** 10):  # 2P is past the int32 range of the heights at 10^10
-            assert qdim(rs, level, weight) == pytest.approx(dim, rel=1e-9)
+            assert qdim(dt, level, weight) == pytest.approx(dim, rel=1e-9)
 
 
 @pytest.mark.parametrize("dt", ALL_TYPES, ids=str)
@@ -226,13 +225,25 @@ def test_closed_forms_match_the_roots(dt):
     from_roots = np.empty(dt.rank, dtype=np.int64)
     from_roots[node] = np.where(rs.long[simple], 1, t)
     assert t_i == tuple(from_roots.tolist())
-    heights = rs.pairings(t // from_roots)
+    heights = interval_pairings(rs.ends, t // from_roots)
     assert np.array_equal(heights, rs.heights)
     assert h_dual == 1 + heights[rs.long].max() // t
     hist = height_histograms(dt)
     assert hist.dtype == np.int64 and hist.shape == (2, t * (h_dual - 1) + 1)
     for row, long in zip(hist, (False, True)):
         assert np.array_equal(row, np.bincount(heights[rs.long == long], minlength=hist.shape[1]))
+
+
+@pytest.mark.parametrize("dt", [DynkinType(f, r) for f, lo in FLOOR for r in [*range(lo, 41), 64, 128]], ids=str)
+def test_epsilon_pairings_are_the_interval_prefix_pairings(dt):
+    # uncached, as above; t<alpha, lambda> sums (t / t_k) c_k over the simple roots alpha_k in alpha's intervals
+    rs = build_root_system.__wrapped__(dt)
+    w = np.random.default_rng(dt.rank).integers(-100, 100, (7, dt.rank))
+    want = interval_pairings(rs.ends, (rs.t_group // np.array(rs.t_i)) * w)
+    got = root_pairings(dt, w)
+    assert got.dtype == np.int64 and got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(root_pairings(dt, w[0]), want[0])
+    assert np.array_equal(root_pairings(dt, np.ones(dt.rank, dtype=np.int64)), rs.heights)
 
 
 def test_periods():

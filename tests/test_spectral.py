@@ -7,7 +7,7 @@ from typing import Callable, Dict
 import numpy as np
 import pytest
 
-from yexp import cli, spectral, ysys
+from yexp import cli, qsys, spectral, ysys
 from yexp.qsys import _sin_pi
 from yexp.quiver import build_dynkin_quiver, build_mutation_loop
 from yexp.rootsys import DynkinType, build_root_system, group_constants
@@ -1347,11 +1347,23 @@ def test_block_diag_catches_a_small_off_diagonal_entry():
 
 @pytest.mark.parametrize("dt", [DynkinType("C", 4), DynkinType("B", 6), DynkinType("A", 5), DynkinType("D", 6)],
                          ids=str)
-def test_run_case_builds_no_root_system(dt):
+def test_run_case_builds_no_root_system(dt, capsys):
     build_root_system.cache_clear()
     assert case_passed(run_case(dt, samples=8, periodicity_points=2))
+    _run_the_kr_paths(dt, capsys)
     info = build_root_system.cache_info()
     assert info.misses == 0 and info.currsize == 0
+
+
+def _run_the_kr_paths(dt, capsys):
+    # the q-dimensions read the epsilon-pairings, the Y-tables the integer closed forms
+    qt = qsys.kr_qtable(dt)
+    assert qsys.check_restricted_qsystem(qt) <= 1e-9
+    assert qsys.kr_qchar(dt, 2, 1, 1) == qt.value(1, 1)
+    assert qsys.qdim(dt, 2, (0,) * dt.rank) == 1.0
+    for command in ("qtable", "ytable"):
+        assert cli.main([command, "--family", dt.family, "--rank", str(dt.rank)]) == 0
+        assert capsys.readouterr().out.startswith("i,m,")
 
 
 @pytest.mark.parametrize("dt", [DynkinType("A", 8), DynkinType("B", 8), DynkinType("C", 8), DynkinType("D", 8)],
@@ -1365,6 +1377,7 @@ def test_the_loop_and_periodicity_build_no_root_system(dt, capsys):
     assert np.isfinite(loop_jacobian(loop, y).matrix).all()
     assert cli.main(["periodicity", "--family", dt.family, "--rank", str(dt.rank)]) == 0
     assert f"{dt.family},{dt.rank},{period}," in capsys.readouterr().out
+    _run_the_kr_paths(dt, capsys)
     assert build_root_system.cache_info().misses == 0
 
 

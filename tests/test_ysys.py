@@ -129,11 +129,11 @@ CLOSED_FORM_TYPES = [DynkinType(f, r) for f, lo in (("B", 2), ("D", 4)) for r in
 
 def fits_the_closed_forms(reading, dt):
     """The exact B/D solution satisfies the Y-system and is rebuilt from the closed-form Q-table."""
-    exact = closed_form_y_exact(dt)
-    ys = YSolution(dt, 2, {h: float(v) for h, v in exact.items()})
+    exact = {h: p / q for h, (p, q) in closed_form_y_exact(dt).items()}
+    ys = YSolution(dt, 2, exact)
     rebuilt = oracle_y_from_q(closed_form_qtable(dt), reading)
     return oracle_check_ysystem(ys, reading) <= 1e-9 and all(
-        abs(rebuilt[h] - float(v)) <= 1e-10 * max(1.0, float(v)) for h, v in exact.items())
+        abs(rebuilt[h] - v) <= 1e-10 * max(1.0, v) for h, v in exact.items())
 
 
 def test_calibration_unique_and_logged():
@@ -170,7 +170,6 @@ def test_g_entries_are_the_nonzeros_of_the_oracle(dt):
 def test_y_solution_forms_no_h_by_h_array():
     # C1024's H has 3,070 pairs: a dense G would be 72 MiB, its float cast as much again
     dt = DynkinType("C", 1024)
-    build_root_system(dt)  # cached, and not part of the Y-solution's own cost
     tracemalloc.start()
     try:
         y_solution(dt)
@@ -203,20 +202,29 @@ def test_closed_form_y_values_exact():
     for n in (2, 4, 6, 8):
         vals = closed_form_y_exact(DynkinType("B", n))
         for i in range(1, n):
-            assert vals[(i, 1)] == i * (i + 2)
-        assert vals[(n, 1)] == Fraction(n, n + 1)
-        assert vals[(n, 2)] == Fraction(n * n, 2 * n + 1)
+            assert vals[(i, 1)] == (i * (i + 2), 1)
+        assert vals[(n, 1)] == (n, n + 1)
+        assert vals[(n, 2)] == (n * n, 2 * n + 1)
     for n in (4, 5, 6):
         vals = closed_form_y_exact(DynkinType("D", n))
-        assert vals[(n - 1, 1)] == vals[(n, 1)] == n - 1
+        assert vals[(n - 1, 1)] == vals[(n, 1)] == (n - 1, 1)
+
+
+@pytest.mark.parametrize("dt", CLOSED_FORM_TYPES + [DynkinType("B", 1000), DynkinType("D", 1000)], ids=str)
+def test_closed_form_y_pairs_are_in_lowest_terms_and_divide_as_fractions(dt):
+    # int true division rounds once, as float(Fraction) does
+    ys = y_solution(dt)
+    for h, (p, q) in closed_form_y_exact(dt).items():
+        assert type(p) is type(q) is int and q > 0 and math.gcd(p, q) == 1
+        assert ys.value(*h).hex() == float(Fraction(p, q)).hex()
 
 
 @pytest.mark.parametrize("dt", [DynkinType("B", 4), DynkinType("B", 7), DynkinType("D", 6),
                                 DynkinType("D", 9)], ids=str)
 def test_y_from_q_reproduces_printed_rationals(dt):
     ys = y_from_q(closed_form_qtable(dt))
-    for (i, m), v in closed_form_y_exact(dt).items():
-        assert abs(ys.value(i, m) - float(v)) <= 1e-12 * max(1.0, float(v))
+    for (i, m), (p, q) in closed_form_y_exact(dt).items():
+        assert abs(ys.value(i, m) - p / q) <= 1e-12 * max(1.0, p / q)
 
 
 ALL_TYPES = [DynkinType(f, r) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
