@@ -54,11 +54,16 @@ def qdim(dt: DynkinType, level: int, weight):
     2|P| `_sin_pi` values, unless that table would outnumber the stack's
     (weight, root) pairs (a large |level|); then every sine is taken directly.
     The stack runs in blocks of about _QDIM_ENTRIES (weight, root) pairs.
+    Every pairing and every partial sum behind it is at most (max|c| + 1) 8n in
+    size, so a coordinate c with (max|c| + 1) 8n >= 2^63 is a ValueError.
     """
     n = dt.rank
     weight = np.asarray(weight)
     if weight.shape[-1:] != (n,) or weight.dtype.kind not in "iu":
         raise ValueError(f"weight needs {n} integer fundamental coordinates, got dtype {weight.dtype}")
+    bound = (2 ** 63 - 1) // (8 * n) - 1  # the largest |c| with (|c| + 1) 8n < 2^63
+    if max(int(weight.max(initial=0)), -int(weight.min(initial=0))) > bound:
+        raise ValueError(f"weight coordinates must lie within +-{bound}, or the int64 pairings could overflow")
     _, t, h_dual = lie_constants(dt)
     heights = root_pairings(dt, np.ones(n, dtype=np.int64))
     period = t * (level + h_dual)

@@ -1,19 +1,17 @@
 """Quivers without 1- and 2-cycles, quiver mutation, and the level-2 Dynkin quivers.
 
-A quiver on N vertices is stored as an N x N nonnegative integer matrix
-whose (i, j) entry counts the arrows i -> j. The level-2 Dynkin quiver of
-each classical family is encoded together with vertex colors (black/white),
-phase signs (+ / - / 0 where 0 marks white vertices mutated in neither
-phase), the folding permutation nu, and the (node, row) coordinate of each
-vertex in the underlying index set. The signs state the orientation once: every
-edge of a Dynkin chain points into its "+" end and every arrow inside B's and C's
-node columns leaves it (`_path`); only the arrows that join the chains to B's column,
-D's fork and C's p and q are listed.
-
-A mutation loop carries one exchange matrix b = a - a^T through its two phases
-(commuting mutations at pairwise unconnected vertices). Each phase reads its
-signed arrows from b once, compiles them to a `LogProgram` on x = log y, which
-`yseed` runs, and mutates b in place from the same list.
+A level-2 Dynkin quiver is its arrows as (tail, head) pairs, each of multiplicity 1,
+with vertex colors (black/white), phase signs (+ / - / 0 where 0 marks white vertices
+mutated in neither phase), the folding permutation nu, and the (node, row) coordinate
+of each vertex in the underlying index set. The signs state the orientation once: every
+edge of a Dynkin chain points into its "+" end and every arrow inside B's and C's node
+columns leaves it (`_path`); only the arrows that join the chains to B's column, D's
+fork and C's p and q are listed. `Quiver` and `mutate_quiver` are the textbook dense
+operation, which the tests compare with. A mutation loop carries the exchange matrix
+b = a - a^T through its two phases (commuting mutations at pairwise unconnected vertices)
+as its nonzero entries, so no N x N array is formed. Each phase reads its signed arrows
+from the entries once, compiles them to a `LogProgram` on x = log y, which `yseed` runs,
+and merges the entries of the mutated b from the same list.
 """
 
 from __future__ import annotations
@@ -86,14 +84,15 @@ def mutate_quiver(q: Quiver, k: int) -> Quiver:
 class LabeledQuiver:
     """Dynkin quiver with vertex colors, phase signs, folding nu, and coordinates.
 
-    sign[v] is "+" for vertices mutated in the first phase, "-" for the
-    second phase, and "0" for white vertices mutated in neither.
+    arrows lists each arrow once as a (tail, head) pair, sorted; every arrow
+    has multiplicity 1. sign[v] is "+" for vertices mutated in the first phase,
+    "-" for the second phase, and "0" for white vertices mutated in neither.
     hindex[v] = (i, m) locates the vertex as the m-th row of the i-th node
     column of the underlying diagram.
     """
 
     type: DynkinType
-    quiver: Quiver
+    arrows: Tuple[Tuple[int, int], ...]
     color: Tuple[str, ...]
     sign: Tuple[str, ...]
     nu: Tuple[int, ...]
@@ -101,7 +100,7 @@ class LabeledQuiver:
 
     @property
     def n_vertices(self):
-        return self.quiver.n_vertices
+        return len(self.sign)
 
     def vertex_of(self, i: int, m: int) -> int:
         return self.hindex.index((i, m))
@@ -131,26 +130,27 @@ class LogProgram:
     batch: dict = field(default_factory=dict, repr=False)
 
 
-def _compile_phase(b: np.ndarray, vertices: Tuple[int, ...], order: np.ndarray, name: str) -> LogProgram:
-    """The phase mutating the exchange matrix b at `vertices` as a LogProgram whose row i
-    is vertex order[i] after the phase; b is then mutated in place. The vertices must be
-    pairwise unconnected, so the mutations commute and none changes the arrows at another;
-    only the arrows between them and the rest enter, each with its signed multiplicity
-    b_vk: positive for v -> k, negative for k -> v. On b, off the phase, each path
-    i -> k -> j through it adds b_ik b_kj to b_ij and takes it from b_ji, and the phase's
-    entries change sign (Fomin-Zelevinsky matrix mutation, in O(paths))."""
+def _compile_phase(entries, vertices: Tuple[int, ...], order: np.ndarray, name: str):
+    """(program, entries'): the phase mutating the exchange matrix b at `vertices` as a LogProgram
+    whose row i is vertex order[i] after the phase, and the mutated b. Both b's are their nonzero
+    entries (i, j, b_ij), both signs, sorted by (i, j); the argument is left as it is. The vertices
+    must be pairwise unconnected, so the mutations commute and none changes the arrows at another;
+    only the arrows between them and the rest enter, each with its signed multiplicity b_vk: positive
+    for v -> k, negative for k -> v. Off the phase, each path i -> k -> j through it adds b_ik b_kj to
+    b_ij and takes it from b_ji, and the phase's entries change sign (Fomin-Zelevinsky, in O(entries))."""
+    i, j, b = entries
+    n = len(order)
     s = np.array(vertices, dtype=np.intp)
-    inside = b[np.ix_(s, s)]
-    if inside.any():
-        i, j = np.argwhere(inside > 0)[0]
+    where = np.full(n, -1, dtype=np.intp)  # each vertex's place in the phase
+    where[s] = np.arange(len(s))
+    at_row, at_col = where[i] >= 0, where[j] >= 0
+    inside = np.flatnonzero(at_row & at_col & (b > 0))
+    if len(inside):
         raise LoopPropertyError(
-            f"phase {name} has an arrow {s[i]} -> {s[j]} inside it; "
+            f"phase {name} has an arrow {i[inside[0]]} -> {j[inside[0]]} inside it; "
             "its mutations do not commute"
         )
-    signed = b[:, s]
-    rows, cols = np.nonzero(signed)  # the arrows, sorted by row, then by phase vertex
-    e = signed[rows, cols]
-    n = len(order)
+    rows, cols, e = i[at_col], where[j[at_col]], b[at_col]  # the arrows, by row, then by phase vertex
     arrow = np.arange(len(rows))
     out = e < 0
     diagonal = np.ones(n)
@@ -169,12 +169,15 @@ def _compile_phase(b: np.ndarray, vertices: Tuple[int, ...], order: np.ndarray, 
     into = np.flatnonzero(~out)  # the paths i -> k -> j: arrows into the phase, and out of it by k
     away = np.flatnonzero(out)[np.argsort(cols[out])]
     p, r = _pairs(cols[into], cols[away], len(s))
-    i, j, w = rows[into[p]], rows[away[r]], -e[into[p]] * e[away[r]]
-    np.add.at(b, (i, j), w)
-    np.add.at(b, (j, i), -w)
-    b[rows, s[cols]] = -e
-    b[s[cols], rows] = e
-    return LogProgram(*parts)
+    tail, head, w = rows[into[p]], rows[away[r]], -e[into[p]] * e[away[r]]
+    flipped = np.where(at_row | at_col, -b, b)
+    if not len(w):  # no path through the phase (every phase of A and D): only signs change
+        return LogProgram(*parts), (i, j, flipped)
+    # merge the paths' terms into the entries by key i * n + j, and drop the entries they cancel
+    keys, inverse = np.unique(np.concatenate((i * n + j, tail * n + head, head * n + tail)), return_inverse=True)
+    total = np.bincount(inverse, np.concatenate((flipped, w, -w)))
+    kept = total != 0
+    return LogProgram(*parts), (*np.divmod(keys[kept], n), total[kept].astype(b.dtype))
 
 
 def _stacked(first: LogProgram, second: LogProgram, read: np.ndarray, row: np.ndarray) -> LogProgram:
@@ -258,30 +261,22 @@ class MutationLoop:
         return _stacked(plus, minus, nu, np.argsort(nu)), _stacked(minus, plus, same, same)
 
 
-def _path(arrows: np.ndarray, vertices: Sequence[int], sign: Sequence[str]) -> None:
-    """Point each edge between consecutive vertices of a chain into its "+" end: the
-    first phase mutates the sinks of every chain. On arrows.T it points each edge out
-    of its "+" end, as inside B's and C's node columns."""
-    for u, v in zip(vertices, vertices[1:]):
-        if sign[v] == "+":
-            arrows[u, v] = 1
-        else:
-            arrows[v, u] = 1
+def _path(vertices: Sequence[int], sign: Sequence[str]):
+    """The edges between consecutive vertices of a chain as (tail, head) pairs, each pointing
+    into its "+" end: the first phase mutates the sinks of every chain. Reversed, each points
+    out of its "+" end, as inside B's and C's node columns."""
+    return [(u, v) if sign[v] == "+" else (v, u) for u, v in zip(vertices, vertices[1:])]
 
 
 def _build_A(n):
     sign = tuple("+" if s % 2 == 0 else "-" for s in range(1, n + 1))
-    arrows = np.zeros((n, n), dtype=int)
-    _path(arrows, range(n), sign)
-    return arrows, ("black",) * n, sign, tuple(range(n)), tuple((s, 1) for s in range(1, n + 1))
+    return _path(range(n), sign), ("black",) * n, sign, tuple(range(n)), tuple((s, 1) for s in range(1, n + 1))
 
 
 def _build_D(n):
     # the path of nodes 1..n-1, and the fork's other leg n -> n-2
     sign = tuple("+" if s % 2 == n % 2 else "-" for s in range(1, n - 1)) + ("-", "-")
-    arrows = np.zeros((n, n), dtype=int)
-    _path(arrows, range(n - 1), sign)
-    arrows[n - 1, n - 3] = 1
+    arrows = _path(range(n - 1), sign) + [(n - 1, n - 3)]
     return arrows, ("black",) * n, sign, tuple(range(n)), tuple((s, 1) for s in range(1, n + 1))
 
 
@@ -292,12 +287,9 @@ def _build_B(n):
     c1, c2, c3 = n - 1, n, n + 1
     sign = tuple("+" if s % 2 == n % 2 else "0" for s in range(1, n)) + ("+", "-", "+") + \
         tuple("+" if j % 2 != n % 2 else "0" for j in range(n + 1, 2 * n))
-    arrows = np.zeros((N, N), dtype=int)
-    _path(arrows, range(n - 1), sign)
-    _path(arrows, range(n + 2, N), sign)
-    _path(arrows.T, (c1, c2, c3), sign)
-    for u, v in ((n - 2, c1), (n - 2, c3), (c2, n - 2), (c2, n + 2)):  # n - 2, n + 2: the wings' inner ends
-        arrows[u, v] = 1
+    arrows = _path(range(n - 1), sign) + _path(range(n + 2, N), sign) + \
+        [(v, u) for u, v in _path((c1, c2, c3), sign)] + \
+        [(n - 2, c1), (n - 2, c3), (c2, n - 2), (c2, n + 2)]  # n - 2, n + 2: the wings' inner ends
     nu = list(range(N - 1, -1, -1))
     nu[c1], nu[c3] = c1, c3
     color = ("white",) * (n - 1) + ("black",) * 3 + ("white",) * (n - 1)
@@ -313,13 +305,9 @@ def _build_C(n):
     p, q = N - 2, N - 1
     columns = (("+", "-", "+"), ("-", "+", "-"))  # node n-1's column, then alternating
     sign = tuple(s for i in range(1, n) for s in columns[(n - 1 - i) % 2]) + ("+", "0")
-    arrows = np.zeros((N, N), dtype=int)
-    for row in range(3):
-        _path(arrows, range(row, p, 3), sign)
-    for top in range(0, p, 3):
-        _path(arrows.T, range(top, top + 3), sign)
-    for u, v in ((p - 2, p), (p - 2, q), (q, p - 3), (q, p - 1)):  # node n-1's column is p-3..p-1
-        arrows[u, v] = 1
+    arrows = [pair for row in range(3) for pair in _path(range(row, p, 3), sign)]
+    arrows += [(v, u) for top in range(0, p, 3) for u, v in _path(range(top, top + 3), sign)]
+    arrows += [(p - 2, p), (p - 2, q), (q, p - 3), (q, p - 1)]  # node n-1's column is p-3..p-1
     nu = list(range(N))
     nu[p], nu[q] = q, p
     hindex = tuple((i, m) for i in range(1, n) for m in (1, 2, 3)) + ((n, 1), (n + 1, 1))
@@ -330,15 +318,16 @@ def build_dynkin_quiver(dt: DynkinType) -> LabeledQuiver:
     """Level-2 Dynkin quiver of a classical type, with labels and folding."""
     builder = {"A": _build_A, "B": _build_B, "C": _build_C, "D": _build_D}[dt.family]
     arrows, color, sign, nu, hindex = builder(dt.rank)
-    return LabeledQuiver(dt, Quiver(arrows), color, sign, nu, hindex)
+    return LabeledQuiver(dt, tuple(sorted(arrows)), color, sign, nu, hindex)
 
 
-def _compile_loop(b: np.ndarray, plus, minus, nu, name: str) -> Tuple[LogProgram, ...]:
-    """The programs of nu . mu_- . mu_+ on the exchange matrix b, which is left mutated
-    by mu_- . mu_+ in place. mu_+'s rows are the vertices in order; row i of mu_-'s is
-    vertex nu^-1(i), so its image is relabelled."""
-    return tuple(_compile_phase(b, vertices, order, f"mu_{sign} of {name}")
-                 for sign, vertices, order in (("+", plus, np.arange(len(b))), ("-", minus, np.argsort(nu))))
+def _compile_loop(entries, plus, minus, nu, name: str):
+    """(programs, entries'): the programs of nu . mu_- . mu_+ on the exchange matrix with
+    these entries, and the entries that mu_- . mu_+ leave. mu_+'s rows are the vertices in
+    order; row i of mu_-'s is vertex nu^-1(i), so its image is relabelled."""
+    plus_program, entries = _compile_phase(entries, plus, np.arange(len(nu)), f"mu_+ of {name}")
+    minus_program, entries = _compile_phase(entries, minus, np.argsort(nu), f"mu_- of {name}")
+    return (plus_program, minus_program), entries
 
 
 def build_mutation_loop(dt: DynkinType) -> MutationLoop:
@@ -348,12 +337,17 @@ def build_mutation_loop(dt: DynkinType) -> MutationLoop:
     does not return to its start.
     """
     lq = build_dynkin_quiver(dt)
-    plus = tuple(v for v in range(lq.n_vertices) if lq.sign[v] == "+")
-    minus = tuple(v for v in range(lq.n_vertices) if lq.sign[v] == "-")
-    b = lq.quiver.arrows - lq.quiver.arrows.T
-    start = b[np.ix_(lq.nu, lq.nu)]  # nu(b) is the start iff b is this
-    programs = _compile_loop(b, plus, minus, lq.nu, str(dt))
-    if not np.array_equal(b, start):
+    n = lq.n_vertices
+    plus = tuple(v for v in range(n) if lq.sign[v] == "+")
+    minus = tuple(v for v in range(n) if lq.sign[v] == "-")
+    tail, head = np.array(lq.arrows, dtype=np.intp).reshape(-1, 2).T
+    i, j, e = np.concatenate((tail, head)), np.concatenate((head, tail)), np.repeat((1, -1), len(tail))
+    by = np.argsort(i * n + j)
+    programs, (i2, j2, e2) = _compile_loop((i[by], j[by], e[by]), plus, minus, lq.nu, str(dt))
+    back = np.argsort(lq.nu)  # nu(b') is the start b iff b' is b relabelled by nu^-1
+    key = back[i] * n + back[j]
+    by = np.argsort(key)
+    if not (np.array_equal(key[by], i2 * n + j2) and np.array_equal(e[by], e2)):
         raise LoopPropertyError(
             f"{dt}: quiver does not return to its start after mu_+, mu_-, nu; "
             "the quiver encoding is wrong"
@@ -363,8 +357,7 @@ def build_mutation_loop(dt: DynkinType) -> MutationLoop:
 
 def dump_quiver(lq: LabeledQuiver) -> str:
     """Textual dump: one line per arrow "i -> j xM", then label lines."""
-    a = lq.quiver.arrows
-    lines = [f"{i} -> {j} x{a[i, j]}" for i, j in np.argwhere(a)]
+    lines = [f"{i} -> {j} x1" for i, j in lq.arrows]
     for v in range(lq.n_vertices):
         i, m = lq.hindex[v]
         lines.append(f"vertex {v}: y_{m}^({i}) {lq.color[v]} sign={lq.sign[v]} nu={lq.nu[v]}")

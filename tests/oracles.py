@@ -1,8 +1,10 @@
 """Reference implementations that only the tests call.
 
 The package's fast paths are compared with these: the textbook Y-seed value
-rule at one vertex and the relabelling of a quiver, the plain forward orbit of a
-periodicity check and the inverse loop compiled on its own exchange matrices,
+rule at one vertex, a labeled quiver as a dense `Quiver`, an exchange matrix's
+entries and its dense array read from each other, and the relabelling of a quiver,
+the plain forward orbit of a periodicity check and the inverse loop compiled on its
+own exchange matrices,
 the Cartan matrix and the coupling matrix G as dense arrays and one entry of G,
 the roots' pairings as interval-prefix differences and the q-dimension read from
 them, the structural properties of the KR solution, and a q-table's interior cells.
@@ -13,7 +15,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from yexp.qsys import _QDIM_ENTRIES, QTable, _g_entries, _kr_values, _sin_pi, index_set_H, kr_qtable
-from yexp.quiver import MutationLoop, Quiver, _compile_loop
+from yexp.quiver import LabeledQuiver, MutationLoop, Quiver, _compile_loop
 from yexp.rootsys import DynkinType, RootSystem, cartan_entries, lie_constants
 from yexp.yseed import _run, log_cluster_transform
 
@@ -48,6 +50,27 @@ def mutate_values(arrows: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def dense_quiver(lq: LabeledQuiver) -> Quiver:
+    """lq's arrow pairs as a dense Quiver, one arrow per pair."""
+    a = np.zeros((lq.n_vertices, lq.n_vertices), dtype=int)
+    np.add.at(a, tuple(np.array(lq.arrows, dtype=np.intp).reshape(-1, 2).T), 1)
+    return Quiver(a)
+
+
+def exchange_entries(b: np.ndarray):
+    """The nonzero entries (i, j, b_ij) of a dense exchange matrix b, sorted by (i, j)."""
+    i, j = np.nonzero(b)
+    return i, j, b[i, j]
+
+
+def exchange_matrix(entries, n: int) -> np.ndarray:
+    """The dense n x n exchange matrix with these entries (i, j, b_ij)."""
+    i, j, values = entries
+    b = np.zeros((n, n), dtype=int)
+    b[i, j] = values
+    return b
+
+
 def permute_quiver(q: Quiver, nu: Sequence[int]) -> Quiver:
     """Relabel vertices: nu(Q)_{i,j} = Q_{nu^-1(i), nu^-1(j)}."""
     nu = list(nu)
@@ -70,14 +93,13 @@ def inverse_log_transform(loop: MutationLoop, x: np.ndarray) -> np.ndarray:
     """gamma^-1 on x = log y, compiled as a loop of its own: gamma^-1 = nu^-1 . mu_nu(S+) . mu_nu(S-)
     on nu(b''), b'' the exchange matrix that gamma's two phases leave (nu(b'') is b itself when the
     quiver returns), as nu conjugates mu_S on b to mu_nu(S) on nu(b)."""
-    a = loop.start.quiver.arrows
-    b = a - a.T
-    _compile_loop(b, loop.plus_set, loop.minus_set, loop.nu, "gamma")
+    a = dense_quiver(loop.start).arrows
+    _, end = _compile_loop(exchange_entries(a - a.T), loop.plus_set, loop.minus_set, loop.nu, "gamma")
     nu = np.asarray(loop.nu)
-    start = np.empty_like(b)
-    start[np.ix_(nu, nu)] = b
-    first, second = _compile_loop(start, tuple(nu[list(loop.minus_set)]), tuple(nu[list(loop.plus_set)]),
-                                  tuple(np.argsort(nu)), "gamma^-1")
+    start = np.empty_like(a)
+    start[np.ix_(nu, nu)] = exchange_matrix(end, len(nu))
+    (first, second), _ = _compile_loop(exchange_entries(start), tuple(nu[list(loop.minus_set)]),
+                                       tuple(nu[list(loop.plus_set)]), tuple(np.argsort(nu)), "gamma^-1")
     return _run(second, _run(first, x))
 
 

@@ -20,7 +20,7 @@ from yexp.ysys import (assemble_eta, calibrate_reading, check_ysystem,
                        closed_form_y_exact, newton_fixed_point, y_from_q, y_solution)
 from yexp.qsys import check_restricted_qsystem, closed_form_qtable, kr_qtable
 
-from oracles import check_qsol_properties, mutate_values, permute_quiver
+from oracles import check_qsol_properties, dense_quiver, mutate_values, permute_quiver
 
 
 def report(num: int, description: str, passed: bool, detail: str = ""):
@@ -91,16 +91,17 @@ def test_criterion_03_mutation_loop_validity():
     rng = np.random.default_rng(2)
     for dt in FAMILY_RANKS(10):
         loop = build_mutation_loop(dt)  # raises if Q != nu(Q'') already
-        q_ref = loop.start.quiver
+        start = dense_quiver(loop.start)
+        q_ref = start
         for k in loop.plus_set + loop.minus_set:
             q_ref = mutate_quiver(q_ref, k)
-        ok = ok and permute_quiver(q_ref, loop.nu) == loop.start.quiver
+        ok = ok and permute_quiver(q_ref, loop.nu) == start
         for _ in range(3):
             plus = list(loop.plus_set)
             minus = list(loop.minus_set)
             rng.shuffle(plus)
             rng.shuffle(minus)
-            q = loop.start.quiver
+            q = start
             for k in plus + minus:
                 q = mutate_quiver(q, k)
             ok = ok and q == q_ref

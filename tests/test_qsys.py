@@ -7,7 +7,7 @@ import pytest
 from yexp import qsys
 from yexp.qsys import (_QDIM_ENTRIES, _kr_terms, _sin_pi, check_restricted_qsystem, closed_form_qtable,
                        kr_qchar, kr_qtable, qdim, qtable_csv)
-from yexp.rootsys import DynkinType, build_root_system
+from yexp.rootsys import DynkinType, build_root_system, lie_constants
 
 from oracles import check_qsol_properties, interior_items, interval_pairings, root_qdim
 from test_quiver import imported_names
@@ -352,3 +352,31 @@ def test_kr_qtable_is_the_root_based_qdim_bit_for_bit(dt, monkeypatch):
     rs = build_root_system(dt)
     monkeypatch.setattr(qsys, "qdim", lambda _, level, weight: root_qdim(rs, level, weight))
     assert {k: v.hex() for k, v in kr_qtable(dt).values.items()} == want
+
+
+@pytest.mark.parametrize("weight", [np.array([2 ** 63 + 1, 0], dtype=np.uint64), np.array([2 ** 62, 0]),
+                                    np.array([0, -2 ** 63])], ids=["2^63+1 uint64", "2^62", "-2^63"])
+def test_qdim_rejects_weights_whose_pairings_could_overflow(weight):
+    # the first wraps to a negative int64 and the second in the epsilon-doubling: they read
+    # 1.9999999999999996 and -1.9999999999999996, where their values, those of the weights
+    # reduced mod 2P, are 0
+    with pytest.raises(ValueError, match="overflow"):
+        qdim(DynkinType("B", 2), 2, weight)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("B", 5), ("C", 4), ("D", 5)])
+def test_qdim_near_the_overflow_bound_moves_by_2p(family, rank):
+    # (max|c| + 1) 8n < 2^63 holds up to `bound`; a coordinate moved by 2P moves every pairing by a
+    # multiple of 2P, so the sines, and the q-dimension, are the same bit for bit
+    dt = DynkinType(family, rank)
+    _, t, h_dual = lie_constants(dt)
+    step = 2 * t * (2 + h_dual)
+    bound = (2 ** 63 - 1) // (8 * rank) - 1
+    weights = np.random.default_rng(rank).integers(-bound, bound - step, (6, rank), endpoint=True)
+    weights[0], weights[1] = bound - step, -bound
+    e1 = np.eye(rank, dtype=np.int64)[0]
+    want = qdim(dt, 2, weights % step).tolist()
+    assert qdim(dt, 2, weights).tolist() == want
+    assert qdim(dt, 2, weights + step * e1).tolist() == want
+    with pytest.raises(ValueError, match="overflow"):
+        qdim(dt, 2, weights[0] + step * e1 + e1)

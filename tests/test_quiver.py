@@ -1,6 +1,7 @@
 import ast
 import functools
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from yexp.quiver import (LabeledQuiver, MutationLoop, Quiver, build_dynkin_quive
                          build_mutation_loop, dump_quiver, mutate_quiver)
 from yexp.rootsys import DynkinType
 
-from oracles import permute_quiver
+from oracles import dense_quiver, exchange_entries, permute_quiver
 
 
 def arrows_of(pairs, n):
@@ -115,6 +116,7 @@ ALL_TYPES = [DynkinType(f, r) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 
 def test_dynkin_quiver_shape(dt):
     lq = build_dynkin_quiver(dt)
     assert lq.n_vertices == VERTEX_COUNTS[dt.family](dt.rank)
+    assert list(lq.arrows) == sorted(set(lq.arrows))  # each arrow once, in (tail, head) order
     nu = lq.nu
     assert sorted(nu) == list(range(lq.n_vertices))
     assert all(nu[nu[v]] == v for v in range(lq.n_vertices))
@@ -138,7 +140,7 @@ def vertex_chain(dt, phases):
     order. Cached, since the tests of quiver and of yseed both read it."""
     lq = build_dynkin_quiver(dt)
     if phases == 0:
-        return lq.quiver
+        return dense_quiver(lq)
     q = vertex_chain(dt, phases - 1)
     for k in (v for v in range(lq.n_vertices) if lq.sign[v] == "+-"[phases - 1]):
         q = mutate_quiver(q, k)
@@ -152,7 +154,7 @@ def assert_phases_match_vertex_chain(loop):
     mutate_quiver at each of its vertices in turn, entry for entry."""
     n = loop.n_vertices
     chain = [vertex_chain(loop.start.type, phases) for phases in range(3)]
-    assert chain[0] == loop.start.quiver
+    assert chain[0] == dense_quiver(loop.start)
     for q, after, vertices, program, order in zip(chain[:2], chain[1:], (loop.plus_set, loop.minus_set),
                                                   loop.programs, (np.arange(n), np.argsort(loop.nu)), strict=True):
         a = q.arrows
@@ -163,10 +165,9 @@ def assert_phases_match_vertex_chain(loop):
         signed = np.zeros((n, len(s)), dtype=int)
         signed[order[program.rows[soft]], program.index[soft] - n] = program.weights[soft]
         assert np.array_equal(signed, a[:, s] - a[s, :].T)
-        b = a - a.T
-        quiver._compile_phase(b, vertices, order, "one phase")
-        assert np.array_equal(b, after.arrows - after.arrows.T)
-    assert permute_quiver(chain[2], loop.nu) == loop.start.quiver
+        _, entries = quiver._compile_phase(exchange_entries(a - a.T), vertices, order, "one phase")
+        assert np.array_equal(np.stack(entries), np.stack(exchange_entries(after.arrows - after.arrows.T)))
+    assert permute_quiver(chain[2], loop.nu) == chain[0]
 
 
 @pytest.mark.parametrize("dt", LOOP_TYPES, ids=str)
@@ -187,46 +188,62 @@ def test_phase_updates_match_vertex_chain_at_high_rank(dt):
 ], ids=["plus", "minus"])
 def test_phase_with_an_inner_arrow_is_rejected(sign, message, compiled, monkeypatch):
     # A4 is 0 -> 1 <- 2 -> 3; {0, 1} is joined in the start quiver, and {1, 2}
-    # is still joined after mutating at 0. The phase is rejected with b unchanged.
+    # is still joined after mutating at 0. The phase is rejected with its entries unchanged.
     real = build_dynkin_quiver(DynkinType("A", 4))
-    bad = LabeledQuiver(real.type, real.quiver, real.color, sign, real.nu, real.hindex)
+    bad = LabeledQuiver(real.type, real.arrows, real.color, sign, real.nu, real.hindex)
     monkeypatch.setattr(quiver, "build_dynkin_quiver", lambda dt: bad)
     seen = []
     compile_phase = quiver._compile_phase
 
-    def spy(b, *args):
-        seen.append((b, b.copy()))
-        return compile_phase(b, *args)
+    def spy(entries, *args):
+        seen.append((entries, np.stack(entries)))
+        return compile_phase(entries, *args)
 
     monkeypatch.setattr(quiver, "_compile_phase", spy)
     with pytest.raises(LoopPropertyError, match=re.escape(message)):
         build_mutation_loop(DynkinType("A", 4))
     assert len(seen) == compiled
-    b, before = seen[-1]
-    assert np.array_equal(b, before)
+    entries, before = seen[-1]
+    assert np.array_equal(np.stack(entries), before)
 
 
 @pytest.mark.parametrize("dt", [DynkinType("A", 5), DynkinType("B", 4), DynkinType("C", 5), DynkinType("D", 6)], ids=str)
-def test_a_loop_build_constructs_one_quiver(dt, monkeypatch):
-    # the start quiver; both phases and the loop check work on one exchange matrix
+def test_a_loop_build_constructs_no_quiver(dt, monkeypatch):
+    # the builders give arrow pairs; both phases and the loop check work on the exchange matrix's entries
     made = []
     init = Quiver.__init__
     monkeypatch.setattr(Quiver, "__init__", lambda self, arrows: made.append(1) or init(self, arrows))
     build_mutation_loop(dt)
-    assert len(made) == 1
+    assert not made
+
+
+def _peak_bytes(build):
+    """The tracemalloc peak while `build()` runs."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_no_loop_build_or_dump_allocates_n_by_n():
+    # one int64 N x N array is 18 MiB at C512 (N = 1,535) and 1.1 GiB at C4096 (N = 12,287)
+    assert _peak_bytes(lambda: build_mutation_loop(DynkinType("C", 512))) < 8 * 2 ** 20
+    assert _peak_bytes(lambda: dump_quiver(build_dynkin_quiver(DynkinType("C", 4096)))) < 16 * 2 ** 20
 
 
 def _phase_update(q, vertices):
-    """The exchange matrix after compiling the phase at `vertices` on q's."""
-    b = q.arrows - q.arrows.T
-    quiver._compile_phase(b, tuple(vertices), np.arange(q.n_vertices), "a test phase")
-    return b
+    """The exchange matrix's entries, stacked, after compiling the phase at `vertices` on q's."""
+    _, entries = quiver._compile_phase(exchange_entries(q.arrows - q.arrows.T), tuple(vertices),
+                                       np.arange(q.n_vertices), "a test phase")
+    return np.stack(entries)
 
 
 def _mutated_in_turn(q, vertices):
     for k in vertices:
         q = mutate_quiver(q, k)
-    return q.arrows - q.arrows.T
+    return np.stack(exchange_entries(q.arrows - q.arrows.T))
 
 
 def test_phase_update_pairs_out_arrows_by_phase_vertex():
@@ -258,8 +275,10 @@ def test_phase_order_independence(dt):
     loop = build_mutation_loop(dt)
     rng = np.random.default_rng(11)
 
+    start = dense_quiver(loop.start)
+
     def run(order_plus, order_minus):
-        q = loop.start.quiver
+        q = start
         for k in list(order_plus) + list(order_minus):
             q = mutate_quiver(q, k)
         return q
@@ -271,22 +290,23 @@ def test_phase_order_independence(dt):
         rng.shuffle(p)
         rng.shuffle(m)
         assert run(p, m) == reference
-    assert permute_quiver(reference, loop.nu) == loop.start.quiver
+    assert permute_quiver(reference, loop.nu) == start
 
 
 def test_loop_property_error_diagnostic(monkeypatch):
     lq = build_dynkin_quiver(DynkinType("D", 4))
-    b = lq.quiver.arrows - lq.quiver.arrows.T
-    programs = quiver._compile_loop(b, (0,), (), lq.nu, "a wrong split")
+    start = dense_quiver(lq)
+    programs, end = quiver._compile_loop(exchange_entries(start.arrows - start.arrows.T), (0,), (), lq.nu,
+                                         "a wrong split")
     bad = MutationLoop(lq, (0,), (), lq.nu, programs)
-    q = lq.quiver
+    q = start
     for k in bad.plus_set + bad.minus_set:
         q = mutate_quiver(q, k)
-    assert np.array_equal(b, q.arrows - q.arrows.T)
+    assert np.array_equal(np.stack(end), np.stack(exchange_entries(q.arrows - q.arrows.T)))
     # a wrong phase split must not return to the start, and the build says so
-    assert permute_quiver(q, lq.nu) != lq.quiver
+    assert permute_quiver(q, lq.nu) != start
     sign = ("+",) + ("0",) * (lq.n_vertices - 1)
-    wrong = LabeledQuiver(lq.type, lq.quiver, lq.color, sign, lq.nu, lq.hindex)
+    wrong = LabeledQuiver(lq.type, lq.arrows, lq.color, sign, lq.nu, lq.hindex)
     monkeypatch.setattr(quiver, "build_dynkin_quiver", lambda dt: wrong)
     with pytest.raises(LoopPropertyError, match="D4: quiver does not return to its start"):
         build_mutation_loop(DynkinType("D", 4))
@@ -301,7 +321,7 @@ def test_dump_format():
 @pytest.mark.parametrize("dt", [DynkinType("A", 7), DynkinType("B", 5), DynkinType("C", 6), DynkinType("D", 9)], ids=str)
 def test_dump_lists_arrows_row_by_row(dt):
     lq = build_dynkin_quiver(dt)
-    a = lq.quiver.arrows
+    a = dense_quiver(lq).arrows
     n = lq.n_vertices
     arrows = [f"{i} -> {j} x{a[i, j]}" for i in range(n) for j in range(n) if a[i, j]]
     labels = [f"vertex {v}: y_{lq.hindex[v][1]}^({lq.hindex[v][0]}) {lq.color[v]} sign={lq.sign[v]} nu={lq.nu[v]}"

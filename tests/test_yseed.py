@@ -12,7 +12,8 @@ from yexp.yseed import (_FD_COLUMNS, _run, _softplus, check_periodicity, cluster
                         log_plus_phase, loop_jacobian)
 from yexp.ysys import assemble_eta
 
-from oracles import MutationDomainError, inverse_log_transform, mutate_values, periodicity_residual
+from oracles import (MutationDomainError, dense_quiver, exchange_entries, inverse_log_transform, mutate_values,
+                     periodicity_residual)
 from test_quiver import vertex_chain
 
 
@@ -111,7 +112,7 @@ def _sequential_phases(loop, y, want_jac=False):
     values after mu_+ and after mu_- (before nu), and the two phase Jacobians
     (None unless asked for).
     """
-    q = loop.start.quiver
+    q = dense_quiver(loop.start)
     images, jacs = [], []
     for phase in (loop.plus_set, loop.minus_set):
         jac = np.eye(len(y), dtype=y.dtype) if want_jac else None
@@ -282,7 +283,7 @@ def _raised_vertex(transform, loop, y):
                                 DynkinType("D", 7)], ids=str)
 def test_domain_errors_name_the_sequential_vertex(dt):
     loop = build_mutation_loop(dt)
-    arrows = loop.start.quiver.arrows
+    arrows = dense_quiver(loop.start).arrows
     y = np.linspace(0.5, 2.0, loop.n_vertices)
     plus, minus = loop.plus_set[-1], loop.minus_set[0]
     points = {"plus zero": (plus, 0.0), "minus zero": (minus, 0.0)}
@@ -304,7 +305,7 @@ def test_pole_at_a_sink_is_not_an_error():
     # mu_+ of A3 mutates the sink 1: y_1 = -1 zeroes its neighbours instead of raising
     loop = build_mutation_loop(DynkinType("A", 3))
     y = np.array([2.0, -1.0, 3.0])
-    np.testing.assert_array_equal(mutate_values(loop.start.quiver.arrows, y, 1), [0.0, -1.0, 0.0])
+    np.testing.assert_array_equal(mutate_values(dense_quiver(loop.start).arrows, y, 1), [0.0, -1.0, 0.0])
 
 
 VIEWS = {
@@ -452,8 +453,8 @@ def _shifted_nu_loop(dt):
     nu is an involution), with programs compiled for it as build_mutation_loop compiles them."""
     loop = build_mutation_loop(dt)
     nu = tuple(np.roll(np.arange(loop.n_vertices), 1))
-    a = loop.start.quiver.arrows
-    programs = quiver._compile_loop(a - a.T, loop.plus_set, loop.minus_set, nu, f"{dt}, shifted")
+    a = dense_quiver(loop.start).arrows
+    programs, _ = quiver._compile_loop(exchange_entries(a - a.T), loop.plus_set, loop.minus_set, nu, f"{dt}, shifted")
     return dataclasses.replace(loop, nu=nu, programs=programs)
 
 
@@ -587,7 +588,7 @@ def _chain_phases(loop):
     """Both phases' arrow lists, each read off the quiver that the single-vertex
     `mutate_quiver` chain (`test_quiver.vertex_chain`) has reached when the phase starts."""
     start, after_plus = (vertex_chain(loop.start.type, phases) for phases in range(2))
-    assert start == loop.start.quiver
+    assert start == dense_quiver(loop.start)
     return _arrow_lists(start, loop.plus_set), _arrow_lists(after_plus, loop.minus_set)
 
 
