@@ -23,7 +23,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import LoopPropertyError
-from .rootsys import DynkinType
+from .rootsys import DynkinType, lie_constants
 
 
 class Quiver:
@@ -259,6 +259,22 @@ class MutationLoop:
         nu = np.asarray(self.nu)
         same = np.arange(len(nu))
         return _stacked(plus, minus, nu, np.argsort(nu)), _stacked(minus, plus, same, same)
+
+    @cached_property
+    def half_turn(self) -> Tuple[int, np.ndarray]:
+        """(steps, sigma), gamma^steps(y) = y[sigma]: at even P = t(2 + h_dual), P / 2 and v at (i, m) -> the
+        vertex at (omega(i), 2 t_i - m) (t_i = 1 past the rank; omega reverses odd A and swaps odd D's fork),
+        by Y^(a)_m(u + h_dual + 2) = Y^(omega(a))_(2 t_a - m)(u) (Inoue-Iyama-Kuniba-Nakanishi-Suzuki 2010;
+        B, C: Inoue-Iyama-Keller-Kuniba-Nakanishi 2013); at odd P (A_n, n even; half a loop), P and id."""
+        t_i, t, h_dual = lie_constants(self.start.type)
+        n, family, period = len(t_i), self.start.type.family, t * (2 + h_dual)
+        omega = {} if n % 2 == 0 or family in "BC" else \
+            {n - 1: n, n: n - 1} if family == "D" else {i: n + 1 - i for i in range(1, n + 1)}
+        vertex = {label: v for v, label in enumerate(self.start.hindex)}
+        sigma = np.array([vertex[omega.get(i, i), 2 * (t_i[i - 1] if i <= n else 1) - m]
+                          for i, m in self.start.hindex], dtype=np.intp)
+        sigma.setflags(write=False)
+        return (period if period % 2 else period // 2), sigma
 
 
 def _path(vertices: Sequence[int], sign: Sequence[str]):

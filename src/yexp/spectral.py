@@ -26,8 +26,8 @@ import numpy as np
 from .qsys import _sin_pi
 from .quiver import LabeledQuiver, MutationLoop
 from .rootsys import DynkinType, group_constants, height_histograms, lie_constants
-from .yseed import (check_periodicity, finite_difference_jacobian, log_cluster_transform, log_loop_jacobian,
-                    log_plus_phase)
+from .yseed import (_FD_COLUMNS, _FD_STEP, check_periodicity, finite_difference_jacobian, log_cluster_transform,
+                    log_loop_jacobian, log_plus_phase, periodicity_turn)
 from .ysys import EtaPoint, assemble_eta, calibrate_reading, newton_fixed_point
 
 
@@ -792,14 +792,17 @@ def check_jacobian_fd(case: Case, tol: float) -> Dict:
     loop: the residual is max|L - L_fd|, where |L| is at most the largest arrow
     multiplicity at every rank."""
     fd = finite_difference_jacobian(case.loop, case.eta)
-    return _verdict(np.max(np.abs(case.jacobian - fd)), tol)
+    return _verdict(np.max(np.abs(case.jacobian - fd)), tol,
+                    method=f"central differences, step {_FD_STEP:g}, {_FD_COLUMNS}-column blocks")
 
 
 def periodicity_verdict(loop: MutationLoop, period: int, seed: int, points: int, tol: float) -> Dict:
-    """Verdict on mu_gamma^period = id at `points` seeded points drawn from [0.5, 2), checked
-    as gamma^ceil(period/2)(y) = gamma^-floor(period/2)(y) by `check_periodicity`, the "half-orbits" method."""
-    y = _seeded_uniform(seed, (points, loop.n_vertices))
-    return _verdict(check_periodicity(loop, y, period), tol, method="half-orbits")
+    """Verdict on mu_gamma^period = id by `check_periodicity` at `points` seeded points drawn from [0.5, 2), on
+    the half period at the loop's own even P: `steps` forward loop steps, and whether sigma is the identity."""
+    turn, sigma = periodicity_turn(loop, period)  # the check raises first on a bad period
+    return _verdict(check_periodicity(loop, _seeded_uniform(seed, (points, loop.n_vertices)), period), tol,
+                    method=f"half-orbits on the {'half' if turn < period else 'whole'} period",
+                    steps=-(-turn // 2), sigma_identity=bool(np.array_equal(sigma, np.arange(len(sigma)))))
 
 
 def c_checks(case: Case, tolerances: Tolerances = Tolerances(), samples: int = 32) -> Dict[str, Dict]:
@@ -855,8 +858,8 @@ def run_case(
 
     def fixed_point():
         newton_res = float(np.max(np.abs(newton_fixed_point(loop) - eta) / np.abs(eta)))
-        return _verdict(case.residual, tolerances.fixed_point,
-                        newton_res <= tolerances.newton_agreement, newton_agreement=newton_res)
+        return _verdict(case.residual, tolerances.fixed_point, newton_res <= tolerances.newton_agreement,
+                        newton_agreement=newton_res, method="eta from the Y-solution; Newton from ones, dense solve")
 
     checks: Dict[str, Dict] = {
         "fixed_point": _guarded(fixed_point),
@@ -867,11 +870,14 @@ def run_case(
     }
     even_bd = dt.family in ("B", "D") and dt.rank % 2 == 0
     if even_bd:
-        checks["lemma_vectors"] = _guarded(lambda: _named_verdict(lemma_summary(case), tolerances.lemma))
+        checks["lemma_vectors"] = _guarded(lambda: _named_verdict(lemma_summary(case), tolerances.lemma,
+                                                                  method="closed-form lemma eigenbasis, dense L @ Psi"))
     if dt.family == "C":
         checks.update(c_checks(case, tolerances, samples))
     if even_bd or dt.family == "C":
-        checks["relations"] = _guarded(lambda: _named_verdict(relation_residuals(case), tolerances.relations))
+        method = "closed-form " + ("phase-factor identities on L_+ and L" if dt.family == "C" else "rows of J")
+        checks["relations"] = _guarded(lambda: _named_verdict(relation_residuals(case), tolerances.relations,
+                                                              method=method))
 
     return {
         "type": dt.family,

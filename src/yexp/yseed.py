@@ -9,10 +9,10 @@ the arrow multiplicities at every rank. This module runs the programs and is the
 one engine: the y-space `cluster_transform` and `loop_jacobian` are views of it,
 defined at positive points only (anything else raises ValueError).
 
-The inverse loop needs no programs of its own: y -> 1/y (x -> -x) conjugates mutation
-on b to mutation on -b, so gamma^-1(x) = -P1(nu^-1(P2(nu^-1(-x)))) with P1, P2 the
-loop's programs, and `check_periodicity` runs half an orbit each way in one batch
-(`MutationLoop.half_orbit_programs`).
+The inverse loop needs no programs of its own: y -> 1/y (x -> -x) conjugates mutation on b to
+mutation on -b, so gamma^-1(x) = -P1(nu^-1(P2(nu^-1(-x)))) with P1, P2 the loop's programs, and
+`check_periodicity` runs half an orbit each way in one batch (`MutationLoop.half_orbit_programs`),
+at the loop's own even period P to the half period, gamma^(P/2)(y) = y[sigma] (`MutationLoop.half_turn`).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from typing import Tuple
 import numpy as np
 
 from .quiver import LogProgram, MutationLoop
+from .rootsys import group_constants
 
 _FD_COLUMNS = 64  # columns per finite-difference batch
 _FD_STEP = 1e-6  # the central-difference step in x = log y
@@ -136,17 +137,24 @@ def cluster_transform(loop: MutationLoop, y) -> np.ndarray:
     return np.exp(log_cluster_transform(loop, x.T)).T
 
 
-def check_periodicity(loop: MutationLoop, y, period: int) -> float:
-    """Max relative gap |gamma^a(y) / gamma^-b(y) - 1| over one positive point or a batch,
-    with a = ceil(period / 2) and b = floor(period / 2): gamma being a bijection of the positive
-    orthant, gamma^a(y) = gamma^-b(y) exactly when mu_gamma^period(y) = y.
+def periodicity_turn(loop: MutationLoop, period: int) -> Tuple[int, np.ndarray]:
+    """(turn, sigma) with `check_periodicity` testing gamma^turn(y) = y[sigma]: at P, `half_turn`; else (period, id)."""
+    return loop.half_turn if period == group_constants(loop.start.type)[2] else (period, np.arange(loop.n_vertices))
 
-    Both half-orbits run on x = log y, which stays finite where y overflows (max|log y| grows
-    like twice the rank), as one stacked batch [x; -x] through the loop's two block programs
-    (`MutationLoop.half_orbit_programs`): b steps, after one `log_cluster_transform` of x when
-    the period is odd. The inverse is read off the loop's own programs by y -> 1/y duality,
-    gamma^-1(x) = -P1(nu^-1(P2(nu^-1(-x)))), so the backward half holds -gamma^-k(x) and the
-    gap is |expm1(x_fwd + u_bwd)|. A period that is not an integer >= 1 raises ValueError.
+
+def check_periodicity(loop: MutationLoop, y, period: int) -> float:
+    """Max relative gap |gamma^a(y) / gamma^-b(y[sigma]) - 1| over one positive point or a batch, with
+    (turn, sigma) = `periodicity_turn`, a = ceil(turn / 2) and b = floor(turn / 2): gamma being a bijection
+    of the positive orthant, the two meet exactly when gamma^turn(y) = y[sigma]. At the loop's own even P
+    that is the half periodicity (`MutationLoop.half_turn`), and sigma o sigma = id, so a pass gives
+    mu_gamma^P(y) = y in half the steps. Any other period (a divisor, P - 1, a multiple of P), and odd P,
+    has sigma = id and turn = period: it passes exactly when mu_gamma^period(y) = y.
+
+    Both half-orbits run on x = log y, which stays finite where y overflows (max|log y| grows like twice
+    the rank), as one stacked batch [x; -x[sigma]] through the loop's two block programs
+    (`MutationLoop.half_orbit_programs`): b steps, after one `log_cluster_transform` of x when turn is
+    odd. With the inverse read off the same programs by y -> 1/y duality, the backward half holds
+    -gamma^-k(x[sigma]), and the gap is |expm1(x_fwd + u_bwd)|. A period that is not an integer >= 1 raises ValueError.
     """
     try:
         steps = -1 if isinstance(period, bool) else operator.index(period)
@@ -156,11 +164,11 @@ def check_periodicity(loop: MutationLoop, y, period: int) -> float:
         raise ValueError(f"period {period!r} invalid: need an integer >= 1")
     x = np.log(_positive_points(loop, y)).T
     first, second = loop.half_orbit_programs
-    u = np.concatenate((log_cluster_transform(loop, x) if steps % 2 else x, -x))
-    for _ in range(steps // 2):
+    turn, sigma = periodicity_turn(loop, steps)
+    u = np.concatenate((log_cluster_transform(loop, x) if turn % 2 else x, -x[sigma]))
+    for _ in range(turn // 2):
         u = _run(second, _run(first, u))
-    n = loop.n_vertices
-    return float(np.max(np.abs(np.expm1(u[:n] + u[n:])), initial=0.0))
+    return float(np.max(np.abs(np.expm1(u[:len(x)] + u[len(x):])), initial=0.0))
 
 
 def loop_jacobian(loop: MutationLoop, y) -> LoopJacobian:

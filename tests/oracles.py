@@ -3,8 +3,8 @@
 The package's fast paths are compared with these: the textbook Y-seed value
 rule at one vertex, a labeled quiver as a dense `Quiver`, an exchange matrix's
 entries and its dense array read from each other, and the relabelling of a quiver,
-the plain forward orbit of a periodicity check and the inverse loop compiled on its
-own exchange matrices,
+the plain forward orbit of a periodicity check, the half period's relabelling read
+from the theorem, the inverse loop compiled on its own exchange matrices,
 the Cartan matrix and the coupling matrix G as dense arrays and one entry of G,
 the roots' pairings as interval-prefix differences and the q-dimension read from
 them, the structural properties of the KR solution, and a q-table's interior cells.
@@ -81,12 +81,24 @@ def permute_quiver(q: Quiver, nu: Sequence[int]) -> Quiver:
     return Quiver(b)
 
 
-def periodicity_residual(loop: MutationLoop, y: np.ndarray, period: int) -> float:
-    """max |mu_gamma^period(y) - y| / |y| over the points y (k, N), by `period` forward steps on x = log y."""
+def periodicity_residual(loop: MutationLoop, y: np.ndarray, period: int, sigma=slice(None)) -> float:
+    """max |mu_gamma^period(y) - y[sigma]| / |y[sigma]| over the points y (k, N), by `period` forward
+    steps on x = log y; sigma relabels the start, the identity by default."""
     x = x0 = np.log(y).T
     for _ in range(period):
         x = log_cluster_transform(loop, x)
-    return float(np.max(np.abs(np.expm1(x - x0))))
+    return float(np.max(np.abs(np.expm1(x - x0[sigma]))))
+
+
+def half_turn_sigma(lq: LabeledQuiver) -> np.ndarray:
+    """The half periodicity's relabelling, vertex by vertex from the theorem: v at (i, m) goes to the
+    vertex at (omega(i), 2 t_i - m), omega the diagram involution (A's reversal, the swap of odd D's
+    fork nodes n - 1 and n), and t_i = 1 past the rank."""
+    dt = lq.type
+    n, t_i = dt.rank, lie_constants(dt)[0]
+    omega = {"A": lambda i: n + 1 - i, "D": lambda i: 2 * n - 1 - i if n % 2 and i >= n - 1 else i}
+    flip = omega.get(dt.family, lambda i: i)
+    return np.array([lq.vertex_of(flip(i), 2 * (t_i[i - 1] if i <= n else 1) - m) for i, m in lq.hindex])
 
 
 def inverse_log_transform(loop: MutationLoop, x: np.ndarray) -> np.ndarray:

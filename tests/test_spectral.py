@@ -1293,6 +1293,25 @@ def test_no_periodicity_points_fail_the_periodicity_check_alone():
     assert all(c["pass"] for name, c in checks.items() if name != "periodicity")
 
 
+@pytest.mark.parametrize("dt", [DynkinType(f, r) for f in "ABCD" for r in range(4, 9)], ids=str)
+def test_every_check_names_its_method(dt):
+    checks = run_case(dt, samples=8, periodicity_points=2)["checks"]
+    assert all(isinstance(c.get("method"), str) and c["method"] for c in checks.values()), checks
+    period = group_constants(dt)[2]
+    half = period % 2 == 0
+    assert checks["periodicity"]["method"] == f"half-orbits on the {'half' if half else 'whole'} period"
+    assert checks["periodicity"]["steps"] == -(-period // (4 if half else 2))
+    sigma_identity = (dt.family == "A" and dt.rank % 2 == 0) or (dt.family == "D" and dt.rank % 2 == 0)
+    assert checks["periodicity"]["sigma_identity"] is sigma_identity
+
+
+def test_periodicity_verdict_off_the_period_runs_the_whole_period():
+    loop = build_mutation_loop(DynkinType("B", 4))
+    verdict = spectral.periodicity_verdict(loop, 36, 0, 3, Tolerances().periodicity)
+    assert verdict["pass"] is True and verdict["method"] == "half-orbits on the whole period"
+    assert verdict["steps"] == 18 and verdict["sigma_identity"] is True
+
+
 @pytest.mark.parametrize("fam,n", [("C", 3), ("C", 4)])
 def test_c_exponents_match_template(fam, n):
     rep = build_case(DynkinType(fam, n))

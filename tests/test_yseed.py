@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from yexp import quiver
+from yexp import quiver, yseed
+from yexp.errors import LoopPropertyError
 from yexp.quiver import Quiver, build_mutation_loop, mutate_quiver
 from yexp.rootsys import DynkinType, group_constants
 from yexp.yseed import (_FD_COLUMNS, _run, _softplus, check_periodicity, cluster_transform,
@@ -12,8 +13,8 @@ from yexp.yseed import (_FD_COLUMNS, _run, _softplus, check_periodicity, cluster
                         log_plus_phase, loop_jacobian)
 from yexp.ysys import assemble_eta
 
-from oracles import (MutationDomainError, dense_quiver, exchange_entries, inverse_log_transform, mutate_values,
-                     periodicity_residual)
+from oracles import (MutationDomainError, dense_quiver, exchange_entries, half_turn_sigma, inverse_log_transform,
+                     mutate_values, periodicity_residual)
 from test_quiver import vertex_chain
 
 
@@ -510,6 +511,110 @@ def test_a_numpy_integer_period_is_the_period():
     y = np.random.default_rng(71).uniform(0.5, 2.0, (3, loop.n_vertices))
     for period in (17, 18):
         assert check_periodicity(loop, y, np.int64(period)) == check_periodicity(loop, y, period)
+
+
+def _half_turn_closed_form(dt, n_vertices):
+    """The half period's relabelling, family by family: A with odd n reverses the chain, B swaps
+    c1 <-> c3, C swaps top <-> bot in every node column, odd D swaps the fork; else the identity."""
+    sigma, n = np.arange(n_vertices), dt.rank
+    if dt.family == "A" and n % 2:
+        sigma = sigma[::-1].copy()
+    elif dt.family == "B":
+        sigma[[n - 1, n + 1]] = n + 1, n - 1
+    elif dt.family == "C":
+        top = np.arange(0, 3 * (n - 1), 3)
+        sigma[top], sigma[top + 2] = top + 2, top
+    elif dt.family == "D" and n % 2:
+        sigma[[n - 2, n - 1]] = n - 1, n - 2
+    return sigma
+
+
+HALF_TURN_TYPES = [DynkinType(f, r) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
+                   for r in list(range(lo, 17)) + [128]]
+
+
+@pytest.mark.parametrize("dt", HALF_TURN_TYPES, ids=str)
+def test_half_turn_is_the_theorems_involution(dt):
+    loop = build_mutation_loop(dt)
+    steps, sigma = loop.half_turn
+    _, _, period = group_constants(dt)
+    assert loop.half_turn is loop.half_turn and not sigma.flags.writeable
+    assert np.array_equal(sigma[sigma], np.arange(loop.n_vertices))
+    assert np.array_equal(sigma, _half_turn_closed_form(dt, loop.n_vertices))
+    if period % 2:  # A_n, n even: the half period is half a loop, so the whole period runs
+        assert steps == period and dt.family == "A" and dt.rank % 2 == 0
+    else:
+        assert steps == period // 2
+        assert np.array_equal(sigma, half_turn_sigma(loop.start))
+
+
+@pytest.mark.parametrize("dt", BATCH_TYPES + [DynkinType("B", 128), DynkinType("C", 128), DynkinType("D", 129)],
+                         ids=str)
+def test_half_turn_is_the_forward_orbit(dt):
+    # gamma^(P/2)(y) = y[sigma] by P/2 plain forward steps, and the check's meeting in the middle agrees
+    loop = build_mutation_loop(dt)
+    steps, sigma = loop.half_turn
+    _, _, period = group_constants(dt)
+    y = np.random.default_rng(dt.rank + 3).uniform(0.5, 2.0, (3, loop.n_vertices))
+    assert periodicity_residual(loop, y, steps, sigma) <= 1e-10
+    assert check_periodicity(loop, y, period) <= 1e-10
+
+
+def _arrow_dropped_loop(loop):
+    """The loop compiled, as build_mutation_loop compiles it, on its quiver less its first arrow whose
+    loss leaves every phase free of inner arrows (so that the phases still compile)."""
+    for arrow in loop.start.arrows:
+        a = dense_quiver(loop.start).arrows.copy()
+        a[arrow] = 0
+        try:
+            programs, _ = quiver._compile_loop(exchange_entries(a - a.T), loop.plus_set, loop.minus_set, loop.nu,
+                                               f"{loop.start.type} less {arrow}")
+        except LoopPropertyError:
+            continue
+        return dataclasses.replace(loop, programs=programs)
+    raise AssertionError("every dropped arrow leaves an arrow inside a phase")
+
+
+@pytest.mark.parametrize("dt", [dt for dt in BATCH_TYPES if dt.rank > 1], ids=str)
+def test_a_wrong_half_turn_or_a_dropped_arrow_fails(dt):
+    loop = build_mutation_loop(dt)
+    steps, sigma = loop.half_turn
+    _, _, period = group_constants(dt)
+    y = np.random.default_rng(dt.rank + 5).uniform(0.5, 2.0, (3, loop.n_vertices))
+    assert check_periodicity(_arrow_dropped_loop(loop), y, period) > 1e-3
+    if not np.array_equal(sigma, np.arange(loop.n_vertices)):
+        unturned = dataclasses.replace(loop)
+        unturned.__dict__["half_turn"] = (steps, np.arange(loop.n_vertices))  # the cached value, as if sigma = id
+        assert check_periodicity(unturned, y, period) > 1e-3
+        assert check_periodicity(loop, y, period) <= 1e-10
+
+
+@pytest.mark.parametrize("dt", [DynkinType(f, r) for f, r in (("A", 2), ("A", 4), ("A", 5), ("B", 4), ("B", 7),
+                                                               ("C", 4), ("C", 5), ("D", 4), ("D", 7))], ids=str)
+def test_the_check_runs_half_the_steps_at_the_period(dt, monkeypatch):
+    # each loop step is two program runs; even P meets in the middle of P/2, odd P (A2, A4) of P
+    calls = []
+    monkeypatch.setattr(yseed, "_run", lambda program, x: calls.append(1) or _run(program, x))
+    loop = build_mutation_loop(dt)
+    _, _, period = group_constants(dt)
+    y = np.random.default_rng(7).uniform(0.5, 2.0, (2, loop.n_vertices))
+    got = check_periodicity(loop, y, period)
+    want = -(-period // 4) if period % 2 == 0 else -(-period // 2)
+    assert len(calls) == 2 * want
+    del calls[:]
+    _same_bits(check_periodicity(loop, y, np.int64(period)), got)
+    assert len(calls) == 2 * want
+    del calls[:]
+    check_periodicity(loop, y, period - 1)
+    assert len(calls) == 2 * -(-(period - 1) // 2)
+
+
+@pytest.mark.parametrize("dt", BATCH_TYPES, ids=str)
+def test_a_multiple_of_the_period_passes(dt):
+    loop = build_mutation_loop(dt)
+    _, _, period = group_constants(dt)
+    y = np.random.default_rng(dt.rank + 11).uniform(0.5, 2.0, (3, loop.n_vertices))
+    assert check_periodicity(loop, y, 2 * period) <= 1e-10
 
 
 def test_single_vertex_jacobian():
